@@ -12,8 +12,6 @@ from .splines import (
     BlockLayout,
     KnotVector,
     continuity_at,
-    eval_basis,
-    eval_basis_deriv,
     greville_abscissae,
     make_block_knots,
     make_open_uniform_knots,
@@ -53,7 +51,6 @@ from .analysis import (
     branch_count,
     coefficient_flatness,
     convergence_study,
-    count_branches,
     count_outliers,
     detect_stopping_bands,
     eigenvalue_errors,

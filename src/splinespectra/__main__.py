@@ -1,0 +1,6 @@
+"""``python -m splinespectra``: run the command-line interface."""
+
+from .cli import entry
+
+if __name__ == "__main__":
+    entry()

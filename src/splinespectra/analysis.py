@@ -17,7 +17,7 @@ separator census and checked empirically against the spectrum tail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -58,7 +58,6 @@ __all__ = [
     "frequency_content",
     "coefficient_flatness",
     "am_fit",
-    "count_branches",
     "convergence_study",
     "find_optimal_tau",
 ]
@@ -123,12 +122,6 @@ def exact_eigenvalues_2d(count_per_dir: int, bc: str = "dirichlet"):
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-def _full_coefficients(op: DiscreteOperator, v: np.ndarray) -> np.ndarray:
-    coeffs = np.zeros(op.kv.n)
-    coeffs[op.dof_indices] = v
-    return coeffs
-
-
 def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matrix:
     """Sparse matrix mapping reduced coefficients to field values at ``xs``."""
     kv = op.kv
@@ -156,9 +149,12 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
     return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(xs.size, op.n_dofs))
 
 
-def _pair_quadrature(op: DiscreteOperator, subdivisions: int, n_points: int):
-    """Quadrature grid resolving mode oscillation: ``subdivisions`` per element."""
-    rule = gauss_rule(n_points)
+def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
+                subdivisions: int) -> np.ndarray:
+    """L2 inner products of exact modes ``js`` with the columns of ``V``.
+
+    Grid as in :func:`l2_pair_inner`; one sampling matrix for all columns."""
+    rule = gauss_rule(op.kv.p + 2)
     xs, ws = [], []
     for _, a, b in op.kv.spans():
         edges = np.linspace(a, b, subdivisions + 1)
@@ -166,7 +162,13 @@ def _pair_quadrature(op: DiscreteOperator, subdivisions: int, n_points: int):
             local = map_rule_to_element(rule, lo, hi)
             xs.append(local.nodes)
             ws.append(local.weights)
-    return np.concatenate(xs), np.concatenate(ws)
+    xs, ws = np.concatenate(xs), np.concatenate(ws)
+    P = sample_matrix(op, xs) @ V
+    if bc == "dirichlet":
+        U = math.sqrt(2.0) * np.sin(np.outer(xs, js) * math.pi)
+    else:  # the constant mode is 1, not sqrt(2) cos(0)
+        U = np.where(js == 0, 1.0, math.sqrt(2.0) * np.cos(np.outer(xs, js) * math.pi))
+    return ws @ (U * P)
 
 
 def _required_subdivisions(j: int, h: float) -> int:
@@ -184,9 +186,8 @@ def l2_pair_inner(mode: ExactMode, v: np.ndarray, op: DiscreteOperator,
     """
     if subdivisions is None:
         subdivisions = _required_subdivisions(mode.index, op.layout.h)
-    xs, ws = _pair_quadrature(op, subdivisions, op.kv.p + 2)
-    B = sample_matrix(op, xs)
-    return float(ws @ (mode(xs) * (B @ np.asarray(v, dtype=float))))
+    V = np.asarray(v, dtype=float)[:, None]
+    return float(_pair_inner(op, V, np.array([mode.index]), mode.bc, subdivisions)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +226,10 @@ def eigenvalue_errors(spectrum: Spectrum, op: DiscreteOperator) -> np.ndarray:
     The Neumann constant mode (exact eigenvalue zero) is reported as an
     absolute error.
     """
-    n = spectrum.n_modes
-    out = np.empty(n)
-    for m in range(1, n + 1):
-        j = _exact_index(m, op.bc)
-        lam = (j * math.pi) ** 2
-        if lam == 0.0:
-            out[m - 1] = spectrum.eigenvalues[m - 1]
-        else:
-            out[m - 1] = (spectrum.eigenvalues[m - 1] - lam) / lam
-    return out
+    js = np.array([_exact_index(m, op.bc) for m in range(1, spectrum.n_modes + 1)])
+    lam = (js * math.pi) ** 2
+    err = spectrum.eigenvalues - lam
+    return np.divide(err, lam, out=err.copy(), where=lam != 0)
 
 
 def error_budget(spectrum: Spectrum, op: DiscreteOperator,
@@ -278,15 +273,8 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
 
     inner = np.empty(len(modes))
     for s, positions in groups.items():
-        xs, ws = _pair_quadrature(op, s, op.kv.p + 2)
-        B = sample_matrix(op, xs)
-        P = B @ V[:, positions]
         js = np.array([_exact_index(modes[pos], op.bc) for pos in positions])
-        if op.bc == "dirichlet":
-            U = math.sqrt(2.0) * np.sin(np.outer(xs, js) * math.pi)
-        else:
-            U = math.sqrt(2.0) * np.cos(np.outer(xs, js) * math.pi)
-        inner[positions] = ws @ (U * P)
+        inner[positions] = _pair_inner(op, V[:, positions], js, op.bc, s)
 
     budgets = []
     for pos, m in enumerate(modes):
@@ -450,8 +438,7 @@ def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
                     best, best_gap = cand, gap
         matches.append(BandMatch(v, float(glob[best]), float(best_gap), best, c))
 
-    bsize = layout.block_size
-    expected = bsize + layout.p - 2 if layout.n_separators > 0 else 0
+    expected = layout.block_size + layout.p - 2
     return StoppingBandReport(
         local_eigenvalues=[b.eigenvalues for b in local],
         matches=matches,
@@ -575,6 +562,7 @@ class OutlierModeInfo:
     flatness: float          # coefficient-spectrum peak/median
     dominant_frequencies: tuple
     am: "AmFit"
+    content: "FrequencyContent"
 
 
 @dataclass
@@ -608,19 +596,20 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator,
             break
 
     observed = list(range(n - predicted + 1, n + 1))
+    # one sampling for all outlier modes; contiguous rows keep results bitwise
+    V = spectrum.eigenvectors[:, n - predicted:]
+    fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
     infos = []
-    for m in observed:
-        v = spectrum.eigenvectors[:, m - 1]
-        fc = frequency_content(v, op)
-        fit = am_fit(v, op)
-        peaks = fc.dominant_peaks(2)
+    for m, f in zip(observed, fields):
+        fc = _frequency_content(f, op.bc)
         infos.append(OutlierModeInfo(
             mode=m,
             ev_rel=float(ev[m - 1]),
             ev_ratio=float(abs(ev[m - 1]) / med) if med > 0 else math.inf,
-            flatness=coefficient_flatness(v),
-            dominant_frequencies=tuple(f for f, _ in peaks),
-            am=fit,
+            flatness=coefficient_flatness(spectrum.eigenvectors[:, m - 1]),
+            dominant_frequencies=tuple(fr for fr, _ in fc.dominant_peaks(2)),
+            am=_two_wave_fit(f, fc, op),
+            content=fc,
         ))
     return OutlierReport(predicted, observed, empirical, med, infos)
 
@@ -648,6 +637,29 @@ class FrequencyContent:
         return [(float(self.frequencies[k]), float(m[k])) for k in order[:count]]
 
 
+def _sample_grid(op: DiscreteOperator, samples: int | None = None) -> np.ndarray:
+    """Uniform grid ``k / samples`` of the frequency analysis, validated."""
+    n = op.n_dofs
+    if samples is None:
+        samples = 1 << max(int(math.ceil(math.log2(4 * n))), 3)
+    if samples & (samples - 1) or samples < 2 * n:
+        raise ValueError(
+            f"samples must be a power of two >= {2 * n}, got {samples}"
+        )
+    return np.arange(samples) / samples
+
+
+def _frequency_content(f: np.ndarray, bc: str) -> FrequencyContent:
+    """Half-cycle magnitude spectrum of a field sampled on :func:`_sample_grid`."""
+    if bc == "dirichlet":
+        g = np.concatenate([f, [0.0], -f[1:][::-1]])
+    else:
+        g = np.concatenate([f, f[::-1]])
+    mags = np.abs(np.fft.rfft(g)) / f.size
+    freqs = 0.5 * np.arange(mags.size)
+    return FrequencyContent(freqs, mags)
+
+
 def frequency_content(v: np.ndarray, op: DiscreteOperator,
                       samples: int | None = None) -> FrequencyContent:
     """Sample the eigenfunction uniformly and transform to half-cycle bins.
@@ -661,22 +673,8 @@ def frequency_content(v: np.ndarray, op: DiscreteOperator,
     degrees of freedom (default: the smallest power of two at or above four
     times).
     """
-    n = op.n_dofs
-    if samples is None:
-        samples = 1 << max(int(math.ceil(math.log2(4 * n))), 3)
-    if samples & (samples - 1) or samples < 2 * n:
-        raise ValueError(
-            f"samples must be a power of two >= {2 * n}, got {samples}"
-        )
-    xs = np.arange(samples) / samples
-    f = sample_matrix(op, xs) @ np.asarray(v, dtype=float)
-    if op.bc == "dirichlet":
-        g = np.concatenate([f, [0.0], -f[1:][::-1]])
-    else:
-        g = np.concatenate([f, f[::-1]])
-    mags = np.abs(np.fft.rfft(g)) / samples
-    freqs = 0.5 * np.arange(mags.size)
-    return FrequencyContent(freqs, mags)
+    f = sample_matrix(op, _sample_grid(op, samples)) @ np.asarray(v, dtype=float)
+    return _frequency_content(f, op.bc)
 
 
 @dataclass
@@ -697,16 +695,9 @@ class AmFit:
     misfit: float
 
 
-def am_fit(v: np.ndarray, op: DiscreteOperator,
-           samples: int | None = None) -> AmFit:
-    """Fit the two dominant spectral peaks with a sine or cosine pair.
-
-    Even degrees use the sine pair ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``,
-    odd degrees the cosine pair with a plus sign; Neumann conditions swap the
-    trigonometric families.  The relative L2 misfit between the sampled field
-    and the model (over the best global sign) is reported as a diagnostic.
-    """
-    fc = frequency_content(v, op, samples)
+def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
+                  op: DiscreteOperator) -> AmFit:
+    """AM fit of a field sampled on :func:`_sample_grid` with its spectrum ``fc``."""
     n = op.n_dofs
     n_el = op.layout.n_elements
     peaks = fc.dominant_peaks(2)
@@ -718,9 +709,7 @@ def am_fit(v: np.ndarray, op: DiscreteOperator,
     else:
         a2, f2 = peaks[1][1], peaks[1][0]
 
-    S = fc.magnitudes.size - 1
-    xs = np.arange(S) / S
-    f = sample_matrix(op, xs) @ np.asarray(v, dtype=float)
+    xs = np.arange(f.size) / f.size
     even_degree = op.kv.p % 2 == 0
     use_sine = even_degree if op.bc == "dirichlet" else not even_degree
     two_pi = 2.0 * math.pi
@@ -740,39 +729,22 @@ def am_fit(v: np.ndarray, op: DiscreteOperator,
     return AmFit(a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit))
 
 
+def am_fit(v: np.ndarray, op: DiscreteOperator,
+           samples: int | None = None) -> AmFit:
+    """Fit the two dominant spectral peaks with a sine or cosine pair.
+
+    Even degrees use the sine pair ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``,
+    odd degrees the cosine pair with a plus sign; Neumann conditions swap the
+    trigonometric families.  The relative L2 misfit between the sampled field
+    and the model (over the best global sign) is reported as a diagnostic.
+    """
+    f = sample_matrix(op, _sample_grid(op, samples)) @ np.asarray(v, dtype=float)
+    return _two_wave_fit(f, _frequency_content(f, op.bc), op)
+
+
 # ---------------------------------------------------------------------------
 # branch structure
 # ---------------------------------------------------------------------------
-
-def count_branches(values: np.ndarray, *, spike_ratio: float = 30.0,
-                   window: int = 25, floor: float = 0.0) -> int:
-    """Number of monotone branches of an error curve.
-
-    Branch boundaries are spikes: contiguous clusters of indices where the
-    discrete second difference exceeds ``spike_ratio`` times its local median
-    magnitude (and an optional absolute ``floor``).  The local normalization
-    makes spikes detectable across the many orders of magnitude an error
-    curve spans; a fixed global floor drowns the low-frequency bands.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size < 4:
-        return 1
-    d2 = np.diff(values, 2)
-    a = np.abs(d2)
-    med = np.empty_like(a)
-    for i in range(a.size):
-        med[i] = np.median(a[max(0, i - window):i + window + 1])
-    mask = a > np.maximum(spike_ratio * med, floor)
-    boundaries = 0
-    i = 0
-    while i < d2.size:
-        if mask[i]:
-            while i + 1 < d2.size and mask[i + 1]:
-                i += 1
-            boundaries += 1
-        i += 1
-    return boundaries + 1
-
 
 def branch_count(spectrum: Spectrum, op: DiscreteOperator,
                  j_max: int | None = None,

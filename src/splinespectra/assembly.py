@@ -29,7 +29,10 @@ __all__ = [
     "assemble_layout",
     "assemble_2d_tensor",
     "dump_matrix",
+    "MAX_DOFS_2D",
 ]
+
+MAX_DOFS_2D = 40_000
 
 
 class NumericalError(RuntimeError):
@@ -91,7 +94,10 @@ class SymmetricBandedMatrix:
         return out
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        return scipy.sparse.csr_matrix(self.to_dense())
+        u = self.bandwidth
+        offsets = range(-u, u + 1)
+        return scipy.sparse.diags([self.band[u - abs(k), abs(k):] for k in offsets],
+                                  offsets, shape=(self.n, self.n), format="csr")
 
     def restricted(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Submatrix on a contiguous index range (boundary elimination)."""
@@ -112,7 +118,7 @@ class SymmetricBandedMatrix:
         return total
 
     def row_sums(self) -> np.ndarray:
-        return self.to_dense().sum(axis=1)
+        return np.asarray(self.to_sparse().sum(axis=1)).ravel()
 
     def is_positive_definite(self) -> bool:
         try:
@@ -246,7 +252,8 @@ class DiscreteOperator2D:
         return self.M.shape[0]
 
 
-def assemble_2d_tensor(op1: DiscreteOperator, max_dofs: int = 40_000) -> DiscreteOperator2D:
+def assemble_2d_tensor(op1: DiscreteOperator,
+                       max_dofs: int = MAX_DOFS_2D) -> DiscreteOperator2D:
     """Kronecker-product 2D operators: ``M2 = M (x) M``, ``K2 = K (x) M + M (x) K``."""
     n2 = op1.n_dofs ** 2
     if n2 > max_dofs:

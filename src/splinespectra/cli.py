@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, svgplot
-from .assembly import NumericalError, assemble_2d_tensor, assemble_layout
+from .assembly import MAX_DOFS_2D, NumericalError, assemble_layout
 from .eigensolve import solve_gevp
 from .quadrature import QuadratureSpec
 from .splines import BlockLayout
@@ -234,8 +233,7 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
     freq_header = ["mode", "frequency", "magnitude"]
     freq_rows = []
     for info in report.outliers:
-        fc = analysis.frequency_content(
-            spectrum.eigenvectors[:, info.mode - 1], op)
+        fc = info.content
         for f, m in zip(fc.frequencies, fc.magnitudes):
             if f <= op.n_dofs:
                 freq_rows.append((info.mode, f, m))
@@ -251,7 +249,8 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
 def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int:
     layout = cfg.layout()
     op1 = assemble_layout(layout, cfg.quadrature_spec())
-    assemble_2d_tensor(op1)  # enforces the size cap; spectra via Kronecker sums
+    if op1.n_dofs ** 2 > MAX_DOFS_2D:  # spectra come from 1D Kronecker sums
+        raise ConfigError(f"2D problem exceeds the cap of {MAX_DOFS_2D} unknowns")
     spectrum = solve_gevp(op1)
     lam1 = spectrum.eigenvalues
     n = lam1.size
@@ -259,7 +258,9 @@ def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> i
     order = np.argsort(sums, kind="stable")
     discrete = sums[order]
     exact, jj, kk = analysis.exact_eigenvalues_2d(n, cfg.bc)
-    ev_rel = (discrete - exact) / exact
+    # the Neumann (0, 0) mode has exact eigenvalue zero: absolute error there
+    err = discrete - exact
+    ev_rel = np.divide(err, exact, out=err.copy(), where=exact != 0)
     header = ["j", "k", "lambda_exact", "lambda_h", "ev_rel"]
     rows = list(zip(jj, kk, exact, discrete, ev_rel))
     _write_text(out, _csv(header, rows, cfg))
@@ -360,11 +361,6 @@ def main(argv=None) -> int:
         if args.command == "converge":
             for n in elements:
                 ExperimentConfig(**{**cfg.__dict__, "elements": n}).validate()
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out, args.svg)
         if args.command == "converge":
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
         if args.command == "outliers":
             return cmd_outliers(cfg, args.out)
         return cmd_spectrum2d(cfg, args.out, args.svg)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and library input checks
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

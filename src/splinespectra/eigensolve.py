@@ -35,7 +35,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    normalization: str = "assembled"
 
     @property
     def n_modes(self) -> int:
@@ -70,8 +69,7 @@ def solve_gevp(op: DiscreteOperator | DiscreteOperator2D) -> Spectrum:
         w, v = scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded at assembly
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    order = np.argsort(w, kind="stable")
-    return Spectrum(w[order], _fix_signs(v[:, order]))
+    return Spectrum(w, _fix_signs(v))
 
 
 @dataclass

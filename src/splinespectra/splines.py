@@ -9,15 +9,18 @@ block layout abstraction:
 * refined isogeometric analysis (rIGA) -- ``C^{p-1}`` blocks of elements joined
   by lower-continuity separator knots of multiplicity ``p - c``.
 
-All evaluation uses the Cox-de Boor recursion with the ``0/0 := 0`` convention
-for repeated knots.  The parametric domain is fixed to ``[0, 1]`` and doubles
-as the physical domain (identity geometry map).
+All evaluation goes through :func:`span_basis_rows`, the Cox-de Boor
+recursion for the ``p + 1`` functions active on one non-empty knot span.  On
+such a span the value recursion never divides by zero; the derivative formula
+drops terms over zero-length knot intervals (the ``0/0 := 0`` convention).
+The parametric domain is fixed to ``[0, 1]`` and doubles as the physical
+domain (identity geometry map).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +29,6 @@ __all__ = [
     "BlockLayout",
     "make_open_uniform_knots",
     "make_block_knots",
-    "eval_basis",
-    "eval_basis_deriv",
     "greville_abscissae",
     "continuity_at",
 ]
@@ -69,7 +70,7 @@ class KnotVector:
             raise ValueError("knots must be non-decreasing")
         if self.n < 1:
             raise ValueError("knot vector defines an empty basis")
-        for value, mult in zip(*self.unique_knots()):
+        for value, mult in zip(*np.unique(knots, return_counts=True)):
             interior = knots[0] + _KNOT_TOL < value < knots[-1] - _KNOT_TOL
             if interior and mult > self.p:
                 raise ValueError(
@@ -80,20 +81,6 @@ class KnotVector:
     def n(self) -> int:
         """Dimension of the spanned spline space."""
         return len(self.knots) - self.p - 1
-
-    @property
-    def is_open(self) -> bool:
-        k = self.knots
-        return bool(k[0] == k[self.p] and k[-self.p - 1] == k[-1])
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.knots[0]), float(self.knots[-1])
-
-    def unique_knots(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct knot values and their multiplicities."""
-        values, counts = np.unique(self.knots, return_counts=True)
-        return values, counts
 
     def spans(self) -> list[tuple[int, float, float]]:
         """Non-empty knot spans as ``(index, left, right)`` triples.
@@ -107,24 +94,6 @@ class KnotVector:
             for i in range(self.p, len(k) - self.p - 1)
             if k[i + 1] > k[i]
         ]
-
-    def find_span(self, x: float) -> int:
-        """Index ``i`` of the non-empty span with ``knots[i] <= x < knots[i+1]``.
-
-        The right endpoint of the domain is clamped to the last non-empty
-        span so that evaluation there returns left limits.
-        """
-        k = self.knots
-        lo, hi = self.p, len(k) - self.p - 1
-        if not (k[0] <= x <= k[-1]):
-            raise ValueError(f"point {x} outside knot range [{k[0]}, {k[-1]}]")
-        if x >= k[hi]:
-            i = hi - 1
-            while k[i + 1] <= k[i]:
-                i -= 1
-            return i
-        i = int(np.searchsorted(k, x, side="right")) - 1
-        return max(i, lo)
 
 
 def _separator_positions(n_elements: int, block_size: int) -> list[int]:
@@ -196,11 +165,6 @@ class BlockLayout:
         pos = _separator_positions(self.n_elements, self.block_size)
         return np.array([p * self.h for p in pos])
 
-    def block_bounds(self) -> list[tuple[float, float]]:
-        """Block intervals ``[(a_0, b_0), ...]`` covering ``[0, 1]``."""
-        edges = [0.0, *self.separator_values().tolist(), 1.0]
-        return list(zip(edges[:-1], edges[1:]))
-
     @property
     def dim_before_bc(self) -> int:
         c = self.separator_continuity
@@ -241,78 +205,6 @@ def make_block_knots(layout: BlockLayout) -> KnotVector:
     return kv
 
 
-def _indicator(knots: np.ndarray, j: int, x: float, at_right_end: bool) -> float:
-    if at_right_end:
-        return 1.0 if knots[j] < x <= knots[j + 1] else 0.0
-    return 1.0 if knots[j] <= x < knots[j + 1] else 0.0
-
-
-def _cox_de_boor(knots: np.ndarray, i: int, degree: int, x: float) -> float:
-    """Single basis value ``N_{i,degree}(x)`` for an arbitrary knot vector.
-
-    Works at any point of ``[knots[0], knots[-1]]``; the global right
-    endpoint returns the left limit.
-    """
-    at_end = x == knots[-1]
-    vals = [_indicator(knots, j, x, at_end) for j in range(i, i + degree + 1)]
-    for d in range(1, degree + 1):
-        for r in range(degree - d + 1):
-            j = i + r
-            acc = 0.0
-            den = knots[j + d] - knots[j]
-            if den > 0.0:
-                acc += (x - knots[j]) / den * vals[r]
-            den = knots[j + d + 1] - knots[j + 1]
-            if den > 0.0:
-                acc += (knots[j + d + 1] - x) / den * vals[r + 1]
-            vals[r] = acc
-    return vals[0]
-
-
-def eval_basis(kv: KnotVector, i: int, x: float) -> float:
-    """Evaluate the basis function ``N_{i,p}`` at ``x``.
-
-    Values are non-negative, vanish outside ``[knots[i], knots[i+p+1]]``, and
-    the functions of an open knot vector sum to one everywhere on the domain.
-    At the right endpoint the left limit is returned, so the last basis
-    function of an open vector evaluates to 1 there.
-
-    Raises
-    ------
-    IndexError
-        If ``i`` is not a valid basis index.
-    ValueError
-        If ``x`` lies outside the knot range.
-    """
-    if not 0 <= i < kv.n:
-        raise IndexError(f"basis index {i} outside [0, {kv.n})")
-    if not (kv.knots[0] <= x <= kv.knots[-1]):
-        raise ValueError(f"point {x} outside knot range")
-    return _cox_de_boor(kv.knots, i, kv.p, x)
-
-
-def eval_basis_deriv(kv: KnotVector, i: int, x: float) -> float:
-    """First derivative ``dN_{i,p}/dx`` via the degree-reduction formula.
-
-    At interior repeated knots the one-sided derivative from the right is
-    returned (from the left at the final knot), matching the half-open-span
-    convention of :func:`eval_basis`.
-    """
-    if not 0 <= i < kv.n:
-        raise IndexError(f"basis index {i} outside [0, {kv.n})")
-    if not (kv.knots[0] <= x <= kv.knots[-1]):
-        raise ValueError(f"point {x} outside knot range")
-    t, p = kv.knots, kv.p
-    out = 0.0
-    den = t[i + p] - t[i]
-    if den > 0.0:
-        out += p / den * _cox_de_boor(t, i, p - 1, x)
-    den = t[i + p + 1] - t[i + 1]
-    if den > 0.0:
-        out -= p / den * _cox_de_boor(t, i + 1, p - 1, x)
-    return out
-
-
 def span_basis_rows(kv: KnotVector, span: int, xs: np.ndarray,
                     derivs: bool = False):
     """Values of the ``p + 1`` basis functions active on a span.
@@ -347,17 +239,16 @@ def span_basis_rows(kv: KnotVector, span: int, xs: np.ndarray,
     if not derivs:
         return first, N
     dN = np.zeros((m, p + 1))
-    if p >= 1:
-        for r in range(p + 1):
-            i = first + r
-            if r >= 1:
-                den = t[i + p] - t[i]
-                if den > 0.0:
-                    dN[:, r] += p / den * lower[:, r - 1]
-            if r <= p - 1:
-                den = t[i + p + 1] - t[i + 1]
-                if den > 0.0:
-                    dN[:, r] -= p / den * lower[:, r]
+    for r in range(p + 1):
+        i = first + r
+        if r >= 1:
+            den = t[i + p] - t[i]
+            if den > 0.0:
+                dN[:, r] += p / den * lower[:, r - 1]
+        if r <= p - 1:
+            den = t[i + p + 1] - t[i + 1]
+            if den > 0.0:
+                dN[:, r] -= p / den * lower[:, r]
     return first, N, dN
 
 

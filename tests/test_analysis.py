@@ -8,7 +8,6 @@ from splinespectra.analysis import (
     branch_count,
     coefficient_flatness,
     convergence_study,
-    count_branches,
     count_outliers,
     detect_stopping_bands,
     eigenvalue_errors,
@@ -23,6 +22,7 @@ from splinespectra.analysis import (
     partition_dofs,
     reconstruct_stopping_mode,
 )
+from splinespectra import analysis
 from splinespectra.assembly import assemble_layout
 from splinespectra.eigensolve import solve_gevp
 from splinespectra.quadrature import QuadratureSpec
@@ -70,6 +70,11 @@ def test_l2_pair_inner_resolved_mode():
     spec = solve_gevp(op)
     v = spec.eigenvectors[:, 0]
     inner = l2_pair_inner(exact_spectrum_1d(1), v, op)
+    assert abs(abs(inner) - 1.0) < 1e-6
+    # the Neumann constant mode is 1, not sqrt(2) cos(0)
+    op = assemble_layout(BlockLayout.iga(16, 2, bc="neumann"))
+    v = solve_gevp(op).eigenvectors[:, 0]
+    inner = l2_pair_inner(exact_spectrum_1d(0, bc="neumann"), v, op)
     assert abs(abs(inner) - 1.0) < 1e-6
 
 
@@ -315,6 +320,26 @@ def test_outlier_report_fig9(fig9_setup):
     assert coefficient_flatness(spec.eigenvectors[:, 149]) > 1e3
 
 
+def test_outlier_report_samples_once(fig9_setup, monkeypatch):
+    op, spec = fig9_setup
+    calls = []
+    real = analysis.sample_matrix
+
+    def counting(op, xs):
+        calls.append(len(xs))
+        return real(op, xs)
+
+    monkeypatch.setattr(analysis, "sample_matrix", counting)
+    report = outlier_report(spec, op)
+    assert len(calls) == 1
+    # the shared sampling reproduces the standalone per-mode results exactly
+    for info in report.outliers:
+        v = spec.eigenvectors[:, info.mode - 1]
+        fc = frequency_content(v, op)
+        assert np.array_equal(info.content.magnitudes, fc.magnitudes)
+        assert info.am == am_fit(v, op)
+
+
 def test_outlier_report_no_outliers():
     op = assemble_layout(BlockLayout.iga(64, 2))
     spec = solve_gevp(op)
@@ -375,21 +400,6 @@ def test_outlier_has_no_clear_am_structure(fig9_setup):
 # ---------------------------------------------------------------------------
 # branch structure
 # ---------------------------------------------------------------------------
-
-def test_count_branches_synthetic():
-    j = np.arange(200, dtype=float)
-    smooth = (j / 200.0) ** 2
-    assert count_branches(smooth) == 1
-    spike = smooth.copy()
-    spike[100] += 0.3
-    assert count_branches(spike) == 2
-    step = smooth.copy()
-    step[120:] += 0.5
-    assert count_branches(step) == 2
-    two = smooth.copy()
-    two[[60, 140]] += 0.4
-    assert count_branches(two) == 3
-
 
 def test_branch_count_small_configs():
     for lay, window, want in [

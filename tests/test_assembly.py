@@ -138,6 +138,15 @@ def test_band_restriction_matches_dense_slice():
     assert np.allclose(sub.to_dense(), mat.to_dense()[1:-1, 1:-1])
     with pytest.raises(ValueError):
         mat.restricted(np.array([0, 2, 4]))
+    # the sparse form is built from the band, not from the dense matrix
+    mats = [mat, sub]
+    for layout in (BlockLayout.fea(5, 3), BlockLayout.iga(7, 2),
+                   BlockLayout.riga(12, 3, 4)):
+        op = assemble_layout(layout)  # Dirichlet-restricted bands
+        mats += [op.M, op.K, op.M_exact, op.K_exact]
+    for m in mats:
+        assert np.array_equal(m.to_sparse().toarray(), m.to_dense())
+        assert np.allclose(m.row_sums(), m.to_dense().sum(axis=1), atol=1e-14)
 
 
 def test_dump_matrix_format():

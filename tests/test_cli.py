@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splinespectra import analysis
 from splinespectra.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -100,11 +105,20 @@ def test_stopbands_csv(tmp_path):
                  "--block", "4", "--continuity", "1", "--out", str(out)]) == 2
 
 
-def test_outliers_csv(tmp_path):
+def test_outliers_csv(tmp_path, monkeypatch):
+    calls = []
+    real = analysis.sample_matrix
+
+    def counting(op, xs):
+        calls.append(len(xs))
+        return real(op, xs)
+
+    monkeypatch.setattr(analysis, "sample_matrix", counting)
     out = tmp_path / "outliers.csv"
     rc = main(["outliers", "--method", "riga", "--p", "2", "--elements", "192",
                "--block", "64", "--out", str(out)])
     assert rc == 0
+    assert len(calls) == 1  # the census samples once; the .freq.csv reuses it
     comments, header, rows = read_csv(out)
     assert any("predicted: 2 observed: 2" in c for c in comments)
     assert [int(r.split(",")[0]) for r in rows] == [193, 194]
@@ -134,6 +148,18 @@ def test_spectrum2d(tmp_path):
                  "--out", str(out)]) == 2  # desk-scale cap
 
 
+def test_spectrum2d_neumann_constant_mode(tmp_path):
+    out = tmp_path / "2d.csv"
+    assert main(["spectrum2d", "--p", "2", "--elements", "6", "--bc", "neumann",
+                 "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    table = np.array([[float(v) for v in r.split(",")] for r in rows])
+    assert np.all(np.isfinite(table))
+    j, k, lam_exact, lam_h, ev_rel = table[0]
+    assert (j, k, lam_exact) == (0, 0, 0.0)
+    assert ev_rel == lam_h  # absolute error where the exact eigenvalue is zero
+
+
 def test_config_file_overrides_flags(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("elements=12\nmethod=riga\nblock=4\n")
@@ -158,6 +184,32 @@ def test_config_file_overrides_flags(tmp_path):
 ])
 def test_config_errors_exit_2(args):
     assert main(args) == 2
+
+
+@pytest.mark.parametrize("line", [
+    "spectrum --elements 1 --p 1",                       # no dofs left
+    "outliers --p 1 --elements 10",                      # census needs p >= 2
+    "spectrum --points 40 --elements 10",                # no such Gauss rule
+    "spectrum --quadrature lobatto --points 1 --elements 10",
+    "stopbands --method riga --block 3 --bc neumann --elements 12",
+    "spectrum --elements 7000 --p 1",                    # dense solve limit
+    "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
+])
+def test_library_input_errors_exit_2(line, capsys):
+    assert main(line.split()) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = [sys.executable, "-m", "splinespectra"]
+    ok = subprocess.run(run + ["spectrum", "--p", "1", "--elements", "4"],
+                        env=env, capture_output=True, text=True, timeout=60)
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("# config: ")
+    assert subprocess.run(run, env=env, capture_output=True,
+                          timeout=60).returncode == 2
 
 
 def test_numerical_failure_exit_3(tmp_path):

@@ -7,8 +7,6 @@ from splinespectra.splines import (
     BlockLayout,
     KnotVector,
     continuity_at,
-    eval_basis,
-    eval_basis_deriv,
     greville_abscissae,
     knot_multiplicity,
     make_block_knots,
@@ -17,6 +15,27 @@ from splinespectra.splines import (
 )
 
 from oracles import scipy_basis_deriv, scipy_basis_value
+
+
+def basis_table(kv, xs):
+    """Values and derivatives of every basis function at ``xs`` (one row each).
+
+    Each point is evaluated by ``span_basis_rows`` on the half-open span
+    holding it; the domain's right end belongs to the last span, which gives
+    left limits there.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    N = np.zeros((xs.size, kv.n))
+    dN = np.zeros((xs.size, kv.n))
+    last = kv.spans()[-1][0]
+    for span, a, b in kv.spans():
+        sel = np.flatnonzero((xs >= a) & ((xs < b) | ((span == last) & (xs <= b))))
+        if sel.size:
+            first, vals, ders = span_basis_rows(kv, span, xs[sel], derivs=True)
+            cols = np.arange(first, first + kv.p + 1)
+            N[np.ix_(sel, cols)] = vals
+            dN[np.ix_(sel, cols)] = ders
+    return N, dN
 
 
 def test_open_uniform_examples():
@@ -75,17 +94,21 @@ def test_block_layout_remainder_block():
     assert np.allclose(lay.separator_values(), [3 / 7, 6 / 7])
 
 
-def test_eval_basis_hand_value():
-    # quadratic bump on uniform (non-open) knots, hand Cox-de Boor value
+def test_span_rows_hand_value():
+    # quadratic bump on uniform (non-open) knots, hand Cox-de Boor value;
+    # the bump is function 0, evaluated on its middle span [1, 2)
     kv = KnotVector(2, [0.0, 1.0, 2.0, 3.0])
-    assert eval_basis(kv, 0, 1.5) == pytest.approx(0.75, abs=1e-15)
+    first, N = span_basis_rows(kv, 1, np.array([1.5]))
+    assert N[0, 0 - first] == pytest.approx(0.75, abs=1e-15)
 
 
-def test_eval_basis_single_element_quadratic():
+def test_span_rows_single_element_quadratic():
     kv = KnotVector(2, [0, 0, 0, 1, 1, 1])
     # middle function is 2 x (1 - x)
-    assert eval_basis(kv, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert eval_basis_deriv(kv, 1, 0.25) == pytest.approx(1.0, abs=1e-13)
+    first, N, dN = span_basis_rows(kv, 2, np.array([0.5, 0.25]), derivs=True)
+    assert first == 0
+    assert N[0, 1] == pytest.approx(0.5, abs=1e-15)
+    assert dN[1, 1] == pytest.approx(1.0, abs=1e-13)
 
 
 def test_partition_of_unity():
@@ -93,77 +116,60 @@ def test_partition_of_unity():
     for kv in (make_open_uniform_knots(6, 2),
                make_block_knots(BlockLayout.riga(12, 3, 4)),
                make_block_knots(BlockLayout.fea(5, 2))):
-        xs = rng.uniform(0.0, 1.0, size=1000)
-        for x in xs:
-            total = sum(eval_basis(kv, i, x) for i in range(kv.n))
-            assert abs(total - 1.0) < 1e-12
+        N, _ = basis_table(kv, rng.uniform(0.0, 1.0, size=1000))
+        assert np.max(np.abs(N.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_derivative_partition_of_unity():
     rng = np.random.default_rng(8)
     kv = make_block_knots(BlockLayout.riga(9, 2, 3))
-    for x in rng.uniform(0.01, 0.99, size=200):
-        total = sum(eval_basis_deriv(kv, i, x) for i in range(kv.n))
-        assert abs(total) < 1e-10
+    _, dN = basis_table(kv, rng.uniform(0.01, 0.99, size=200))
+    assert np.max(np.abs(dN.sum(axis=1))) < 1e-10
 
 
 def test_hat_derivative():
     kv = KnotVector(1, [0, 0, 0.5, 1, 1])
-    assert eval_basis_deriv(kv, 1, 0.25) == pytest.approx(2.0, abs=1e-14)
+    first, _, dN = span_basis_rows(kv, 1, np.array([0.25]), derivs=True)
+    assert dN[0, 1 - first] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_right_endpoint_left_limit():
     for kv in (make_open_uniform_knots(4, 2), make_block_knots(BlockLayout.fea(3, 3))):
-        vals = [eval_basis(kv, i, 1.0) for i in range(kv.n)]
-        assert vals[-1] == pytest.approx(1.0, abs=1e-14)
-        assert sum(vals) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_basis_index_errors():
-    kv = make_open_uniform_knots(4, 2)
-    with pytest.raises(IndexError):
-        eval_basis(kv, kv.n, 0.5)
-    with pytest.raises(IndexError):
-        eval_basis_deriv(kv, -1, 0.5)
-    with pytest.raises(ValueError):
-        eval_basis(kv, 0, 1.5)
+        N, _ = basis_table(kv, [1.0])
+        assert N[0, -1] == pytest.approx(1.0, abs=1e-14)
+        assert N[0].sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_non_negativity_and_local_support():
     rng = np.random.default_rng(11)
     kv = make_block_knots(BlockLayout.riga(10, 3, 5))
-    for x in rng.uniform(0.0, 1.0, size=300):
-        for i in range(kv.n):
-            v = eval_basis(kv, i, x)
-            assert v >= 0.0
-            if not (kv.knots[i] <= x <= kv.knots[i + kv.p + 1]):
-                assert v == 0.0
+    N, _ = basis_table(kv, rng.uniform(0.0, 1.0, size=300))
+    assert N.min() >= 0.0
+    # the p + 1 functions a span evaluates are exactly those supported on it
+    t, p = kv.knots, kv.p
+    for span, a, b in kv.spans():
+        first, _ = span_basis_rows(kv, span, np.array([0.5 * (a + b)]))
+        supported = [i for i in range(kv.n) if t[i] <= a and b <= t[i + p + 1]]
+        assert supported == list(range(first, first + p + 1))
 
 
 def test_against_scipy_de_boor():
+    # every active function on every span, values and derivatives, including
+    # the repeated separator knots of the rIGA vectors
     rng = np.random.default_rng(3)
     for kv in (make_open_uniform_knots(8, 2),
                make_open_uniform_knots(5, 3),
-               make_block_knots(BlockLayout.riga(12, 3, 4))):
-        for x in rng.uniform(0.0, 1.0, size=60):
-            i = int(rng.integers(0, kv.n))
-            assert eval_basis(kv, i, x) == pytest.approx(
-                scipy_basis_value(kv, i, x), abs=1e-12)
-            assert eval_basis_deriv(kv, i, x) == pytest.approx(
-                scipy_basis_deriv(kv, i, x), abs=1e-9)
-
-
-def test_span_rows_match_scalar_eval():
-    kv = make_block_knots(BlockLayout.riga(8, 2, 4))
-    rng = np.random.default_rng(5)
-    for span, a, b in kv.spans():
-        xs = rng.uniform(a, b, size=4)
-        first, N, dN = span_basis_rows(kv, span, xs, derivs=True)
-        for q, x in enumerate(xs):
-            for r in range(kv.p + 1):
-                assert N[q, r] == pytest.approx(eval_basis(kv, first + r, x), abs=1e-13)
-                assert dN[q, r] == pytest.approx(
-                    eval_basis_deriv(kv, first + r, x), abs=1e-11)
+               make_block_knots(BlockLayout.riga(12, 3, 4)),
+               make_block_knots(BlockLayout.riga(8, 2, 4))):
+        for span, a, b in kv.spans():
+            xs = rng.uniform(a, b, size=4)
+            first, N, dN = span_basis_rows(kv, span, xs, derivs=True)
+            for q, x in enumerate(xs):
+                for r in range(kv.p + 1):
+                    assert N[q, r] == pytest.approx(
+                        scipy_basis_value(kv, first + r, x), abs=1e-12)
+                    assert dN[q, r] == pytest.approx(
+                        scipy_basis_deriv(kv, first + r, x), abs=1e-9)
 
 
 def test_greville_examples():
@@ -199,7 +205,7 @@ def test_continuity_jumps_by_finite_differences():
     # sides, the next one jumps
     def one_sided(kv, i, x, order, side, eps=1e-5):
         pts = x + side * eps * np.arange(order + 1)
-        vals = np.array([eval_basis(kv, i, p) for p in pts])
+        vals = basis_table(kv, pts)[0][:, i]
         return np.diff(vals, order)[0] / (side * eps) ** order if order else vals[0]
 
     cases = [
