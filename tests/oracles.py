@@ -1,7 +1,7 @@
 """Independent verification routes used by the tests.
 
 These deliberately avoid the library's own fast paths: basis values come from
-scipy's de Boor evaluator, quadrature weights from moment conditions, and the
+scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions, and the
 2D operators from a direct tensor-product element loop with nested quadrature.
 """
 
@@ -23,6 +23,43 @@ def scipy_basis_deriv(kv: KnotVector, i: int, x: float) -> float:
     c = np.zeros(kv.n)
     c[i] = 1.0
     return float(scipy.interpolate.BSpline(kv.knots, c, kv.p).derivative()(x))
+
+
+def cox_de_boor_value(kv: KnotVector, i: int, x: float, degree=None) -> float:
+    """Scalar ``N_{i,degree}(x)`` by the textbook Cox-de Boor recursion.
+
+    Uses half-open indicator intervals ``[t_j, t_{j+1})``, so it is meant for
+    points strictly inside the domain.
+    """
+    t = kv.knots
+    degree = kv.p if degree is None else degree
+    vals = [1.0 if t[j] <= x < t[j + 1] else 0.0
+            for j in range(i, i + degree + 1)]
+    for d in range(1, degree + 1):
+        for r in range(degree - d + 1):
+            j = i + r
+            acc = 0.0
+            den = t[j + d] - t[j]
+            if den > 0.0:
+                acc += (x - t[j]) / den * vals[r]
+            den = t[j + d + 1] - t[j + 1]
+            if den > 0.0:
+                acc += (t[j + d + 1] - x) / den * vals[r + 1]
+            vals[r] = acc
+    return vals[0]
+
+
+def cox_de_boor_deriv(kv: KnotVector, i: int, x: float) -> float:
+    """Scalar ``dN_{i,p}/dx`` from the degree-reduction formula."""
+    t, p = kv.knots, kv.p
+    out = 0.0
+    den = t[i + p] - t[i]
+    if den > 0.0:
+        out += p / den * cox_de_boor_value(kv, i, x, p - 1)
+    den = t[i + p + 1] - t[i + 1]
+    if den > 0.0:
+        out -= p / den * cox_de_boor_value(kv, i + 1, x, p - 1)
+    return out
 
 
 def weights_from_moments(nodes: np.ndarray) -> np.ndarray:

@@ -14,7 +14,12 @@ from splinespectra.splines import (
     span_basis_rows,
 )
 
-from oracles import scipy_basis_deriv, scipy_basis_value
+from oracles import (
+    cox_de_boor_deriv,
+    cox_de_boor_value,
+    scipy_basis_deriv,
+    scipy_basis_value,
+)
 
 
 def basis_table(kv, xs):
@@ -170,6 +175,21 @@ def test_against_scipy_de_boor():
                         scipy_basis_value(kv, first + r, x), abs=1e-12)
                     assert dN[q, r] == pytest.approx(
                         scipy_basis_deriv(kv, first + r, x), abs=1e-9)
+
+
+
+def test_span_rows_match_scalar_eval():
+    kv = make_block_knots(BlockLayout.riga(8, 2, 4))
+    rng = np.random.default_rng(5)
+    for span, a, b in kv.spans():
+        xs = rng.uniform(a, b, size=4)
+        first, N, dN = span_basis_rows(kv, span, xs, derivs=True)
+        for q, x in enumerate(xs):
+            for r in range(kv.p + 1):
+                assert N[q, r] == pytest.approx(
+                    cox_de_boor_value(kv, first + r, x), abs=1e-13)
+                assert dN[q, r] == pytest.approx(
+                    cox_de_boor_deriv(kv, first + r, x), abs=1e-11)
 
 
 def test_greville_examples():
