@@ -30,7 +30,6 @@ from .assembly import (
     NumericalError,
     SingularMassError,
     SymmetricBandedMatrix,
-    assemble_1d,
     assemble_2d_tensor,
     assemble_layout,
     dump_matrix,

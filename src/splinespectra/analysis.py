@@ -31,7 +31,7 @@ from .assembly import (
 )
 from .eigensolve import Spectrum, solve_gevp
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
-from .splines import BlockLayout, KnotVector, span_basis_rows
+from .splines import BlockLayout, make_block_knots, span_basis_rows
 
 __all__ = [
     "ExactMode",
@@ -61,6 +61,16 @@ __all__ = [
     "convergence_study",
     "find_optimal_tau",
 ]
+
+
+# two bubble eigenvalues this close (relative) are one band
+_BAND_CLUSTER_TOL = 1e-9
+# a block owns a band when one of its bubble eigenvalues is this close (relative)
+_BUBBLE_MATCH_TOL = 1e-8
+# outliers: relative eigenvalue error this many times the top-decile median
+_OUTLIER_EV_RATIO = 10.0
+# round-off level of the leading-mode eigenvalue error
+_NOISE_FLOOR = 1e-13
 
 
 class SingularInterfaceError(NumericalError):
@@ -252,6 +262,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
         raise ValueError(f"mode numbers must lie in [1, {n}]")
     if op.bc == "neumann":
         modes = [m for m in modes if _exact_index(m, op.bc) >= 1]
+    n0 = op.layout.n_elements + op.kv.p - 2
+    if n0 < 1:
+        raise ValueError("error budget needs N0 = n_elements + p - 2 >= 1")
 
     V = spectrum.eigenvectors[:, [m - 1 for m in modes]]
     Me = op.M_exact.to_dense()
@@ -265,7 +278,6 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
     # group modes by required subdivision count so the sampling matrix and
     # quadrature grid are built once per group
     h = op.layout.h
-    n0 = op.layout.n_elements + op.kv.p - 2
     groups: dict[int, list[int]] = {}
     for pos, m in enumerate(modes):
         s = _required_subdivisions(_exact_index(m, op.bc), h)
@@ -318,7 +330,7 @@ class DofPartition:
         return self.bubbles[self.block_of_bubble == block]
 
 
-def partition_dofs(kv: KnotVector, layout: BlockLayout) -> DofPartition:
+def partition_dofs(layout: BlockLayout) -> DofPartition:
     """Split degrees of freedom into separator interfaces and per-block bubbles.
 
     Only defined for ``C^0`` separators under Dirichlet conditions: each
@@ -330,6 +342,7 @@ def partition_dofs(kv: KnotVector, layout: BlockLayout) -> DofPartition:
         raise ValueError("bubble/interface partition requires C^0 separators")
     if layout.bc != "dirichlet":
         raise ValueError("bubble/interface partition requires Dirichlet conditions")
+    kv = make_block_knots(layout)
     p = kv.p
     seps = layout.separator_values()
     interface_basis = []
@@ -402,7 +415,7 @@ class StoppingBandReport:
 
 
 def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
-                          layout: BlockLayout, cluster_tol: float = 1e-9) -> StoppingBandReport:
+                          layout: BlockLayout) -> StoppingBandReport:
     """Match distinct interior-block bubble eigenvalues against the global spectrum.
 
     A stopping band is confirmed when a bubble eigenvalue coincides with a
@@ -420,7 +433,7 @@ def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
     values = np.sort(np.concatenate([b.eigenvalues for b in pool]))
     distinct, counts = [], []
     for v in values:
-        if distinct and abs(v - distinct[-1]) <= cluster_tol * abs(distinct[-1]):
+        if distinct and abs(v - distinct[-1]) <= _BAND_CLUSTER_TOL * abs(distinct[-1]):
             counts[-1] += 1
         else:
             distinct.append(float(v))
@@ -449,8 +462,7 @@ def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
 
 def reconstruct_stopping_mode(op: DiscreteOperator, part: DofPartition,
                               band_value: float,
-                              local: list[BlockBubbleModes] | None = None,
-                              match_tol: float = 1e-8) -> np.ndarray:
+                              local: list[BlockBubbleModes] | None = None) -> np.ndarray:
     """Reassemble a global stopping mode from local bubble eigenfunctions.
 
     The candidate space is the span of the per-block bubble eigenvectors at
@@ -473,7 +485,7 @@ def reconstruct_stopping_mode(op: DiscreteOperator, part: DofPartition,
     columns = []
     for modes in local:
         sel = np.where(np.abs(modes.eigenvalues - band_value)
-                       <= match_tol * abs(band_value))[0]
+                       <= _BUBBLE_MATCH_TOL * abs(band_value))[0]
         for s in sel:
             col = np.zeros(n)
             col[modes.dof_indices] = modes.eigenvectors[:, s]
@@ -574,12 +586,11 @@ class OutlierReport:
     outliers: list[OutlierModeInfo]
 
 
-def outlier_report(spectrum: Spectrum, op: DiscreteOperator,
-                   ev_ratio_threshold: float = 10.0) -> OutlierReport:
+def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     """Census of the spectrum tail: predicted vs. empirically flagged outliers.
 
     A top mode counts as empirically flagged while its relative eigenvalue
-    error exceeds ``ev_ratio_threshold`` times the median error of the top
+    error is at least ten times the median error of the top
     decile (a reporting convention; the census formula is authoritative).
     """
     n = spectrum.n_modes
@@ -590,7 +601,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator,
 
     empirical = 0
     for m in range(n, 0, -1):
-        if med > 0 and abs(ev[m - 1]) >= ev_ratio_threshold * med:
+        if med > 0 and abs(ev[m - 1]) >= _OUTLIER_EV_RATIO * med:
             empirical += 1
         else:
             break
@@ -729,8 +740,7 @@ def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
     return AmFit(a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit))
 
 
-def am_fit(v: np.ndarray, op: DiscreteOperator,
-           samples: int | None = None) -> AmFit:
+def am_fit(v: np.ndarray, op: DiscreteOperator) -> AmFit:
     """Fit the two dominant spectral peaks with a sine or cosine pair.
 
     Even degrees use the sine pair ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``,
@@ -738,7 +748,7 @@ def am_fit(v: np.ndarray, op: DiscreteOperator,
     trigonometric families.  The relative L2 misfit between the sampled field
     and the model (over the best global sign) is reported as a diagnostic.
     """
-    f = sample_matrix(op, _sample_grid(op, samples)) @ np.asarray(v, dtype=float)
+    f = sample_matrix(op, _sample_grid(op)) @ np.asarray(v, dtype=float)
     return _two_wave_fit(f, _frequency_content(f, op.bc), op)
 
 
@@ -747,8 +757,7 @@ def am_fit(v: np.ndarray, op: DiscreteOperator,
 # ---------------------------------------------------------------------------
 
 def branch_count(spectrum: Spectrum, op: DiscreteOperator,
-                 j_max: int | None = None,
-                 local: list[BlockBubbleModes] | None = None) -> int:
+                 j_max: int | None = None) -> int:
     """Number of spectrum branches inside a mode window, from the band positions.
 
     Branch boundaries are the stopping bands; the count is one plus the
@@ -765,9 +774,7 @@ def branch_count(spectrum: Spectrum, op: DiscreteOperator,
     """
     if op.layout.n_separators == 0:
         return 1
-    if local is None:
-        part = partition_dofs(op.kv, op.layout)
-        local = local_bubble_spectra(op, part)
+    local = local_bubble_spectra(op, partition_dofs(op.layout))
     report = detect_stopping_bands(spectrum, local, op.layout)
     if j_max is None:
         j_max = op.layout.n_elements + op.kv.p - 2
@@ -780,31 +787,30 @@ def branch_count(spectrum: Spectrum, op: DiscreteOperator,
 # ---------------------------------------------------------------------------
 
 def leading_mode_error(p: int, n_elements: int,
-                       quadrature: QuadratureSpec | None = None,
-                       mode: int = 1) -> float:
-    """Relative eigenvalue error of one low mode on a maximum-continuity mesh."""
+                       quadrature: QuadratureSpec | None = None) -> float:
+    """Relative eigenvalue error of the first mode on a maximum-continuity mesh."""
     op = assemble_layout(BlockLayout.iga(n_elements, p), quadrature)
     spec = solve_gevp(op)
-    lam = (mode * math.pi) ** 2
-    return float((spec.eigenvalues[mode - 1] - lam) / lam)
+    lam = math.pi ** 2
+    return float((spec.eigenvalues[0] - lam) / lam)
 
 
 def convergence_study(p: int, n_elements_list,
-                      quadrature: QuadratureSpec | None = None,
-                      mode: int = 1, noise_floor: float = 1e-13):
+                      quadrature: QuadratureSpec | None = None):
     """Mesh sizes, leading-mode errors, and the fitted convergence slope.
 
     The slope is the least-squares fit of ``log |error|`` against ``log h``.
-    Errors within a decade of ``noise_floor`` are dominated by eigensolver
-    round-off (absolute eigenvalue noise scales with the largest eigenvalue)
-    and are excluded from the fit; all measured values are still returned.
+    Errors within a decade of the noise floor ``1e-13`` are dominated by
+    eigensolver round-off (absolute eigenvalue noise scales with the largest
+    eigenvalue) and are excluded from the fit; all measured values are still
+    returned.
     """
     n_list = list(n_elements_list)
     if len(n_list) < 3:
         raise ValueError("need at least three mesh sizes for a slope fit")
     hs = np.array([1.0 / n for n in n_list])
-    errs = np.array([leading_mode_error(p, n, quadrature, mode) for n in n_list])
-    keep = np.abs(errs) >= 10.0 * noise_floor
+    errs = np.array([leading_mode_error(p, n, quadrature) for n in n_list])
+    keep = np.abs(errs) >= 10.0 * _NOISE_FLOOR
     if keep.sum() < 2:
         raise NumericalError("errors below the round-off floor on nearly all meshes")
     slope = float(np.polyfit(np.log(hs[keep]), np.log(np.abs(errs[keep])), 1)[0])

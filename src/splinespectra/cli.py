@@ -46,10 +46,10 @@ class ExperimentConfig:
     dim: int = 1
 
     def validate(self) -> None:
+        """Check the CLI's own rules; building the layout and the quadrature
+        rule runs the other input checks, which those types own."""
         if self.method not in ("fea", "iga", "riga"):
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.p < 1 or self.elements < 1:
-            raise ConfigError("need p >= 1 and elements >= 1")
         if self.method == "fea":
             if self.block not in (None, 1):
                 raise ConfigError("fea requires block size 1")
@@ -58,23 +58,16 @@ class ExperimentConfig:
         if self.method == "iga" and self.block is not None \
                 and self.block != self.elements:
             raise ConfigError("iga takes no block size (no separators)")
-        if self.method == "riga":
-            if self.block is None:
-                raise ConfigError("riga requires --block")
-            if not 1 <= self.block <= self.elements:
-                raise ConfigError("block size outside [1, elements]")
-            if not 0 <= self.continuity <= self.p - 1:
-                raise ConfigError("continuity outside [0, p-1]")
-        if self.bc not in ("dirichlet", "neumann"):
-            raise ConfigError(f"unknown bc {self.bc!r}")
-        if self.quadrature not in ("gauss", "lobatto", "blended"):
-            raise ConfigError(f"unknown quadrature {self.quadrature!r}")
-        if self.quadrature == "blended" and self.tau is None:
-            raise ConfigError("blended quadrature requires --tau")
+        if self.method == "riga" and self.block is None:
+            raise ConfigError("riga requires --block")
         if self.dim == 2 and self.elements > MAX_ELEMENTS_2D:
             raise ConfigError(
                 f"2D runs are capped at {MAX_ELEMENTS_2D} elements per direction"
             )
+        layout = self.layout()
+        self.quadrature_spec().reference_rule(self.p)
+        if self.dim == 2 and layout.n_dofs ** 2 > MAX_DOFS_2D:
+            raise ConfigError(f"2D problem exceeds the cap of {MAX_DOFS_2D} unknowns")
 
     def layout(self) -> BlockLayout:
         if self.method == "fea":
@@ -173,8 +166,6 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int
 def cmd_converge(cfg: ExperimentConfig, elements_list: list[int],
                  out: str | None, svg: str | None,
                  assert_slope: float | None, slope_tol: float) -> int:
-    if len(elements_list) < 3:
-        raise ConfigError("converge needs at least three mesh sizes")
     hs, errs, slope = analysis.convergence_study(
         cfg.p, elements_list, cfg.quadrature_spec())
     header = ["n_elements", "h", "ev_rel_j1"]
@@ -196,12 +187,10 @@ def cmd_converge(cfg: ExperimentConfig, elements_list: list[int],
 def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.method == "iga":
         raise ConfigError("stopbands needs separators (fea or riga)")
-    if cfg.continuity != 0:
-        raise ConfigError("stopbands requires C^0 separators")
     layout = cfg.layout()
+    part = analysis.partition_dofs(layout)
     op = assemble_layout(layout, cfg.quadrature_spec())
     spectrum = solve_gevp(op)
-    part = analysis.partition_dofs(op.kv, layout)
     local = analysis.local_bubble_spectra(op, part)
     report = analysis.detect_stopping_bands(spectrum, local, layout)
     header = ["lambda_b", "nearest_lambda_h", "rel_gap", "global_index",
@@ -247,10 +236,7 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int:
-    layout = cfg.layout()
-    op1 = assemble_layout(layout, cfg.quadrature_spec())
-    if op1.n_dofs ** 2 > MAX_DOFS_2D:  # spectra come from 1D Kronecker sums
-        raise ConfigError(f"2D problem exceeds the cap of {MAX_DOFS_2D} unknowns")
+    op1 = assemble_layout(cfg.layout(), cfg.quadrature_spec())
     spectrum = solve_gevp(op1)
     lam1 = spectrum.eigenvalues
     n = lam1.size

@@ -30,7 +30,7 @@ from splinespectra.analysis import (
 from splinespectra.assembly import assemble_2d_tensor, assemble_layout
 from splinespectra.eigensolve import solve_gevp
 from splinespectra.quadrature import QuadratureSpec
-from splinespectra.splines import BlockLayout, make_block_knots
+from splinespectra.splines import BlockLayout
 
 from oracles import direct_2d_operators, eliminate_2d_dirichlet
 
@@ -151,7 +151,7 @@ def test_criterion_6_stopping_bands():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     spectrum = solve_gevp(op)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     rep = detect_stopping_bands(spectrum, local, lay)
     bands_ok = rep.band_count == 10 and rep.matched_count(1e-6) == 10
@@ -167,7 +167,7 @@ def test_criterion_6_stopping_bands():
 
     lay_f = BlockLayout.fea(100, 2)
     op_f = assemble_layout(lay_f)
-    part_f = partition_dofs(op_f.kv, lay_f)
+    part_f = partition_dofs(lay_f)
     rep_f = detect_stopping_bands(solve_gevp(op_f),
                                   local_bubble_spectra(op_f, part_f), lay_f)
     fea_ok = rep_f.band_count == 1 and rep_f.matched_count(1e-6) == 1

@@ -26,7 +26,7 @@ from splinespectra import analysis
 from splinespectra.assembly import assemble_layout
 from splinespectra.eigensolve import solve_gevp
 from splinespectra.quadrature import QuadratureSpec
-from splinespectra.splines import BlockLayout, make_block_knots
+from splinespectra.splines import BlockLayout
 
 
 @pytest.fixture(scope="module")
@@ -163,7 +163,7 @@ def test_budget_neumann_skips_constant_mode():
 
 def test_partition_counts_single_separator():
     lay = BlockLayout.riga(10, 2, 5)
-    part = partition_dofs(make_block_knots(lay), lay)
+    part = partition_dofs(lay)
     assert part.interface.size == 1
     assert part.bubbles.size == 10
     assert [part.block_bubbles(b).size for b in range(part.n_blocks)] == [5, 5]
@@ -171,7 +171,7 @@ def test_partition_counts_single_separator():
 
 def test_partition_no_separators():
     lay = BlockLayout.iga(8, 2)
-    part = partition_dofs(make_block_knots(lay), lay)
+    part = partition_dofs(lay)
     assert part.interface.size == 0
     assert part.bubbles.size == 8
     assert part.n_blocks == 1
@@ -179,7 +179,7 @@ def test_partition_no_separators():
 
 def test_partition_fea_structure():
     lay = BlockLayout.fea(6, 2)
-    part = partition_dofs(make_block_knots(lay), lay)
+    part = partition_dofs(lay)
     assert part.interface.size == 5   # element boundaries
     assert part.bubbles.size == 6     # one bubble per element
     assert part.n_blocks == 6
@@ -188,17 +188,17 @@ def test_partition_fea_structure():
 def test_partition_requires_c0_dirichlet():
     lay = BlockLayout(12, 3, 4, separator_continuity=1)
     with pytest.raises(ValueError):
-        partition_dofs(make_block_knots(lay), lay)
+        partition_dofs(lay)
     lay = BlockLayout.riga(12, 2, 4, bc="neumann")
     with pytest.raises(ValueError):
-        partition_dofs(make_block_knots(lay), lay)
+        partition_dofs(lay)
 
 
 def test_single_element_bubble_eigenvalue():
     # quadratic bubble on an element of width h has lambda = 10 / h^2
     lay = BlockLayout.fea(2, 2)
     op = assemble_layout(lay)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     for block in local:
         assert block.eigenvalues.size == 1
@@ -208,7 +208,7 @@ def test_single_element_bubble_eigenvalue():
 def test_interior_blocks_share_spectra():
     lay = BlockLayout.riga(30, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     interior = [b.eigenvalues for b in local[1:-1]]
     for w in interior[1:]:
@@ -220,7 +220,7 @@ def test_detect_bands_riga_ten_by_ten():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     spec = solve_gevp(op)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
     assert report.band_count == 10 == report.expected_count
     assert report.matched_count(1e-6) == 10
@@ -231,7 +231,7 @@ def test_detect_bands_fea_degree_counts():
         lay = BlockLayout.fea(12, p)
         op = assemble_layout(lay)
         spec = solve_gevp(op)
-        part = partition_dofs(op.kv, lay)
+        part = partition_dofs(lay)
         report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
         assert report.band_count == want == report.expected_count
         assert report.matched_count(1e-6) == want
@@ -241,7 +241,7 @@ def test_detect_bands_without_separators_is_empty():
     lay = BlockLayout.iga(10, 2)
     op = assemble_layout(lay)
     spec = solve_gevp(op)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
     assert report.band_count == 0 == report.expected_count
     assert report.matches == []
@@ -251,7 +251,7 @@ def test_reconstruct_stopping_modes():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     spec = solve_gevp(op)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     report = detect_stopping_bands(spec, local, lay)
     K, M = op.K.to_dense(), op.M.to_dense()
@@ -269,7 +269,7 @@ def test_reconstruct_stopping_modes():
 def test_reconstruct_symmetric_layout_zero_interface():
     lay = BlockLayout.riga(10, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     for value in local[0].eigenvalues:
         U = reconstruct_stopping_mode(op, part, value, local)
@@ -279,7 +279,7 @@ def test_reconstruct_symmetric_layout_zero_interface():
 def test_reconstruct_rejects_non_band_value():
     lay = BlockLayout.riga(10, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(op.kv, lay)
+    part = partition_dofs(lay)
     with pytest.raises(ValueError):
         reconstruct_stopping_mode(op, part, 1.2345)
 

@@ -5,13 +5,12 @@ import scipy.linalg
 from splinespectra.assembly import (
     SingularMassError,
     SymmetricBandedMatrix,
-    assemble_1d,
     assemble_2d_tensor,
     assemble_layout,
     dump_matrix,
 )
 from splinespectra.quadrature import QuadratureSpec
-from splinespectra.splines import BlockLayout, make_block_knots, make_open_uniform_knots
+from splinespectra.splines import BlockLayout
 
 from oracles import direct_2d_operators, eliminate_2d_dirichlet
 
@@ -87,17 +86,16 @@ def test_stiffness_positive_semidefinite_before_elimination():
     assert w.min() >= -1e-10
 
 
-def test_inconsistent_layout_rejected():
-    kv = make_open_uniform_knots(10, 2)
-    with pytest.raises(ValueError):
-        assemble_1d(kv, BlockLayout.riga(10, 2, 5))
-    with pytest.raises(ValueError):
-        assemble_1d(kv, BlockLayout.iga(12, 2))
-
-
 def test_singular_mass_reported_for_extreme_blend():
     with pytest.raises(SingularMassError):
         assemble_layout(BlockLayout.iga(8, 2), QuadratureSpec("blended", tau=-60.0))
+
+
+def test_rank_deficient_mass_rejected():
+    # one Gauss point per quadratic element: rank 2 for 3 unknowns, yet the
+    # banded Cholesky factorization succeeds with a round-off pivot
+    with pytest.raises(SingularMassError):
+        assemble_layout(BlockLayout.fea(2, 2), QuadratureSpec("gauss", 1))
 
 
 def test_kron_2d_single_dof():
@@ -113,8 +111,9 @@ def test_kron_2d_dimension_and_cap():
     op = assemble_layout(BlockLayout.iga(8, 2))
     op2 = assemble_2d_tensor(op)
     assert op2.n_dofs == op.n_dofs ** 2
+    # 201 dofs per direction: 201^2 = 40401 unknowns, above MAX_DOFS_2D
     with pytest.raises(ValueError):
-        assemble_2d_tensor(op, max_dofs=10)
+        assemble_2d_tensor(assemble_layout(BlockLayout.iga(201, 2)))
 
 
 def test_kron_matches_direct_2d_assembly():

@@ -1,13 +1,15 @@
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from splinespectra import analysis
+from splinespectra import analysis, cli
 from splinespectra.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -88,7 +90,7 @@ def test_converge_assertions(tmp_path):
     assert rc == 2
 
 
-def test_stopbands_csv(tmp_path):
+def test_stopbands_csv(tmp_path, monkeypatch):
     out = tmp_path / "bands.csv"
     rc = main(["stopbands", "--method", "riga", "--p", "2", "--elements", "100",
                "--block", "10", "--out", str(out)])
@@ -103,6 +105,14 @@ def test_stopbands_csv(tmp_path):
                  "--out", str(out)]) == 2  # iga has no separators
     assert main(["stopbands", "--method", "riga", "--p", "3", "--elements", "12",
                  "--block", "4", "--continuity", "1", "--out", str(out)]) == 2
+
+    def no_assembly(*args):
+        raise AssertionError("assembled before the partition check")
+
+    monkeypatch.setattr(cli, "assemble_layout", no_assembly)
+    for extra in (["--bc", "neumann"], ["--p", "3", "--continuity", "1"]):
+        assert main(["stopbands", "--method", "riga", "--p", "2", "--elements", "12",
+                     "--block", "4", "--out", str(out)] + extra) == 2
 
 
 def test_outliers_csv(tmp_path, monkeypatch):
@@ -194,6 +204,8 @@ def test_config_errors_exit_2(args):
     "stopbands --method riga --block 3 --bc neumann --elements 12",
     "spectrum --elements 7000 --p 1",                    # dense solve limit
     "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
+    "spectrum --method fea --p 1 --elements 1 --bc neumann",  # N0 = 0
+    "spectrum --method iga --p 1 --elements 1 --bc neumann",
 ])
 def test_library_input_errors_exit_2(line, capsys):
     assert main(line.split()) == 2
@@ -216,6 +228,11 @@ def test_numerical_failure_exit_3(tmp_path):
     rc = main(["spectrum", "--p", "2", "--elements", "12", "--quadrature",
                "blended", "--tau", "-60.0", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
+    # one Gauss point per quadratic element leaves the mass rank-deficient
+    for command in ("spectrum", "stopbands"):
+        rc = main([command, "--method", "fea", "--p", "2", "--elements", "2",
+                   "--points", "1", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
 
 
 def test_stdout_output(capsys):
@@ -223,3 +240,45 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr().out
     assert captured.startswith("# config: ")
     assert len(captured.strip().split("\n")) == 2 + 3  # comment, header, 3 modes
+
+
+@st.composite
+def small_cli_lines(draw):
+    """Argument lines over every subcommand on meshes of at most six elements.
+
+    Block sizes, continuities and point counts are drawn independently of the
+    method, so many lines are invalid and must exit 2."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    quadrature = draw(st.sampled_from(["gauss", "lobatto", "blended"]))
+    argv = [draw(st.sampled_from(["spectrum", "converge", "stopbands",
+                                  "outliers", "spectrum2d"])),
+            "--method", draw(st.sampled_from(["fea", "iga", "riga"])),
+            "--p", str(draw(st.integers(1, 4))),
+            "--elements", ",".join(map(str, sizes)),
+            "--continuity", str(draw(st.integers(0, 3))),
+            "--bc", draw(st.sampled_from(["dirichlet", "neumann"])),
+            "--quadrature", quadrature,
+            "--points", str(draw(st.integers(0, 3)))]
+    block = draw(st.none() | st.integers(1, 6))
+    if block is not None:
+        argv += ["--block", str(block)]
+    if quadrature == "blended":
+        argv += ["--tau", str(draw(st.sampled_from([2 / 3, 1.0, -2.0])))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(small_cli_lines())
+@example("spectrum --method fea --p 1 --elements 1 --bc neumann".split())
+@example("spectrum --method iga --p 1 --elements 1 --bc neumann".split())
+@example("spectrum --method fea --p 2 --elements 2 --points 1".split())
+@example("stopbands --method fea --p 2 --elements 2 --points 1".split())
+def test_cli_exit_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = main(argv + ["--out", str(Path(tmp) / "run.csv")])
+        assert rc in (0, 2, 3, 4)
+        if rc == 0:
+            for path in Path(tmp).glob("*.csv"):
+                _, _, rows = read_csv(path)
+                cells = [float(c) for r in rows for c in r.split(",") if c]
+                assert np.all(np.isfinite(cells)), path.name
