@@ -71,6 +71,9 @@ _BUBBLE_MATCH_TOL = 1e-8
 _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
 _NOISE_FLOOR = 1e-13
+# grid values (points x modes) per column block of the pair inner products:
+# 8 MB per temporary, whatever the mesh
+_PAIR_BLOCK_ENTRIES = 1 << 20
 
 
 class SingularInterfaceError(NumericalError):
@@ -133,16 +136,29 @@ def exact_eigenvalues_2d(count_per_dir: int, bc: str = "dirichlet"):
 # ---------------------------------------------------------------------------
 
 def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sparse matrix mapping reduced coefficients to field values at ``xs``."""
+    """Sparse matrix mapping reduced coefficients to field values at ``xs``.
+
+    A non-empty span ``[a, b)`` owns the points in it, and the last span also
+    owns the right end of the domain; points outside the domain get zero rows.
+    """
     kv = op.kv
     p = kv.p
     xs = np.asarray(xs, dtype=float)
-    rows, cols, vals = [], [], []
+    # seeded with empty arrays: a grid wholly outside the domain is all zeros
+    rows, cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     reduced = np.full(kv.n, -1, dtype=int)
     reduced[op.dof_indices] = np.arange(op.n_dofs)
-    right = kv.knots[-1]
-    for span, a, b in kv.spans():
-        sel = np.where((xs >= a) & ((xs < b) | ((b == right) & (xs <= b))))[0]
+    spans = kv.spans()
+    lefts = np.array([a for _, a, _ in spans])
+    rights = np.array([b for _, _, b in spans])
+    owner = np.searchsorted(lefts, xs, side="right") - 1
+    inside = (owner >= 0) & ((xs < rights[owner]) | (xs == rights[-1]))
+    owner[~inside] = len(spans)
+    # stable, so each span's points keep their input order
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(len(spans) + 1))
+    for k, (span, _, _) in enumerate(spans):
+        sel = order[bounds[k]:bounds[k + 1]]
         if sel.size == 0:
             continue
         first, N = span_basis_rows(kv, span, xs[sel])
@@ -163,7 +179,9 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
                 subdivisions: int) -> np.ndarray:
     """L2 inner products of exact modes ``js`` with the columns of ``V``.
 
-    Grid as in :func:`l2_pair_inner`; one sampling matrix for all columns."""
+    Grid as in :func:`l2_pair_inner`; one sampling matrix for all columns,
+    applied to blocks of columns so that the grid-sized temporaries hold at
+    most ``_PAIR_BLOCK_ENTRIES`` values each."""
     rule = gauss_rule(op.kv.p + 2)
     xs, ws = [], []
     for _, a, b in op.kv.spans():
@@ -173,12 +191,19 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
             xs.append(local.nodes)
             ws.append(local.weights)
     xs, ws = np.concatenate(xs), np.concatenate(ws)
-    P = sample_matrix(op, xs) @ V
-    if bc == "dirichlet":
-        U = math.sqrt(2.0) * np.sin(np.outer(xs, js) * math.pi)
-    else:  # the constant mode is 1, not sqrt(2) cos(0)
-        U = np.where(js == 0, 1.0, math.sqrt(2.0) * np.cos(np.outer(xs, js) * math.pi))
-    return ws @ (U * P)
+    S = sample_matrix(op, xs)
+    width = max(1, _PAIR_BLOCK_ENTRIES // xs.size)
+    out = np.empty(js.size)
+    for lo in range(0, js.size, width):
+        cols = slice(lo, lo + width)
+        jb = js[cols]
+        P = S @ V[:, cols]
+        if bc == "dirichlet":
+            U = math.sqrt(2.0) * np.sin(np.outer(xs, jb) * math.pi)
+        else:  # the constant mode is 1, not sqrt(2) cos(0)
+            U = np.where(jb == 0, 1.0, math.sqrt(2.0) * np.cos(np.outer(xs, jb) * math.pi))
+        out[cols] = ws @ (U * P)
+    return out
 
 
 def _required_subdivisions(j: int, h: float) -> int:
@@ -253,6 +278,12 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
 
     For Neumann operators the constant mode (zero exact eigenvalue) is
     excluded from the budget.
+
+    Cost for ``n`` dofs and ``m`` modes: the three quadratic forms
+    ``v^T A v`` take O(n m p) from the stored bands, and the pair inner
+    products O(Q m) on a grid of ``Q`` points.  Memory is O(n m) for the
+    selected eigenvectors plus a few grid temporaries of at most
+    ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is formed.
     """
     n = spectrum.n_modes
     if modes is None:
@@ -267,13 +298,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
         raise ValueError("error budget needs N0 = n_elements + p - 2 >= 1")
 
     V = spectrum.eigenvectors[:, [m - 1 for m in modes]]
-    Me = op.M_exact.to_dense()
-    Ke = op.K_exact.to_dense()
-    Kq = op.K.to_dense()
-    MeV = Me @ V
-    quad_me = np.einsum("ij,ij->j", V, MeV)
-    quad_ke = np.einsum("ij,ij->j", V, Ke @ V)
-    quad_kq = np.einsum("ij,ij->j", V, Kq @ V)
+    quad_me = op.M_exact.quadratic_forms(V)
+    quad_ke = op.K_exact.quadratic_forms(V)
+    quad_kq = op.K.quadratic_forms(V)
 
     # group modes by required subdivision count so the sampling matrix and
     # quadrature grid are built once per group
@@ -786,32 +813,37 @@ def branch_count(spectrum: Spectrum, op: DiscreteOperator,
 # convergence studies and optimal blending
 # ---------------------------------------------------------------------------
 
-def leading_mode_error(p: int, n_elements: int,
+def leading_mode_error(layout: BlockLayout,
                        quadrature: QuadratureSpec | None = None) -> float:
-    """Relative eigenvalue error of the first mode on a maximum-continuity mesh."""
-    op = assemble_layout(BlockLayout.iga(n_elements, p), quadrature)
+    """Relative eigenvalue error of the first non-constant mode (exact ``pi^2``).
+
+    Under Neumann conditions the constant mode comes first, so the measured
+    mode is the second one of the spectrum.
+    """
+    op = assemble_layout(layout, quadrature)
     spec = solve_gevp(op)
+    first = 0 if layout.bc == "dirichlet" else 1
     lam = math.pi ** 2
-    return float((spec.eigenvalues[0] - lam) / lam)
+    return float((spec.eigenvalues[first] - lam) / lam)
 
 
-def convergence_study(p: int, n_elements_list,
-                      quadrature: QuadratureSpec | None = None):
+def convergence_study(layouts, quadrature: QuadratureSpec | None = None):
     """Mesh sizes, leading-mode errors, and the fitted convergence slope.
 
-    The slope is the least-squares fit of ``log |error|`` against ``log h``.
+    ``layouts`` is one mesh per size, at least three distinct sizes.  The
+    slope is the least-squares fit of ``log |error|`` against ``log h``.
     Errors within a decade of the noise floor ``1e-13`` are dominated by
     eigensolver round-off (absolute eigenvalue noise scales with the largest
     eigenvalue) and are excluded from the fit; all measured values are still
     returned.
     """
-    n_list = list(n_elements_list)
-    if len(n_list) < 3:
-        raise ValueError("need at least three mesh sizes for a slope fit")
-    hs = np.array([1.0 / n for n in n_list])
-    errs = np.array([leading_mode_error(p, n, quadrature) for n in n_list])
+    layouts = list(layouts)
+    hs = np.array([layout.h for layout in layouts])
+    if np.unique(hs).size < 3:
+        raise ValueError("need at least three distinct mesh sizes for a slope fit")
+    errs = np.array([leading_mode_error(layout, quadrature) for layout in layouts])
     keep = np.abs(errs) >= 10.0 * _NOISE_FLOOR
-    if keep.sum() < 2:
+    if np.unique(hs[keep]).size < 2:
         raise NumericalError("errors below the round-off floor on nearly all meshes")
     slope = float(np.polyfit(np.log(hs[keep]), np.log(np.abs(errs[keep])), 1)[0])
     return hs, errs, slope
@@ -828,7 +860,8 @@ def find_optimal_tau(p: int, n_elements: int = 32) -> float:
     blends.  No tabulated constants are assumed.
     """
     def f(tau: float) -> float:
-        return leading_mode_error(p, n_elements, QuadratureSpec("blended", tau=tau))
+        return leading_mode_error(BlockLayout.iga(n_elements, p),
+                                  QuadratureSpec("blended", tau=tau))
 
     f0, f1 = f(0.0), f(1.0)
     if f0 == f1:

@@ -98,6 +98,15 @@ class SymmetricBandedMatrix:
         return scipy.sparse.diags([self.band[u - abs(k), abs(k):] for k in offsets],
                                   offsets, shape=(self.n, self.n), format="csr")
 
+    def quadratic_forms(self, V: np.ndarray) -> np.ndarray:
+        """``diag(V^T A V)``, one entry per column of ``V``, in O(n p) per column.
+
+        ``A @ V`` is formed row by row from the band, then one dot product per
+        column; summing diagonal by diagonal instead cancels badly on smooth
+        columns.
+        """
+        return np.einsum("ij,ij->j", V, self.to_sparse() @ V)
+
     def restricted(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Submatrix on a contiguous index range (boundary elimination)."""
         keep = np.asarray(keep)

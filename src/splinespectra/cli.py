@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -166,8 +166,8 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int
 def cmd_converge(cfg: ExperimentConfig, elements_list: list[int],
                  out: str | None, svg: str | None,
                  assert_slope: float | None, slope_tol: float) -> int:
-    hs, errs, slope = analysis.convergence_study(
-        cfg.p, elements_list, cfg.quadrature_spec())
+    layouts = [replace(cfg, elements=n).layout() for n in elements_list]
+    hs, errs, slope = analysis.convergence_study(layouts, cfg.quadrature_spec())
     header = ["n_elements", "h", "ev_rel_j1"]
     rows = [(n, h, e) for n, h, e in zip(elements_list, hs, errs)]
     comments = [f"# slope: {_fmt(slope)}"]
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         cfg.validate()
         if args.command == "converge":
             for n in elements:
-                ExperimentConfig(**{**cfg.__dict__, "elements": n}).validate()
+                replace(cfg, elements=n).validate()
         if args.command == "spectrum":
             return cmd_spectrum(cfg, args.out, args.svg)
         if args.command == "converge":

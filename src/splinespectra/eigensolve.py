@@ -50,10 +50,12 @@ def _dense(mat) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's largest-magnitude entry is positive."""
     lead = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
+    return vectors
 
 
 def solve_gevp(op: DiscreteOperator | DiscreteOperator2D) -> Spectrum:
@@ -68,7 +70,9 @@ def solve_gevp(op: DiscreteOperator | DiscreteOperator2D) -> Spectrum:
     K = _dense(op.K)
     M = _dense(op.M)
     try:
-        w, v = scipy.linalg.eigh(K, M)
+        # K and M are fresh and exactly symmetric: their transposes are
+        # Fortran-ordered views that LAPACK may overwrite without a copy
+        w, v = scipy.linalg.eigh(K.T, M.T, overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded at assembly
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
     return Spectrum(w, _fix_signs(v))

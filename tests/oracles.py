@@ -1,9 +1,12 @@
 """Independent verification routes used by the tests.
 
 These deliberately avoid the library's own fast paths: basis values come from
-scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions, and the
-2D operators from a direct tensor-product element loop with nested quadrature.
+scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions, the
+2D operators from a direct tensor-product element loop with nested quadrature,
+and error budgets from dense operator products and scipy's design matrix.
 """
+
+import math
 
 import numpy as np
 import scipy.interpolate
@@ -105,3 +108,60 @@ def eliminate_2d_dirichlet(A: np.ndarray, n1: int) -> np.ndarray:
     keep1 = np.arange(1, n1 - 1)
     keep = np.array([i * n1 + j for i in keep1 for j in keep1])
     return A[np.ix_(keep, keep)]
+
+
+def design_rows(op, xs: np.ndarray) -> np.ndarray:
+    """Dense sampling matrix from scipy's B-spline design matrix, reduced dofs only."""
+    B = scipy.interpolate.BSpline.design_matrix(xs, op.kv.knots, op.kv.p)
+    return B.toarray()[:, op.dof_indices]
+
+
+def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
+    """Error-budget terms of every mode from dense operator products.
+
+    The quadratic forms are ``diag(V^T A V)`` from ``to_dense`` products; the
+    pair inner products sample with :func:`design_rows` on one unblocked grid
+    per subdivision count (Gauss ``p + 2`` points on ``max(1, ceil(j h) + 1)``
+    equal pieces of every element).  Keys are ``ModeErrorBudget`` field
+    names; Neumann budgets start at mode 2, past the constant mode.
+    """
+    p, h, bc = op.kv.p, op.layout.h, op.bc
+    modes = np.arange(1 if bc == "dirichlet" else 2, spectrum.n_modes + 1)
+    js = modes if bc == "dirichlet" else modes - 1
+    V = spectrum.eigenvectors[:, modes - 1]
+    vMv = np.diag(V.T @ op.M_exact.to_dense() @ V)
+    vKv = np.diag(V.T @ op.K_exact.to_dense() @ V)
+    vKq = np.diag(V.T @ op.K.to_dense() @ V)
+
+    subdivisions = np.array([max(1, math.ceil(j * h) + 1) for j in js])
+    rule = gauss_rule(p + 2)
+    uv = np.empty(js.size)
+    for s in np.unique(subdivisions):
+        xs, ws = [], []
+        for _, a, b in op.kv.spans():
+            edges = np.linspace(a, b, s + 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                local = map_rule_to_element(rule, lo, hi)
+                xs.append(local.nodes)
+                ws.append(local.weights)
+        xs, ws = np.concatenate(xs), np.concatenate(ws)
+        sel = subdivisions == s
+        trig = np.sin if bc == "dirichlet" else np.cos
+        U = math.sqrt(2.0) * trig(math.pi * np.outer(xs, js[sel]))
+        uv[sel] = ws @ (U * (design_rows(op, xs) @ V[:, sel]))
+    uv = np.abs(uv)
+
+    lam = (js * math.pi) ** 2
+    lam_h = spectrum.eigenvalues[modes - 1]
+    terms = {
+        "lambda_h": lam_h,
+        "ev_rel": (lam_h - lam) / lam,
+        "ef_l2_sq": 1.0 - 2.0 * uv + vMv,
+        "ef_energy_rel_sq": (lam - 2.0 * lam * uv + vKv) / lam,
+        "energy_gap": (vKv - vKq) / lam,
+        "l2_deficit": 1.0 - vMv,
+    }
+    terms["pythagoras_residual"] = terms["ef_energy_rel_sq"] - (
+        terms["ev_rel"] + terms["ef_l2_sq"] + terms["energy_gap"]
+        + terms["l2_deficit"])
+    return terms

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from splinespectra.assembly import assemble_layout
 from splinespectra.eigensolve import solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
+
+from oracles import dense_error_budget, design_rows
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +62,29 @@ def test_exact_modes():
         exact_spectrum_1d(0)
     with pytest.raises(ValueError):
         exact_spectrum_1d(-1, bc="neumann")
+
+
+# ---------------------------------------------------------------------------
+# sampling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(12, 3, 4),
+    BlockLayout.fea(6, 2),
+    BlockLayout.iga(8, 2, bc="neumann"),
+], ids=["riga", "fea", "iga-neumann"])
+def test_sample_matrix_matches_design_matrix(layout):
+    op = assemble_layout(layout)
+    inside = np.concatenate([np.linspace(0.0, 1.0, 97), np.unique(op.kv.knots)])
+    outside = np.array([-0.25, -1e-12, 1.0 + 1e-12, 2.0])
+    rng = np.random.default_rng(3)
+    xs = rng.permutation(np.concatenate([inside, outside]))
+    S = analysis.sample_matrix(op, xs).toarray()
+    out = np.isin(xs, outside)
+    np.testing.assert_allclose(S[~out], design_rows(op, xs[~out]), rtol=0, atol=1e-14)
+    assert not S[out].any()
+    assert analysis.sample_matrix(op, outside).nnz == 0
+    assert analysis.sample_matrix(op, []).shape == (0, op.n_dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +170,51 @@ def test_budget_mode_selection_and_validation():
         error_budget(spec, op, modes=[0])
     with pytest.raises(ValueError):
         error_budget(spec, op, modes=[op.n_dofs + 1])
+
+
+@pytest.mark.parametrize("layout, quadrature", [
+    (BlockLayout.fea(50, 2), None),
+    (BlockLayout.iga(64, 3), None),
+    (BlockLayout.riga(200, 2, 20), None),
+    (BlockLayout.riga(200, 2, 20), QuadratureSpec("lobatto")),
+    (BlockLayout.iga(64, 3), QuadratureSpec("blended", tau=0.5)),
+    (BlockLayout.iga(64, 3, bc="neumann"), None),
+], ids=["fea", "iga", "riga", "riga-lobatto", "iga-blended", "iga-neumann"])
+def test_budget_matches_dense_oracle(layout, quadrature):
+    op = assemble_layout(layout, quadrature)
+    spec = solve_gevp(op)
+    budgets = error_budget(spec, op)
+    expected = dense_error_budget(spec, op)
+    for name, values in expected.items():
+        got = np.array([getattr(b, name) for b in budgets])
+        np.testing.assert_allclose(got, values, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_budget_independent_of_block_width(monkeypatch):
+    op = assemble_layout(BlockLayout.iga(64, 3))
+    spec = solve_gevp(op)
+    default = error_budget(spec, op)
+    # modes 1..64 use 2 subdivisions, a grid of 64 * 2 * (p + 2) points:
+    # blocks of 3 modes, the last one ragged (64 = 21 * 3 + 1)
+    monkeypatch.setattr(analysis, "_PAIR_BLOCK_ENTRIES", 3 * 64 * 2 * 5)
+    blocked = error_budget(spec, op)
+    for a, b in zip(default, blocked):
+        for name in ("ef_l2_sq", "ef_energy_rel_sq", "l2_deficit",
+                     "pythagoras_residual"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=0, abs=1e-14)
+
+
+def test_budget_memory_stays_near_the_eigenvectors():
+    """No dense operator and no full grid-by-modes array is formed."""
+    op = assemble_layout(BlockLayout.riga(1000, 2, 100))
+    spec = solve_gevp(op)
+    tracemalloc.start()
+    try:
+        error_budget(spec, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20  # 1009 dofs: one n x n copy is 7.8 MiB
 
 
 def test_budget_neumann_skips_constant_mode():
@@ -422,14 +493,27 @@ def test_branch_count_small_configs():
 # ---------------------------------------------------------------------------
 
 def test_convergence_slope_gauss():
-    hs, errs, slope = convergence_study(2, [8, 16, 32, 64])
+    hs, errs, slope = convergence_study([BlockLayout.iga(n, 2) for n in (8, 16, 32, 64)])
     assert slope == pytest.approx(4.0, abs=0.1)
     assert np.all(errs > 0)  # eigenvalues approached from above
 
 
 def test_convergence_requires_three_meshes():
-    with pytest.raises(ValueError):
-        convergence_study(2, [8, 16])
+    for sizes in ((8, 16), (8, 8, 8), (8, 8, 16, 16)):  # distinct sizes count
+        with pytest.raises(ValueError):
+            convergence_study([BlockLayout.iga(n, 2) for n in sizes])
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: BlockLayout.riga(n, 2, 10),
+    lambda n: BlockLayout.fea(n, 2),
+    lambda n: BlockLayout.iga(n, 2, bc="neumann"),
+], ids=["riga", "fea", "iga-neumann"])
+def test_convergence_keeps_the_rate_on_every_layout(make):
+    layouts = [make(n) for n in (10, 20, 40, 80, 160)]
+    _, errs, slope = convergence_study(layouts)
+    assert slope == pytest.approx(4.0, abs=0.05)
+    assert np.all(errs > 0)  # first non-constant mode, approached from above
 
 
 def test_optimal_tau_quadratic():
@@ -440,6 +524,7 @@ def test_optimal_tau_quadratic():
 def test_optimal_tau_cubic_improves_error():
     from splinespectra.analysis import leading_mode_error
     tau = find_optimal_tau(3, n_elements=16)
-    blended = abs(leading_mode_error(3, 16, QuadratureSpec("blended", tau=tau)))
-    gauss = abs(leading_mode_error(3, 16))
+    layout = BlockLayout.iga(16, 3)
+    blended = abs(leading_mode_error(layout, QuadratureSpec("blended", tau=tau)))
+    gauss = abs(leading_mode_error(layout))
     assert blended < 1e-2 * gauss

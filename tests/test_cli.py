@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from splinespectra import analysis, cli
 from splinespectra.cli import main
+from splinespectra.splines import BlockLayout
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -88,6 +89,23 @@ def test_converge_assertions(tmp_path):
 
     rc = main(["converge", "--p", "2", "--elements", "8,16", "--out", str(out)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flags, make", [
+    ("--method riga --block 10", lambda n: BlockLayout.riga(n, 2, 10)),
+    ("--method fea", lambda n: BlockLayout.fea(n, 2)),
+    ("--bc neumann", lambda n: BlockLayout.iga(n, 2, bc="neumann")),
+], ids=["riga", "fea", "iga-neumann"])
+def test_converge_solves_the_requested_layout(tmp_path, flags, make):
+    out = tmp_path / "conv.csv"
+    sizes = [10, 20, 40]
+    rc = main(["converge", "--p", "2", "--elements", "10,20,40", *flags.split(),
+               "--out", str(out)])
+    assert rc == 0
+    _, _, rows = read_csv(out)
+    got = [float(r.split(",")[2]) for r in rows]
+    assert got == [analysis.leading_mode_error(make(n)) for n in sizes]
+    assert got != [analysis.leading_mode_error(BlockLayout.iga(n, 2)) for n in sizes]
 
 
 def test_stopbands_csv(tmp_path, monkeypatch):
@@ -206,6 +224,7 @@ def test_config_errors_exit_2(args):
     "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
     "spectrum --method fea --p 1 --elements 1 --bc neumann",  # N0 = 0
     "spectrum --method iga --p 1 --elements 1 --bc neumann",
+    "converge --elements 4,4,4",                         # one distinct size
 ])
 def test_library_input_errors_exit_2(line, capsys):
     assert main(line.split()) == 2
