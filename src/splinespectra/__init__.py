@@ -34,7 +34,14 @@ from .assembly import (
     assemble_layout,
     dump_matrix,
 )
-from .eigensolve import OracleDivergenceError, Spectrum, oracle_check, solve_gevp
+from .eigensolve import (
+    OracleDivergenceError,
+    Spectrum,
+    oracle_check,
+    polish_eigenvalue,
+    solve_eigenvalues,
+    solve_gevp,
+)
 from .analysis import (
     AmFit,
     BandMatch,

@@ -29,7 +29,7 @@ from .assembly import (
     NumericalError,
     assemble_layout,
 )
-from .eigensolve import Spectrum, solve_gevp
+from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, make_block_knots, span_basis_rows
 
@@ -410,13 +410,16 @@ class BlockBubbleModes:
 
 
 def local_bubble_spectra(op: DiscreteOperator, part: DofPartition) -> list[BlockBubbleModes]:
-    """Solve the dense bubble pencil of every block."""
-    Kd = op.K.to_dense()
-    Md = op.M.to_dense()
+    """Solve the dense bubble pencil of every block.
+
+    A block's bubbles are contiguous, so each pencil is built from its slice
+    of the stored bands; no dense copy of the global operators is formed.
+    """
     out = []
     for block in range(part.n_blocks):
         idx = part.block_bubbles(block)
-        w, v = scipy.linalg.eigh(Kd[np.ix_(idx, idx)], Md[np.ix_(idx, idx)])
+        w, v = scipy.linalg.eigh(op.K.restricted(idx).to_dense(),
+                                 op.M.restricted(idx).to_dense())
         out.append(BlockBubbleModes(block, idx, w, v))
     return out
 
@@ -441,9 +444,11 @@ class StoppingBandReport:
         return sum(1 for m in self.matches if m.rel_gap < tol)
 
 
-def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
+def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes],
                           layout: BlockLayout) -> StoppingBandReport:
     """Match distinct interior-block bubble eigenvalues against the global spectrum.
+
+    ``eigenvalues`` is the ascending global spectrum.
 
     A stopping band is confirmed when a bubble eigenvalue coincides with a
     global eigenvalue (relative gap below the caller's tolerance, see
@@ -466,17 +471,16 @@ def detect_stopping_bands(spectrum: Spectrum, local: list[BlockBubbleModes],
             distinct.append(float(v))
             counts.append(1)
 
-    glob = spectrum.eigenvalues
     matches = []
     for v, c in zip(distinct, counts):
-        i = int(np.searchsorted(glob, v))
+        i = int(np.searchsorted(eigenvalues, v))
         best, best_gap = None, np.inf
         for cand in (i - 1, i):
-            if 0 <= cand < glob.size:
-                gap = abs(glob[cand] - v) / abs(v)
+            if 0 <= cand < eigenvalues.size:
+                gap = abs(eigenvalues[cand] - v) / abs(v)
                 if gap < best_gap:
                     best, best_gap = cand, gap
-        matches.append(BandMatch(v, float(glob[best]), float(best_gap), best, c))
+        matches.append(BandMatch(v, float(eigenvalues[best]), float(best_gap), best, c))
 
     expected = layout.block_size + layout.p - 2
     return StoppingBandReport(
@@ -783,9 +787,11 @@ def am_fit(v: np.ndarray, op: DiscreteOperator) -> AmFit:
 # branch structure
 # ---------------------------------------------------------------------------
 
-def branch_count(spectrum: Spectrum, op: DiscreteOperator,
+def branch_count(eigenvalues: np.ndarray, op: DiscreteOperator,
                  j_max: int | None = None) -> int:
     """Number of spectrum branches inside a mode window, from the band positions.
+
+    ``eigenvalues`` is the ascending global spectrum of ``op``.
 
     Branch boundaries are the stopping bands; the count is one plus the
     number of distinct bubble-band eigenvalues whose matched global mode
@@ -802,7 +808,7 @@ def branch_count(spectrum: Spectrum, op: DiscreteOperator,
     if op.layout.n_separators == 0:
         return 1
     local = local_bubble_spectra(op, partition_dofs(op.layout))
-    report = detect_stopping_bands(spectrum, local, op.layout)
+    report = detect_stopping_bands(eigenvalues, local, op.layout)
     if j_max is None:
         j_max = op.layout.n_elements + op.kv.p - 2
     interior = sum(1 for m in report.matches if 1 < m.global_index + 1 < j_max)
@@ -818,13 +824,15 @@ def leading_mode_error(layout: BlockLayout,
     """Relative eigenvalue error of the first non-constant mode (exact ``pi^2``).
 
     Under Neumann conditions the constant mode comes first, so the measured
-    mode is the second one of the spectrum.
+    mode is the second one of the spectrum.  The values-only solve locates
+    the mode, and :func:`~splinespectra.eigensolve.polish_eigenvalue` returns
+    its Rayleigh quotient, free of the solve's absolute round-off.
     """
     op = assemble_layout(layout, quadrature)
-    spec = solve_gevp(op)
     first = 0 if layout.bc == "dirichlet" else 1
+    lam_h = polish_eigenvalue(op, solve_eigenvalues(op)[first])
     lam = math.pi ** 2
-    return float((spec.eigenvalues[first] - lam) / lam)
+    return (lam_h - lam) / lam
 
 
 def convergence_study(layouts, quadrature: QuadratureSpec | None = None):
@@ -832,10 +840,11 @@ def convergence_study(layouts, quadrature: QuadratureSpec | None = None):
 
     ``layouts`` is one mesh per size, at least three distinct sizes.  The
     slope is the least-squares fit of ``log |error|`` against ``log h``.
-    Errors within a decade of the noise floor ``1e-13`` are dominated by
-    eigensolver round-off (absolute eigenvalue noise scales with the largest
-    eigenvalue) and are excluded from the fit; all measured values are still
-    returned.
+    Each error comes from :func:`leading_mode_error`, whose Rayleigh
+    quotient is free of the solve's absolute round-off (about
+    ``n eps lambda_max``).  The quotient has round-off of its own: errors
+    within a decade of the noise floor ``1e-13`` are at that level and are
+    excluded from the fit, but all measured values are still returned.
     """
     layouts = list(layouts)
     hs = np.array([layout.h for layout in layouts])

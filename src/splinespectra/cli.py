@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, svgplot
 from .assembly import MAX_DOFS_2D, NumericalError, assemble_layout
-from .eigensolve import solve_gevp
+from .eigensolve import solve_eigenvalues, solve_gevp
 from .quadrature import QuadratureSpec
 from .splines import BlockLayout
 
@@ -190,9 +190,8 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     layout = cfg.layout()
     part = analysis.partition_dofs(layout)
     op = assemble_layout(layout, cfg.quadrature_spec())
-    spectrum = solve_gevp(op)
     local = analysis.local_bubble_spectra(op, part)
-    report = analysis.detect_stopping_bands(spectrum, local, layout)
+    report = analysis.detect_stopping_bands(solve_eigenvalues(op), local, layout)
     header = ["lambda_b", "nearest_lambda_h", "rel_gap", "global_index",
               "block_multiplicity"]
     rows = [(m.value, m.nearest_global, m.rel_gap, m.global_index + 1,
@@ -237,8 +236,7 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
 
 def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int:
     op1 = assemble_layout(cfg.layout(), cfg.quadrature_spec())
-    spectrum = solve_gevp(op1)
-    lam1 = spectrum.eigenvalues
+    lam1 = solve_eigenvalues(op1)
     n = lam1.size
     sums = np.add.outer(lam1, lam1).ravel()
     order = np.argsort(sums, kind="stable")

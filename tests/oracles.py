@@ -1,8 +1,8 @@
 """Independent verification routes used by the tests.
 
 These deliberately avoid the library's own fast paths: basis values come from
-scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions, the
-2D operators from a direct tensor-product element loop with nested quadrature,
+scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions,
+linear-element eigenvalues from their closed form, the 2D operators from a direct tensor-product element loop with nested quadrature,
 and error budgets from dense operator products and scipy's design matrix.
 """
 
@@ -63,6 +63,17 @@ def cox_de_boor_deriv(kv: KnotVector, i: int, x: float) -> float:
     if den > 0.0:
         out -= p / den * cox_de_boor_value(kv, i + 1, x, p - 1)
     return out
+
+
+def linear_fem_eigenvalue(j: int, h: float) -> float:
+    """Discrete Dirichlet eigenvalue ``j`` of linear elements with consistent mass.
+
+    The mode is ``sin(j pi x)`` at the nodes, so the three-point stencils give
+    ``lambda_h = (6 / h^2) s / (3 - s)`` with ``s = 2 sin^2(j pi h / 2)``
+    (that is, ``1 - cos(j pi h)``, formed without cancellation).
+    """
+    s = 2.0 * math.sin(0.5 * j * math.pi * h) ** 2
+    return 6.0 / h ** 2 * s / (3.0 - s)
 
 
 def weights_from_moments(nodes: np.ndarray) -> np.ndarray:

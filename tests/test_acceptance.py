@@ -28,7 +28,7 @@ from splinespectra.analysis import (
     reconstruct_stopping_mode,
 )
 from splinespectra.assembly import assemble_2d_tensor, assemble_layout
-from splinespectra.eigensolve import solve_gevp
+from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
@@ -151,10 +151,9 @@ def test_criterion_5_outlier_census():
 def test_criterion_6_stopping_bands():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
-    spectrum = solve_gevp(op)
     part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
-    rep = detect_stopping_bands(spectrum, local, lay)
+    rep = detect_stopping_bands(solve_eigenvalues(op), local, lay)
     bands_ok = rep.band_count == 10 and rep.matched_count(1e-6) == 10
 
     K, M = op.K.to_dense(), op.M.to_dense()
@@ -169,7 +168,7 @@ def test_criterion_6_stopping_bands():
     lay_f = BlockLayout.fea(100, 2)
     op_f = assemble_layout(lay_f)
     part_f = partition_dofs(lay_f)
-    rep_f = detect_stopping_bands(solve_gevp(op_f),
+    rep_f = detect_stopping_bands(solve_eigenvalues(op_f),
                                   local_bubble_spectra(op_f, part_f), lay_f)
     fea_ok = rep_f.band_count == 1 and rep_f.matched_count(1e-6) == 1
 
@@ -232,7 +231,7 @@ def test_criterion_9_2d_kronecker_oracle():
                                eigvals_only=True)
     dev_direct = float(np.max(np.abs(w_kron - w_direct) / w_direct))
 
-    lam1 = solve_gevp(op).eigenvalues
+    lam1 = solve_eigenvalues(op)
     sums = np.sort(np.add.outer(lam1, lam1).ravel())
     dev_sums = float(np.max(np.abs(np.sort(w_kron) - sums) / sums))
     ok = dev_direct < 1e-9 and dev_sums < 1e-10
@@ -244,11 +243,11 @@ def test_criterion_10_branch_structure():
     counts = {}
     for bs in (10, 100, 2):
         op = assemble_layout(BlockLayout.riga(1000, 2, bs))
-        counts[bs] = branch_count(solve_gevp(op), op)
+        counts[bs] = branch_count(solve_eigenvalues(op), op)
     op_f = assemble_layout(BlockLayout.fea(1000, 2))
-    spec_f = solve_gevp(op_f)
-    counts[1] = branch_count(spec_f, op_f)
-    full = branch_count(spec_f, op_f, j_max=spec_f.n_modes)
+    lam_f = solve_eigenvalues(op_f)
+    counts[1] = branch_count(lam_f, op_f)
+    full = branch_count(lam_f, op_f, j_max=lam_f.size)
     ok = counts == {10: 10, 100: 100, 2: 2, 1: 1} and full == 2
     assert report(10, ok, f"branches bs10={counts[10]} bs100={counts[100]} "
                           f"bs2={counts[2]} bs1={counts[1]} (block-size counts), "

@@ -25,11 +25,11 @@ from splinespectra.analysis import (
 )
 from splinespectra import analysis
 from splinespectra.assembly import assemble_layout
-from splinespectra.eigensolve import solve_gevp
+from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import dense_error_budget, design_rows
+from oracles import dense_error_budget, design_rows, linear_fem_eigenvalue
 
 
 @pytest.fixture(scope="module")
@@ -290,9 +290,8 @@ def test_interior_blocks_share_spectra():
 def test_detect_bands_riga_ten_by_ten():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
-    spec = solve_gevp(op)
     part = partition_dofs(lay)
-    report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
     assert report.band_count == 10 == report.expected_count
     assert report.matched_count(1e-6) == 10
 
@@ -301,9 +300,8 @@ def test_detect_bands_fea_degree_counts():
     for p, want in ((2, 1), (3, 2)):
         lay = BlockLayout.fea(12, p)
         op = assemble_layout(lay)
-        spec = solve_gevp(op)
         part = partition_dofs(lay)
-        report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
+        report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
         assert report.band_count == want == report.expected_count
         assert report.matched_count(1e-6) == want
 
@@ -311,9 +309,8 @@ def test_detect_bands_fea_degree_counts():
 def test_detect_bands_without_separators_is_empty():
     lay = BlockLayout.iga(10, 2)
     op = assemble_layout(lay)
-    spec = solve_gevp(op)
     part = partition_dofs(lay)
-    report = detect_stopping_bands(spec, local_bubble_spectra(op, part), lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
     assert report.band_count == 0 == report.expected_count
     assert report.matches == []
 
@@ -324,7 +321,7 @@ def test_reconstruct_stopping_modes():
     spec = solve_gevp(op)
     part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
-    report = detect_stopping_bands(spec, local, lay)
+    report = detect_stopping_bands(spec.eigenvalues, local, lay)
     K, M = op.K.to_dense(), op.M.to_dense()
     Me = op.M_exact.to_dense()
     for m in report.matches:
@@ -480,12 +477,11 @@ def test_branch_count_small_configs():
         (BlockLayout.fea(100, 2), None, 1),
     ]:
         op = assemble_layout(lay)
-        spec = solve_gevp(op)
-        assert branch_count(spec, op, j_max=window) == want
+        assert branch_count(solve_eigenvalues(op), op, j_max=window) == want
     # FEA over the whole spectrum shows the acoustic/optical split
     op = assemble_layout(BlockLayout.fea(100, 2))
-    spec = solve_gevp(op)
-    assert branch_count(spec, op, j_max=spec.n_modes) == 2
+    lam = solve_eigenvalues(op)
+    assert branch_count(lam, op, j_max=lam.size) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -528,3 +524,19 @@ def test_optimal_tau_cubic_improves_error():
     blended = abs(leading_mode_error(layout, QuadratureSpec("blended", tau=tau)))
     gauss = abs(leading_mode_error(layout))
     assert blended < 1e-2 * gauss
+
+
+def test_leading_mode_error_lobatto_coefficient():
+    # Lobatto p = 2: ev_rel = -(pi h)^4 / 1440 + O(h^6); at h = 1/160 the raw
+    # eigenvalue of a full solve carries round-off of about 0.7% of this error
+    h = 1.0 / 160
+    want = -(math.pi * h) ** 4 / 1440.0
+    got = analysis.leading_mode_error(BlockLayout.iga(160, 2), QuadratureSpec("lobatto"))
+    assert abs(got - want) <= 3e-3 * abs(want)
+
+
+def test_leading_mode_error_linear_closed_form():
+    h = 1.0 / 400
+    want = (linear_fem_eigenvalue(1, h) - math.pi ** 2) / math.pi ** 2
+    got = analysis.leading_mode_error(BlockLayout.iga(400, 1))
+    assert abs(got - want) <= 1e-7 * want

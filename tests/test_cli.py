@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splinespectra import analysis, cli
+from splinespectra import analysis, cli, eigensolve
 from splinespectra.cli import main
 from splinespectra.splines import BlockLayout
 
@@ -106,6 +106,21 @@ def test_converge_solves_the_requested_layout(tmp_path, flags, make):
     got = [float(r.split(",")[2]) for r in rows]
     assert got == [analysis.leading_mode_error(make(n)) for n in sizes]
     assert got != [analysis.leading_mode_error(BlockLayout.iga(n, 2)) for n in sizes]
+
+
+@pytest.mark.parametrize("line", [
+    "converge --p 2 --elements 10,20,40 --bc neumann",
+    "stopbands --method riga --p 3 --block 4 --elements 16",
+    "spectrum2d --method riga --p 2 --block 4 --elements 8",
+], ids=lambda line: line.split()[0])
+def test_values_only_jobs_form_no_eigenvectors(tmp_path, monkeypatch, line):
+    def no_eigenvectors(*args):
+        raise AssertionError("a values-only job formed eigenvectors")
+
+    for module in (eigensolve, analysis, cli):
+        if hasattr(module, "solve_gevp"):
+            monkeypatch.setattr(module, "solve_gevp", no_eigenvectors)
+    assert main(line.split() + ["--out", str(tmp_path / "run.csv")]) == 0
 
 
 def test_stopbands_csv(tmp_path, monkeypatch):
@@ -220,7 +235,9 @@ def test_config_errors_exit_2(args):
     "spectrum --points 40 --elements 10",                # no such Gauss rule
     "spectrum --quadrature lobatto --points 1 --elements 10",
     "stopbands --method riga --block 3 --bc neumann --elements 12",
-    "spectrum --elements 7000 --p 1",                    # dense solve limit
+    "spectrum --elements 7000 --p 1",                    # eigensolve size limit
+    "stopbands --method fea --p 2 --elements 3001",      # same limit, values only
+    "converge --p 1 --elements 10,20,7000",
     "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
     "spectrum --method fea --p 1 --elements 1 --bc neumann",  # N0 = 0
     "spectrum --method iga --p 1 --elements 1 --bc neumann",

@@ -4,8 +4,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from splinespectra.assembly import SymmetricBandedMatrix, assemble_2d_tensor, assemble_layout
-from splinespectra.eigensolve import OracleDivergenceError, oracle_check, solve_gevp
+from hypothesis import assume, given, settings, strategies as st
+
+from splinespectra.assembly import (
+    NumericalError,
+    SymmetricBandedMatrix,
+    assemble_2d_tensor,
+    assemble_layout,
+)
+from splinespectra.eigensolve import (
+    OracleDivergenceError,
+    oracle_check,
+    polish_eigenvalue,
+    solve_eigenvalues,
+    solve_gevp,
+)
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
@@ -66,6 +79,78 @@ def test_refuses_oversize_dense():
     op = SimpleNamespace(K=None, M=None, n_dofs=10_000)
     with pytest.raises(ValueError):
         solve_gevp(op)
+    with pytest.raises(ValueError, match="10000 dofs exceed the limit of 6000"):
+        solve_eigenvalues(op)
+
+
+def assert_values_match_dense(op):
+    lam = solve_eigenvalues(op)
+    ref = solve_gevp(op).eigenvalues
+    assert lam.shape == ref.shape
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[-1]
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.fea(60, 2), BlockLayout.fea(40, 3, bc="neumann"),
+    BlockLayout.iga(200, 2), BlockLayout.iga(90, 4, bc="neumann"),
+    BlockLayout.riga(200, 2, 20), BlockLayout.riga(120, 3, 12, bc="neumann"),
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}-{lay.bc}")
+@pytest.mark.parametrize("quad", [
+    QuadratureSpec("gauss"), QuadratureSpec("lobatto"),
+    QuadratureSpec("blended", tau=0.5),
+], ids=lambda q: q.label())
+def test_values_match_dense_solve(layout, quad):
+    assert_values_match_dense(assemble_layout(layout, quad))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(n_elements=st.integers(1, 24), p=st.integers(1, 4), data=st.data(),
+       bc=st.sampled_from(["dirichlet", "neumann"]))
+def test_values_match_dense_on_random_layouts(n_elements, p, data, bc):
+    block = data.draw(st.integers(1, n_elements))
+    continuity = data.draw(st.integers(0, p - 1))
+    layout = BlockLayout(n_elements, p, block, continuity, bc)
+    assume(layout.n_dofs >= 1)
+    assert_values_match_dense(assemble_layout(layout))
+
+
+def test_values_of_diagonal_pencil_leave_bands_intact():
+    op = SimpleNamespace(K=banded_diag([3.0, 1.0, 2.0]),
+                         M=banded_diag([1.0, 1.0, 2.0]), n_dofs=3)
+    assert np.allclose(solve_eigenvalues(op), [1.0, 1.0, 3.0])
+    # LAPACK overwrites its inputs: it must get copies, even of a band that is
+    # already Fortran-ordered (one row or one column)
+    assert op.K.band.tolist() == [[3.0, 1.0, 2.0]]
+    assert op.M.band.tolist() == [[1.0, 1.0, 2.0]]
+
+
+def test_values_reject_non_finite_band():
+    op = assemble_layout(BlockLayout.iga(10, 2))
+    op.K.band[1, 3] = np.nan
+    with pytest.raises(ValueError):
+        solve_eigenvalues(op)
+
+
+def test_values_reject_indefinite_mass():
+    op = SimpleNamespace(K=banded_diag([1.0, 2.0, 3.0]),
+                         M=banded_diag([1.0, -1.0, 1.0]), n_dofs=3)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        solve_eigenvalues(op)
+
+
+def test_polish_reaches_the_nearest_eigenvalue():
+    op = assemble_layout(BlockLayout.riga(40, 3, 8, bc="neumann"))
+    lam = solve_gevp(op).eigenvalues
+    for k in (1, 2, 7):  # k = 0 is the zero mode, where a relative tolerance means nothing
+        assert polish_eigenvalue(op, lam[k] * (1 + 1e-9)) == pytest.approx(lam[k], rel=1e-10)
+
+
+def test_polish_rejects_a_singular_shift():
+    op = SimpleNamespace(K=banded_diag([0.0, 0.0, 0.0]),
+                         M=banded_diag([1.0, 1.0, 1.0]), n_dofs=3)
+    with pytest.raises(NumericalError, match="shifted factorization"):
+        polish_eigenvalue(op, 0.0)
 
 
 def test_oracle_on_random_modes():
