@@ -1,21 +1,17 @@
 """Spectral analysis of variable-continuity B-spline discretizations.
 
 The package builds FEA / IGA / rIGA discretizations of the Laplace
-eigenproblem on the unit interval (and square, by tensor product), solves for
-the full discrete spectrum, and diagnoses its artefacts: per-mode eigenvalue
-and eigenfunction error budgets, stopping bands produced by the bubble
-subsystems of the blocks, boundary/separator outliers, and the effect of
-blended Gauss-Lobatto quadratures.
+eigenproblem on the unit interval, solves for the full discrete spectrum, and
+diagnoses its artefacts: per-mode eigenvalue and eigenfunction error budgets,
+stopping bands produced by the bubble subsystems of the blocks,
+boundary/separator outliers, and the effect of blended Gauss-Lobatto
+quadratures.  The spectrum on the unit square is the tensor product of the
+interval's: its eigenvalues are the sums of pairs of 1D eigenvalues.
+
+Each library module's ``__all__`` is re-exported here, and nothing else.
 """
 
-from .splines import (
-    BlockLayout,
-    KnotVector,
-    continuity_at,
-    greville_abscissae,
-    make_block_knots,
-    make_open_uniform_knots,
-)
+from .splines import BlockLayout, KnotVector, make_block_knots
 from .quadrature import (
     QuadratureSpec,
     Rule,
@@ -26,35 +22,21 @@ from .quadrature import (
 )
 from .assembly import (
     DiscreteOperator,
-    DiscreteOperator2D,
     NumericalError,
     SingularMassError,
     SymmetricBandedMatrix,
-    assemble_2d_tensor,
     assemble_layout,
-    dump_matrix,
 )
-from .eigensolve import (
-    OracleDivergenceError,
-    Spectrum,
-    oracle_check,
-    polish_eigenvalue,
-    solve_eigenvalues,
-    solve_gevp,
-)
+from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues, solve_gevp
 from .analysis import (
     AmFit,
     BandMatch,
     BlockBubbleModes,
     DofPartition,
-    ExactMode,
     FrequencyContent,
     ModeErrorBudget,
     OutlierReport,
-    SingularInterfaceError,
     StoppingBandReport,
-    am_fit,
-    branch_count,
     coefficient_flatness,
     convergence_study,
     count_outliers,
@@ -62,14 +44,11 @@ from .analysis import (
     eigenvalue_errors,
     error_budget,
     exact_eigenvalues_2d,
-    exact_spectrum_1d,
     find_optimal_tau,
-    frequency_content,
-    l2_pair_inner,
     local_bubble_spectra,
     outlier_report,
     partition_dofs,
-    reconstruct_stopping_mode,
 )
+from .svgplot import heatmap, line_plot
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, make_block_knots, span_basis_rows
 
 __all__ = [
-    "ExactMode",
     "ModeErrorBudget",
     "DofPartition",
     "BlockBubbleModes",
@@ -43,21 +42,15 @@ __all__ = [
     "OutlierReport",
     "FrequencyContent",
     "AmFit",
-    "SingularInterfaceError",
-    "exact_spectrum_1d",
     "exact_eigenvalues_2d",
-    "l2_pair_inner",
     "eigenvalue_errors",
     "error_budget",
     "partition_dofs",
     "local_bubble_spectra",
     "detect_stopping_bands",
-    "reconstruct_stopping_mode",
     "count_outliers",
     "outlier_report",
-    "frequency_content",
     "coefficient_flatness",
-    "am_fit",
     "convergence_study",
     "find_optimal_tau",
 ]
@@ -65,8 +58,8 @@ __all__ = [
 
 # two bubble eigenvalues this close (relative) are one band
 _BAND_CLUSTER_TOL = 1e-9
-# a block owns a band when one of its bubble eigenvalues is this close (relative)
-_BUBBLE_MATCH_TOL = 1e-8
+# a band is matched when a global eigenvalue lies this close (relative)
+_BAND_MATCH_TOL = 1e-6
 # outliers: relative eigenvalue error this many times the top-decile median
 _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
@@ -76,46 +69,9 @@ _NOISE_FLOOR = 1e-13
 _PAIR_BLOCK_ENTRIES = 1 << 20
 
 
-class SingularInterfaceError(NumericalError):
-    """Interface block of the shifted pencil is numerically singular."""
-
-
 # ---------------------------------------------------------------------------
-# exact modes
+# exact spectrum
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExactMode:
-    """Closed-form eigenpair of the continuous problem on the unit interval."""
-
-    index: int
-    eigenvalue: float
-    bc: str = "dirichlet"
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        j = self.index
-        if self.bc == "dirichlet":
-            return math.sqrt(2.0) * np.sin(j * math.pi * x)
-        if j == 0:
-            return np.ones_like(x)
-        return math.sqrt(2.0) * np.cos(j * math.pi * x)
-
-
-def exact_spectrum_1d(j: int, bc: str = "dirichlet") -> ExactMode:
-    """Exact mode ``j``: eigenvalue ``(j pi)^2`` with unit-norm eigenfunction.
-
-    Dirichlet modes are ``sqrt(2) sin(j pi x)`` for ``j >= 1``; Neumann modes
-    are ``sqrt(2) cos(j pi x)`` with the constant mode at ``j = 0``.
-    """
-    if bc == "dirichlet" and j < 1:
-        raise ValueError("Dirichlet mode index must be >= 1")
-    if bc == "neumann" and j < 0:
-        raise ValueError("Neumann mode index must be >= 0")
-    if bc not in ("dirichlet", "neumann"):
-        raise ValueError(f"unknown boundary condition {bc!r}")
-    return ExactMode(j, (j * math.pi) ** 2, bc)
-
 
 def exact_eigenvalues_2d(count_per_dir: int, bc: str = "dirichlet"):
     """All 2D eigenvalues ``(j^2 + k^2) pi^2`` sorted ascending.
@@ -179,9 +135,11 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
                 subdivisions: int) -> np.ndarray:
     """L2 inner products of exact modes ``js`` with the columns of ``V``.
 
-    Grid as in :func:`l2_pair_inner`; one sampling matrix for all columns,
-    applied to blocks of columns so that the grid-sized temporaries hold at
-    most ``_PAIR_BLOCK_ENTRIES`` values each."""
+    Integrates element by element with Gauss ``p + 2`` points on
+    ``subdivisions`` equal subintervals per element; ``max(1, ceil(j h) + 1)``
+    of them resolve the oscillation of exact mode ``j``.  One sampling matrix
+    serves all columns, applied to blocks of columns so that the grid-sized
+    temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each."""
     rule = gauss_rule(op.kv.p + 2)
     xs, ws = [], []
     for _, a, b in op.kv.spans():
@@ -208,21 +166,6 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
 
 def _required_subdivisions(j: int, h: float) -> int:
     return max(1, math.ceil(j * h) + 1)
-
-
-def l2_pair_inner(mode: ExactMode, v: np.ndarray, op: DiscreteOperator,
-                  subdivisions: int | None = None) -> float:
-    """L2 inner product of an exact mode with a discrete field.
-
-    Integrates element by element with Gauss ``p + 2`` points on
-    ``max(1, ceil(j h) + 1)`` equal subintervals per element, enough to
-    resolve the oscillation of the exact mode; pass ``subdivisions``
-    explicitly to check quadrature convergence.
-    """
-    if subdivisions is None:
-        subdivisions = _required_subdivisions(mode.index, op.layout.h)
-    V = np.asarray(v, dtype=float)[:, None]
-    return float(_pair_inner(op, V, np.array([mode.index]), mode.bc, subdivisions)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,13 +378,13 @@ class BandMatch:
 
 @dataclass
 class StoppingBandReport:
-    local_eigenvalues: list[np.ndarray]
     matches: list[BandMatch]
     band_count: int
     expected_count: int
 
-    def matched_count(self, tol: float = 1e-6) -> int:
-        return sum(1 for m in self.matches if m.rel_gap < tol)
+    def matched_count(self) -> int:
+        """Bands with a global eigenvalue within ``1e-6`` (relative)."""
+        return sum(1 for m in self.matches if m.rel_gap < _BAND_MATCH_TOL)
 
 
 def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes],
@@ -451,15 +394,13 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes]
     ``eigenvalues`` is the ascending global spectrum.
 
     A stopping band is confirmed when a bubble eigenvalue coincides with a
-    global eigenvalue (relative gap below the caller's tolerance, see
-    :meth:`StoppingBandReport.matched_count`).  Blocks touching the domain
-    boundary are only consulted when no interior block exists.  Without
-    separators the Schur construction is vacuous and no bands are reported.
+    global eigenvalue (see :meth:`StoppingBandReport.matched_count`).  Blocks
+    touching the domain boundary are only consulted when no interior block
+    exists.  Without separators the Schur construction is vacuous and no
+    bands are reported.
     """
     if layout.n_separators == 0:
-        return StoppingBandReport(
-            local_eigenvalues=[b.eigenvalues for b in local],
-            matches=[], band_count=0, expected_count=0)
+        return StoppingBandReport(matches=[], band_count=0, expected_count=0)
     n_blocks = len(local)
     pool = local[1:-1] if n_blocks > 2 else local
     values = np.sort(np.concatenate([b.eigenvalues for b in pool]))
@@ -484,77 +425,10 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes]
 
     expected = layout.block_size + layout.p - 2
     return StoppingBandReport(
-        local_eigenvalues=[b.eigenvalues for b in local],
         matches=matches,
         band_count=len(distinct),
         expected_count=expected,
     )
-
-
-def reconstruct_stopping_mode(op: DiscreteOperator, part: DofPartition,
-                              band_value: float,
-                              local: list[BlockBubbleModes] | None = None) -> np.ndarray:
-    """Reassemble a global stopping mode from local bubble eigenfunctions.
-
-    The candidate space is the span of the per-block bubble eigenvectors at
-    the band eigenvalue, extended by zero.  A Galerkin projection of the
-    shifted pencil onto that space determines the combination weights; the
-    interface values then follow by eliminating them through the interface
-    block of the shifted system.  The mode comes back normalized against the
-    exact mass matrix.
-
-    Raises
-    ------
-    SingularInterfaceError
-        If the interface block of the shifted pencil is singular.
-    ValueError
-        If no block owns a bubble eigenvalue at ``band_value``.
-    """
-    if local is None:
-        local = local_bubble_spectra(op, part)
-    n = op.n_dofs
-    columns = []
-    for modes in local:
-        sel = np.where(np.abs(modes.eigenvalues - band_value)
-                       <= _BUBBLE_MATCH_TOL * abs(band_value))[0]
-        for s in sel:
-            col = np.zeros(n)
-            col[modes.dof_indices] = modes.eigenvectors[:, s]
-            columns.append(col)
-    if not columns:
-        raise ValueError(f"{band_value} is not a bubble eigenvalue of any block")
-    Phi = np.array(columns).T
-
-    A = op.K.to_dense() - band_value * op.M.to_dense()
-    i_idx = part.interface
-    APhi = A @ Phi
-    if i_idx.size:
-        Aii = A[np.ix_(i_idx, i_idx)]
-        C = APhi[i_idx, :]
-        try:
-            lu, piv = scipy.linalg.lu_factor(Aii)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularInterfaceError("interface block is singular") from exc
-        if np.abs(np.diag(lu)).min() < 1e-12 * np.abs(np.diag(lu)).max():
-            raise SingularInterfaceError("interface block is numerically singular")
-        Y = scipy.linalg.lu_solve((lu, piv), C)
-        S = Phi.T @ APhi - C.T @ Y
-    else:
-        Y = np.zeros((0, Phi.shape[1]))
-        S = Phi.T @ APhi
-    S = 0.5 * (S + S.T)
-    w, q = scipy.linalg.eigh(S)
-    alpha = q[:, np.argmin(np.abs(w))]
-
-    U = Phi @ alpha
-    if i_idx.size:
-        U[i_idx] = -Y @ alpha
-    Me = op.M_exact.to_dense()
-    U /= math.sqrt(U @ (Me @ U))
-    lead = int(np.abs(U).argmax())
-    if U[lead] < 0:
-        U = -U
-    return U
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +477,6 @@ class OutlierModeInfo:
     ev_rel: float
     ev_ratio: float          # vs. median of the top decile
     flatness: float          # coefficient-spectrum peak/median
-    dominant_frequencies: tuple
     am: "AmFit"
     content: "FrequencyContent"
 
@@ -649,7 +522,6 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
             ev_rel=float(ev[m - 1]),
             ev_ratio=float(abs(ev[m - 1]) / med) if med > 0 else math.inf,
             flatness=coefficient_flatness(spectrum.eigenvectors[:, m - 1]),
-            dominant_frequencies=tuple(fr for fr, _ in fc.dominant_peaks(2)),
             am=_two_wave_fit(f, fc, op),
             content=fc,
         ))
@@ -679,20 +551,22 @@ class FrequencyContent:
         return [(float(self.frequencies[k]), float(m[k])) for k in order[:count]]
 
 
-def _sample_grid(op: DiscreteOperator, samples: int | None = None) -> np.ndarray:
-    """Uniform grid ``k / samples`` of the frequency analysis, validated."""
-    n = op.n_dofs
-    if samples is None:
-        samples = 1 << max(int(math.ceil(math.log2(4 * n))), 3)
-    if samples & (samples - 1) or samples < 2 * n:
-        raise ValueError(
-            f"samples must be a power of two >= {2 * n}, got {samples}"
-        )
+def _sample_grid(op: DiscreteOperator) -> np.ndarray:
+    """Uniform grid ``k / samples`` of the frequency analysis: ``samples`` is
+    the smallest power of two at or above four times the number of degrees of
+    freedom (at least 8)."""
+    samples = 1 << max(int(math.ceil(math.log2(4 * op.n_dofs))), 3)
     return np.arange(samples) / samples
 
 
 def _frequency_content(f: np.ndarray, bc: str) -> FrequencyContent:
-    """Half-cycle magnitude spectrum of a field sampled on :func:`_sample_grid`."""
+    """Half-cycle magnitude spectrum of a field sampled on :func:`_sample_grid`.
+
+    The field is extended to an odd (Dirichlet) or even (Neumann) function
+    over a doubled period before the transform, so bin ``k`` corresponds to
+    ``sin(k pi x)`` respectively ``cos(k pi x)``; a pure exact mode ``j``
+    yields a single peak at frequency ``j / 2`` cycles per unit length.
+    """
     if bc == "dirichlet":
         g = np.concatenate([f, [0.0], -f[1:][::-1]])
     else:
@@ -700,23 +574,6 @@ def _frequency_content(f: np.ndarray, bc: str) -> FrequencyContent:
     mags = np.abs(np.fft.rfft(g)) / f.size
     freqs = 0.5 * np.arange(mags.size)
     return FrequencyContent(freqs, mags)
-
-
-def frequency_content(v: np.ndarray, op: DiscreteOperator,
-                      samples: int | None = None) -> FrequencyContent:
-    """Sample the eigenfunction uniformly and transform to half-cycle bins.
-
-    The field is extended to an odd (Dirichlet) or even (Neumann) function
-    over a doubled period before the transform, so bin ``k`` corresponds to
-    ``sin(k pi x)`` respectively ``cos(k pi x)``; a pure exact mode ``j``
-    yields a single peak at frequency ``j / 2`` cycles per unit length.
-
-    ``samples`` must be a power of two of at least twice the number of
-    degrees of freedom (default: the smallest power of two at or above four
-    times).
-    """
-    f = sample_matrix(op, _sample_grid(op, samples)) @ np.asarray(v, dtype=float)
-    return _frequency_content(f, op.bc)
 
 
 @dataclass
@@ -739,7 +596,14 @@ class AmFit:
 
 def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
                   op: DiscreteOperator) -> AmFit:
-    """AM fit of a field sampled on :func:`_sample_grid` with its spectrum ``fc``."""
+    """AM fit of a field sampled on :func:`_sample_grid` with its spectrum ``fc``.
+
+    The two dominant spectral peaks are fitted with a sine or cosine pair:
+    even degrees use ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``, odd degrees
+    the cosine pair with a plus sign; Neumann conditions swap the families.
+    The relative L2 misfit between the field and the model (over the best
+    global sign) is reported as a diagnostic.
+    """
     n = op.n_dofs
     n_el = op.layout.n_elements
     peaks = fc.dominant_peaks(2)
@@ -769,50 +633,6 @@ def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
     defect_dofs = abs(f2 - (n - f1)) if f2 is not None else None
     defect_elems = abs(f2 - (n_el - f1)) if f2 is not None else None
     return AmFit(a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit))
-
-
-def am_fit(v: np.ndarray, op: DiscreteOperator) -> AmFit:
-    """Fit the two dominant spectral peaks with a sine or cosine pair.
-
-    Even degrees use the sine pair ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``,
-    odd degrees the cosine pair with a plus sign; Neumann conditions swap the
-    trigonometric families.  The relative L2 misfit between the sampled field
-    and the model (over the best global sign) is reported as a diagnostic.
-    """
-    f = sample_matrix(op, _sample_grid(op)) @ np.asarray(v, dtype=float)
-    return _two_wave_fit(f, _frequency_content(f, op.bc), op)
-
-
-# ---------------------------------------------------------------------------
-# branch structure
-# ---------------------------------------------------------------------------
-
-def branch_count(eigenvalues: np.ndarray, op: DiscreteOperator,
-                 j_max: int | None = None) -> int:
-    """Number of spectrum branches inside a mode window, from the band positions.
-
-    ``eigenvalues`` is the ascending global spectrum of ``op``.
-
-    Branch boundaries are the stopping bands; the count is one plus the
-    number of distinct bubble-band eigenvalues whose matched global mode
-    index lies strictly inside ``(1, j_max)``.  The default window is
-    ``j_max = n_elements + p - 2``, the abscissa normalization of the error
-    plots, so boundary bands sitting exactly at the window edge separate the
-    window from the outlier region rather than splitting it.
-
-    This is the robust automation of counting the branches of the error
-    curves: the low-spectrum bands perturb the eigenvalues by less than
-    floating-point noise (their modes are commensurate with the separator
-    grid), so the band positions, not curve heuristics, carry the structure.
-    """
-    if op.layout.n_separators == 0:
-        return 1
-    local = local_bubble_spectra(op, partition_dofs(op.layout))
-    report = detect_stopping_bands(eigenvalues, local, op.layout)
-    if j_max is None:
-        j_max = op.layout.n_elements + op.kv.p - 2
-    interior = sum(1 for m in report.matches if 1 < m.global_index + 1 < j_max)
-    return interior + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Mass/stiffness assembly for the 1D Laplace eigenproblem and 2D tensor products.
+"""Mass/stiffness assembly for the 1D Laplace eigenproblem.
 
 Matrices are assembled element by element under a chosen quadrature and stored
 in symmetric banded form (upper band, LAPACK layout).  Homogeneous Dirichlet
@@ -24,14 +24,8 @@ __all__ = [
     "SingularMassError",
     "SymmetricBandedMatrix",
     "DiscreteOperator",
-    "DiscreteOperator2D",
     "assemble_layout",
-    "assemble_2d_tensor",
-    "dump_matrix",
-    "MAX_DOFS_2D",
 ]
-
-MAX_DOFS_2D = 40_000
 
 
 class NumericalError(RuntimeError):
@@ -75,13 +69,6 @@ class SymmetricBandedMatrix:
                 j = first + b
                 self.band[u + i - j, j] += block[a, b]
 
-    def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        if j - i > self.bandwidth:
-            return 0.0
-        return float(self.band[self.bandwidth + i - j, j])
-
     def to_dense(self) -> np.ndarray:
         u, n = self.bandwidth, self.n
         out = np.zeros((n, n))
@@ -94,7 +81,10 @@ class SymmetricBandedMatrix:
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
         u = self.bandwidth
-        offsets = range(-u, u + 1)
+        # a band wider than the matrix (one element of high degree) stores
+        # diagonals that lie wholly outside it
+        w = min(u, self.n - 1)
+        offsets = range(-w, w + 1)
         return scipy.sparse.diags([self.band[u - abs(k), abs(k):] for k in offsets],
                                   offsets, shape=(self.n, self.n), format="csr")
 
@@ -118,16 +108,6 @@ class SymmetricBandedMatrix:
             sub[: u - j, j] = 0.0  # rows now above the matrix
         return SymmetricBandedMatrix(sub)
 
-    def total_sum(self) -> float:
-        u = self.band.shape[0] - 1
-        total = float(self.band[u].sum())
-        for d in range(1, u + 1):
-            total += 2.0 * float(self.band[u - d, d:].sum())
-        return total
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.to_sparse().sum(axis=1)).ravel()
-
     def is_positive_definite(self) -> bool:
         """Cholesky succeeds with every pivot above ``1e-12`` of the largest diagonal.
 
@@ -139,16 +119,6 @@ class SymmetricBandedMatrix:
         except scipy.linalg.LinAlgError:
             return False
         return bool((factor[-1] ** 2).min() >= 1e-12 * self.band[-1].max())
-
-
-def dump_matrix(mat: SymmetricBandedMatrix) -> str:
-    """Text dump of the stored band, one ``row col value`` line per entry (0-based)."""
-    lines = []
-    u = mat.bandwidth
-    for j in range(mat.n):
-        for i in range(max(0, j - u), j + 1):
-            lines.append(f"{i} {j} {mat.band[u + i - j, j]:.17g}")
-    return "\n".join(lines) + "\n"
 
 
 def _assemble_pair(kv: KnotVector, rule: Rule) -> tuple[SymmetricBandedMatrix, SymmetricBandedMatrix]:
@@ -237,30 +207,3 @@ def assemble_layout(layout: BlockLayout,
             f"mass matrix not positive definite under {quadrature.label()}"
         )
     return op
-
-
-@dataclass
-class DiscreteOperator2D:
-    """Tensor-product operators on the unit square (same layout per direction)."""
-
-    op1: DiscreteOperator
-    M: scipy.sparse.csr_matrix
-    K: scipy.sparse.csr_matrix
-
-    @property
-    def n_dofs(self) -> int:
-        return self.M.shape[0]
-
-
-def assemble_2d_tensor(op1: DiscreteOperator) -> DiscreteOperator2D:
-    """Kronecker-product 2D operators: ``M2 = M (x) M``, ``K2 = K (x) M + M (x) K``."""
-    n2 = op1.n_dofs ** 2
-    if n2 > MAX_DOFS_2D:
-        raise ValueError(
-            f"2D problem has {n2} unknowns, above the cap {MAX_DOFS_2D}"
-        )
-    Ms = op1.M.to_sparse()
-    Ks = op1.K.to_sparse()
-    M2 = scipy.sparse.kron(Ms, Ms, format="csr")
-    K2 = (scipy.sparse.kron(Ks, Ms) + scipy.sparse.kron(Ms, Ks)).tocsr()
-    return DiscreteOperator2D(op1=op1, M=M2, K=K2)

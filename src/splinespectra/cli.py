@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, svgplot
-from .assembly import MAX_DOFS_2D, NumericalError, assemble_layout
+from .assembly import NumericalError, assemble_layout
 from .eigensolve import solve_eigenvalues, solve_gevp
 from .quadrature import QuadratureSpec
 from .splines import BlockLayout
@@ -26,6 +26,7 @@ from .splines import BlockLayout
 __all__ = ["main", "entry", "ExperimentConfig"]
 
 MAX_ELEMENTS_2D = 32
+MAX_DOFS_2D = 40_000
 
 
 class ConfigError(ValueError):
@@ -118,17 +119,16 @@ def _csv(header: list[str], rows, config: ExperimentConfig,
     return "\n".join(lines) + "\n"
 
 
-def _stack_svgs(svgs: list[str], width: int, heights: list[int]) -> str:
-    total = sum(heights)
+def _stack_svgs(svgs: list[str]) -> str:
+    """One page holding ``svgplot.line_plot`` pages one above the other."""
+    width, h = svgplot.LINE_WIDTH, svgplot.LINE_HEIGHT
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-             f'width="{width}" height="{total}">']
-    y = 0
-    for svg, h in zip(svgs, heights):
+             f'width="{width}" height="{h * len(svgs)}">']
+    for k, svg in enumerate(svgs):
         body = svg.split("\n", 1)[1].rsplit("</svg>", 1)[0]
-        parts.append(f'<svg y="{y}" width="{width}" height="{h}">')
+        parts.append(f'<svg y="{k * h}" width="{width}" height="{h}">')
         parts.append(body)
         parts.append("</svg>")
-        y += h
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -159,7 +159,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int
                                 xlabel="j / N0", ylabel="error")
         log = svgplot.line_plot(series, title="error budget (log scale)",
                                 xlabel="j / N0", ylabel="|error|", logy=True)
-        _write_text(svg, _stack_svgs([lin, log], 720, [460, 460]))
+        _write_text(svg, _stack_svgs([lin, log]))
     return 0
 
 
@@ -197,7 +197,7 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     rows = [(m.value, m.nearest_global, m.rel_gap, m.global_index + 1,
              m.block_multiplicity) for m in report.matches]
     comments = [f"# bands: {report.band_count} expected: {report.expected_count} "
-                f"matched_1e-6: {report.matched_count(1e-6)}"]
+                f"matched_1e-6: {report.matched_count()}"]
     _write_text(out, _csv(header, rows, cfg, comments))
     return 0
 

@@ -20,9 +20,6 @@ meshes that noise swamps the discretization error of the lowest modes.
 :func:`polish_eigenvalue` removes it for one chosen mode: shifted inverse
 iteration gives the mode's eigenvector, and its Rayleigh quotient has an
 error quadratic in the eigenvector's.
-
-A shifted inverse-iteration oracle provides an independent cross-check of
-selected eigenpairs.
 """
 
 from __future__ import annotations
@@ -33,13 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
-import scipy.sparse
 import scipy.sparse.linalg
 
-from .assembly import DiscreteOperator, DiscreteOperator2D, NumericalError
+from .assembly import DiscreteOperator, NumericalError
 
-__all__ = ["Spectrum", "OracleReport", "OracleDivergenceError", "solve_gevp",
-           "solve_eigenvalues", "polish_eigenvalue", "oracle_check"]
+__all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
 DENSE_LIMIT = 6000
 # relative offset of the inverse-iteration shift below the estimate, and the
@@ -47,12 +42,6 @@ DENSE_LIMIT = 6000
 # the offset to the relative gap between neighbouring eigenvalues
 _POLISH_SHIFT = 1e-8
 _POLISH_STEPS = 3
-_ORACLE_TOL = 1e-9
-_ORACLE_MAX_ITER = 200
-
-
-class OracleDivergenceError(NumericalError):
-    """Inverse iteration failed to settle on an eigenvalue."""
 
 
 @dataclass
@@ -65,12 +54,6 @@ class Spectrum:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
-
-
-def _dense(mat) -> np.ndarray:
-    if scipy.sparse.issparse(mat):
-        return mat.toarray()
-    return mat.to_dense()
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -87,7 +70,7 @@ def _check_size(n: int) -> None:
         raise ValueError(f"eigensolve refused: {n} dofs exceed the limit of {DENSE_LIMIT}")
 
 
-def solve_gevp(op: DiscreteOperator | DiscreteOperator2D) -> Spectrum:
+def solve_gevp(op: DiscreteOperator) -> Spectrum:
     """Solve ``K U = lambda M U`` for the complete spectrum.
 
     Eigenvalues come back sorted ascending with matching eigenvector columns,
@@ -95,8 +78,8 @@ def solve_gevp(op: DiscreteOperator | DiscreteOperator2D) -> Spectrum:
     """
     n = op.n_dofs
     _check_size(n)
-    K = _dense(op.K)
-    M = _dense(op.M)
+    K = op.K.to_dense()
+    M = op.M.to_dense()
     try:
         # K and M are fresh and exactly symmetric: their transposes are
         # Fortran-ordered views that LAPACK may overwrite without a copy
@@ -206,53 +189,3 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
         x = y / scale
     V = x[:, None]
     return float(op.K.quadratic_forms(V)[0] / op.M.quadratic_forms(V)[0])
-
-
-@dataclass
-class OracleReport:
-    mode_indices: list[int]
-    deviations: np.ndarray
-    max_deviation: float
-
-
-def oracle_check(op, spectrum: Spectrum, mode_indices) -> OracleReport:
-    """Re-derive selected eigenvalues by shifted inverse iteration.
-
-    Each requested mode ``j`` (1-based) is recomputed from a random start at
-    shift ``lambda_j (1 + 1e-6)``; the Rayleigh quotient must converge to the
-    solver's eigenvalue within ``1e-9`` relative.  Degenerate clusters converge
-    inside their invariant subspace, which still reproduces the eigenvalue.
-
-    Raises
-    ------
-    OracleDivergenceError
-        If the iteration does not settle for some mode.
-    """
-    K = _dense(op.K)
-    M = _dense(op.M)
-    rng = np.random.default_rng(0)
-    deviations = []
-    for j in mode_indices:
-        lam = spectrum.eigenvalues[j - 1]
-        shift = lam * (1.0 + 1e-6) if lam != 0.0 else 1e-6
-        lu, piv = scipy.linalg.lu_factor(K - shift * M)
-        x = rng.standard_normal(K.shape[0])
-        rho_old = np.inf
-        for _ in range(_ORACLE_MAX_ITER):
-            y = scipy.linalg.lu_solve((lu, piv), M @ x)
-            x = y / np.sqrt(y @ (M @ y))
-            rho = (x @ (K @ x)) / (x @ (M @ x))
-            if abs(rho - rho_old) <= 1e-13 * max(abs(rho), 1.0):
-                break
-            rho_old = rho
-        else:
-            raise OracleDivergenceError(f"inverse iteration stalled on mode {j}")
-        deviations.append(abs(rho - lam) / max(abs(lam), 1e-300))
-    deviations = np.array(deviations)
-    report = OracleReport(list(mode_indices), deviations, float(deviations.max()))
-    if report.max_deviation > _ORACLE_TOL:
-        raise OracleDivergenceError(
-            f"oracle deviation {report.max_deviation:.3e} exceeds {_ORACLE_TOL:.1e} "
-            f"(suspect modes {report.mode_indices})"
-        )
-    return report

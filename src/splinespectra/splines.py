@@ -27,10 +27,7 @@ import numpy as np
 __all__ = [
     "KnotVector",
     "BlockLayout",
-    "make_open_uniform_knots",
     "make_block_knots",
-    "greville_abscissae",
-    "continuity_at",
 ]
 
 _KNOT_TOL = 1e-12
@@ -178,18 +175,6 @@ class BlockLayout:
         return self.dim_before_bc
 
 
-def make_open_uniform_knots(n_elements: int, p: int) -> KnotVector:
-    """Open uniform knot vector on ``[0, 1]`` with all interior knots simple.
-
-    The resulting basis is ``C^{p-1}`` across every interior knot.
-    """
-    if n_elements < 1 or p < 1:
-        raise ValueError("need n_elements >= 1 and p >= 1")
-    interior = np.arange(1, n_elements) / n_elements
-    knots = np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)])
-    return KnotVector(p, knots)
-
-
 def make_block_knots(layout: BlockLayout) -> KnotVector:
     """Open uniform knot vector with separator knots of multiplicity ``p - c``."""
     p = layout.p
@@ -250,35 +235,3 @@ def span_basis_rows(kv: KnotVector, span: int, xs: np.ndarray,
             if den > 0.0:
                 dN[:, r] -= p / den * lower[:, r]
     return first, N, dN
-
-
-def greville_abscissae(kv: KnotVector) -> np.ndarray:
-    """Knot averages ``(knots[i+1] + ... + knots[i+p]) / p`` for each function.
-
-    These locate the control points of the basis; clustering near the domain
-    boundaries and separators is what makes the extra high-frequency modes
-    appear there.
-    """
-    c = np.cumsum(np.concatenate([[0.0], kv.knots]))
-    return (c[kv.p + 1:kv.p + 1 + kv.n] - c[1:kv.n + 1]) / kv.p
-
-
-def knot_multiplicity(kv: KnotVector, value: float) -> int:
-    return int(np.sum(np.abs(kv.knots - value) <= _KNOT_TOL))
-
-
-def continuity_at(kv: KnotVector, value: float) -> int:
-    """Continuity order ``p - m`` of the basis at a knot of multiplicity ``m``.
-
-    Returns ``-1`` at open ends (multiplicity ``p + 1``), meaning the basis is
-    discontinuous if extended past the domain.
-
-    Raises
-    ------
-    ValueError
-        If ``value`` is not a knot.
-    """
-    m = knot_multiplicity(kv, value)
-    if m == 0:
-        raise ValueError(f"{value} is not a knot of this vector")
-    return kv.p - m

@@ -15,6 +15,9 @@ __all__ = ["line_plot", "heatmap"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _LOG_FLOOR = 1e-16
+# page size of a line plot, and the width a heatmap's cells are sized to fill
+LINE_WIDTH, LINE_HEIGHT = 720, 460
+_HEATMAP_WIDTH = 560
 
 
 def _fmt(x: float) -> str:
@@ -35,12 +38,13 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 
 
 def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
-              logy: bool = False, width: int = 720, height: int = 460) -> str:
+              logy: bool = False) -> str:
     """Render ``(x, y, label)`` triples as polylines.
 
     With ``logy`` the magnitudes are plotted on a log10 axis (values below
     1e-16 in magnitude are clamped).
     """
+    width, height = LINE_WIDTH, LINE_HEIGHT
     ml, mr, mt, mb = 70, 20, 34, 48
     pw, ph = width - ml - mr, height - mt - mb
 
@@ -124,20 +128,17 @@ def _viridis(t: float) -> str:
 
 
 def heatmap(values: np.ndarray, *, title: str = "", xlabel: str = "",
-            ylabel: str = "", log: bool = True, cell: int = 0,
-            width: int = 560) -> str:
-    """Render a matrix as a colored cell grid (row 0 at the bottom)."""
+            ylabel: str = "") -> str:
+    """Render the log10 magnitudes of a matrix as a colored cell grid (row 0
+    at the bottom; magnitudes below 1e-16 are clamped)."""
     values = np.asarray(values, dtype=float)
     nr, nc = values.shape
-    mag = np.abs(values)
-    if log:
-        mag = np.log10(np.maximum(mag, _LOG_FLOOR))
+    mag = np.log10(np.maximum(np.abs(values), _LOG_FLOOR))
     vmin, vmax = float(mag.min()), float(mag.max())
     if vmax == vmin:
         vmax = vmin + 1.0
     ml, mt, mb = 60, 34, 40
-    if cell <= 0:
-        cell = max(2, (width - ml - 20) // nc)
+    cell = max(2, (_HEATMAP_WIDTH - ml - 20) // nc)
     w = ml + nc * cell + 20
     h = mt + nr * cell + mb
     out = [
@@ -145,7 +146,7 @@ def heatmap(values: np.ndarray, *, title: str = "", xlabel: str = "",
         f'width="{w}" height="{h}">',
         f'<g class="heatmap" data-rows="{nr}" data-cols="{nc}" '
         f'data-vmin="{_fmt(vmin)}" data-vmax="{_fmt(vmax)}" '
-        f'data-log="{str(log).lower()}">',
+        'data-log="true">',
     ]
     for i in range(nr):
         for j in range(nc):

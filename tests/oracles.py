@@ -4,16 +4,40 @@ These deliberately avoid the library's own fast paths: basis values come from
 scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions,
 linear-element eigenvalues from their closed form, the 2D operators from a direct tensor-product element loop with nested quadrature,
 and error budgets from dense operator products and scipy's design matrix.
+
+Reference routes for claims the CLI computes another way:
+
+- :func:`kron_2d_operators` forms the 2D pencil as Kronecker products of the
+  1D operators, whose spectrum the ``spectrum2d`` subcommand reads as sums of
+  pairs of 1D eigenvalues;
+- :func:`oracle_check` re-derives eigenvalues by dense shifted inverse
+  iteration;
+- :func:`reconstruct_stopping_mode` rebuilds a global stopping mode from the
+  bubble eigenvectors of the blocks;
+- :func:`branch_count` counts spectrum branches from the band positions.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.interpolate
 import scipy.linalg
+import scipy.sparse
 
+from splinespectra.analysis import (
+    detect_stopping_bands,
+    local_bubble_spectra,
+    partition_dofs,
+)
+from splinespectra.assembly import NumericalError
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, span_basis_rows
+
+# a block owns a band when one of its bubble eigenvalues is this close (relative)
+_BUBBLE_MATCH_TOL = 1e-8
+_ORACLE_TOL = 1e-9
+_ORACLE_MAX_ITER = 200
 
 
 def scipy_basis_value(kv: KnotVector, i: int, x: float) -> float:
@@ -176,3 +200,166 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
         terms["ev_rel"] + terms["ef_l2_sq"] + terms["energy_gap"]
         + terms["l2_deficit"])
     return terms
+
+
+def kron_2d_operators(op):
+    """Tensor-product pencil on the unit square from the 1D operators of ``op``.
+
+    Returns sparse ``(M2, K2)`` with ``M2 = M (x) M`` and
+    ``K2 = K (x) M + M (x) K``, the x index slowest.
+    """
+    Ms = op.M.to_sparse()
+    Ks = op.K.to_sparse()
+    M2 = scipy.sparse.kron(Ms, Ms, format="csr")
+    K2 = (scipy.sparse.kron(Ks, Ms) + scipy.sparse.kron(Ms, Ks)).tocsr()
+    return M2, K2
+
+
+class OracleDivergenceError(NumericalError):
+    """Inverse iteration failed to settle on an eigenvalue."""
+
+
+@dataclass
+class OracleReport:
+    mode_indices: list[int]
+    deviations: np.ndarray
+    max_deviation: float
+
+
+def oracle_check(K: np.ndarray, M: np.ndarray, eigenvalues: np.ndarray,
+                 mode_indices) -> OracleReport:
+    """Re-derive selected eigenvalues of the dense pencil ``(K, M)``.
+
+    Each requested mode ``j`` (1-based) is recomputed by shifted inverse
+    iteration from a random start at shift ``lambda_j (1 + 1e-6)``; the
+    Rayleigh quotient must converge to ``eigenvalues[j - 1]`` within ``1e-9``
+    relative.  Degenerate clusters converge inside their invariant subspace,
+    which still reproduces the eigenvalue.
+
+    Raises
+    ------
+    OracleDivergenceError
+        If the iteration does not settle for some mode, or settles away from
+        the given eigenvalue.
+    """
+    rng = np.random.default_rng(0)
+    deviations = []
+    for j in mode_indices:
+        lam = eigenvalues[j - 1]
+        shift = lam * (1.0 + 1e-6) if lam != 0.0 else 1e-6
+        lu, piv = scipy.linalg.lu_factor(K - shift * M)
+        x = rng.standard_normal(K.shape[0])
+        rho_old = np.inf
+        for _ in range(_ORACLE_MAX_ITER):
+            y = scipy.linalg.lu_solve((lu, piv), M @ x)
+            x = y / np.sqrt(y @ (M @ y))
+            rho = (x @ (K @ x)) / (x @ (M @ x))
+            if abs(rho - rho_old) <= 1e-13 * max(abs(rho), 1.0):
+                break
+            rho_old = rho
+        else:
+            raise OracleDivergenceError(f"inverse iteration stalled on mode {j}")
+        deviations.append(abs(rho - lam) / max(abs(lam), 1e-300))
+    deviations = np.array(deviations)
+    report = OracleReport(list(mode_indices), deviations, float(deviations.max()))
+    if report.max_deviation > _ORACLE_TOL:
+        raise OracleDivergenceError(
+            f"oracle deviation {report.max_deviation:.3e} exceeds {_ORACLE_TOL:.1e} "
+            f"(suspect modes {report.mode_indices})"
+        )
+    return report
+
+
+class SingularInterfaceError(NumericalError):
+    """Interface block of the shifted pencil is numerically singular."""
+
+
+def reconstruct_stopping_mode(op, part, band_value: float, local=None) -> np.ndarray:
+    """Reassemble a global stopping mode from local bubble eigenfunctions.
+
+    The candidate space is the span of the per-block bubble eigenvectors at
+    the band eigenvalue, extended by zero.  A Galerkin projection of the
+    shifted pencil onto that space determines the combination weights; the
+    interface values then follow by eliminating them through the interface
+    block of the shifted system.  The mode comes back normalized against the
+    exact mass matrix.
+
+    Raises
+    ------
+    SingularInterfaceError
+        If the interface block of the shifted pencil is singular.
+    ValueError
+        If no block owns a bubble eigenvalue at ``band_value``.
+    """
+    if local is None:
+        local = local_bubble_spectra(op, part)
+    n = op.n_dofs
+    columns = []
+    for modes in local:
+        sel = np.where(np.abs(modes.eigenvalues - band_value)
+                       <= _BUBBLE_MATCH_TOL * abs(band_value))[0]
+        for s in sel:
+            col = np.zeros(n)
+            col[modes.dof_indices] = modes.eigenvectors[:, s]
+            columns.append(col)
+    if not columns:
+        raise ValueError(f"{band_value} is not a bubble eigenvalue of any block")
+    Phi = np.array(columns).T
+
+    A = op.K.to_dense() - band_value * op.M.to_dense()
+    i_idx = part.interface
+    APhi = A @ Phi
+    if i_idx.size:
+        Aii = A[np.ix_(i_idx, i_idx)]
+        C = APhi[i_idx, :]
+        try:
+            lu, piv = scipy.linalg.lu_factor(Aii)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularInterfaceError("interface block is singular") from exc
+        if np.abs(np.diag(lu)).min() < 1e-12 * np.abs(np.diag(lu)).max():
+            raise SingularInterfaceError("interface block is numerically singular")
+        Y = scipy.linalg.lu_solve((lu, piv), C)
+        S = Phi.T @ APhi - C.T @ Y
+    else:
+        Y = np.zeros((0, Phi.shape[1]))
+        S = Phi.T @ APhi
+    S = 0.5 * (S + S.T)
+    w, q = scipy.linalg.eigh(S)
+    alpha = q[:, np.argmin(np.abs(w))]
+
+    U = Phi @ alpha
+    if i_idx.size:
+        U[i_idx] = -Y @ alpha
+    Me = op.M_exact.to_dense()
+    U /= math.sqrt(U @ (Me @ U))
+    lead = int(np.abs(U).argmax())
+    if U[lead] < 0:
+        U = -U
+    return U
+
+
+def branch_count(eigenvalues: np.ndarray, op, j_max: int | None = None) -> int:
+    """Number of spectrum branches inside a mode window, from the band positions.
+
+    ``eigenvalues`` is the ascending global spectrum of ``op``.
+
+    Branch boundaries are the stopping bands; the count is one plus the
+    number of distinct bubble-band eigenvalues whose matched global mode
+    index lies strictly inside ``(1, j_max)``.  The default window is
+    ``j_max = n_elements + p - 2``, the abscissa normalization of the error
+    plots, so boundary bands sitting exactly at the window edge separate the
+    window from the outlier region rather than splitting it.
+
+    This is the robust automation of counting the branches of the error
+    curves: the low-spectrum bands perturb the eigenvalues by less than
+    floating-point noise (their modes are commensurate with the separator
+    grid), so the band positions, not curve heuristics, carry the structure.
+    """
+    if op.layout.n_separators == 0:
+        return 1
+    local = local_bubble_spectra(op, partition_dofs(op.layout))
+    report = detect_stopping_bands(eigenvalues, local, op.layout)
+    if j_max is None:
+        j_max = op.layout.n_elements + op.kv.p - 2
+    interior = sum(1 for m in report.matches if 1 < m.global_index + 1 < j_max)
+    return interior + 1

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from splinespectra.analysis import (
-    branch_count,
     coefficient_flatness,
     convergence_study,
     count_outliers,
@@ -25,14 +24,19 @@ from splinespectra.analysis import (
     local_bubble_spectra,
     outlier_report,
     partition_dofs,
-    reconstruct_stopping_mode,
 )
-from splinespectra.assembly import assemble_2d_tensor, assemble_layout
+from splinespectra.assembly import assemble_layout
 from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import direct_2d_operators, eliminate_2d_dirichlet
+from oracles import (
+    branch_count,
+    direct_2d_operators,
+    eliminate_2d_dirichlet,
+    kron_2d_operators,
+    reconstruct_stopping_mode,
+)
 
 import scipy.linalg
 
@@ -154,7 +158,7 @@ def test_criterion_6_stopping_bands():
     part = partition_dofs(lay)
     local = local_bubble_spectra(op, part)
     rep = detect_stopping_bands(solve_eigenvalues(op), local, lay)
-    bands_ok = rep.band_count == 10 and rep.matched_count(1e-6) == 10
+    bands_ok = rep.band_count == 10 and rep.matched_count() == 10
 
     K, M = op.K.to_dense(), op.M.to_dense()
     worst_res = 0.0
@@ -170,11 +174,11 @@ def test_criterion_6_stopping_bands():
     part_f = partition_dofs(lay_f)
     rep_f = detect_stopping_bands(solve_eigenvalues(op_f),
                                   local_bubble_spectra(op_f, part_f), lay_f)
-    fea_ok = rep_f.band_count == 1 and rep_f.matched_count(1e-6) == 1
+    fea_ok = rep_f.band_count == 1 and rep_f.matched_count() == 1
 
     ok = bands_ok and recon_ok and fea_ok
     assert report(6, ok, f"10 blocks of 10: {rep.band_count} bands, "
-                         f"{rep.matched_count(1e-6)} matched < 1e-6; "
+                         f"{rep.matched_count()} matched < 1e-6; "
                          f"worst reconstruction residual {worst_res:.2e}; "
                          f"fea bands {rep_f.band_count} (want 1)")
 
@@ -221,14 +225,13 @@ def test_criterion_8_riga_beats_fea():
 def test_criterion_9_2d_kronecker_oracle():
     lay = BlockLayout.iga(8, 2)
     op = assemble_layout(lay)
-    op2 = assemble_2d_tensor(op)
+    M2, K2 = kron_2d_operators(op)
     M2d, K2d = direct_2d_operators(op.kv, lay.p + 1)
     n1 = op.kv.n
     w_direct = scipy.linalg.eigh(eliminate_2d_dirichlet(K2d, n1),
                                  eliminate_2d_dirichlet(M2d, n1),
                                  eigvals_only=True)
-    w_kron = scipy.linalg.eigh(op2.K.toarray(), op2.M.toarray(),
-                               eigvals_only=True)
+    w_kron = scipy.linalg.eigh(K2.toarray(), M2.toarray(), eigvals_only=True)
     dev_direct = float(np.max(np.abs(w_kron - w_direct) / w_direct))
 
     lam1 = solve_eigenvalues(op)

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from splinespectra.analysis import (
-    am_fit,
-    branch_count,
     coefficient_flatness,
     convergence_study,
     count_outliers,
@@ -14,14 +12,10 @@ from splinespectra.analysis import (
     eigenvalue_errors,
     error_budget,
     exact_eigenvalues_2d,
-    exact_spectrum_1d,
     find_optimal_tau,
-    frequency_content,
-    l2_pair_inner,
     local_bubble_spectra,
     outlier_report,
     partition_dofs,
-    reconstruct_stopping_mode,
 )
 from splinespectra import analysis
 from splinespectra.assembly import assemble_layout
@@ -29,7 +23,13 @@ from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import dense_error_budget, design_rows, linear_fem_eigenvalue
+from oracles import (
+    branch_count,
+    dense_error_budget,
+    design_rows,
+    linear_fem_eigenvalue,
+    reconstruct_stopping_mode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,24 +44,10 @@ def fig9_setup():
 # ---------------------------------------------------------------------------
 
 def test_exact_modes():
-    m = exact_spectrum_1d(1)
-    assert m.eigenvalue == pytest.approx(math.pi ** 2)
-    assert m(0.5) == pytest.approx(math.sqrt(2.0))
-    assert m(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0], abs=1e-15)
-
-    n0 = exact_spectrum_1d(0, bc="neumann")
-    assert n0.eigenvalue == 0.0
-    assert np.all(n0(np.linspace(0, 1, 5)) == 1.0)
-
     lam2d, jj, kk = exact_eigenvalues_2d(3)
     assert lam2d[0] == pytest.approx(2 * math.pi ** 2)
     assert (jj[0], kk[0]) == (1, 1)
     assert np.all(np.diff(lam2d) >= 0)
-
-    with pytest.raises(ValueError):
-        exact_spectrum_1d(0)
-    with pytest.raises(ValueError):
-        exact_spectrum_1d(-1, bc="neumann")
 
 
 # ---------------------------------------------------------------------------
@@ -91,27 +77,34 @@ def test_sample_matrix_matches_design_matrix(layout):
 # pair inner products
 # ---------------------------------------------------------------------------
 
+def pair_inner(op, j, v, subdivisions=None):
+    """``(u_j, v)`` for exact mode ``j``, on the grid ``error_budget`` uses."""
+    if subdivisions is None:
+        subdivisions = analysis._required_subdivisions(j, op.layout.h)
+    return float(analysis._pair_inner(op, v[:, None], np.array([j]), op.bc,
+                                      subdivisions)[0])
+
+
 def test_l2_pair_inner_resolved_mode():
     op = assemble_layout(BlockLayout.iga(16, 2))
     spec = solve_gevp(op)
     v = spec.eigenvectors[:, 0]
-    inner = l2_pair_inner(exact_spectrum_1d(1), v, op)
+    inner = pair_inner(op, 1, v)
     assert abs(abs(inner) - 1.0) < 1e-6
     # the Neumann constant mode is 1, not sqrt(2) cos(0)
     op = assemble_layout(BlockLayout.iga(16, 2, bc="neumann"))
     v = solve_gevp(op).eigenvectors[:, 0]
-    inner = l2_pair_inner(exact_spectrum_1d(0, bc="neumann"), v, op)
+    inner = pair_inner(op, 0, v)
     assert abs(abs(inner) - 1.0) < 1e-6
 
 
 def test_l2_pair_inner_linearity_and_refinement():
     op = assemble_layout(BlockLayout.iga(16, 2))
     spec = solve_gevp(op)
-    mode = exact_spectrum_1d(5)
-    assert l2_pair_inner(mode, np.zeros(op.n_dofs), op) == 0.0
+    assert pair_inner(op, 5, np.zeros(op.n_dofs)) == 0.0
     v = spec.eigenvectors[:, 4]
-    base = l2_pair_inner(mode, v, op)  # default rule uses 2 subintervals here
-    refined = l2_pair_inner(mode, v, op, subdivisions=4)
+    base = pair_inner(op, 5, v)  # default rule uses 2 subintervals here
+    refined = pair_inner(op, 5, v, subdivisions=4)
     assert abs(base - refined) < 1e-10
 
 
@@ -293,7 +286,7 @@ def test_detect_bands_riga_ten_by_ten():
     part = partition_dofs(lay)
     report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
     assert report.band_count == 10 == report.expected_count
-    assert report.matched_count(1e-6) == 10
+    assert report.matched_count() == 10
 
 
 def test_detect_bands_fea_degree_counts():
@@ -303,7 +296,7 @@ def test_detect_bands_fea_degree_counts():
         part = partition_dofs(lay)
         report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
         assert report.band_count == want == report.expected_count
-        assert report.matched_count(1e-6) == want
+        assert report.matched_count() == want
 
 
 def test_detect_bands_without_separators_is_empty():
@@ -402,10 +395,9 @@ def test_outlier_report_samples_once(fig9_setup, monkeypatch):
     assert len(calls) == 1
     # the shared sampling reproduces the standalone per-mode results exactly
     for info in report.outliers:
-        v = spec.eigenvectors[:, info.mode - 1]
-        fc = frequency_content(v, op)
+        fc, fit = frequency_analysis(spec.eigenvectors[:, info.mode - 1], op)
         assert np.array_equal(info.content.magnitudes, fc.magnitudes)
-        assert info.am == am_fit(v, op)
+        assert info.am == fit
 
 
 def test_outlier_report_no_outliers():
@@ -421,26 +413,24 @@ def test_outlier_report_no_outliers():
 # frequency content and AM fits
 # ---------------------------------------------------------------------------
 
+def frequency_analysis(v, op):
+    """Frequency content and AM fit of one mode, sampled on its own."""
+    f = analysis.sample_matrix(op, analysis._sample_grid(op)) @ v
+    fc = analysis._frequency_content(f, op.bc)
+    return fc, analysis._two_wave_fit(f, fc, op)
+
+
 def test_frequency_content_resolved_mode(fig9_setup):
     op, spec = fig9_setup
-    fc = frequency_content(spec.eigenvectors[:, 99], op)
+    fc, _ = frequency_analysis(spec.eigenvectors[:, 99], op)
     peaks = fc.dominant_peaks(1)
     assert peaks[0][0] == pytest.approx(100 / 2)  # j/2 cycles per unit length
     assert peaks[0][1] == pytest.approx(math.sqrt(2.0), rel=1e-2)
 
 
-def test_frequency_content_validation(fig9_setup):
-    op, _ = fig9_setup
-    v = np.zeros(op.n_dofs)
-    with pytest.raises(ValueError):
-        frequency_content(v, op, samples=256)   # below 2 N
-    with pytest.raises(ValueError):
-        frequency_content(v, op, samples=777)   # not a power of two
-
-
 def test_am_fit_low_mode_single_peak(fig9_setup):
     op, spec = fig9_setup
-    fit = am_fit(spec.eigenvectors[:, 4], op)
+    _, fit = frequency_analysis(spec.eigenvectors[:, 4], op)
     assert fit.a1 == pytest.approx(math.sqrt(2.0), rel=1e-2)
     assert fit.f1 == pytest.approx(2.5)
     assert fit.a2 < 1e-4 * fit.a1
@@ -452,7 +442,7 @@ def test_am_fit_near_top_frequency_link(fig9_setup):
     # the peak frequencies add up to the element count exactly, while the
     # dof-count convention is off by the two separator modes
     op, spec = fig9_setup
-    fit = am_fit(spec.eigenvectors[:, 190], op)
+    _, fit = frequency_analysis(spec.eigenvectors[:, 190], op)
     assert fit.a2 > 0.9 * fit.a1
     assert fit.f1 + fit.f2 == pytest.approx(192.0)
     assert fit.defect_elements <= 0.5  # within one half-cycle bin
@@ -461,7 +451,7 @@ def test_am_fit_near_top_frequency_link(fig9_setup):
 
 def test_outlier_has_no_clear_am_structure(fig9_setup):
     op, spec = fig9_setup
-    fit = am_fit(spec.eigenvectors[:, 193], op)
+    _, fit = frequency_analysis(spec.eigenvectors[:, 193], op)
     assert fit.misfit > 0.5  # spurious mode, the two-wave model fails
 
 

@@ -5,14 +5,16 @@ import scipy.linalg
 from splinespectra.assembly import (
     SingularMassError,
     SymmetricBandedMatrix,
-    assemble_2d_tensor,
     assemble_layout,
-    dump_matrix,
 )
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import direct_2d_operators, eliminate_2d_dirichlet
+from oracles import direct_2d_operators, eliminate_2d_dirichlet, kron_2d_operators
+
+
+def row_sums(mat):
+    return np.asarray(mat.to_sparse().sum(axis=1)).ravel()
 
 
 def test_linear_two_elements_dirichlet():
@@ -25,12 +27,12 @@ def test_linear_two_elements_dirichlet():
 def test_mass_total_is_domain_measure():
     # Neumann keeps all functions; partition of unity integrates to 1
     op = assemble_layout(BlockLayout.iga(3, 2, bc="neumann"))
-    assert op.M_exact.total_sum() == pytest.approx(1.0, abs=1e-12)
+    assert op.M_exact.to_sparse().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stiffness_rowsums_vanish_before_elimination():
     op = assemble_layout(BlockLayout.riga(12, 3, 4, bc="neumann"))
-    assert np.max(np.abs(op.K.row_sums())) < 1e-12
+    assert np.max(np.abs(row_sums(op.K))) < 1e-12
 
 
 @pytest.mark.parametrize("tau", [2 / 3, 1.0, 1.8])
@@ -100,20 +102,18 @@ def test_rank_deficient_mass_rejected():
 
 def test_kron_2d_single_dof():
     op = assemble_layout(BlockLayout.fea(2, 1))
-    op2 = assemble_2d_tensor(op)
-    assert np.allclose(op2.M.toarray(), [[1 / 9]])
-    assert np.allclose(op2.K.toarray(), [[8 / 3]])
-    lam = (op2.K.toarray() / op2.M.toarray())[0, 0]
+    M2, K2 = kron_2d_operators(op)
+    assert np.allclose(M2.toarray(), [[1 / 9]])
+    assert np.allclose(K2.toarray(), [[8 / 3]])
+    lam = (K2.toarray() / M2.toarray())[0, 0]
     assert lam == pytest.approx(24.0)  # vs exact 2 pi^2 ~ 19.74
 
 
 def test_kron_2d_dimension_and_cap():
+    # the 2D cap is the CLI's (test_cli::test_library_input_errors_exit_2)
     op = assemble_layout(BlockLayout.iga(8, 2))
-    op2 = assemble_2d_tensor(op)
-    assert op2.n_dofs == op.n_dofs ** 2
-    # 201 dofs per direction: 201^2 = 40401 unknowns, above MAX_DOFS_2D
-    with pytest.raises(ValueError):
-        assemble_2d_tensor(assemble_layout(BlockLayout.iga(201, 2)))
+    M2, K2 = kron_2d_operators(op)
+    assert M2.shape == K2.shape == (op.n_dofs ** 2, op.n_dofs ** 2)
 
 
 def test_kron_matches_direct_2d_assembly():
@@ -121,9 +121,9 @@ def test_kron_matches_direct_2d_assembly():
     op = assemble_layout(layout)
     M2d, K2d = direct_2d_operators(op.kv, layout.p + 1)
     n1 = op.kv.n
-    op2 = assemble_2d_tensor(op)
-    assert np.allclose(op2.M.toarray(), eliminate_2d_dirichlet(M2d, n1), atol=1e-14)
-    assert np.allclose(op2.K.toarray(), eliminate_2d_dirichlet(K2d, n1), atol=1e-12)
+    M2, K2 = kron_2d_operators(op)
+    assert np.allclose(M2.toarray(), eliminate_2d_dirichlet(M2d, n1), atol=1e-14)
+    assert np.allclose(K2.toarray(), eliminate_2d_dirichlet(K2d, n1), atol=1e-12)
 
 
 def test_band_restriction_matches_dense_slice():
@@ -139,28 +139,14 @@ def test_band_restriction_matches_dense_slice():
         mat.restricted(np.array([0, 2, 4]))
     # the sparse form is built from the band, not from the dense matrix
     mats = [mat, sub]
+    # iga(1, 3): a band of width 3 on a 2 x 2 matrix
     for layout in (BlockLayout.fea(5, 3), BlockLayout.iga(7, 2),
-                   BlockLayout.riga(12, 3, 4)):
+                   BlockLayout.riga(12, 3, 4), BlockLayout.iga(1, 3)):
         op = assemble_layout(layout)  # Dirichlet-restricted bands
         mats += [op.M, op.K, op.M_exact, op.K_exact]
     for m in mats:
         assert np.array_equal(m.to_sparse().toarray(), m.to_dense())
-        assert np.allclose(m.row_sums(), m.to_dense().sum(axis=1), atol=1e-14)
-
-
-def test_dump_matrix_format():
-    op = assemble_layout(BlockLayout.iga(4, 2))
-    text = dump_matrix(op.M)
-    lines = text.strip().split("\n")
-    u, n = op.M.bandwidth, op.M.n
-    assert len(lines) == sum(j - max(0, j - u) + 1 for j in range(n))
-    i, j, v = lines[0].split()
-    assert (int(i), int(j)) == (0, 0)
-    assert float(v) == op.M.entry(0, 0)
-    # every line reproduces the stored entry
-    for line in lines:
-        i, j, v = line.split()
-        assert float(v) == op.M.entry(int(i), int(j))
+        assert np.allclose(row_sums(m), m.to_dense().sum(axis=1), atol=1e-14)
 
 
 def test_dof_indices_track_eliminated_boundary():

@@ -6,11 +6,7 @@ import pytest
 from splinespectra.splines import (
     BlockLayout,
     KnotVector,
-    continuity_at,
-    greville_abscissae,
-    knot_multiplicity,
     make_block_knots,
-    make_open_uniform_knots,
     span_basis_rows,
 )
 
@@ -20,6 +16,10 @@ from oracles import (
     scipy_basis_deriv,
     scipy_basis_value,
 )
+
+
+def knot_multiplicity(kv, value):
+    return int(np.sum(np.abs(kv.knots - value) <= 1e-12))
 
 
 def basis_table(kv, xs):
@@ -44,24 +44,24 @@ def basis_table(kv, xs):
 
 
 def test_open_uniform_examples():
-    kv = make_open_uniform_knots(2, 1)
+    kv = make_block_knots(BlockLayout.iga(2, 1))
     assert np.allclose(kv.knots, [0, 0, 0.5, 1, 1])
     assert kv.n == 3
 
-    kv = make_open_uniform_knots(3, 2)
+    kv = make_block_knots(BlockLayout.iga(3, 2))
     assert np.allclose(kv.knots, [0, 0, 0, 1 / 3, 2 / 3, 1, 1, 1])
     assert kv.n == 5
 
-    kv = make_open_uniform_knots(1000, 2)
+    kv = make_block_knots(BlockLayout.iga(1000, 2))
     assert kv.n == 1002
     assert kv.n - 2 == 1000  # Dirichlet strip leaves N_e + p - 2
 
 
 def test_open_uniform_validation():
     with pytest.raises(ValueError):
-        make_open_uniform_knots(0, 2)
+        make_block_knots(BlockLayout.iga(0, 2))
     with pytest.raises(ValueError):
-        make_open_uniform_knots(4, 0)
+        make_block_knots(BlockLayout.iga(4, 0))
 
 
 def test_block_knots_cubic_separators():
@@ -73,8 +73,8 @@ def test_block_knots_cubic_separators():
 
 def test_block_knots_no_separators_matches_uniform():
     lay = BlockLayout(10, 2, block_size=10, separator_continuity=1)
-    assert np.allclose(make_block_knots(lay).knots,
-                       make_open_uniform_knots(10, 2).knots)
+    uniform = np.concatenate([np.zeros(3), np.arange(1, 10) / 10, np.ones(3)])
+    assert np.allclose(make_block_knots(lay).knots, uniform)
 
 
 def test_block_knots_fea_dimension():
@@ -118,7 +118,7 @@ def test_span_rows_single_element_quadratic():
 
 def test_partition_of_unity():
     rng = np.random.default_rng(7)
-    for kv in (make_open_uniform_knots(6, 2),
+    for kv in (make_block_knots(BlockLayout.iga(6, 2)),
                make_block_knots(BlockLayout.riga(12, 3, 4)),
                make_block_knots(BlockLayout.fea(5, 2))):
         N, _ = basis_table(kv, rng.uniform(0.0, 1.0, size=1000))
@@ -139,7 +139,8 @@ def test_hat_derivative():
 
 
 def test_right_endpoint_left_limit():
-    for kv in (make_open_uniform_knots(4, 2), make_block_knots(BlockLayout.fea(3, 3))):
+    for kv in (make_block_knots(BlockLayout.iga(4, 2)),
+               make_block_knots(BlockLayout.fea(3, 3))):
         N, _ = basis_table(kv, [1.0])
         assert N[0, -1] == pytest.approx(1.0, abs=1e-14)
         assert N[0].sum() == pytest.approx(1.0, abs=1e-14)
@@ -162,8 +163,8 @@ def test_against_scipy_de_boor():
     # every active function on every span, values and derivatives, including
     # the repeated separator knots of the rIGA vectors
     rng = np.random.default_rng(3)
-    for kv in (make_open_uniform_knots(8, 2),
-               make_open_uniform_knots(5, 3),
+    for kv in (make_block_knots(BlockLayout.iga(8, 2)),
+               make_block_knots(BlockLayout.iga(5, 3)),
                make_block_knots(BlockLayout.riga(12, 3, 4)),
                make_block_knots(BlockLayout.riga(8, 2, 4))):
         for span, a, b in kv.spans():
@@ -192,34 +193,6 @@ def test_span_rows_match_scalar_eval():
                     cox_de_boor_deriv(kv, first + r, x), abs=1e-11)
 
 
-def test_greville_examples():
-    assert np.allclose(greville_abscissae(make_open_uniform_knots(4, 1)),
-                       [0, 0.25, 0.5, 0.75, 1])
-    assert np.allclose(greville_abscissae(make_open_uniform_knots(4, 2)),
-                       [0, 0.125, 0.375, 0.625, 0.875, 1])
-
-
-def test_greville_riga_adds_separator_point():
-    uniform = greville_abscissae(make_open_uniform_knots(20, 2))
-    riga = greville_abscissae(make_block_knots(BlockLayout.riga(20, 2, 10)))
-    assert riga.size == uniform.size + 1
-    extra = sorted(set(np.round(riga, 12)) - set(np.round(uniform, 12)))
-    assert extra == [0.5]
-
-
-def test_continuity_at():
-    kv = make_block_knots(BlockLayout.riga(15, 3, 5))
-    assert continuity_at(kv, 1 / 3) == 0
-    assert continuity_at(kv, 1 / 15) == 2
-    assert continuity_at(kv, 0.0) == -1
-
-    kv2 = make_open_uniform_knots(4, 2)
-    assert continuity_at(kv2, 0.25) == 1
-    assert continuity_at(kv2, 1.0) == -1
-    with pytest.raises(ValueError):
-        continuity_at(kv2, 0.3)
-
-
 def test_continuity_jumps_by_finite_differences():
     # multiplicity m knot: derivatives up to order p - m agree from both
     # sides, the next one jumps
@@ -230,7 +203,7 @@ def test_continuity_jumps_by_finite_differences():
 
     cases = [
         (make_block_knots(BlockLayout.riga(4, 2, 2)), 0.5, 2),   # m = 2, C^0
-        (make_open_uniform_knots(4, 2), 0.5, 1),                 # m = 1, C^1
+        (make_block_knots(BlockLayout.iga(4, 2)), 0.5, 1),       # m = 1, C^1
         (make_block_knots(BlockLayout.riga(4, 3, 2)), 0.5, 3),   # m = 3, C^0
     ]
     for kv, z, m in cases:
