@@ -32,7 +32,6 @@ from .analysis import (
     AmFit,
     BandMatch,
     BlockBubbleModes,
-    DofPartition,
     FrequencyContent,
     ModeErrorBudget,
     OutlierReport,

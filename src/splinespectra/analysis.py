@@ -31,11 +31,10 @@ from .assembly import (
 )
 from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
-from .splines import BlockLayout, make_block_knots, span_basis_rows
+from .splines import BlockLayout, span_basis_rows
 
 __all__ = [
     "ModeErrorBudget",
-    "DofPartition",
     "BlockBubbleModes",
     "BandMatch",
     "StoppingBandReport",
@@ -136,8 +135,8 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
     """L2 inner products of exact modes ``js`` with the columns of ``V``.
 
     Integrates element by element with Gauss ``p + 2`` points on
-    ``subdivisions`` equal subintervals per element; ``max(1, ceil(j h) + 1)``
-    of them resolve the oscillation of exact mode ``j``.  One sampling matrix
+    ``subdivisions`` equal subintervals per element; ``ceil(j h) + 1`` of
+    them resolve the oscillation of exact mode ``j >= 1``.  One sampling matrix
     serves all columns, applied to blocks of columns so that the grid-sized
     temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each."""
     rule = gauss_rule(op.kv.p + 2)
@@ -165,7 +164,7 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
 
 
 def _required_subdivisions(j: int, h: float) -> int:
-    return max(1, math.ceil(j * h) + 1)
+    return math.ceil(j * h) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +209,8 @@ def eigenvalue_errors(spectrum: Spectrum, op: DiscreteOperator) -> np.ndarray:
     return np.divide(err, lam, out=err.copy(), where=lam != 0)
 
 
-def error_budget(spectrum: Spectrum, op: DiscreteOperator,
-                 modes=None) -> list[ModeErrorBudget]:
-    """Per-mode error budgets, pairing discrete and exact modes by ascending order.
+def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> list[ModeErrorBudget]:
+    """Error budgets of every mode, pairing discrete and exact modes by ascending order.
 
     Signs are aligned so that the pair inner product ``(u_j, v_j)`` is
     non-negative before eigenfunction errors are formed.  Energy inner
@@ -222,27 +220,30 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
     For Neumann operators the constant mode (zero exact eigenvalue) is
     excluded from the budget.
 
+    The exact terms ``v^T M v`` and ``v^T K v`` come from the reference
+    pencil under Gauss ``p + 1`` points, which integrates both the mass
+    (degree ``2p``) and stiffness (degree ``2p - 2``) integrands exactly.
+    Under that rule ``op`` is its own reference; any other rule re-assembles
+    the layout once.
+
     Cost for ``n`` dofs and ``m`` modes: the three quadratic forms
     ``v^T A v`` take O(n m p) from the stored bands, and the pair inner
     products O(Q m) on a grid of ``Q`` points.  Memory is O(n m) for the
     selected eigenvectors plus a few grid temporaries of at most
     ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is formed.
     """
-    n = spectrum.n_modes
-    if modes is None:
-        modes = range(1, n + 1)
-    modes = [int(m) for m in modes]
-    if any(m < 1 or m > n for m in modes):
-        raise ValueError(f"mode numbers must lie in [1, {n}]")
-    if op.bc == "neumann":
-        modes = [m for m in modes if _exact_index(m, op.bc) >= 1]
-    n0 = op.layout.n_elements + op.kv.p - 2
+    p = op.kv.p
+    modes = list(range(1 if op.bc == "dirichlet" else 2, spectrum.n_modes + 1))
+    n0 = op.layout.n_elements + p - 2
     if n0 < 1:
         raise ValueError("error budget needs N0 = n_elements + p - 2 >= 1")
+    q = op.quadrature
+    is_reference = q.kind == "gauss" and q.n_points(p) == p + 1
+    exact = op if is_reference else assemble_layout(op.layout)
 
     V = spectrum.eigenvectors[:, [m - 1 for m in modes]]
-    quad_me = op.M_exact.quadratic_forms(V)
-    quad_ke = op.K_exact.quadratic_forms(V)
+    quad_me = exact.M.quadratic_forms(V)
+    quad_ke = exact.K.quadratic_forms(V)
     quad_kq = op.K.quadratic_forms(V)
 
     # group modes by required subdivision count so the sampling matrix and
@@ -287,83 +288,48 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator,
 # bubble / interface partition and stopping bands
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DofPartition:
-    """Reduced degrees of freedom split into per-block bubbles and interfaces."""
+def partition_dofs(layout: BlockLayout) -> list[np.ndarray]:
+    """Reduced indices of every block's bubble functions, one contiguous range
+    per block.
 
-    interface: np.ndarray          # reduced indices of separator functions
-    bubbles: np.ndarray            # reduced indices of all bubble functions
-    block_of_bubble: np.ndarray    # block index per entry of ``bubbles``
-    n_blocks: int
-
-    def block_bubbles(self, block: int) -> np.ndarray:
-        return self.bubbles[self.block_of_bubble == block]
-
-
-def partition_dofs(layout: BlockLayout) -> DofPartition:
-    """Split degrees of freedom into separator interfaces and per-block bubbles.
-
-    Only defined for ``C^0`` separators under Dirichlet conditions: each
-    separator contributes exactly one basis function that is nonzero there
-    (the interface), and every other function is supported inside a single
-    block (a bubble).
+    Only defined for ``C^0`` separators under Dirichlet conditions.  A block of
+    ``B`` elements then holds ``B + p - 2`` bubbles, supported inside it, and
+    each separator adds one interface function, the index right after the
+    bubbles of the block to its left.
     """
     if layout.separator_continuity != 0 and layout.n_separators > 0:
         raise ValueError("bubble/interface partition requires C^0 separators")
     if layout.bc != "dirichlet":
         raise ValueError("bubble/interface partition requires Dirichlet conditions")
-    kv = make_block_knots(layout)
-    p = kv.p
-    seps = layout.separator_values()
-    interface_basis = []
-    for z in seps:
-        last = int(np.max(np.where(np.abs(kv.knots - z) <= 1e-12)))
-        interface_basis.append(last - p)
-    interface_set = set(interface_basis)
-
-    keep = np.arange(1, kv.n - 1)
-    reduced_of = {g: r for r, g in enumerate(keep)}
-    interface = np.array([reduced_of[g] for g in interface_basis], dtype=int)
-
-    edges = np.concatenate([[0.0], seps, [1.0]])
-    bubbles, block_of = [], []
-    for r, g in enumerate(keep):
-        if g in interface_set:
-            continue
-        lo, hi = kv.knots[g], kv.knots[g + p + 1]
-        block = int(np.searchsorted(edges, 0.5 * (lo + hi)) - 1)
-        if lo < edges[block] - 1e-12 or hi > edges[block + 1] + 1e-12:
-            raise ValueError(f"dof {g} is neither interface nor single-block bubble")
-        bubbles.append(r)
-        block_of.append(block)
-    return DofPartition(
-        interface=interface,
-        bubbles=np.array(bubbles, dtype=int),
-        block_of_bubble=np.array(block_of, dtype=int),
-        n_blocks=len(edges) - 1,
-    )
+    sizes = [layout.block_size] * layout.n_separators
+    sizes.append(layout.n_elements - layout.block_size * layout.n_separators)
+    blocks, start = [], 0
+    for size in sizes:
+        count = size + layout.p - 2
+        blocks.append(np.arange(start, start + count))
+        start += count + 1
+    return blocks
 
 
 @dataclass
 class BlockBubbleModes:
-    block: int
     dof_indices: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def local_bubble_spectra(op: DiscreteOperator, part: DofPartition) -> list[BlockBubbleModes]:
-    """Solve the dense bubble pencil of every block.
+def local_bubble_spectra(op: DiscreteOperator,
+                         blocks: list[np.ndarray]) -> list[BlockBubbleModes]:
+    """Solve the dense bubble pencil of every block of :func:`partition_dofs`.
 
     A block's bubbles are contiguous, so each pencil is built from its slice
     of the stored bands; no dense copy of the global operators is formed.
     """
     out = []
-    for block in range(part.n_blocks):
-        idx = part.block_bubbles(block)
+    for idx in blocks:
         w, v = scipy.linalg.eigh(op.K.restricted(idx).to_dense(),
                                  op.M.restricted(idx).to_dense())
-        out.append(BlockBubbleModes(block, idx, w, v))
+        out.append(BlockBubbleModes(idx, w, v))
     return out
 
 
@@ -484,7 +450,6 @@ class OutlierModeInfo:
 @dataclass
 class OutlierReport:
     predicted: int
-    observed_indices: list[int]
     empirical_count: int
     decile_median: float
     outliers: list[OutlierModeInfo]
@@ -510,12 +475,11 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
         else:
             break
 
-    observed = list(range(n - predicted + 1, n + 1))
     # one sampling for all outlier modes; contiguous rows keep results bitwise
     V = spectrum.eigenvectors[:, n - predicted:]
     fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
     infos = []
-    for m, f in zip(observed, fields):
+    for m, f in zip(range(n - predicted + 1, n + 1), fields):
         fc = _frequency_content(f, op.bc)
         infos.append(OutlierModeInfo(
             mode=m,
@@ -525,7 +489,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
             am=_two_wave_fit(f, fc, op),
             content=fc,
         ))
-    return OutlierReport(predicted, observed, empirical, med, infos)
+    return OutlierReport(predicted, empirical, med, infos)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,7 @@
 Matrices are assembled element by element under a chosen quadrature and stored
 in symmetric banded form (upper band, LAPACK layout).  Homogeneous Dirichlet
 conditions are imposed strongly by eliminating the two boundary basis
-functions.  Alongside the requested quadrature, reference operators are always
-assembled with Gauss ``p + 1`` points, which integrates both the mass
-(degree ``2p``) and stiffness (degree ``2p - 2``) integrands exactly.
+functions.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .quadrature import QuadratureSpec, Rule, gauss_rule, map_rule_to_element
+from .quadrature import QuadratureSpec, Rule, map_rule_to_element
 from .splines import BlockLayout, KnotVector, make_block_knots, span_basis_rows
 
 __all__ = [
@@ -146,9 +144,8 @@ def _kept_indices(n: int, bc: str) -> np.ndarray:
 class DiscreteOperator:
     """Assembled 1D operators with boundary conditions applied.
 
-    ``M``/``K`` use the requested quadrature; ``M_exact``/``K_exact`` are the
-    exact-order Gauss references used for error budgets.  ``dof_indices``
-    maps reduced degrees of freedom back to basis indices of ``kv``.
+    ``M``/``K`` use the requested ``quadrature``.  ``dof_indices`` maps
+    reduced degrees of freedom back to basis indices of ``kv``.
     """
 
     kv: KnotVector
@@ -156,8 +153,6 @@ class DiscreteOperator:
     quadrature: QuadratureSpec
     M: SymmetricBandedMatrix
     K: SymmetricBandedMatrix
-    M_exact: SymmetricBandedMatrix
-    K_exact: SymmetricBandedMatrix
     dof_indices: np.ndarray
 
     @property
@@ -181,16 +176,7 @@ def assemble_layout(layout: BlockLayout,
     """
     kv = make_block_knots(layout)
     quadrature = quadrature or QuadratureSpec("gauss")
-    p = kv.p
-
-    rule = quadrature.reference_rule(p)
-    M_full, K_full = _assemble_pair(kv, rule)
-    exact_rule = gauss_rule(p + 1)
-    if quadrature.kind == "gauss" and quadrature.n_points(p) == p + 1:
-        Me_full, Ke_full = M_full, K_full
-    else:
-        Me_full, Ke_full = _assemble_pair(kv, exact_rule)
-
+    M_full, K_full = _assemble_pair(kv, quadrature.reference_rule(kv.p))
     keep = _kept_indices(kv.n, layout.bc)
     op = DiscreteOperator(
         kv=kv,
@@ -198,8 +184,6 @@ def assemble_layout(layout: BlockLayout,
         quadrature=quadrature,
         M=M_full.restricted(keep),
         K=K_full.restricted(keep),
-        M_exact=Me_full.restricted(keep),
-        K_exact=Ke_full.restricted(keep),
         dof_indices=keep,
     )
     if not op.M.is_positive_definite():

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,16 +82,9 @@ class ExperimentConfig:
         return QuadratureSpec(self.quadrature, self.points, self.tau)
 
     def echo(self) -> str:
-        pairs = {
-            "method": self.method, "p": self.p, "elements": self.elements,
-            "block": self.block if self.block is not None else "",
-            "continuity": self.continuity, "bc": self.bc,
-            "quadrature": self.quadrature,
-            "tau": self.tau if self.tau is not None else "",
-            "points": self.points if self.points is not None else "",
-            "dim": self.dim,
-        }
-        return " ".join(f"{k}={v}" for k, v in sorted(pairs.items()))
+        """Every field as ``key=value`` in key order; unset options echo empty."""
+        return " ".join(f"{k}={'' if v is None else v}"
+                        for k, v in sorted(asdict(self).items()))
 
 
 def _fmt(x) -> str:
@@ -188,9 +181,9 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     if cfg.method == "iga":
         raise ConfigError("stopbands needs separators (fea or riga)")
     layout = cfg.layout()
-    part = analysis.partition_dofs(layout)
+    blocks = analysis.partition_dofs(layout)
     op = assemble_layout(layout, cfg.quadrature_spec())
-    local = analysis.local_bubble_spectra(op, part)
+    local = analysis.local_bubble_spectra(op, blocks)
     report = analysis.detect_stopping_bands(solve_eigenvalues(op), local, layout)
     header = ["lambda_b", "nearest_lambda_h", "rel_gap", "global_index",
               "block_multiplicity"]

@@ -158,10 +158,6 @@ class BlockLayout:
     def n_separators(self) -> int:
         return math.ceil(self.n_elements / self.block_size) - 1
 
-    def separator_values(self) -> np.ndarray:
-        pos = _separator_positions(self.n_elements, self.block_size)
-        return np.array([p * self.h for p in pos])
-
     @property
     def dim_before_bc(self) -> int:
         c = self.separator_continuity

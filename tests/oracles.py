@@ -12,6 +12,8 @@ Reference routes for claims the CLI computes another way:
   pairs of 1D eigenvalues;
 - :func:`oracle_check` re-derives eigenvalues by dense shifted inverse
   iteration;
+- :func:`knot_partition` finds each block's bubble functions by searching the
+  knot vector, where ``partition_dofs`` counts them from the layout;
 - :func:`reconstruct_stopping_mode` rebuilds a global stopping mode from the
   bubble eigenvectors of the blocks;
 - :func:`branch_count` counts spectrum branches from the band positions.
@@ -30,9 +32,9 @@ from splinespectra.analysis import (
     local_bubble_spectra,
     partition_dofs,
 )
-from splinespectra.assembly import NumericalError
+from splinespectra.assembly import NumericalError, assemble_layout
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
-from splinespectra.splines import KnotVector, span_basis_rows
+from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
 # a block owns a band when one of its bubble eigenvalues is this close (relative)
 _BUBBLE_MATCH_TOL = 1e-8
@@ -154,7 +156,8 @@ def design_rows(op, xs: np.ndarray) -> np.ndarray:
 def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
     """Error-budget terms of every mode from dense operator products.
 
-    The quadratic forms are ``diag(V^T A V)`` from ``to_dense`` products; the
+    The quadratic forms are ``diag(V^T A V)`` from ``to_dense`` products, the
+    exact ones on the layout re-assembled under Gauss ``p + 1`` points; the
     pair inner products sample with :func:`design_rows` on one unblocked grid
     per subdivision count (Gauss ``p + 2`` points on ``max(1, ceil(j h) + 1)``
     equal pieces of every element).  Keys are ``ModeErrorBudget`` field
@@ -164,8 +167,9 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
     modes = np.arange(1 if bc == "dirichlet" else 2, spectrum.n_modes + 1)
     js = modes if bc == "dirichlet" else modes - 1
     V = spectrum.eigenvectors[:, modes - 1]
-    vMv = np.diag(V.T @ op.M_exact.to_dense() @ V)
-    vKv = np.diag(V.T @ op.K_exact.to_dense() @ V)
+    exact = assemble_layout(op.layout)
+    vMv = np.diag(V.T @ exact.M.to_dense() @ V)
+    vKv = np.diag(V.T @ exact.K.to_dense() @ V)
     vKq = np.diag(V.T @ op.K.to_dense() @ V)
 
     subdivisions = np.array([max(1, math.ceil(j * h) + 1) for j in js])
@@ -270,19 +274,59 @@ def oracle_check(K: np.ndarray, M: np.ndarray, eigenvalues: np.ndarray,
     return report
 
 
+def knot_partition(layout) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per-block bubble indices and the interface indices, found on the knot
+    vector of a ``C^0`` Dirichlet layout.
+
+    The interface function of a separator at ``z`` is the one whose support
+    ends at the last copy of ``z``; every other function must lie inside one
+    block, located by the midpoint of its support.
+    """
+    kv = make_block_knots(layout)
+    p = kv.p
+    seps = np.arange(1, layout.n_separators + 1) * layout.block_size * layout.h
+    interface_basis = []
+    for z in seps:
+        last = int(np.max(np.where(np.abs(kv.knots - z) <= 1e-12)))
+        interface_basis.append(last - p)
+    interface_set = set(interface_basis)
+
+    keep = np.arange(1, kv.n - 1)
+    reduced_of = {g: r for r, g in enumerate(keep)}
+    interface = np.array([reduced_of[g] for g in interface_basis], dtype=int)
+
+    edges = np.concatenate([[0.0], seps, [1.0]])
+    blocks = [[] for _ in range(len(edges) - 1)]
+    for r, g in enumerate(keep):
+        if g in interface_set:
+            continue
+        lo, hi = kv.knots[g], kv.knots[g + p + 1]
+        block = int(np.searchsorted(edges, 0.5 * (lo + hi)) - 1)
+        if lo < edges[block] - 1e-12 or hi > edges[block + 1] + 1e-12:
+            raise ValueError(f"dof {g} is neither interface nor single-block bubble")
+        blocks[block].append(r)
+    return [np.array(b, dtype=int) for b in blocks], interface
+
+
+def interface_dofs(blocks, n_dofs: int) -> np.ndarray:
+    """Reduced indices that lie in no block: the separators' interface functions."""
+    return np.setdiff1d(np.arange(n_dofs), np.concatenate(blocks))
+
+
 class SingularInterfaceError(NumericalError):
     """Interface block of the shifted pencil is numerically singular."""
 
 
-def reconstruct_stopping_mode(op, part, band_value: float, local=None) -> np.ndarray:
+def reconstruct_stopping_mode(op, blocks, band_value: float, local=None) -> np.ndarray:
     """Reassemble a global stopping mode from local bubble eigenfunctions.
 
     The candidate space is the span of the per-block bubble eigenvectors at
     the band eigenvalue, extended by zero.  A Galerkin projection of the
     shifted pencil onto that space determines the combination weights; the
     interface values then follow by eliminating them through the interface
-    block of the shifted system.  The mode comes back normalized against the
-    exact mass matrix.
+    block of the shifted system.  ``blocks`` is the bubble partition of
+    ``partition_dofs``; the interfaces are the indices in no block.  The mode
+    comes back normalized against the exact mass matrix.
 
     Raises
     ------
@@ -292,7 +336,7 @@ def reconstruct_stopping_mode(op, part, band_value: float, local=None) -> np.nda
         If no block owns a bubble eigenvalue at ``band_value``.
     """
     if local is None:
-        local = local_bubble_spectra(op, part)
+        local = local_bubble_spectra(op, blocks)
     n = op.n_dofs
     columns = []
     for modes in local:
@@ -307,7 +351,7 @@ def reconstruct_stopping_mode(op, part, band_value: float, local=None) -> np.nda
     Phi = np.array(columns).T
 
     A = op.K.to_dense() - band_value * op.M.to_dense()
-    i_idx = part.interface
+    i_idx = interface_dofs(blocks, n)
     APhi = A @ Phi
     if i_idx.size:
         Aii = A[np.ix_(i_idx, i_idx)]
@@ -330,7 +374,7 @@ def reconstruct_stopping_mode(op, part, band_value: float, local=None) -> np.nda
     U = Phi @ alpha
     if i_idx.size:
         U[i_idx] = -Y @ alpha
-    Me = op.M_exact.to_dense()
+    Me = assemble_layout(op.layout).M.to_dense()
     U /= math.sqrt(U @ (Me @ U))
     lead = int(np.abs(U).argmax())
     if U[lead] < 0:

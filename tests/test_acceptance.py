@@ -94,9 +94,9 @@ def test_criterion_3_leading_coefficients_as_stated():
     lam1 = math.pi ** 2
     h4 = (1.0 / 64) ** 4
     op = assemble_layout(BlockLayout.iga(64, 2))
-    ev_gauss = error_budget(solve_gevp(op), op, modes=[1])[0].ev_rel
+    ev_gauss = error_budget(solve_gevp(op), op)[0].ev_rel
     opl = assemble_layout(BlockLayout.iga(64, 2), QuadratureSpec("lobatto"))
-    ev_lob = error_budget(solve_gevp(opl), opl, modes=[1])[0].ev_rel
+    ev_lob = error_budget(solve_gevp(opl), opl)[0].ev_rel
     dw_gauss = -ev_gauss / (1.0 + math.sqrt(1.0 + ev_gauss))
     dw_lob = -ev_lob / (1.0 + math.sqrt(1.0 + ev_lob))
 
@@ -142,7 +142,7 @@ def test_criterion_5_outlier_census():
     spectrum = solve_gevp(op)
     rep = outlier_report(spectrum, op)
     flagged_ok = rep.predicted == 2 and rep.empirical_count >= 2 \
-        and rep.observed_indices == [193, 194]
+        and [o.mode for o in rep.outliers] == [193, 194]
     flat = [coefficient_flatness(spectrum.eigenvectors[:, m - 1])
             for m in (193, 194)]
     flat_ok = all(f < 3.0 for f in flat)
@@ -155,15 +155,15 @@ def test_criterion_5_outlier_census():
 def test_criterion_6_stopping_bands():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    local = local_bubble_spectra(op, part)
+    blocks = partition_dofs(lay)
+    local = local_bubble_spectra(op, blocks)
     rep = detect_stopping_bands(solve_eigenvalues(op), local, lay)
     bands_ok = rep.band_count == 10 and rep.matched_count() == 10
 
     K, M = op.K.to_dense(), op.M.to_dense()
     worst_res = 0.0
     for m in rep.matches:
-        U = reconstruct_stopping_mode(op, part, m.value, local)
+        U = reconstruct_stopping_mode(op, blocks, m.value, local)
         res = np.linalg.norm(K @ U - m.value * (M @ U)) \
             / (m.value * np.linalg.norm(M @ U))
         worst_res = max(worst_res, res)
@@ -171,9 +171,9 @@ def test_criterion_6_stopping_bands():
 
     lay_f = BlockLayout.fea(100, 2)
     op_f = assemble_layout(lay_f)
-    part_f = partition_dofs(lay_f)
+    blocks_f = partition_dofs(lay_f)
     rep_f = detect_stopping_bands(solve_eigenvalues(op_f),
-                                  local_bubble_spectra(op_f, part_f), lay_f)
+                                  local_bubble_spectra(op_f, blocks_f), lay_f)
     fea_ok = rep_f.band_count == 1 and rep_f.matched_count() == 1
 
     ok = bands_ok and recon_ok and fea_ok

@@ -27,6 +27,7 @@ from oracles import (
     branch_count,
     dense_error_budget,
     design_rows,
+    interface_dofs,
     linear_fem_eigenvalue,
     reconstruct_stopping_mode,
 )
@@ -121,11 +122,11 @@ def test_leading_coefficients_measured_truth():
     lam1 = math.pi ** 2
     h4 = (1.0 / 64) ** 4
     op = assemble_layout(BlockLayout.iga(64, 2))
-    ev_gauss = error_budget(solve_gevp(op), op, modes=[1])[0].ev_rel
+    ev_gauss = error_budget(solve_gevp(op), op)[0].ev_rel
     assert ev_gauss == pytest.approx(lam1 ** 2 * h4 / 720.0, rel=0.10)
 
     opl = assemble_layout(BlockLayout.iga(64, 2), QuadratureSpec("lobatto"))
-    ev_lob = error_budget(solve_gevp(opl), opl, modes=[1])[0].ev_rel
+    ev_lob = error_budget(solve_gevp(opl), opl)[0].ev_rel
     assert ev_lob == pytest.approx(-lam1 ** 2 * h4 / 1440.0, rel=0.10)
 
     assert ev_gauss / ev_lob == pytest.approx(-2.0, rel=0.05)
@@ -156,13 +157,9 @@ def test_budget_modified_identity(tau):
 def test_budget_mode_selection_and_validation():
     op = assemble_layout(BlockLayout.iga(16, 2))
     spec = solve_gevp(op)
-    budgets = error_budget(spec, op, modes=[3, 1])
-    assert [b.j for b in budgets] == [3, 1]
-    assert budgets[0].j_over_n0 == pytest.approx(3 / 16)
-    with pytest.raises(ValueError):
-        error_budget(spec, op, modes=[0])
-    with pytest.raises(ValueError):
-        error_budget(spec, op, modes=[op.n_dofs + 1])
+    budgets = error_budget(spec, op)
+    assert [b.j for b in budgets] == list(range(1, op.n_dofs + 1))
+    assert budgets[2].j_over_n0 == pytest.approx(3 / 16)
 
 
 @pytest.mark.parametrize("layout, quadrature", [
@@ -227,26 +224,23 @@ def test_budget_neumann_skips_constant_mode():
 
 def test_partition_counts_single_separator():
     lay = BlockLayout.riga(10, 2, 5)
-    part = partition_dofs(lay)
-    assert part.interface.size == 1
-    assert part.bubbles.size == 10
-    assert [part.block_bubbles(b).size for b in range(part.n_blocks)] == [5, 5]
+    blocks = partition_dofs(lay)
+    assert interface_dofs(blocks, lay.n_dofs).size == 1
+    assert [b.size for b in blocks] == [5, 5]
 
 
 def test_partition_no_separators():
     lay = BlockLayout.iga(8, 2)
-    part = partition_dofs(lay)
-    assert part.interface.size == 0
-    assert part.bubbles.size == 8
-    assert part.n_blocks == 1
+    blocks = partition_dofs(lay)
+    assert interface_dofs(blocks, lay.n_dofs).size == 0
+    assert [b.size for b in blocks] == [8]
 
 
 def test_partition_fea_structure():
     lay = BlockLayout.fea(6, 2)
-    part = partition_dofs(lay)
-    assert part.interface.size == 5   # element boundaries
-    assert part.bubbles.size == 6     # one bubble per element
-    assert part.n_blocks == 6
+    blocks = partition_dofs(lay)
+    assert interface_dofs(blocks, lay.n_dofs).size == 5   # element boundaries
+    assert [b.size for b in blocks] == [1] * 6             # one bubble per element
 
 
 def test_partition_requires_c0_dirichlet():
@@ -262,8 +256,8 @@ def test_single_element_bubble_eigenvalue():
     # quadratic bubble on an element of width h has lambda = 10 / h^2
     lay = BlockLayout.fea(2, 2)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    local = local_bubble_spectra(op, part)
+    blocks = partition_dofs(lay)
+    local = local_bubble_spectra(op, blocks)
     for block in local:
         assert block.eigenvalues.size == 1
         assert block.eigenvalues[0] == pytest.approx(10.0 / 0.5 ** 2, rel=1e-12)
@@ -272,8 +266,8 @@ def test_single_element_bubble_eigenvalue():
 def test_interior_blocks_share_spectra():
     lay = BlockLayout.riga(30, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    local = local_bubble_spectra(op, part)
+    blocks = partition_dofs(lay)
+    local = local_bubble_spectra(op, blocks)
     interior = [b.eigenvalues for b in local[1:-1]]
     for w in interior[1:]:
         assert np.allclose(w, interior[0], rtol=1e-10)
@@ -283,8 +277,8 @@ def test_interior_blocks_share_spectra():
 def test_detect_bands_riga_ten_by_ten():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
+    blocks = partition_dofs(lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
     assert report.band_count == 10 == report.expected_count
     assert report.matched_count() == 10
 
@@ -293,8 +287,8 @@ def test_detect_bands_fea_degree_counts():
     for p, want in ((2, 1), (3, 2)):
         lay = BlockLayout.fea(12, p)
         op = assemble_layout(lay)
-        part = partition_dofs(lay)
-        report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
+        blocks = partition_dofs(lay)
+        report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
         assert report.band_count == want == report.expected_count
         assert report.matched_count() == want
 
@@ -302,8 +296,8 @@ def test_detect_bands_fea_degree_counts():
 def test_detect_bands_without_separators_is_empty():
     lay = BlockLayout.iga(10, 2)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, part), lay)
+    blocks = partition_dofs(lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
     assert report.band_count == 0 == report.expected_count
     assert report.matches == []
 
@@ -312,13 +306,13 @@ def test_reconstruct_stopping_modes():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     spec = solve_gevp(op)
-    part = partition_dofs(lay)
-    local = local_bubble_spectra(op, part)
+    blocks = partition_dofs(lay)
+    local = local_bubble_spectra(op, blocks)
     report = detect_stopping_bands(spec.eigenvalues, local, lay)
     K, M = op.K.to_dense(), op.M.to_dense()
-    Me = op.M_exact.to_dense()
+    Me = assemble_layout(lay).M.to_dense()
     for m in report.matches:
-        U = reconstruct_stopping_mode(op, part, m.value, local)
+        U = reconstruct_stopping_mode(op, blocks, m.value, local)
         res = np.linalg.norm(K @ U - m.value * (M @ U))
         assert res / (m.value * np.linalg.norm(M @ U)) < 1e-6
         # lies in the global eigenspace at the matched eigenvalue
@@ -330,19 +324,19 @@ def test_reconstruct_stopping_modes():
 def test_reconstruct_symmetric_layout_zero_interface():
     lay = BlockLayout.riga(10, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
-    local = local_bubble_spectra(op, part)
+    blocks = partition_dofs(lay)
+    local = local_bubble_spectra(op, blocks)
     for value in local[0].eigenvalues:
-        U = reconstruct_stopping_mode(op, part, value, local)
-        assert abs(U[part.interface[0]]) < 1e-8 * np.linalg.norm(U)
+        U = reconstruct_stopping_mode(op, blocks, value, local)
+        assert abs(U[interface_dofs(blocks, op.n_dofs)[0]]) < 1e-8 * np.linalg.norm(U)
 
 
 def test_reconstruct_rejects_non_band_value():
     lay = BlockLayout.riga(10, 2, 5)
     op = assemble_layout(lay)
-    part = partition_dofs(lay)
+    blocks = partition_dofs(lay)
     with pytest.raises(ValueError):
-        reconstruct_stopping_mode(op, part, 1.2345)
+        reconstruct_stopping_mode(op, blocks, 1.2345)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +366,7 @@ def test_outlier_report_fig9(fig9_setup):
     op, spec = fig9_setup
     report = outlier_report(spec, op)
     assert report.predicted == 2
-    assert report.observed_indices == [193, 194]
+    assert [o.mode for o in report.outliers] == [193, 194]
     assert report.empirical_count == 2
     for info in report.outliers:
         assert info.ev_ratio >= 10.0
@@ -405,7 +399,7 @@ def test_outlier_report_no_outliers():
     spec = solve_gevp(op)
     report = outlier_report(spec, op)
     assert report.predicted == 0
-    assert report.observed_indices == []
+    assert [o.mode for o in report.outliers] == []
     assert report.empirical_count == 0
 
 

@@ -1,5 +1,6 @@
 """The package's public surface: every exported name exists, is re-exported by
-the package once, and is used by the package itself.
+the package once, and is used by the package itself; every dataclass field is
+read by it.
 
 A name that only tests call is either dead or a test oracle; it belongs in
 ``tests/oracles.py`` or nowhere, not in the library.
@@ -68,3 +69,40 @@ def test_every_export_is_used_by_the_package():
     owners = exports()
     assert NOT_YET_CALLED <= set(owners)
     assert sorted(set(owners) - used) == sorted(NOT_YET_CALLED)
+
+
+def dataclass_fields(path: Path) -> list[tuple[str, str]]:
+    """``(class, field)`` for every annotated field of a ``@dataclass`` class."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        out += [(node.name, stmt.target.id) for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return out
+
+
+def attributes_read(path: Path) -> set[str]:
+    """Attribute names a module loads, as in ``obj.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_is_read():
+    """A dataclass field that nothing reads is stored work with no consumer.
+
+    The check goes by name only: a field counts as read when any ``src/``
+    module loads an attribute of that name, on any object.  So it misses an
+    unread field that shares its name with a read one.  An unread
+    ``BlockBubbleModes.block`` or ``DiscreteOperator.quadrature`` would pass,
+    because the CLI reads ``cfg.block`` and ``self.quadrature`` under the
+    same names.
+    """
+    paths = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*(attributes_read(path) for path in paths))
+    fields = [f for path in paths for f in dataclass_fields(path)]
+    assert len(fields) > 50
+    assert [f"{cls}.{name}" for cls, name in fields if name not in read] == []

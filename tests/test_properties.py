@@ -6,12 +6,12 @@ import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from splinespectra.analysis import sample_matrix
+from splinespectra.analysis import partition_dofs, sample_matrix
 from splinespectra.assembly import assemble_layout
 from splinespectra.eigensolve import solve_eigenvalues
 from splinespectra.splines import BlockLayout
 
-from oracles import kron_2d_operators
+from oracles import knot_partition, kron_2d_operators
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -24,6 +24,17 @@ def layouts(draw):
     continuity = draw(st.integers(0, p - 1))
     bc = draw(st.sampled_from(["dirichlet", "neumann"]))
     return BlockLayout(n_elements, p, block, continuity, bc)
+
+
+@st.composite
+def c0_dirichlet_layouts(draw):
+    """Layouts that have a bubble/interface partition: ``C^0`` separators, or
+    a single block of any continuity, under Dirichlet conditions."""
+    p = draw(st.integers(1, 5))
+    n_elements = draw(st.integers(1, 40))
+    block = draw(st.integers(1, n_elements))
+    continuity = draw(st.integers(0, p - 1)) if block == n_elements else 0
+    return BlockLayout(n_elements, p, block, continuity, "dirichlet")
 
 
 def dofs_from_multiplicities(layout: BlockLayout) -> int:
@@ -67,3 +78,16 @@ def test_kronecker_pencil_spectrum_is_pairwise_sums(layout):
     lam2 = scipy.linalg.eigh(K2.toarray(), M2.toarray(), eigvals_only=True)
     sums = np.sort(np.add.outer(lam, lam).ravel())
     assert np.max(np.abs(lam2 - sums)) <= 1e-10 * lam2[-1]
+
+
+@SETTINGS
+@given(layout=c0_dirichlet_layouts())
+def test_partition_matches_knot_search(layout):
+    blocks = partition_dofs(layout)
+    ref_blocks, ref_interface = knot_partition(layout)
+    assert len(blocks) == len(ref_blocks) == layout.n_separators + 1
+    for got, want in zip(blocks, ref_blocks):
+        assert np.array_equal(got, want)
+    # closed-form blocks and knot-searched interfaces tile the dofs exactly
+    tiles = np.sort(np.concatenate(blocks + [ref_interface]))
+    assert np.array_equal(tiles, np.arange(layout.n_dofs))
