@@ -31,7 +31,6 @@ from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues, solve_ge
 from .analysis import (
     AmFit,
     BandMatch,
-    BlockBubbleModes,
     FrequencyContent,
     ModeErrorBudget,
     OutlierReport,

@@ -35,7 +35,6 @@ from .splines import BlockLayout, span_basis_rows
 
 __all__ = [
     "ModeErrorBudget",
-    "BlockBubbleModes",
     "BandMatch",
     "StoppingBandReport",
     "OutlierReport",
@@ -99,35 +98,19 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
     kv = op.kv
     p = kv.p
     xs = np.asarray(xs, dtype=float)
-    # seeded with empty arrays: a grid wholly outside the domain is all zeros
-    rows, cols, vals = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
     reduced = np.full(kv.n, -1, dtype=int)
     reduced[op.dof_indices] = np.arange(op.n_dofs)
     spans = kv.spans()
-    lefts = np.array([a for _, a, _ in spans])
-    rights = np.array([b for _, _, b in spans])
+    lefts, rights = kv.knots[spans], kv.knots[spans + 1]
     owner = np.searchsorted(lefts, xs, side="right") - 1
     inside = (owner >= 0) & ((xs < rights[owner]) | (xs == rights[-1]))
-    owner[~inside] = len(spans)
-    # stable, so each span's points keep their input order
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(len(spans) + 1))
-    for k, (span, _, _) in enumerate(spans):
-        sel = order[bounds[k]:bounds[k + 1]]
-        if sel.size == 0:
-            continue
-        first, N = span_basis_rows(kv, span, xs[sel])
-        for r in range(p + 1):
-            g = reduced[first + r]
-            if g < 0:
-                continue
-            rows.append(sel)
-            cols.append(np.full(sel.size, g))
-            vals.append(N[:, r])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(xs.size, op.n_dofs))
+    points = np.flatnonzero(inside)
+    first, N = span_basis_rows(kv, spans[owner[points]], xs[points])
+    cols = reduced[first[:, None] + np.arange(p + 1)]
+    rows = np.broadcast_to(points[:, None], cols.shape)
+    kept = cols >= 0
+    return scipy.sparse.csr_matrix((N[kept], (rows[kept], cols[kept])),
+                                   shape=(xs.size, op.n_dofs))
 
 
 def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
@@ -139,15 +122,11 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
     them resolve the oscillation of exact mode ``j >= 1``.  One sampling matrix
     serves all columns, applied to blocks of columns so that the grid-sized
     temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each."""
-    rule = gauss_rule(op.kv.p + 2)
-    xs, ws = [], []
-    for _, a, b in op.kv.spans():
-        edges = np.linspace(a, b, subdivisions + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            local = map_rule_to_element(rule, lo, hi)
-            xs.append(local.nodes)
-            ws.append(local.weights)
-    xs, ws = np.concatenate(xs), np.concatenate(ws)
+    kv = op.kv
+    spans = kv.spans()
+    edges = np.linspace(kv.knots[spans], kv.knots[spans + 1], subdivisions + 1, axis=1)
+    xs, ws = map_rule_to_element(gauss_rule(kv.p + 2), edges[:, :-1], edges[:, 1:])
+    xs, ws = xs.ravel(), ws.ravel()
     S = sample_matrix(op, xs)
     width = max(1, _PAIR_BLOCK_ENTRIES // xs.size)
     out = np.empty(js.size)
@@ -311,25 +290,19 @@ def partition_dofs(layout: BlockLayout) -> list[np.ndarray]:
     return blocks
 
 
-@dataclass
-class BlockBubbleModes:
-    dof_indices: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def local_bubble_spectra(op: DiscreteOperator,
-                         blocks: list[np.ndarray]) -> list[BlockBubbleModes]:
-    """Solve the dense bubble pencil of every block of :func:`partition_dofs`.
+                         blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Eigenvalues of the dense bubble pencil of every block of
+    :func:`partition_dofs`, one ascending array per block.
 
     A block's bubbles are contiguous, so each pencil is built from its slice
     of the stored bands; no dense copy of the global operators is formed.
     """
     out = []
     for idx in blocks:
-        w, v = scipy.linalg.eigh(op.K.restricted(idx).to_dense(),
+        w, _ = scipy.linalg.eigh(op.K.restricted(idx).to_dense(),
                                  op.M.restricted(idx).to_dense())
-        out.append(BlockBubbleModes(idx, w, v))
+        out.append(w)
     return out
 
 
@@ -353,11 +326,12 @@ class StoppingBandReport:
         return sum(1 for m in self.matches if m.rel_gap < _BAND_MATCH_TOL)
 
 
-def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes],
+def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
                           layout: BlockLayout) -> StoppingBandReport:
     """Match distinct interior-block bubble eigenvalues against the global spectrum.
 
-    ``eigenvalues`` is the ascending global spectrum.
+    ``eigenvalues`` is the ascending global spectrum and ``local`` the bubble
+    eigenvalues of each block, from :func:`local_bubble_spectra`.
 
     A stopping band is confirmed when a bubble eigenvalue coincides with a
     global eigenvalue (see :meth:`StoppingBandReport.matched_count`).  Blocks
@@ -369,7 +343,7 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes]
         return StoppingBandReport(matches=[], band_count=0, expected_count=0)
     n_blocks = len(local)
     pool = local[1:-1] if n_blocks > 2 else local
-    values = np.sort(np.concatenate([b.eigenvalues for b in pool]))
+    values = np.sort(np.concatenate(pool))
     distinct, counts = [], []
     for v in values:
         if distinct and abs(v - distinct[-1]) <= _BAND_CLUSTER_TOL * abs(distinct[-1]):
@@ -401,12 +375,15 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[BlockBubbleModes]
 # outliers
 # ---------------------------------------------------------------------------
 
-def count_outliers(p: int, n_separators: int, bc: str = "dirichlet") -> int:
+def count_outliers(p: int, n_separators: int, bc: str = "dirichlet",
+                   continuity: int = 0) -> int:
     """Predicted number of outlier modes for degree ``p`` and a separator count.
 
     The uniform-continuity contribution is two modes per odd degree starting
     from cubics under Dirichlet conditions, two per even degree under Neumann;
-    each ``C^0`` separator adds ``p - 1`` more.
+    each ``C^0`` separator adds ``p - 1`` more.  A separator of continuity
+    ``p - 1`` is a simple knot and adds none; the census covers no continuity
+    in between.
     """
     if p < 2:
         raise ValueError("outlier census requires degree >= 2")
@@ -418,7 +395,10 @@ def count_outliers(p: int, n_separators: int, bc: str = "dirichlet") -> int:
         base = 2 * (p // 2)
     else:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    return base + (p - 1) * n_separators
+    if continuity not in (0, p - 1) and n_separators > 0:
+        raise ValueError("outlier census requires C^0 or C^(p-1) separators")
+    per_separator = p - 1 if continuity == 0 else 0
+    return base + per_separator * n_separators
 
 
 def coefficient_flatness(v: np.ndarray) -> float:
@@ -466,7 +446,9 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     ev = eigenvalue_errors(spectrum, op)
     decile = ev[-max(n // 10, 1):]
     med = float(np.median(np.abs(decile)))
-    predicted = count_outliers(op.kv.p, op.layout.n_separators, op.bc)
+    layout = op.layout
+    predicted = count_outliers(layout.p, layout.n_separators, layout.bc,
+                               layout.separator_continuity)
 
     empirical = 0
     for m in range(n, 0, -1):

@@ -1,9 +1,9 @@
 """Mass/stiffness assembly for the 1D Laplace eigenproblem.
 
-Matrices are assembled element by element under a chosen quadrature and stored
-in symmetric banded form (upper band, LAPACK layout).  Homogeneous Dirichlet
-conditions are imposed strongly by eliminating the two boundary basis
-functions.
+Matrices are assembled from per-element blocks under a chosen quadrature and
+stored in symmetric banded form (upper band, LAPACK layout).  Homogeneous
+Dirichlet conditions are imposed strongly by eliminating the two boundary
+basis functions.
 """
 
 from __future__ import annotations
@@ -57,15 +57,13 @@ class SymmetricBandedMatrix:
     def bandwidth(self) -> int:
         return self.band.shape[0] - 1
 
-    def add_symmetric_block(self, first: int, block: np.ndarray) -> None:
-        """Accumulate a dense symmetric block whose top-left corner is (first, first)."""
+    def add_symmetric_block(self, first: np.ndarray, blocks: np.ndarray) -> None:
+        """Accumulate symmetric blocks, block ``e`` at ``(first[e], first[e])``,
+        in the order given (each band entry sums in that order)."""
         u = self.bandwidth
-        s = block.shape[0]
-        for a in range(s):
-            i = first + a
-            for b in range(a, s):
-                j = first + b
-                self.band[u + i - j, j] += block[a, b]
+        a, b = np.triu_indices(blocks.shape[1])
+        cols = np.asarray(first)[:, None] + b
+        np.add.at(self.band, (u + a - b, cols), blocks[:, a, b])
 
     def to_dense(self) -> np.ndarray:
         u, n = self.bandwidth, self.n
@@ -120,16 +118,21 @@ class SymmetricBandedMatrix:
 
 
 def _assemble_pair(kv: KnotVector, rule: Rule) -> tuple[SymmetricBandedMatrix, SymmetricBandedMatrix]:
-    p = kv.p
-    M = SymmetricBandedMatrix.zeros(kv.n, p)
-    K = SymmetricBandedMatrix.zeros(kv.n, p)
-    for span, a, b in kv.spans():
-        local = map_rule_to_element(rule, a, b)
-        first, N, dN = span_basis_rows(kv, span, local.nodes, derivs=True)
-        w = local.weights[:, None]
-        M.add_symmetric_block(first, (N * w).T @ N)
-        K.add_symmetric_block(first, (dN * w).T @ dN)
-    return M, K
+    """Mass and stiffness from one basis evaluation over every quadrature
+    point of the mesh and one batched product per matrix."""
+    p, spans = kv.p, kv.spans()
+    nodes, weights = map_rule_to_element(rule, kv.knots[spans], kv.knots[spans + 1])
+    _, N, dN = span_basis_rows(kv, np.repeat(spans, rule.nodes.size), nodes.ravel(),
+                               derivs=True)
+    w = weights[:, :, None]
+
+    def gram(rows: np.ndarray) -> SymmetricBandedMatrix:
+        B = rows.reshape(*nodes.shape, p + 1)  # element, point, function
+        mat = SymmetricBandedMatrix.zeros(kv.n, p)
+        mat.add_symmetric_block(spans - p, (B * w).transpose(0, 2, 1) @ B)
+        return mat
+
+    return gram(N), gram(dN)
 
 
 def _kept_indices(n: int, bc: str) -> np.ndarray:

@@ -196,7 +196,11 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
 
 
 def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
-    op = assemble_layout(cfg.layout(), cfg.quadrature_spec())
+    layout = cfg.layout()
+    # a mesh the census does not cover is refused before the solve
+    analysis.count_outliers(layout.p, layout.n_separators, layout.bc,
+                            layout.separator_continuity)
+    op = assemble_layout(layout, cfg.quadrature_spec())
     spectrum = solve_gevp(op)
     report = analysis.outlier_report(spectrum, op)
     header = ["mode", "ev_rel", "ev_ratio", "flatness", "a1", "f1", "a2", "f2",

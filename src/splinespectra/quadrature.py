@@ -42,9 +42,6 @@ class Rule:
         if nodes.shape != weights.shape or nodes.ndim != 1:
             raise ValueError("nodes and weights must be 1d arrays of equal length")
 
-    def integrate(self, f) -> float:
-        return float(self.weights @ f(self.nodes))
-
 
 def _symmetrized(nodes: np.ndarray, weights: np.ndarray) -> Rule:
     # enforce exact symmetry about 0 (kills last-bit asymmetry of the solvers)
@@ -100,12 +97,19 @@ def blended_rule(n_points: int, tau: float) -> Rule:
     return Rule(nodes[order], weights[order])
 
 
-def map_rule_to_element(rule: Rule, a: float, b: float) -> Rule:
-    """Affine image of a reference rule on ``[a, b]``; weights sum to ``b - a``."""
-    if a >= b:
-        raise ValueError(f"degenerate element [{a}, {b}]")
-    half = 0.5 * (b - a)
-    return Rule(a + half * (rule.nodes + 1.0), half * rule.weights)
+def map_rule_to_element(rule: Rule, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Affine images of a reference rule on the elements ``[a, b]``.
+
+    ``a`` and ``b`` are element ends, scalars or arrays of one shape; the
+    nodes and weights come back with one more axis, of length
+    ``rule.nodes.size``, and each element's weights sum to ``b - a``.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(a >= b):
+        k = np.argmax(a >= b)
+        raise ValueError(f"degenerate element [{a.flat[k]}, {b.flat[k]}]")
+    half = 0.5 * (b - a)[..., None]
+    return a[..., None] + half * (rule.nodes + 1.0), half * rule.weights
 
 
 @dataclass(frozen=True)

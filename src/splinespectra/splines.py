@@ -10,9 +10,11 @@ block layout abstraction:
   by lower-continuity separator knots of multiplicity ``p - c``.
 
 All evaluation goes through :func:`span_basis_rows`, the Cox-de Boor
-recursion for the ``p + 1`` functions active on one non-empty knot span.  On
-such a span the value recursion never divides by zero; the derivative formula
-drops terms over zero-length knot intervals (the ``0/0 := 0`` convention).
+recursion for the ``p + 1`` functions active on a non-empty knot span.  It
+takes one span index per point, so a whole grid (every quadrature point of a
+mesh, every sample point) is evaluated in one call.  On a non-empty span the
+value recursion never divides by zero; the derivative formula drops terms
+over zero-length knot intervals (the ``0/0 := 0`` convention).
 The parametric domain is fixed to ``[0, 1]`` and doubles as the physical
 domain (identity geometry map).
 """
@@ -79,28 +81,15 @@ class KnotVector:
         """Dimension of the spanned spline space."""
         return len(self.knots) - self.p - 1
 
-    def spans(self) -> list[tuple[int, float, float]]:
-        """Non-empty knot spans as ``(index, left, right)`` triples.
+    def spans(self) -> np.ndarray:
+        """Indices ``i`` of the non-empty knot spans ``[knots[i], knots[i + 1])``.
 
         Zero-width spans created by repeated knots carry no measure and are
         skipped.
         """
         k = self.knots
-        return [
-            (i, float(k[i]), float(k[i + 1]))
-            for i in range(self.p, len(k) - self.p - 1)
-            if k[i + 1] > k[i]
-        ]
-
-
-def _separator_positions(n_elements: int, block_size: int) -> list[int]:
-    """Element indices after which a separator is inserted.
-
-    The last block absorbs the remainder when ``block_size`` does not divide
-    ``n_elements``.
-    """
-    n_blocks = math.ceil(n_elements / block_size)
-    return [b * block_size for b in range(1, n_blocks)]
+        idx = np.arange(self.p, len(k) - self.p - 1)
+        return idx[k[idx + 1] > k[idx]]
 
 
 @dataclass(frozen=True)
@@ -172,31 +161,33 @@ class BlockLayout:
 
 
 def make_block_knots(layout: BlockLayout) -> KnotVector:
-    """Open uniform knot vector with separator knots of multiplicity ``p - c``."""
-    p = layout.p
-    mult_sep = p - layout.separator_continuity
-    sep = set(_separator_positions(layout.n_elements, layout.block_size))
-    parts = [np.zeros(p + 1)]
-    for i in range(1, layout.n_elements):
-        mult = mult_sep if i in sep else 1
-        parts.append(np.full(mult, i / layout.n_elements))
-    parts.append(np.ones(p + 1))
-    kv = KnotVector(p, np.concatenate(parts))
+    """Open uniform knot vector with separator knots of multiplicity ``p - c``.
+
+    A separator follows every ``block_size``-th element; the last block
+    absorbs the remainder when ``block_size`` does not divide ``n_elements``.
+    """
+    n, p, size = layout.n_elements, layout.p, layout.block_size
+    mult = np.ones(n - 1, dtype=int)
+    mult[size - 1::size] = p - layout.separator_continuity
+    interior = np.repeat(np.arange(1, n) / n, mult)
+    kv = KnotVector(p, np.concatenate([np.zeros(p + 1), interior, np.ones(p + 1)]))
     assert kv.n == layout.dim_before_bc
     return kv
 
 
-def span_basis_rows(kv: KnotVector, span: int, xs: np.ndarray,
+def span_basis_rows(kv: KnotVector, span, xs: np.ndarray,
                     derivs: bool = False):
-    """Values of the ``p + 1`` basis functions active on a span.
+    """Values of the ``p + 1`` basis functions active on each point's span.
 
-    Evaluates the polynomial pieces attached to ``span`` at all points
-    ``xs`` (vectorized), which also yields correct one-sided values when a
-    point sits exactly on the span boundary.  Returns ``(first, N)`` or
+    ``span`` holds one non-empty span index per point of ``xs`` (a scalar
+    applies to every point).  Each point is evaluated on the polynomial
+    pieces attached to its span, which also yields correct one-sided values
+    when a point sits exactly on the span boundary.  Returns ``(first, N)`` or
     ``(first, N, dN)`` where ``first = span - p`` is the index of the first
     active function and the arrays have shape ``(len(xs), p + 1)``.
     """
     t, p = kv.knots, kv.p
+    span = np.asarray(span)
     xs = np.asarray(xs, dtype=float)
     m = xs.shape[0]
     N = np.zeros((m, p + 1))
@@ -219,15 +210,15 @@ def span_basis_rows(kv: KnotVector, span: int, xs: np.ndarray,
     first = span - p
     if not derivs:
         return first, N
+    # function first + r takes p / (t[i + p] - t[i]) times lower[:, r - 1]
+    # and minus p / (t[i + p + 1] - t[i + 1]) times lower[:, r], i = first + r
+    i = first[..., None] + np.arange(p + 1)
     dN = np.zeros((m, p + 1))
-    for r in range(p + 1):
-        i = first + r
-        if r >= 1:
-            den = t[i + p] - t[i]
-            if den > 0.0:
-                dN[:, r] += p / den * lower[:, r - 1]
-        if r <= p - 1:
-            den = t[i + p + 1] - t[i + 1]
-            if den > 0.0:
-                dN[:, r] -= p / den * lower[:, r]
+    dN[:, 1:] += _ratio(p, t[i + p] - t[i])[..., 1:] * lower
+    dN[:, :p] -= _ratio(p, t[i + p + 1] - t[i + 1])[..., :p] * lower
     return first, N, dN
+
+
+def _ratio(p: int, den: np.ndarray) -> np.ndarray:
+    """``p / den``, and 0 where the knot interval ``den`` is empty."""
+    return np.divide(p, den, out=np.zeros(den.shape), where=den > 0.0)

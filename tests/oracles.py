@@ -4,6 +4,10 @@ These deliberately avoid the library's own fast paths: basis values come from
 scipy's de Boor evaluator and a scalar Cox-de Boor recursion, quadrature weights from moment conditions,
 linear-element eigenvalues from their closed form, the 2D operators from a direct tensor-product element loop with nested quadrature,
 and error budgets from dense operator products and scipy's design matrix.
+The 1D bands come from :func:`reference_assembly`, one element at a time,
+and sampling rows from :func:`reference_sampling`, one point at a time; the
+library evaluates each whole grid in one call and must agree with both bit
+for bit.
 
 Reference routes for claims the CLI computes another way:
 
@@ -121,18 +125,19 @@ def direct_2d_operators(kv: KnotVector, n_points: int):
     rule = gauss_rule(n_points)
     M = np.zeros((n1 * n1, n1 * n1))
     K = np.zeros_like(M)
-    for sx, ax, bx in kv.spans():
-        rx = map_rule_to_element(rule, ax, bx)
-        fx, Nx, dNx = span_basis_rows(kv, sx, rx.nodes, derivs=True)
-        for sy, ay, by in kv.spans():
-            ry = map_rule_to_element(rule, ay, by)
-            fy, Ny, dNy = span_basis_rows(kv, sy, ry.nodes, derivs=True)
+    t = kv.knots
+    for sx in kv.spans():
+        xx, wx = map_rule_to_element(rule, t[sx], t[sx + 1])
+        fx, Nx, dNx = span_basis_rows(kv, sx, xx, derivs=True)
+        for sy in kv.spans():
+            xy, wy = map_rule_to_element(rule, t[sy], t[sy + 1])
+            fy, Ny, dNy = span_basis_rows(kv, sy, xy, derivs=True)
             idx = np.array([(fx + a) * n1 + (fy + b)
                             for a in range(p + 1) for b in range(p + 1)])
             sub = np.ix_(idx, idx)
-            for qx in range(rx.nodes.size):
-                for qy in range(ry.nodes.size):
-                    w = rx.weights[qx] * ry.weights[qy]
+            for qx in range(xx.size):
+                for qy in range(xy.size):
+                    w = wx[qx] * wy[qy]
                     vals = np.outer(Nx[qx], Ny[qy]).ravel()
                     gx = np.outer(dNx[qx], Ny[qy]).ravel()
                     gy = np.outer(Nx[qx], dNy[qy]).ravel()
@@ -145,6 +150,43 @@ def eliminate_2d_dirichlet(A: np.ndarray, n1: int) -> np.ndarray:
     keep1 = np.arange(1, n1 - 1)
     keep = np.array([i * n1 + j for i in keep1 for j in keep1])
     return A[np.ix_(keep, keep)]
+
+
+def reference_assembly(kv: KnotVector, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bands (LAPACK layout) of the full mass and stiffness matrices,
+    assembled element by element: one basis evaluation and one scalar
+    scatter per element, in element order."""
+    p, t = kv.p, kv.knots
+    M = np.zeros((p + 1, kv.n))
+    K = np.zeros((p + 1, kv.n))
+    for span in kv.spans():
+        nodes, weights = map_rule_to_element(rule, t[span], t[span + 1])
+        first, N, dN = span_basis_rows(kv, span, nodes, derivs=True)
+        w = weights[:, None]
+        for band, block in ((M, (N * w).T @ N), (K, (dN * w).T @ dN)):
+            for a in range(p + 1):
+                for b in range(a, p + 1):
+                    band[p + a - b, first + b] += block[a, b]
+    return M, K
+
+
+def reference_sampling(op, xs) -> np.ndarray:
+    """Dense sampling matrix on the reduced dofs, one point at a time.
+
+    A point belongs to the span ``[t_i, t_{i+1})`` holding it, the right end
+    of the domain to the last span; points outside the domain give zero rows.
+    """
+    kv = op.kv
+    t, spans = kv.knots, list(kv.spans())
+    out = np.zeros((len(xs), kv.n))
+    for k, x in enumerate(xs):
+        owner = [s for s in spans if t[s] <= x < t[s + 1]]
+        if x == t[-1]:
+            owner = spans[-1:]
+        if owner:
+            first, N = span_basis_rows(kv, owner[0], np.array([x]))
+            out[k, first:first + kv.p + 1] = N[0]
+    return out[:, op.dof_indices]
 
 
 def design_rows(op, xs: np.ndarray) -> np.ndarray:
@@ -175,14 +217,15 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
     subdivisions = np.array([max(1, math.ceil(j * h) + 1) for j in js])
     rule = gauss_rule(p + 2)
     uv = np.empty(js.size)
+    t = op.kv.knots
     for s in np.unique(subdivisions):
         xs, ws = [], []
-        for _, a, b in op.kv.spans():
-            edges = np.linspace(a, b, s + 1)
+        for span in op.kv.spans():
+            edges = np.linspace(t[span], t[span + 1], s + 1)
             for lo, hi in zip(edges[:-1], edges[1:]):
-                local = map_rule_to_element(rule, lo, hi)
-                xs.append(local.nodes)
-                ws.append(local.weights)
+                nodes, weights = map_rule_to_element(rule, lo, hi)
+                xs.append(nodes)
+                ws.append(weights)
         xs, ws = np.concatenate(xs), np.concatenate(ws)
         sel = subdivisions == s
         trig = np.sin if bc == "dirichlet" else np.cos
@@ -317,11 +360,12 @@ class SingularInterfaceError(NumericalError):
     """Interface block of the shifted pencil is numerically singular."""
 
 
-def reconstruct_stopping_mode(op, blocks, band_value: float, local=None) -> np.ndarray:
+def reconstruct_stopping_mode(op, blocks, band_value: float) -> np.ndarray:
     """Reassemble a global stopping mode from local bubble eigenfunctions.
 
     The candidate space is the span of the per-block bubble eigenvectors at
-    the band eigenvalue, extended by zero.  A Galerkin projection of the
+    the band eigenvalue, extended by zero; each block's pencil is solved here,
+    densely, from its slice of the global matrices.  A Galerkin projection of the
     shifted pencil onto that space determines the combination weights; the
     interface values then follow by eliminating them through the interface
     block of the shifted system.  ``blocks`` is the bubble partition of
@@ -335,22 +379,22 @@ def reconstruct_stopping_mode(op, blocks, band_value: float, local=None) -> np.n
     ValueError
         If no block owns a bubble eigenvalue at ``band_value``.
     """
-    if local is None:
-        local = local_bubble_spectra(op, blocks)
     n = op.n_dofs
+    K, M = op.K.to_dense(), op.M.to_dense()
     columns = []
-    for modes in local:
-        sel = np.where(np.abs(modes.eigenvalues - band_value)
-                       <= _BUBBLE_MATCH_TOL * abs(band_value))[0]
+    for idx in blocks:
+        sub = np.ix_(idx, idx)
+        w, v = scipy.linalg.eigh(K[sub], M[sub])
+        sel = np.where(np.abs(w - band_value) <= _BUBBLE_MATCH_TOL * abs(band_value))[0]
         for s in sel:
             col = np.zeros(n)
-            col[modes.dof_indices] = modes.eigenvectors[:, s]
+            col[idx] = v[:, s]
             columns.append(col)
     if not columns:
         raise ValueError(f"{band_value} is not a bubble eigenvalue of any block")
     Phi = np.array(columns).T
 
-    A = op.K.to_dense() - band_value * op.M.to_dense()
+    A = K - band_value * M
     i_idx = interface_dofs(blocks, n)
     APhi = A @ Phi
     if i_idx.size:

@@ -163,7 +163,7 @@ def test_criterion_6_stopping_bands():
     K, M = op.K.to_dense(), op.M.to_dense()
     worst_res = 0.0
     for m in rep.matches:
-        U = reconstruct_stopping_mode(op, blocks, m.value, local)
+        U = reconstruct_stopping_mode(op, blocks, m.value)
         res = np.linalg.norm(K @ U - m.value * (M @ U)) \
             / (m.value * np.linalg.norm(M @ U))
         worst_res = max(worst_res, res)

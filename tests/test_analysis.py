@@ -30,6 +30,7 @@ from oracles import (
     interface_dofs,
     linear_fem_eigenvalue,
     reconstruct_stopping_mode,
+    reference_sampling,
 )
 
 
@@ -59,17 +60,30 @@ def test_exact_modes():
     BlockLayout.riga(12, 3, 4),
     BlockLayout.fea(6, 2),
     BlockLayout.iga(8, 2, bc="neumann"),
-], ids=["riga", "fea", "iga-neumann"])
+    BlockLayout(20, 4, 5, 2),
+    BlockLayout(9, 5, 4, 1, bc="neumann"),
+], ids=["riga", "fea", "iga-neumann", "riga-c2", "riga-c1-neumann"])
 def test_sample_matrix_matches_design_matrix(layout):
     op = assemble_layout(layout)
-    inside = np.concatenate([np.linspace(0.0, 1.0, 97), np.unique(op.kv.knots)])
-    outside = np.array([-0.25, -1e-12, 1.0 + 1e-12, 2.0])
+    # every distinct knot (0 and 1 among them) and its two float neighbours
+    knots = np.unique(op.kv.knots)
+    near = np.concatenate([np.nextafter(knots[1:], 0.0), np.nextafter(knots[:-1], 1.0)])
+    inside = np.concatenate([np.linspace(0.0, 1.0, 97), knots, near])
+    outside = np.array([-0.25, -1e-12, np.nextafter(0.0, -1.0),
+                        np.nextafter(1.0, 2.0), 1.0 + 1e-12, 2.0])
     rng = np.random.default_rng(3)
     xs = rng.permutation(np.concatenate([inside, outside]))
     S = analysis.sample_matrix(op, xs).toarray()
     out = np.isin(xs, outside)
     np.testing.assert_allclose(S[~out], design_rows(op, xs[~out]), rtol=0, atol=1e-14)
     assert not S[out].any()
+    assert np.array_equal(S, reference_sampling(op, xs))
+    for x, col in ((0.0, 0), (1.0, -1)):
+        row = S[xs == x][0]
+        if layout.bc == "neumann":  # the end function alone is 1 at its end
+            assert row[col] == 1.0 and row.sum() == 1.0
+        else:  # every kept function vanishes at the ends
+            assert not row.any()
     assert analysis.sample_matrix(op, outside).nnz == 0
     assert analysis.sample_matrix(op, []).shape == (0, op.n_dofs)
 
@@ -258,9 +272,9 @@ def test_single_element_bubble_eigenvalue():
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
     local = local_bubble_spectra(op, blocks)
-    for block in local:
-        assert block.eigenvalues.size == 1
-        assert block.eigenvalues[0] == pytest.approx(10.0 / 0.5 ** 2, rel=1e-12)
+    for w in local:
+        assert w.size == 1
+        assert w[0] == pytest.approx(10.0 / 0.5 ** 2, rel=1e-12)
 
 
 def test_interior_blocks_share_spectra():
@@ -268,7 +282,7 @@ def test_interior_blocks_share_spectra():
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
     local = local_bubble_spectra(op, blocks)
-    interior = [b.eigenvalues for b in local[1:-1]]
+    interior = local[1:-1]
     for w in interior[1:]:
         assert np.allclose(w, interior[0], rtol=1e-10)
     assert interior[0].size == 5  # Bsize + p - 2 distinct values
@@ -312,7 +326,7 @@ def test_reconstruct_stopping_modes():
     K, M = op.K.to_dense(), op.M.to_dense()
     Me = assemble_layout(lay).M.to_dense()
     for m in report.matches:
-        U = reconstruct_stopping_mode(op, blocks, m.value, local)
+        U = reconstruct_stopping_mode(op, blocks, m.value)
         res = np.linalg.norm(K @ U - m.value * (M @ U))
         assert res / (m.value * np.linalg.norm(M @ U)) < 1e-6
         # lies in the global eigenspace at the matched eigenvalue
@@ -326,8 +340,8 @@ def test_reconstruct_symmetric_layout_zero_interface():
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
     local = local_bubble_spectra(op, blocks)
-    for value in local[0].eigenvalues:
-        U = reconstruct_stopping_mode(op, blocks, value, local)
+    for value in local[0]:
+        U = reconstruct_stopping_mode(op, blocks, value)
         assert abs(U[interface_dofs(blocks, op.n_dofs)[0]]) < 1e-8 * np.linalg.norm(U)
 
 
@@ -360,6 +374,18 @@ def test_outlier_census_neumann_and_errors():
         count_outliers(1, 0)
     with pytest.raises(ValueError):
         count_outliers(3, -1)
+
+
+def test_outlier_census_separator_continuity():
+    # a C^(p-1) separator is a simple knot: the mesh is plain IGA
+    for p in (2, 3, 4):
+        for bc in ("dirichlet", "neumann"):
+            assert count_outliers(p, 9, bc, continuity=p - 1) == count_outliers(p, 0, bc)
+    # C^0 is the default; intermediate continuity is outside the census
+    assert count_outliers(3, 4, continuity=0) == count_outliers(3, 4) == 10
+    with pytest.raises(ValueError):
+        count_outliers(4, 3, continuity=1)
+    assert count_outliers(4, 0, continuity=1) == 2  # no separator to count
 
 
 def test_outlier_report_fig9(fig9_setup):

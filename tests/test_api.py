@@ -97,9 +97,8 @@ def test_every_dataclass_field_is_read():
     The check goes by name only: a field counts as read when any ``src/``
     module loads an attribute of that name, on any object.  So it misses an
     unread field that shares its name with a read one.  An unread
-    ``BlockBubbleModes.block`` or ``DiscreteOperator.quadrature`` would pass,
-    because the CLI reads ``cfg.block`` and ``self.quadrature`` under the
-    same names.
+    ``DiscreteOperator.quadrature`` would pass, because the CLI reads
+    ``self.quadrature`` under the same name.
     """
     paths = sorted(PACKAGE.glob("*.py"))
     read = set().union(*(attributes_read(path) for path in paths))

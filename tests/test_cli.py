@@ -172,6 +172,35 @@ def test_outliers_csv(tmp_path, monkeypatch):
     assert {int(r.split(",")[0]) for r in frows} == {193, 194}
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_outliers_max_continuity_separators_match_iga(tmp_path, p):
+    # C^(p-1) separators are simple knots: riga builds the iga knot vector,
+    # and the census must not count them as C^0 separators
+    def run(name, flags):
+        out = tmp_path / f"{name}.csv"
+        assert main(["outliers", "--p", str(p), "--elements", "100", *flags,
+                     "--out", str(out)]) == 0
+        texts = [out.read_text(), out.with_suffix(".freq.csv").read_text()]
+        return [t.split("\n", 1) for t in texts]
+
+    riga = run("riga", ["--method", "riga", "--block", "10",
+                        "--continuity", str(p - 1)])
+    iga = run("iga", ["--method", "iga"])
+    for (riga_config, riga_body), (iga_config, iga_body) in zip(riga, iga):
+        assert riga_config.startswith("# config: ") and riga_config != iga_config
+        assert riga_body == iga_body
+
+
+def test_outliers_refuses_uncovered_census_before_assembly(tmp_path, monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled before the census check")
+
+    monkeypatch.setattr(cli, "assemble_layout", no_assembly)
+    for line in ("outliers --method riga --p 4 --block 5 --continuity 1 --elements 20",
+                 "outliers --p 1 --elements 10"):
+        assert main(line.split() + ["--out", str(tmp_path / "o.csv")]) == 2
+
+
 def test_spectrum2d(tmp_path):
     out = tmp_path / "2d.csv"
     svg = tmp_path / "2d.svg"
@@ -232,6 +261,7 @@ def test_config_errors_exit_2(args):
 @pytest.mark.parametrize("line", [
     "spectrum --elements 1 --p 1",                       # no dofs left
     "outliers --p 1 --elements 10",                      # census needs p >= 2
+    "outliers --method riga --p 4 --block 5 --continuity 1 --elements 20",
     "spectrum --points 40 --elements 10",                # no such Gauss rule
     "spectrum --quadrature lobatto --points 1 --elements 10",
     "stopbands --method riga --block 3 --bc neumann --elements 12",

@@ -7,18 +7,24 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from splinespectra.analysis import partition_dofs, sample_matrix
-from splinespectra.assembly import assemble_layout
+from splinespectra.assembly import _assemble_pair, assemble_layout
 from splinespectra.eigensolve import solve_eigenvalues
-from splinespectra.splines import BlockLayout
+from splinespectra.quadrature import QuadratureSpec
+from splinespectra.splines import BlockLayout, make_block_knots
 
-from oracles import knot_partition, kron_2d_operators
+from oracles import (
+    knot_partition,
+    kron_2d_operators,
+    reference_assembly,
+    reference_sampling,
+)
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
 
 @st.composite
-def layouts(draw):
-    p = draw(st.integers(1, 4))
+def layouts(draw, max_p=4):
+    p = draw(st.integers(1, max_p))
     n_elements = draw(st.integers(1, 24))
     block = draw(st.integers(1, n_elements))
     continuity = draw(st.integers(0, p - 1))
@@ -35,6 +41,16 @@ def c0_dirichlet_layouts(draw):
     block = draw(st.integers(1, n_elements))
     continuity = draw(st.integers(0, p - 1)) if block == n_elements else 0
     return BlockLayout(n_elements, p, block, continuity, "dirichlet")
+
+
+@st.composite
+def quadratures(draw, p):
+    """Every rule kind, at the default point count or a drawn one.  A blend
+    keeps a node its two rules share (0 for odd counts) as two entries."""
+    kind = draw(st.sampled_from(["gauss", "lobatto", "blended"]))
+    points = draw(st.none() | st.integers(1 if kind == "gauss" else 2, p + 3))
+    tau = draw(st.sampled_from([0.5, 2 / 3, 1.8, -0.3])) if kind == "blended" else None
+    return QuadratureSpec(kind, points, tau)
 
 
 def dofs_from_multiplicities(layout: BlockLayout) -> int:
@@ -91,3 +107,25 @@ def test_partition_matches_knot_search(layout):
     # closed-form blocks and knot-searched interfaces tile the dofs exactly
     tiles = np.sort(np.concatenate(blocks + [ref_interface]))
     assert np.array_equal(tiles, np.arange(layout.n_dofs))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_assembly_matches_element_loop_exactly(data):
+    layout = data.draw(layouts(max_p=5))
+    rule = data.draw(quadratures(layout.p)).reference_rule(layout.p)
+    kv = make_block_knots(layout)
+    M, K = _assemble_pair(kv, rule)
+    M_ref, K_ref = reference_assembly(kv, rule)
+    assert np.array_equal(M.band, M_ref)
+    assert np.array_equal(K.band, K_ref)
+
+
+@SETTINGS
+@given(layout=layouts(max_p=5),
+       xs=st.lists(st.floats(-0.25, 1.25), max_size=24))
+def test_sampling_matches_pointwise_evaluation_exactly(layout, xs):
+    assume(layout.n_dofs >= 1)
+    op = assemble_layout(layout)
+    xs = np.concatenate([xs, np.unique(op.kv.knots)])
+    assert np.array_equal(sample_matrix(op, xs).toarray(), reference_sampling(op, xs))

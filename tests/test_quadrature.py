@@ -27,7 +27,7 @@ def test_gauss_examples():
     assert np.allclose(r.weights, [1.0, 1.0])
 
     r = gauss_rule(3)
-    assert r.integrate(lambda x: x ** 4) == pytest.approx(0.4, abs=1e-14)
+    assert r.weights @ r.nodes ** 4 == pytest.approx(0.4, abs=1e-14)
 
 
 def test_lobatto_examples():
@@ -38,9 +38,11 @@ def test_lobatto_examples():
     assert np.allclose(r.nodes, [-1, 0, 1], atol=1e-15)
     assert np.allclose(r.weights, [1 / 3, 4 / 3, 1 / 3], atol=1e-15)
 
-    assert lobatto_rule(4).integrate(lambda x: x ** 4) == pytest.approx(0.4, abs=1e-14)
+    r = lobatto_rule(4)
+    assert r.weights @ r.nodes ** 4 == pytest.approx(0.4, abs=1e-14)
     # 3-point Lobatto misses degree 4: endpoint nodes give 1/3 + 1/3
-    assert lobatto_rule(3).integrate(lambda x: x ** 4) == pytest.approx(2 / 3, abs=1e-14)
+    r = lobatto_rule(3)
+    assert r.weights @ r.nodes ** 4 == pytest.approx(2 / 3, abs=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -48,11 +50,11 @@ def test_gauss_exactness_degree(n):
     r = gauss_rule(n)
     for k in range(2 * n):
         exact = monomial_integral(k)
-        got = r.integrate(lambda x: x ** k)
+        got = r.weights @ r.nodes ** k
         assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
     # first even degree beyond the exactness limit must fail
     k = 2 * n
-    assert abs(r.integrate(lambda x: x ** k) - monomial_integral(k)) > 1e-10
+    assert abs(r.weights @ r.nodes ** k - monomial_integral(k)) > 1e-10
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -60,10 +62,10 @@ def test_lobatto_exactness_degree(n):
     r = lobatto_rule(n)
     for k in range(2 * n - 2):
         exact = monomial_integral(k)
-        got = r.integrate(lambda x: x ** k)
+        got = r.weights @ r.nodes ** k
         assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact))
     k = 2 * n - 2
-    assert abs(r.integrate(lambda x: x ** k) - monomial_integral(k)) > 1e-10
+    assert abs(r.weights @ r.nodes ** k - monomial_integral(k)) > 1e-10
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -120,24 +122,34 @@ def test_blended_linearity_on_polynomials():
         for _ in range(10):
             coeffs = rng.standard_normal(9)
             f = np.polynomial.Polynomial(coeffs)
-            blend = b.integrate(f)
-            parts = (1 - tau) * g.integrate(f) + tau * lo.integrate(f)
+            blend = b.weights @ f(b.nodes)
+            parts = (1 - tau) * (g.weights @ f(g.nodes)) + tau * (lo.weights @ f(lo.nodes))
             assert blend == pytest.approx(parts, rel=1e-13, abs=1e-13)
 
 
 def test_map_rule_examples():
-    r = map_rule_to_element(gauss_rule(1), 0.0, 0.5)
-    assert np.allclose(r.nodes, [0.25]) and np.allclose(r.weights, [0.5])
+    nodes, weights = map_rule_to_element(gauss_rule(1), 0.0, 0.5)
+    assert np.allclose(nodes, [0.25]) and np.allclose(weights, [0.5])
 
-    r = map_rule_to_element(gauss_rule(2), 0.0, 1.0)
-    assert np.allclose(r.nodes, [0.21132486540518713, 0.7886751345948129])
+    nodes, _ = map_rule_to_element(gauss_rule(2), 0.0, 1.0)
+    assert np.allclose(nodes, [0.21132486540518713, 0.7886751345948129])
 
     for a, b in ((0.2, 0.7), (0.0, 0.125)):
-        r = map_rule_to_element(lobatto_rule(4), a, b)
-        assert r.weights.sum() == pytest.approx(b - a, abs=1e-14)
+        _, weights = map_rule_to_element(lobatto_rule(4), a, b)
+        assert weights.sum() == pytest.approx(b - a, abs=1e-14)
 
     with pytest.raises(ValueError):
         map_rule_to_element(gauss_rule(2), 0.5, 0.5)
+
+    # arrays of element ends map every element at once, as one at a time
+    a, b = np.array([0.0, 0.25, 0.5]), np.array([0.25, 0.5, 1.0])
+    nodes, weights = map_rule_to_element(gauss_rule(3), a, b)
+    assert nodes.shape == weights.shape == (3, 3)
+    for k in range(3):
+        one = map_rule_to_element(gauss_rule(3), a[k], b[k])
+        assert np.array_equal(nodes[k], one[0]) and np.array_equal(weights[k], one[1])
+    with pytest.raises(ValueError):
+        map_rule_to_element(gauss_rule(2), a, np.array([0.25, 0.25, 1.0]))
 
 
 def test_unsupported_orders():
