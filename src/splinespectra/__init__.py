@@ -31,8 +31,8 @@ from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues, solve_ge
 from .analysis import (
     AmFit,
     BandMatch,
+    ErrorBudget,
     FrequencyContent,
-    ModeErrorBudget,
     OutlierReport,
     StoppingBandReport,
     coefficient_flatness,
@@ -40,8 +40,9 @@ from .analysis import (
     count_outliers,
     detect_stopping_bands,
     eigenvalue_errors,
+    eigenvalue_errors_2d,
     error_budget,
-    exact_eigenvalues_2d,
+    exact_spectrum,
     find_optimal_tau,
     local_bubble_spectra,
     outlier_report,

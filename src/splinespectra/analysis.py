@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
@@ -29,19 +28,21 @@ from .assembly import (
     NumericalError,
     assemble_layout,
 )
-from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues
+from .eigensolve import (Spectrum, _band_eigenvalues, polish_eigenvalue,
+                         solve_eigenvalues)
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, span_basis_rows
 
 __all__ = [
-    "ModeErrorBudget",
+    "ErrorBudget",
     "BandMatch",
     "StoppingBandReport",
     "OutlierReport",
     "FrequencyContent",
     "AmFit",
-    "exact_eigenvalues_2d",
+    "exact_spectrum",
     "eigenvalue_errors",
+    "eigenvalue_errors_2d",
     "error_budget",
     "partition_dofs",
     "local_bubble_spectra",
@@ -71,18 +72,21 @@ _PAIR_BLOCK_ENTRIES = 1 << 20
 # exact spectrum
 # ---------------------------------------------------------------------------
 
-def exact_eigenvalues_2d(count_per_dir: int, bc: str = "dirichlet"):
-    """All 2D eigenvalues ``(j^2 + k^2) pi^2`` sorted ascending.
-
-    Returns ``(values, j_idx, k_idx)`` with a stable sort so that degenerate
-    pairs keep lexicographic ``(j, k)`` order.
+def exact_spectrum(n_modes: int, bc: str = "dirichlet") -> tuple[np.ndarray, np.ndarray]:
+    """Exact wavenumbers ``j`` and eigenvalues ``(j pi)^2`` of discrete modes
+    ``1 .. n_modes``, the one pairing of discrete and exact modes: in ascending
+    order, mode ``m`` meets ``sin(m pi x)`` under Dirichlet conditions and
+    ``cos((m - 1) pi x)`` under Neumann conditions (the constant mode first).
     """
-    start = 1 if bc == "dirichlet" else 0
-    js = np.arange(start, start + count_per_dir)
-    J, K = np.meshgrid(js, js, indexing="ij")
-    lam = (J.ravel() ** 2 + K.ravel() ** 2) * math.pi ** 2
-    order = np.argsort(lam, kind="stable")
-    return lam[order], J.ravel()[order], K.ravel()[order]
+    js = np.arange(n_modes) + (1 if bc == "dirichlet" else 0)
+    return js, (js * math.pi) ** 2
+
+
+def _relative_errors(discrete, exact) -> np.ndarray:
+    """``(discrete - exact) / exact``, absolute where the exact eigenvalue is
+    zero (the Neumann constant mode)."""
+    err = np.subtract(discrete, exact)
+    return np.divide(err, exact, out=np.array(err), where=exact != 0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +117,7 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
                                    shape=(xs.size, op.n_dofs))
 
 
-def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
+def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
                 subdivisions: int) -> np.ndarray:
     """L2 inner products of exact modes ``js`` with the columns of ``V``.
 
@@ -134,7 +138,7 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
         cols = slice(lo, lo + width)
         jb = js[cols]
         P = S @ V[:, cols]
-        if bc == "dirichlet":
+        if op.bc == "dirichlet":
             U = math.sqrt(2.0) * np.sin(np.outer(xs, jb) * math.pi)
         else:  # the constant mode is 1, not sqrt(2) cos(0)
             U = np.where(jb == 0, 1.0, math.sqrt(2.0) * np.cos(np.outer(xs, jb) * math.pi))
@@ -142,8 +146,8 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray, bc: str,
     return out
 
 
-def _required_subdivisions(j: int, h: float) -> int:
-    return math.ceil(j * h) + 1
+def _required_subdivisions(js: np.ndarray, h: float) -> np.ndarray:
+    return np.ceil(js * h).astype(int) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -151,45 +155,58 @@ def _required_subdivisions(j: int, h: float) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModeErrorBudget:
-    """Terms of the (modified) Pythagorean eigenvalue error identity for one mode.
+class ErrorBudget:
+    """Terms of the (modified) Pythagorean eigenvalue error identity, one entry
+    per budgeted mode ``j`` (the discrete mode's number, from 1).
 
     ``ev_rel + ef_l2_sq + energy_gap + l2_deficit`` equals ``ef_energy_rel_sq``
     up to ``pythagoras_residual``; with exact quadrature the two gap terms
     vanish and the identity reduces to its classical three-term form.
     """
 
-    j: int
-    j_over_n0: float
-    lambda_exact: float
-    lambda_h: float
-    ev_rel: float
-    ef_l2_sq: float
-    ef_energy_rel_sq: float
-    energy_gap: float
-    l2_deficit: float
-    pythagoras_residual: float
-
-
-def _exact_index(mode_number: int, bc: str) -> int:
-    # discrete modes are numbered from 1; Neumann pairs mode 1 with j = 0
-    return mode_number if bc == "dirichlet" else mode_number - 1
+    j: np.ndarray
+    j_over_n0: np.ndarray
+    lambda_exact: np.ndarray
+    lambda_h: np.ndarray
+    ev_rel: np.ndarray
+    ef_l2_sq: np.ndarray
+    ef_energy_rel_sq: np.ndarray
+    energy_gap: np.ndarray
+    l2_deficit: np.ndarray
+    pythagoras_residual: np.ndarray
 
 
 def eigenvalue_errors(spectrum: Spectrum, op: DiscreteOperator) -> np.ndarray:
-    """Relative eigenvalue errors for all modes, paired in ascending order.
+    """Relative eigenvalue errors for all modes, paired with exact modes by
+    :func:`exact_spectrum`.
 
     The Neumann constant mode (exact eigenvalue zero) is reported as an
     absolute error.
     """
-    js = np.array([_exact_index(m, op.bc) for m in range(1, spectrum.n_modes + 1)])
-    lam = (js * math.pi) ** 2
-    err = spectrum.eigenvalues - lam
-    return np.divide(err, lam, out=err.copy(), where=lam != 0)
+    _, lam = exact_spectrum(spectrum.n_modes, op.bc)
+    return _relative_errors(spectrum.eigenvalues, lam)
 
 
-def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> list[ModeErrorBudget]:
-    """Error budgets of every mode, pairing discrete and exact modes by ascending order.
+def eigenvalue_errors_2d(lam1: np.ndarray, bc: str = "dirichlet"):
+    """``(j, k, lambda_exact, lambda_h, ev_rel)`` of every mode on the unit square.
+
+    The discrete eigenvalues are the pairwise sums of the 1D ones ``lam1``,
+    the exact ones ``(j^2 + k^2) pi^2`` over the wavenumbers of
+    :func:`exact_spectrum`.  Both are sorted ascending (stably, so degenerate
+    exact pairs keep lexicographic order) and paired in that order.
+    """
+    js, _ = exact_spectrum(lam1.size, bc)
+    J, K = (a.ravel() for a in np.meshgrid(js, js, indexing="ij"))
+    exact = (J ** 2 + K ** 2) * math.pi ** 2
+    order = np.argsort(exact, kind="stable")
+    exact = exact[order]
+    discrete = np.sort(np.add.outer(lam1, lam1).ravel(), kind="stable")
+    return J[order], K[order], exact, discrete, _relative_errors(discrete, exact)
+
+
+def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
+    """Error budgets of every mode, paired with exact modes by
+    :func:`exact_spectrum`.
 
     Signs are aligned so that the pair inner product ``(u_j, v_j)`` is
     non-negative before eigenfunction errors are formed.  Energy inner
@@ -212,7 +229,6 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> list[ModeErrorBudg
     ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is formed.
     """
     p = op.kv.p
-    modes = list(range(1 if op.bc == "dirichlet" else 2, spectrum.n_modes + 1))
     n0 = op.layout.n_elements + p - 2
     if n0 < 1:
         raise ValueError("error budget needs N0 = n_elements + p - 2 >= 1")
@@ -220,47 +236,34 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> list[ModeErrorBudg
     is_reference = q.kind == "gauss" and q.n_points(p) == p + 1
     exact = op if is_reference else assemble_layout(op.layout)
 
-    V = spectrum.eigenvectors[:, [m - 1 for m in modes]]
-    quad_me = exact.M.quadratic_forms(V)
-    quad_ke = exact.K.quadratic_forms(V)
-    quad_kq = op.K.quadratic_forms(V)
+    js, lam = exact_spectrum(spectrum.n_modes, op.bc)
+    cols = np.flatnonzero(js)  # every mode but the Neumann constant one
+    js, lam = js[cols], lam[cols]
+    lam_h = spectrum.eigenvalues[cols]
+    V = spectrum.eigenvectors[:, cols]
+    vMv = exact.M.quadratic_forms(V)
+    vKv = exact.K.quadratic_forms(V)
+    vKq = op.K.quadratic_forms(V)
 
-    # group modes by required subdivision count so the sampling matrix and
-    # quadrature grid are built once per group
-    h = op.layout.h
-    groups: dict[int, list[int]] = {}
-    for pos, m in enumerate(modes):
-        s = _required_subdivisions(_exact_index(m, op.bc), h)
-        groups.setdefault(s, []).append(pos)
+    # one sampling matrix and quadrature grid per required subdivision count
+    subdivisions = _required_subdivisions(js, op.layout.h)
+    uv = np.empty(js.size)
+    for s in np.unique(subdivisions):
+        group = np.flatnonzero(subdivisions == s)
+        uv[group] = _pair_inner(op, V[:, group], js[group], s)
+    uv = np.abs(uv)
 
-    inner = np.empty(len(modes))
-    for s, positions in groups.items():
-        js = np.array([_exact_index(modes[pos], op.bc) for pos in positions])
-        inner[positions] = _pair_inner(op, V[:, positions], js, op.bc, s)
-
-    budgets = []
-    for pos, m in enumerate(modes):
-        j = _exact_index(m, op.bc)
-        lam = (j * math.pi) ** 2
-        lam_h = float(spectrum.eigenvalues[m - 1])
-        uv = float(inner[pos])
-        sign = 1.0 if uv >= 0.0 else -1.0
-        uv *= sign
-        vMv = float(quad_me[pos])
-        vKv = float(quad_ke[pos])
-        ev_rel = (lam_h - lam) / lam
-        ef_l2 = 1.0 - 2.0 * uv + vMv
-        ef_energy = (lam - 2.0 * lam * uv + vKv) / lam
-        energy_gap = (vKv - float(quad_kq[pos])) / lam
-        l2_deficit = 1.0 - vMv
-        residual = ef_energy - (ev_rel + ef_l2 + energy_gap + l2_deficit)
-        budgets.append(ModeErrorBudget(
-            j=m, j_over_n0=m / n0, lambda_exact=lam, lambda_h=lam_h,
-            ev_rel=ev_rel, ef_l2_sq=ef_l2, ef_energy_rel_sq=ef_energy,
-            energy_gap=energy_gap, l2_deficit=l2_deficit,
-            pythagoras_residual=residual,
-        ))
-    return budgets
+    ev_rel = _relative_errors(lam_h, lam)
+    ef_l2 = 1.0 - 2.0 * uv + vMv
+    ef_energy = (lam - 2.0 * lam * uv + vKv) / lam
+    energy_gap = (vKv - vKq) / lam
+    l2_deficit = 1.0 - vMv
+    return ErrorBudget(
+        j=cols + 1, j_over_n0=(cols + 1) / n0, lambda_exact=lam, lambda_h=lam_h,
+        ev_rel=ev_rel, ef_l2_sq=ef_l2, ef_energy_rel_sq=ef_energy,
+        energy_gap=energy_gap, l2_deficit=l2_deficit,
+        pythagoras_residual=ef_energy - (ev_rel + ef_l2 + energy_gap + l2_deficit),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +295,16 @@ def partition_dofs(layout: BlockLayout) -> list[np.ndarray]:
 
 def local_bubble_spectra(op: DiscreteOperator,
                          blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Eigenvalues of the dense bubble pencil of every block of
+    """Eigenvalues of the bubble pencil of every block of
     :func:`partition_dofs`, one ascending array per block.
 
-    A block's bubbles are contiguous, so each pencil is built from its slice
-    of the stored bands; no dense copy of the global operators is formed.
+    A block's bubbles are contiguous, so each pencil is its slice of the
+    stored bands, solved on those bands like
+    :func:`~splinespectra.eigensolve.solve_eigenvalues`; no dense matrix is
+    formed.
     """
-    out = []
-    for idx in blocks:
-        w, _ = scipy.linalg.eigh(op.K.restricted(idx).to_dense(),
-                                 op.M.restricted(idx).to_dense())
-        out.append(w)
-    return out
+    return [_band_eigenvalues(op.K.restricted(idx), op.M.restricted(idx))
+            for idx in blocks]
 
 
 @dataclass
@@ -318,8 +319,11 @@ class BandMatch:
 @dataclass
 class StoppingBandReport:
     matches: list[BandMatch]
-    band_count: int
     expected_count: int
+
+    @property
+    def band_count(self) -> int:
+        return len(self.matches)
 
     def matched_count(self) -> int:
         """Bands with a global eigenvalue within ``1e-6`` (relative)."""
@@ -340,7 +344,7 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
     bands are reported.
     """
     if layout.n_separators == 0:
-        return StoppingBandReport(matches=[], band_count=0, expected_count=0)
+        return StoppingBandReport(matches=[], expected_count=0)
     n_blocks = len(local)
     pool = local[1:-1] if n_blocks > 2 else local
     values = np.sort(np.concatenate(pool))
@@ -363,12 +367,8 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
                     best, best_gap = cand, gap
         matches.append(BandMatch(v, float(eigenvalues[best]), float(best_gap), best, c))
 
-    expected = layout.block_size + layout.p - 2
-    return StoppingBandReport(
-        matches=matches,
-        band_count=len(distinct),
-        expected_count=expected,
-    )
+    # one band per bubble of a full block; the first block is always full
+    return StoppingBandReport(matches=matches, expected_count=local[0].size)
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +595,10 @@ def leading_mode_error(layout: BlockLayout,
     its Rayleigh quotient, free of the solve's absolute round-off.
     """
     op = assemble_layout(layout, quadrature)
-    first = 0 if layout.bc == "dirichlet" else 1
+    js, lam = exact_spectrum(op.n_dofs, layout.bc)
+    first = int(np.searchsorted(js, 1))
     lam_h = polish_eigenvalue(op, solve_eigenvalues(op)[first])
-    lam = math.pi ** 2
-    return (lam_h - lam) / lam
+    return float(_relative_errors(lam_h, lam[first]))
 
 
 def convergence_study(layouts, quadrature: QuadratureSpec | None = None):

@@ -133,20 +133,19 @@ def _stack_svgs(svgs: list[str]) -> str:
 def cmd_spectrum(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int:
     op = assemble_layout(cfg.layout(), cfg.quadrature_spec())
     spectrum = solve_gevp(op)
-    budgets = analysis.error_budget(spectrum, op)
+    b = analysis.error_budget(spectrum, op)
     header = ["j", "j_over_N0", "lambda_exact", "lambda_h", "ev_rel",
               "ef_l2_sq", "ef_energy_rel_sq", "energy_gap", "l2_deficit",
               "pythagoras_residual"]
-    rows = [(b.j, b.j_over_n0, b.lambda_exact, b.lambda_h, b.ev_rel,
-             b.ef_l2_sq, b.ef_energy_rel_sq, b.energy_gap, b.l2_deficit,
-             b.pythagoras_residual) for b in budgets]
+    rows = zip(b.j, b.j_over_n0, b.lambda_exact, b.lambda_h, b.ev_rel,
+               b.ef_l2_sq, b.ef_energy_rel_sq, b.energy_gap, b.l2_deficit,
+               b.pythagoras_residual)
     _write_text(out, _csv(header, rows, cfg))
     if svg:
-        x = [b.j_over_n0 for b in budgets]
         series = [
-            (x, [b.ev_rel for b in budgets], "eigenvalue error"),
-            (x, [b.ef_l2_sq for b in budgets], "L2 eigenfunction error"),
-            (x, [b.ef_energy_rel_sq for b in budgets], "energy eigenfunction error"),
+            (b.j_over_n0, b.ev_rel, "eigenvalue error"),
+            (b.j_over_n0, b.ef_l2_sq, "L2 eigenfunction error"),
+            (b.j_over_n0, b.ef_energy_rel_sq, "energy eigenfunction error"),
         ]
         lin = svgplot.line_plot(series, title="error budget",
                                 xlabel="j / N0", ylabel="error")
@@ -234,21 +233,14 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
 def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int:
     op1 = assemble_layout(cfg.layout(), cfg.quadrature_spec())
     lam1 = solve_eigenvalues(op1)
-    n = lam1.size
-    sums = np.add.outer(lam1, lam1).ravel()
-    order = np.argsort(sums, kind="stable")
-    discrete = sums[order]
-    exact, jj, kk = analysis.exact_eigenvalues_2d(n, cfg.bc)
-    # the Neumann (0, 0) mode has exact eigenvalue zero: absolute error there
-    err = discrete - exact
-    ev_rel = np.divide(err, exact, out=err.copy(), where=exact != 0)
+    jj, kk, exact, discrete, ev_rel = analysis.eigenvalue_errors_2d(lam1, cfg.bc)
     header = ["j", "k", "lambda_exact", "lambda_h", "ev_rel"]
-    rows = list(zip(jj, kk, exact, discrete, ev_rel))
+    rows = zip(jj, kk, exact, discrete, ev_rel)
     _write_text(out, _csv(header, rows, cfg))
     if svg:
-        grid = np.empty((n, n))
-        start = 1 if cfg.bc == "dirichlet" else 0
-        grid[jj - start, kk - start] = ev_rel
+        # the first row is the lowest wavenumber pair
+        grid = np.empty((lam1.size, lam1.size))
+        grid[jj - jj[0], kk - kk[0]] = ev_rel
         _write_text(svg, svgplot.heatmap(
             grid, title="2D relative eigenvalue error (log10)",
             xlabel="k", ylabel="j"))

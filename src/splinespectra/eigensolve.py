@@ -32,7 +32,7 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
-from .assembly import DiscreteOperator, NumericalError
+from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
@@ -128,14 +128,20 @@ def solve_eigenvalues(op: DiscreteOperator) -> np.ndarray:
         If LAPACK reports a failure: ``M`` is not positive definite, or the
         tridiagonal solve did not converge.
     """
-    n = op.n_dofs
+    _check_size(op.n_dofs)  # before the bands are read
+    return _band_eigenvalues(op.K, op.M)
+
+
+def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix) -> np.ndarray:
+    """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``."""
+    n = K.n
     _check_size(n)
-    if not (np.isfinite(op.K.band).all() and np.isfinite(op.M.band).all()):
+    if not (np.isfinite(K.band).all() and np.isfinite(M.band).all()):
         raise ValueError("array must not contain infs or NaNs")
-    ka, kb = op.K.bandwidth, op.M.bandwidth
+    ka, kb = K.bandwidth, M.bandwidth
     # dsbgvd overwrites both bands: hand it Fortran-ordered copies
-    ab = np.array(op.K.band, order="F")
-    bb = np.array(op.M.band, order="F")
+    ab = np.array(K.band, order="F")
+    bb = np.array(M.band, order="F")
     w = np.empty(n, order="F")
     z = np.empty(1, order="F")  # not referenced without eigenvectors
     work = np.empty(max(1, 2 * n), order="F")

@@ -202,7 +202,7 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
     exact ones on the layout re-assembled under Gauss ``p + 1`` points; the
     pair inner products sample with :func:`design_rows` on one unblocked grid
     per subdivision count (Gauss ``p + 2`` points on ``max(1, ceil(j h) + 1)``
-    equal pieces of every element).  Keys are ``ModeErrorBudget`` field
+    equal pieces of every element).  Keys are ``ErrorBudget`` field
     names; Neumann budgets start at mode 2, past the constant mode.
     """
     p, h, bc = op.kv.p, op.layout.h, op.bc

@@ -10,8 +10,9 @@ from splinespectra.analysis import (
     count_outliers,
     detect_stopping_bands,
     eigenvalue_errors,
+    eigenvalue_errors_2d,
     error_budget,
-    exact_eigenvalues_2d,
+    exact_spectrum,
     find_optimal_tau,
     local_bubble_spectra,
     outlier_report,
@@ -46,7 +47,8 @@ def fig9_setup():
 # ---------------------------------------------------------------------------
 
 def test_exact_modes():
-    lam2d, jj, kk = exact_eigenvalues_2d(3)
+    _, lam1 = exact_spectrum(3)
+    jj, kk, lam2d, _, _ = eigenvalue_errors_2d(lam1)
     assert lam2d[0] == pytest.approx(2 * math.pi ** 2)
     assert (jj[0], kk[0]) == (1, 1)
     assert np.all(np.diff(lam2d) >= 0)
@@ -96,7 +98,7 @@ def pair_inner(op, j, v, subdivisions=None):
     """``(u_j, v)`` for exact mode ``j``, on the grid ``error_budget`` uses."""
     if subdivisions is None:
         subdivisions = analysis._required_subdivisions(j, op.layout.h)
-    return float(analysis._pair_inner(op, v[:, None], np.array([j]), op.bc,
+    return float(analysis._pair_inner(op, v[:, None], np.array([j]),
                                       subdivisions)[0])
 
 
@@ -136,11 +138,11 @@ def test_leading_coefficients_measured_truth():
     lam1 = math.pi ** 2
     h4 = (1.0 / 64) ** 4
     op = assemble_layout(BlockLayout.iga(64, 2))
-    ev_gauss = error_budget(solve_gevp(op), op)[0].ev_rel
+    ev_gauss = error_budget(solve_gevp(op), op).ev_rel[0]
     assert ev_gauss == pytest.approx(lam1 ** 2 * h4 / 720.0, rel=0.10)
 
     opl = assemble_layout(BlockLayout.iga(64, 2), QuadratureSpec("lobatto"))
-    ev_lob = error_budget(solve_gevp(opl), opl)[0].ev_rel
+    ev_lob = error_budget(solve_gevp(opl), opl).ev_rel[0]
     assert ev_lob == pytest.approx(-lam1 ** 2 * h4 / 1440.0, rel=0.10)
 
     assert ev_gauss / ev_lob == pytest.approx(-2.0, rel=0.05)
@@ -148,32 +150,30 @@ def test_leading_coefficients_measured_truth():
 
 def test_budget_pythagorean_identity_exact_quadrature():
     op = assemble_layout(BlockLayout.riga(48, 2, 12))
-    budgets = error_budget(solve_gevp(op), op)
-    for b in budgets:
-        assert abs(b.pythagoras_residual) < 1e-7
-        assert abs(b.energy_gap) < 1e-10
-        assert abs(b.l2_deficit) < 1e-10
-        # classical three-term identity
-        assert b.ev_rel + b.ef_l2_sq == pytest.approx(b.ef_energy_rel_sq, abs=1e-7)
+    b = error_budget(solve_gevp(op), op)
+    assert np.all(np.abs(b.pythagoras_residual) < 1e-7)
+    assert np.all(np.abs(b.energy_gap) < 1e-10)
+    assert np.all(np.abs(b.l2_deficit) < 1e-10)
+    # classical three-term identity
+    assert b.ev_rel + b.ef_l2_sq == pytest.approx(b.ef_energy_rel_sq, abs=1e-7)
 
 
 @pytest.mark.parametrize("tau", [2 / 3, 1.0, 1.8])
 def test_budget_modified_identity(tau):
     op = assemble_layout(BlockLayout.iga(32, 2), QuadratureSpec("blended", tau=tau))
-    budgets = error_budget(solve_gevp(op), op)
-    for b in budgets:
-        assert abs(b.pythagoras_residual) < 1e-7
-        assert abs(b.energy_gap) < 1e-10
+    b = error_budget(solve_gevp(op), op)
+    assert np.all(np.abs(b.pythagoras_residual) < 1e-7)
+    assert np.all(np.abs(b.energy_gap) < 1e-10)
     if tau != 2 / 3:
-        assert max(abs(b.l2_deficit) for b in budgets) > 1e-6
+        assert np.abs(b.l2_deficit).max() > 1e-6
 
 
 def test_budget_mode_selection_and_validation():
     op = assemble_layout(BlockLayout.iga(16, 2))
     spec = solve_gevp(op)
-    budgets = error_budget(spec, op)
-    assert [b.j for b in budgets] == list(range(1, op.n_dofs + 1))
-    assert budgets[2].j_over_n0 == pytest.approx(3 / 16)
+    budget = error_budget(spec, op)
+    assert np.array_equal(budget.j, np.arange(1, op.n_dofs + 1))
+    assert budget.j_over_n0[2] == pytest.approx(3 / 16)
 
 
 @pytest.mark.parametrize("layout, quadrature", [
@@ -187,11 +187,11 @@ def test_budget_mode_selection_and_validation():
 def test_budget_matches_dense_oracle(layout, quadrature):
     op = assemble_layout(layout, quadrature)
     spec = solve_gevp(op)
-    budgets = error_budget(spec, op)
+    budget = error_budget(spec, op)
     expected = dense_error_budget(spec, op)
     for name, values in expected.items():
-        got = np.array([getattr(b, name) for b in budgets])
-        np.testing.assert_allclose(got, values, rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(getattr(budget, name), values, rtol=0, atol=1e-12,
+                                   err_msg=name)
 
 
 def test_budget_independent_of_block_width(monkeypatch):
@@ -202,10 +202,10 @@ def test_budget_independent_of_block_width(monkeypatch):
     # blocks of 3 modes, the last one ragged (64 = 21 * 3 + 1)
     monkeypatch.setattr(analysis, "_PAIR_BLOCK_ENTRIES", 3 * 64 * 2 * 5)
     blocked = error_budget(spec, op)
-    for a, b in zip(default, blocked):
-        for name in ("ef_l2_sq", "ef_energy_rel_sq", "l2_deficit",
-                     "pythagoras_residual"):
-            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=0, abs=1e-14)
+    for name in ("ef_l2_sq", "ef_energy_rel_sq", "l2_deficit",
+                 "pythagoras_residual"):
+        np.testing.assert_allclose(getattr(blocked, name), getattr(default, name),
+                                   rtol=0, atol=1e-14, err_msg=name)
 
 
 def test_budget_memory_stays_near_the_eigenvectors():
@@ -226,10 +226,10 @@ def test_budget_neumann_skips_constant_mode():
     spec = solve_gevp(op)
     errs = eigenvalue_errors(spec, op)
     assert abs(errs[0]) < 1e-10  # constant mode, absolute error
-    budgets = error_budget(spec, op)
-    assert budgets[0].j == 2
-    assert budgets[0].lambda_exact == pytest.approx(math.pi ** 2)
-    assert abs(budgets[0].pythagoras_residual) < 1e-7
+    budget = error_budget(spec, op)
+    assert budget.j[0] == 2
+    assert budget.lambda_exact[0] == pytest.approx(math.pi ** 2)
+    assert abs(budget.pythagoras_residual[0]) < 1e-7
 
 
 # ---------------------------------------------------------------------------

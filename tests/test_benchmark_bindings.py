@@ -3,10 +3,14 @@
 ``perfbench/layers.py`` rebinds the package's public functions, their
 aliases in the importing modules and three ``SymmetricBandedMatrix`` methods,
 all by name.  A library change that renames one of them fails here, in the
-repository's own tests, instead of in every traced benchmark run.  These
-tests import ``perfbench`` modules and change none of them.
+repository's own tests, instead of in every traced benchmark run.  One tiny
+job of every subcommand also runs traced, and the per-layer metrics it yields
+are the ones ``BENCHMARK.json`` declares.  These tests import ``perfbench``
+modules and change none of them.
 """
 
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -46,3 +50,37 @@ def test_traced_job_runs_and_uninstall_restores_every_binding(tmp_path):
     assert metrics["assembly.assemble_layout.calls"] == 1
     assert metrics["splines.span_basis_rows.calls"] == 1
     assert metrics["assembly.add_symmetric_block.calls"] == 2
+
+
+# one tiny job per subcommand, each plot-writing one with its SVG
+EVERY_SUBCOMMAND = [
+    "spectrum --method riga --p 2 --block 4 --elements 8 --svg",
+    "outliers --method riga --p 2 --block 4 --elements 8",
+    "converge --p 2 --elements 4,8,16",
+    "stopbands --method riga --p 2 --block 5 --elements 20",
+    "spectrum2d --method fea --p 2 --elements 4 --svg",
+]
+
+
+def test_every_subcommand_traces_and_reports_every_metric(tmp_path):
+    assert sorted(line.split()[0] for line in EVERY_SUBCOMMAND) == sorted(layers.SUBCOMMANDS)
+    before = layers.bindings()
+    tracer = layers.install_tracer()
+    try:
+        for job, line in enumerate(EVERY_SUBCOMMAND):
+            tracer.job = job
+            assert cli.main(job_argv(line, str(tmp_path / f"job{job}"))) == 0, line
+    finally:
+        tracer.uninstall()
+    after = layers.bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
+
+    metrics = layers.layer_metrics(tracer, dict(enumerate(EVERY_SUBCOMMAND)))
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    # the runner adds these two itself
+    want = {m["name"] for m in declared["per_layer"]} - {"cli.csv_bytes", "trace.overhead_s"}
+    assert set(metrics) == want
+    assert all(math.isfinite(v) for v in metrics.values())
+    for sub in layers.SUBCOMMANDS:
+        assert metrics[f"cli.cmd_{sub}.s"] > 0

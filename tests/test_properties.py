@@ -1,14 +1,21 @@
 """Identities that hold on every block layout, checked on random ones."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
-from splinespectra.analysis import partition_dofs, sample_matrix
+from splinespectra.analysis import (
+    eigenvalue_errors,
+    eigenvalue_errors_2d,
+    error_budget,
+    partition_dofs,
+    sample_matrix,
+)
 from splinespectra.assembly import _assemble_pair, assemble_layout
-from splinespectra.eigensolve import solve_eigenvalues
+from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout, make_block_knots
 
@@ -129,3 +136,35 @@ def test_sampling_matches_pointwise_evaluation_exactly(layout, xs):
     op = assemble_layout(layout)
     xs = np.concatenate([xs, np.unique(op.kv.knots)])
     assert np.array_equal(sample_matrix(op, xs).toarray(), reference_sampling(op, xs))
+
+
+@SETTINGS
+@given(layout=layouts(), kind=st.sampled_from(["gauss", "lobatto"]))
+def test_every_error_pairs_modes_alike(layout, kind):
+    """Discrete mode ``m`` meets exact ``j = m`` (Dirichlet) or ``j = m - 1``
+    (Neumann) with the same exact eigenvalue ``(j pi)^2`` and the same error,
+    bit for bit, in the error budget, the 1D errors and the 2D table; a zero
+    exact eigenvalue carries the absolute error."""
+    assume(layout.n_elements + layout.p >= 3)  # the budget needs N0 >= 1
+    op = assemble_layout(layout, QuadratureSpec(kind))
+    spectrum = solve_gevp(op)
+    budget = error_budget(spectrum, op)
+    errs = eigenvalue_errors(spectrum, op)
+    shift = 1 if layout.bc == "neumann" else 0
+    assert np.array_equal(budget.j, np.arange(1 + shift, spectrum.n_modes + 1))
+    lam = ((budget.j - shift) * math.pi) ** 2
+    assert np.array_equal(budget.lambda_exact, lam)
+    assert np.array_equal(budget.lambda_h, spectrum.eigenvalues[budget.j - 1])
+    assert np.array_equal(budget.ev_rel, (budget.lambda_h - lam) / lam)
+    assert np.array_equal(budget.ev_rel, errs[budget.j - 1])
+    if shift:
+        assert errs[0] == spectrum.eigenvalues[0]
+
+    jj, kk, exact, discrete, ev = eigenvalue_errors_2d(spectrum.eigenvalues, layout.bc)
+    assert (jj[0], kk[0]) == (1 - shift, 1 - shift)
+    assert np.array_equal(exact, (jj ** 2 + kk ** 2) * math.pi ** 2)
+    assert np.array_equal(discrete, np.sort(np.add.outer(spectrum.eigenvalues,
+                                                         spectrum.eigenvalues).ravel()))
+    assert np.array_equal(ev[shift:], (discrete - exact)[shift:] / exact[shift:])
+    if shift:
+        assert exact[0] == 0.0 and ev[0] == discrete[0]
