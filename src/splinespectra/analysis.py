@@ -125,25 +125,40 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
     ``subdivisions`` equal subintervals per element; ``ceil(j h) + 1`` of
     them resolve the oscillation of exact mode ``j >= 1``.  One sampling matrix
     serves all columns, applied to blocks of columns so that the grid-sized
-    temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each."""
+    temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each.
+
+    ``js`` are consecutive wavenumbers.  The exact modes come from the angle
+    addition formula: one table of ``sin`` and ``cos`` of the offsets
+    ``d = 0 .. width - 1`` within a column block serves every block, shifted
+    by the block's first wavenumber ``j0``.  With ``width`` near
+    ``sqrt(len(js))`` that takes about ``4 sqrt(len(js))`` transcendental
+    calls per grid point, against ``len(js)`` for each mode on its own."""
+    if np.any(np.diff(js) != 1):
+        raise ValueError("pair inner products need consecutive wavenumbers")
     kv = op.kv
     spans = kv.spans()
     edges = np.linspace(kv.knots[spans], kv.knots[spans + 1], subdivisions + 1, axis=1)
     xs, ws = map_rule_to_element(gauss_rule(kv.p + 2), edges[:, :-1], edges[:, 1:])
     xs, ws = xs.ravel(), ws.ravel()
     S = sample_matrix(op, xs)
-    width = max(1, _PAIR_BLOCK_ENTRIES // xs.size)
+    width = max(1, min(math.isqrt(max(js.size, 1) - 1) + 1,  # ceil(sqrt(len(js)))
+                       _PAIR_BLOCK_ENTRIES // xs.size))
+    offsets = np.outer(xs, np.arange(width) * math.pi)
+    sin_d, cos_d = np.sin(offsets), np.cos(offsets)
+    del offsets
     out = np.empty(js.size)
     for lo in range(0, js.size, width):
         cols = slice(lo, lo + width)
-        jb = js[cols]
         P = S @ V[:, cols]
-        if op.bc == "dirichlet":
-            U = math.sqrt(2.0) * np.sin(np.outer(xs, jb) * math.pi)
-        else:  # the constant mode is 1, not sqrt(2) cos(0)
-            U = np.where(jb == 0, 1.0, math.sqrt(2.0) * np.cos(np.outer(xs, jb) * math.pi))
-        out[cols] = ws @ (U * P)
-    return out
+        d = slice(0, P.shape[1])
+        first = (js[lo] * math.pi) * xs
+        w_sin, w_cos = ws * np.sin(first), ws * np.cos(first)
+        if op.bc == "dirichlet":  # sin(a + b) = sin a cos b + cos a sin b
+            out[cols] = w_sin @ (cos_d[:, d] * P) + w_cos @ (sin_d[:, d] * P)
+        else:  # cos(a + b) = cos a cos b - sin a sin b
+            out[cols] = w_cos @ (cos_d[:, d] * P) - w_sin @ (sin_d[:, d] * P)
+    # the Neumann constant mode is 1, not sqrt(2) cos(0)
+    return out * np.where(js == 0, 1.0, math.sqrt(2.0))
 
 
 def _required_subdivisions(js: np.ndarray, h: float) -> np.ndarray:

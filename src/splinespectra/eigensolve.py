@@ -3,16 +3,37 @@
 The pencil is symmetric with positive definite mass.  There are two paths,
 one per kind of result:
 
-- :func:`solve_gevp` computes every eigenpair with a dense
-  :func:`scipy.linalg.eigh` (a triangular factorization of ``M`` reduces the
-  pencil to a standard symmetric problem).  Eigenvectors are normalized
-  against the assembled mass matrix and signed so that the entry of largest
-  magnitude in each column is positive.
+- :func:`solve_gevp` computes every eigenpair, by one of two routes picked
+  from the operator itself:
+
+  - the block-Fourier ("Bloch") route, when every block of the layout is
+    the same patch: Dirichlet conditions, ``C^0`` separators, at least two
+    blocks of ``block_size`` elements, and stored bands that repeat from
+    block to block and are mirror-symmetric within one.  A sine transform
+    over the blocks splits the pencil into ``n_b - 1`` pencils of size
+    ``m + 1`` (``m`` bubbles per block and one interface), one per
+    wavenumber ``k pi / n_b``, solved in one batched call, plus the ``m``
+    stopping-band modes of the bubble pencil.  The eigenvectors are rebuilt
+    in O(n^2) and the eigenvalues are their Rayleigh quotients
+    ``v^T K v / v^T M v`` on the stored bands: the small pencils' own
+    eigenvalues lose the lowest modes to cancellation.  This is the Bloch
+    dispersion of condensed macro-elements (Hughes, Reali & Sangalli 2008);
+  - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
+    reduces the pencil to a standard symmetric problem) for every other
+    pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
+    separators, and pencils without a layout.
+
+  Eigenvectors are normalized against the assembled mass matrix.  A run of
+  eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
+  by either route, so its vectors are an arbitrary basis of the run's
+  subspace; they are replaced by the subspace's localized (SCDM) basis,
+  which is the same whichever route found the subspace.  Each column is
+  then signed so that its leading entry is positive.
 - :func:`solve_eigenvalues` computes every eigenvalue and no eigenvector,
   straight from the stored upper bands, with LAPACK ``dsbgvd`` (split
   Cholesky factorization of ``M``, band reduction to tridiagonal form, and a
   tridiagonal solve): O(n^2 p) time and O(n p) memory, against O(n^3) time
-  and two n x n copies for the dense path.
+  and two n x n copies for the dense route.
 
 Both are backward stable, so an eigenvalue is accurate to about
 ``n eps lambda_max`` in absolute terms, not relative to itself; on fine
@@ -25,6 +46,7 @@ error quadratic in the eigenvector's.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +59,10 @@ from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
 DENSE_LIMIT = 6000
+# the stored bands of a repeated patch agree to this fraction of their largest entry
+_PATCH_TOL = 1e-12
+# entries this close (relative) to a column's largest magnitude tie for its sign
+_SIGN_TIE = 1e-12
 # relative offset of the inverse-iteration shift below the estimate, and the
 # step count: each step shrinks the other modes' share by about the ratio of
 # the offset to the relative gap between neighbouring eigenvalues
@@ -57,8 +83,14 @@ class Spectrum:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude entry is positive."""
-    lead = np.abs(vectors).argmax(axis=0)
+    """Flip columns in place so each one's leading entry is positive.
+
+    The leading entry is the first one within ``1 - 1e-12`` of the column's
+    largest magnitude, so that a mirror-antisymmetric mode, whose two largest
+    entries are equal and opposite, is signed by position, not by round-off.
+    """
+    mag = np.abs(vectors)
+    lead = (mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0)).argmax(axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
     vectors *= signs
@@ -75,18 +107,212 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
 
     Eigenvalues come back sorted ascending with matching eigenvector columns,
     mass-normalized (``v^T M v = 1``) against the assembled ``M``.
+
+    A layout whose blocks all repeat one patch (Dirichlet conditions, ``C^0``
+    separators, at least two blocks of equal size, bands that repeat and are
+    mirror-symmetric) is solved by its per-wavenumber pencils, and its
+    eigenvalues are the Rayleigh quotients of the rebuilt eigenvectors.  Any
+    other pencil, including one without a ``layout``, takes a dense
+    :func:`scipy.linalg.eigh`.  Either way, each run of eigenvalues closer
+    than ``n eps lambda_max`` gets its localized basis (see the module
+    docstring), and each column is signed so that its leading entry, the
+    first within ``1e-12`` (relative) of its largest magnitude, is positive.
     """
     n = op.n_dofs
     _check_size(n)
+    patch = _uniform_patch(op)
+    if patch is None:
+        w, v = _dense_eigenpairs(op)
+    else:
+        w, v = _bloch_eigenpairs(op, *patch)
+    _localize_clusters(w, v, op.M)
+    return Spectrum(w, _fix_signs(v))
+
+
+def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     K = op.K.to_dense()
     M = op.M.to_dense()
     try:
         # K and M are fresh and exactly symmetric: their transposes are
         # Fortran-ordered views that LAPACK may overwrite without a copy
-        w, v = scipy.linalg.eigh(K.T, M.T, overwrite_a=True, overwrite_b=True)
+        return scipy.linalg.eigh(K.T, M.T, overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded at assembly
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    return Spectrum(w, _fix_signs(v))
+
+
+def _uniform_patch(op) -> tuple | None:
+    """``(n_blocks, K_patch, M_patch)`` when every block of ``op`` repeats one
+    mirror-symmetric patch, else ``None``.
+
+    The layout must have Dirichlet conditions, ``C^0`` separators and
+    ``n_elements`` a multiple of ``block_size``, with at least two blocks;
+    the reduced dofs then run
+    block by block, ``m = block_size + p - 2`` bubbles and one interface.
+    The stored bands must equal, to ``1e-12`` of their largest entry, the
+    bands tiled from the first block, whose bubble pencil must be invariant
+    under the mirror ``J`` (reversal of the bubbles) and couple to the
+    interface on its left by ``J`` times its coupling to the right.  Each
+    patch is ``(A_bb, r, a_ss, a_st)``: the bubble block, its coupling to the
+    right interface, the interface diagonal and the coupling between
+    neighbouring interfaces.
+    """
+    layout = getattr(op, "layout", None)
+    if layout is None or layout.bc != "dirichlet" or layout.separator_continuity != 0:
+        return None
+    n_blocks, rest = divmod(layout.n_elements, layout.block_size)
+    m = layout.block_size + layout.p - 2
+    period = m + 1
+    n = op.n_dofs
+    if n_blocks < 2 or rest or n != n_blocks * period - 1:
+        return None
+    window = np.arange(min(2 * period, n))
+    patches = []
+    for A in (op.K, op.M):
+        if A.bandwidth > period:
+            return None
+        W = A.restricted(window).to_dense()
+        bb, r, ss = W[:m, :m], W[:m, m], W[m, m]
+        st = W[m, 2 * period - 1] if window.size == 2 * period else 0.0
+        scale = np.abs(A.band).max()
+        if not np.abs(bb - bb[::-1, ::-1]).max(initial=0.0) <= _PATCH_TOL * scale:
+            return None
+        if not np.abs(A.band - _tiled_band(W[:period, :period], r, st, A.bandwidth,
+                                           n_blocks, n)).max() <= _PATCH_TOL * scale:
+            return None
+        patches.append((bb, r, ss, st))
+    return n_blocks, *patches
+
+
+def _tiled_band(D: np.ndarray, r: np.ndarray, st: float, u: int, n_blocks: int,
+                n: int) -> np.ndarray:
+    """Upper band (``u`` superdiagonals) of the block-Toeplitz matrix with
+    diagonal block ``D`` per period of bubbles and one interface, whose
+    interface couples to the next period's bubbles by ``r`` reversed and to
+    the next interface by ``st``, cut to ``n`` rows."""
+    period = D.shape[0]
+    G = np.zeros((2 * period, 2 * period))
+    G[:period, :period] = G[period:, period:] = D
+    G[period - 1, period:-1] = r[::-1]
+    G[period - 1, -1] = st
+    c = np.arange(period) + period
+    band = np.tile(np.array([G[c - d, c] for d in range(u, -1, -1)]), n_blocks)[:, :n]
+    for d in range(1, u + 1):
+        band[u - d, :d] = 0.0  # rows above the matrix
+    return band
+
+
+def _pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of stacked symmetric pencils ``(A[k], B[k])``, each ``B[k]``
+    positive definite, in one batched call; vectors are ``B``-orthonormal."""
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"patch mass matrix not positive definite: {exc}") from exc
+    w, Z = np.linalg.eigh(Linv @ A @ Linv.mT)
+    return w, Linv.mT @ Z
+
+
+def _bloch_eigenpairs(op: DiscreteOperator, n_blocks: int, K_patch: tuple,
+                      M_patch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of a pencil of :func:`_uniform_patch`, by a sine
+    transform over the blocks.
+
+    The mirror splits the ``m`` bubbles into ``me`` even and ``mo`` odd
+    combinations.  At wavenumber ``theta_k = k pi / n_b``, ``k = 1 .. n_b - 1``,
+    the interfaces carry ``sin(theta b) X``, the even bubbles
+    ``sin(theta (b - 1/2))`` and the odd ones ``cos(theta (b - 1/2))`` in
+    block ``b = 1 .. n_b``, and the amplitudes solve an ``(m + 1)``-sized
+    pencil.  The remaining ``m`` modes are the stopping bands: even bubble
+    modes with the block pattern ``(-1)^b`` and odd ones repeated unchanged,
+    zero on every interface.  The transforms are the orthonormal DST-I,
+    DST-II and DCT-II, so the rebuilt vectors are ``M``-orthonormal.
+    """
+    n = op.n_dofs
+    m = K_patch[0].shape[0]
+    period, me, mo = m + 1, (m + 1) // 2, m // 2
+    half = math.sqrt(0.5)
+    Qe, Qo = np.zeros((m, me)), np.zeros((m, mo))
+    i = np.arange(mo)
+    Qe[i, i] = Qe[m - 1 - i, i] = Qo[i, i] = half
+    Qo[m - 1 - i, i] = -half
+    if m % 2:
+        Qe[mo, mo] = 1.0
+    theta = np.arange(1, n_blocks) * math.pi / n_blocks
+
+    def folded(patch):
+        bb, r, ss, st = patch
+        A = np.zeros((n_blocks - 1, period, period))
+        A[:, :me, :me] = Qe.T @ bb @ Qe
+        A[:, me:m, me:m] = Qo.T @ bb @ Qo
+        A[:, :m, m] = A[:, m, :m] = np.hstack(
+            [np.outer(2.0 * np.cos(theta / 2), Qe.T @ r),
+             np.outer(2.0 * np.sin(theta / 2), Qo.T @ r)])
+        A[:, m, m] = ss + 2.0 * st * np.cos(theta)
+        return A
+
+    KA, MA = folded(K_patch), folded(M_patch)
+    w_wave, Y = _pencil_eigh(KA, MA)
+    w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
+    w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
+
+    # each mode's column, in ascending order of the pencil eigenvalues
+    pos = np.empty(n, dtype=int)
+    pos[np.argsort(np.concatenate([w_wave.ravel(), w_even[0], w_odd[0]]),
+                   kind="stable")] = np.arange(n)
+    wave_cols, band_cols = pos[:w_wave.size], pos[w_wave.size:]
+    Y = Y.transpose(1, 0, 2).reshape(period, -1)  # column k * period + t
+    angle = np.repeat(theta, period)
+    scale = math.sqrt(2.0 / n_blocks)
+    b = np.arange(n_blocks)[:, None] + 0.5
+    W_even = scale * np.sin(b * angle)
+    W_odd = scale * np.cos(b * angle)
+
+    V = np.zeros((n_blocks * period, n))
+    R = V.reshape(n_blocks, period, n)  # block, bubble or interface, mode
+    for i in range(mo):  # bubble rows i and m - 1 - i, mirror images
+        even = W_even * (half * Y[i])
+        odd = W_odd * (half * Y[me + i])
+        R[:, i, wave_cols] = even + odd
+        R[:, m - 1 - i, wave_cols] = even - odd
+    if m % 2:
+        R[:, mo, wave_cols] = W_even * Y[mo]
+    R[:-1, m, wave_cols] = scale * np.sin((b[:-1] + 0.5) * angle) * Y[m]
+    sign = np.where(np.arange(n_blocks) % 2, -1.0, 1.0)[:, None, None]
+    R[:, :m, band_cols[:me]] = sign * (Qe @ Z_even[0]) / math.sqrt(n_blocks)
+    R[:, :m, band_cols[me:]] = (Qo @ Z_odd[0]) / math.sqrt(n_blocks)
+    V = V[:n]
+
+    # Rayleigh quotients, free of the cancellation in the small pencils
+    w = op.K.quadratic_forms(V) / op.M.quadratic_forms(V)
+    order = np.argsort(w, kind="stable")
+    moved = np.flatnonzero(order != np.arange(n))
+    V[:, moved] = V[:, order[moved]]
+    return w[order], V
+
+
+def _localize_clusters(w: np.ndarray, V: np.ndarray, M: SymmetricBandedMatrix) -> None:
+    """Replace, in place, the vectors of every run of eigenvalues with gaps of
+    at most ``n eps lambda_max`` by the run's localized basis.
+
+    No solver resolves such a run, so its vectors are any basis of its
+    subspace.  The localized one (SCDM, Damle, Lin & Ying 2015) depends on
+    the subspace alone: a pivoted QR factorization of ``V_c^T`` picks one row
+    per vector, ``V_c V_c[rows]^T`` spans the subspace with columns peaked
+    at those rows, and a Loewdin step ``W (W^T M W)^(-1/2)`` makes them
+    ``M``-orthonormal.  Columns are ordered by their row.
+    """
+    n = w.size
+    if n < 2:
+        return
+    tight = np.diff(w) <= n * np.finfo(float).eps * np.abs(w).max()
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
+    Ms = M.to_sparse() if edges.size else None
+    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        Vc = V[:, lo:hi]
+        rows = np.sort(scipy.linalg.qr(Vc.T, mode="r", pivoting=True)[1][:hi - lo])
+        W = Vc @ Vc[rows].T
+        g, U = np.linalg.eigh(W.T @ (Ms @ W))
+        V[:, lo:hi] = W @ ((U / np.sqrt(g)) @ U.T)
 
 
 def _bind_dsbgvd():

@@ -14,6 +14,9 @@ Reference routes for claims the CLI computes another way:
 - :func:`kron_2d_operators` forms the 2D pencil as Kronecker products of the
   1D operators, whose spectrum the ``spectrum2d`` subcommand reads as sums of
   pairs of 1D eigenvalues;
+- :func:`dense_eigenpairs` solves the assembled pencil with one dense
+  ``scipy.linalg.eigh``, where ``solve_gevp`` solves a layout of repeated
+  blocks by its per-wavenumber pencils;
 - :func:`oracle_check` re-derives eigenvalues by dense shifted inverse
   iteration;
 - :func:`knot_partition` finds each block's bubble functions by searching the
@@ -247,6 +250,12 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
         terms["ev_rel"] + terms["ef_l2_sq"] + terms["energy_gap"]
         + terms["l2_deficit"])
     return terms
+
+
+def dense_eigenpairs(op) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the pencil of ``op`` from its dense matrices, ascending,
+    eigenvectors ``M``-orthonormal, in whatever basis and sign LAPACK returns."""
+    return scipy.linalg.eigh(op.K.to_dense(), op.M.to_dense())
 
 
 def kron_2d_operators(op):

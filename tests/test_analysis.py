@@ -125,6 +125,19 @@ def test_l2_pair_inner_linearity_and_refinement():
     assert abs(base - refined) < 1e-10
 
 
+def test_l2_pair_inner_blocks_match_single_modes():
+    # the angle-addition table serves blocks of consecutive wavenumbers; each
+    # entry must equal the same mode's product taken on its own
+    op = assemble_layout(BlockLayout.riga(30, 3, 5))
+    V = solve_gevp(op).eigenvectors
+    js = np.arange(3, 20)
+    block = analysis._pair_inner(op, V[:, js - 1], js, 2)
+    single = [pair_inner(op, j, V[:, j - 1], subdivisions=2) for j in js]
+    assert np.max(np.abs(block - single)) <= 1e-13
+    with pytest.raises(ValueError, match="consecutive"):
+        analysis._pair_inner(op, V[:, :2], np.array([1, 3]), 2)
+
+
 # ---------------------------------------------------------------------------
 # error budgets
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from splinespectra import cli
+from splinespectra.splines import BlockLayout
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -84,3 +85,22 @@ def test_every_subcommand_traces_and_reports_every_metric(tmp_path):
     assert all(math.isfinite(v) for v in metrics.values())
     for sub in layers.SUBCOMMANDS:
         assert metrics[f"cli.cmd_{sub}.s"] > 0
+
+
+def test_dense_copies_only_on_the_dense_route(tmp_path):
+    """A layout of repeated blocks is solved without a dense ``K`` or ``M``; a
+    ragged one still copies both (the traced ``assembly.to_dense.bytes``)."""
+    def dense_bytes(line: str) -> float:
+        tracer = layers.install_tracer()
+        tracer.job = 0
+        try:
+            assert cli.main(job_argv(line, str(tmp_path / "job0"))) == 0, line
+        finally:
+            tracer.uninstall()
+        return layers.layer_metrics(tracer, {0: line})["assembly.to_dense.bytes"]
+
+    n = BlockLayout.riga(100, 2, 10).n_dofs
+    assert dense_bytes("spectrum --method riga --p 2 --block 10 --elements 100") < 8 * n ** 2
+    n = BlockLayout.riga(100, 2, 30).n_dofs
+    assert dense_bytes("spectrum --method riga --p 2 --block 30 --elements 100") \
+        >= 2 * 8 * n ** 2

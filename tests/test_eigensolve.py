@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splinespectra.assembly import (
     NumericalError,
@@ -20,7 +20,8 @@ from splinespectra.eigensolve import (
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import OracleDivergenceError, kron_2d_operators, oracle_check
+from oracles import (OracleDivergenceError, dense_eigenpairs, kron_2d_operators,
+                     oracle_check)
 
 
 def banded_diag(values):
@@ -189,3 +190,139 @@ def test_oracle_flags_wrong_eigenvalue():
     spec.eigenvalues[4] *= 1.05  # corrupt one eigenvalue
     with pytest.raises(OracleDivergenceError):
         dense_oracle_check(op, spec.eigenvalues, [5])
+
+
+# ---------------------------------------------------------------------------
+# the block-Fourier route for layouts of repeated blocks
+# ---------------------------------------------------------------------------
+
+class DenseSolveCalled(AssertionError):
+    pass
+
+
+def refuse_dense(*args, **kwargs):
+    raise DenseSolveCalled("dense eigh called")
+
+
+def bare(op):
+    """The pencil of ``op`` without its layout: always the dense route."""
+    return SimpleNamespace(K=op.K, M=op.M, n_dofs=op.n_dofs)
+
+
+def clusters(w, gap):
+    """Index runs of ``w`` (ascending) whose neighbours lie within ``gap``."""
+    cuts = np.flatnonzero(np.diff(w) > gap) + 1
+    return np.split(np.arange(w.size), cuts)
+
+
+def assert_matches_dense_oracle(op):
+    """Eigenpairs of ``solve_gevp`` against the dense oracle: values within
+    ``1e-12 lambda_max``, ``M``-orthonormal to ``1e-12``, residual within
+    ``1e-13 lambda_max``; vectors within ``1e-7`` up to sign where the
+    eigenvalue is resolved, and the same subspace on each unresolved run."""
+    spec = solve_gevp(op)
+    w, V = dense_eigenpairs(op)
+    lam_max = w[-1]
+    K, M = op.K.to_dense(), op.M.to_dense()
+    U = spec.eigenvectors
+    assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-12 * lam_max
+    assert np.max(np.abs(U.T @ M @ U - np.eye(w.size))) <= 1e-12
+    assert np.max(np.abs(K @ U - M @ U * spec.eigenvalues)) <= 1e-13 * lam_max
+    # runs closer than 1e-6 lambda_max: the dense vectors' error, about
+    # n eps lambda_max / gap, would pass 1e-7 there
+    for run in clusters(w, 1e-6 * lam_max):
+        cross = U[:, run].T @ M @ V[:, run]
+        if run.size == 1:
+            v, u = V[:, run[0]], U[:, run[0]] * np.sign(cross[0, 0])
+            assert np.max(np.abs(u - v)) <= 1e-7 * np.max(np.abs(v))
+        else:  # sine of the largest principal angle between the subspaces
+            cos_min = np.linalg.svd(cross, compute_uv=False).min()
+            assert math.sqrt(max(0.0, 1.0 - cos_min ** 2)) <= 1e-7
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(method=st.sampled_from(["riga", "fea"]), p=st.integers(1, 4),
+       block=st.integers(1, 12), n_blocks=st.integers(2, 8),
+       rule=st.sampled_from(["gauss", "lobatto"]))
+@example(method="fea", p=1, block=1, n_blocks=2, rule="gauss")  # one dof
+@example(method="fea", p=1, block=1, n_blocks=8, rule="gauss")  # 1 x 1 pencils
+@example(method="riga", p=1, block=12, n_blocks=2, rule="lobatto")
+@example(method="riga", p=4, block=12, n_blocks=8, rule="gauss")
+def test_block_fourier_route_matches_dense_oracle(method, p, block, n_blocks, rule):
+    block = 1 if method == "fea" else block
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block),
+                         QuadratureSpec(rule))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        solve_gevp(op)  # never reaches the dense route
+    assert_matches_dense_oracle(op)
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(40, 2, 7),                  # ragged last block
+    BlockLayout.iga(40, 2),                      # one block
+    BlockLayout.iga(12, 1),                      # one block of C^0 elements
+    BlockLayout.riga(40, 2, 8, bc="neumann"),
+    BlockLayout(40, 3, 8, separator_continuity=1),
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}-c{lay.separator_continuity}-{lay.bc}")
+def test_other_layouts_take_the_dense_route(monkeypatch, layout):
+    op = assemble_layout(layout)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        with pytest.raises(DenseSolveCalled):
+            solve_gevp(op)
+    assert_matches_dense_oracle(op)
+
+
+def test_bare_pencil_of_repeated_blocks_takes_the_dense_route(monkeypatch):
+    op = assemble_layout(BlockLayout.riga(40, 3, 8))
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        solve_gevp(op)
+        with pytest.raises(DenseSolveCalled):
+            solve_gevp(bare(op))
+    a, b = solve_gevp(op), solve_gevp(bare(op))
+    assert np.max(np.abs(a.eigenvalues - b.eigenvalues)) <= 1e-12 * b.eigenvalues[-1]
+
+
+def test_bands_that_do_not_repeat_take_the_dense_route(monkeypatch):
+    op = assemble_layout(BlockLayout.riga(40, 2, 8))
+    op.M.band[-1, 20] *= 1.0 + 1e-9  # one block's mass no longer matches
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        with pytest.raises(DenseSolveCalled):
+            solve_gevp(op)
+    assert_matches_dense_oracle(op)
+
+
+def test_mirror_antisymmetric_modes_get_one_sign_from_both_routes():
+    op = assemble_layout(BlockLayout.riga(60, 2, 10))
+    fourier, dense = solve_gevp(op), solve_gevp(bare(op))
+    V, U = fourier.eigenvectors, dense.eigenvectors
+    odd = [k for k in range(op.n_dofs)
+           if np.allclose(U[::-1, k], -U[:, k], atol=1e-9 * np.abs(U[:, k]).max())]
+    assert len(odd) > op.n_dofs // 3
+    for k in odd:
+        assert np.max(np.abs(V[:, k] - U[:, k])) <= 1e-7 * np.abs(U[:, k]).max()
+
+
+def test_low_modes_of_a_long_uniform_layout_are_accurate(monkeypatch):
+    # the dense solve gives 4.1e-12, 4.9e-12 and 5.3e-12 here; the small
+    # pencils' own eigenvalues lose the low modes to cancellation
+    op = assemble_layout(BlockLayout.riga(2000, 2, 100))
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse_dense)
+    lam = solve_gevp(op).eigenvalues[:3]
+    exact = (np.arange(1, 4) * math.pi) ** 2
+    assert np.all(np.abs((lam - exact) / exact) <= 2e-11)
+
+
+def test_unresolved_cluster_gets_the_localized_basis():
+    # two separator outliers, equal to far below n eps lambda_max: either
+    # route returns one vector peaked at each separator
+    op = assemble_layout(BlockLayout.riga(192, 2, 64))
+    for spec in (solve_gevp(op), solve_gevp(bare(op))):
+        top = spec.eigenvectors[:, -2:]
+        peaks = np.abs(top).argmax(axis=0)
+        assert peaks[0] < op.n_dofs // 2 < peaks[1]
+        assert abs(peaks[0] + peaks[1] - (op.n_dofs - 1)) <= 2  # mirror images
+    assert_matches_dense_oracle(op)
