@@ -29,10 +29,7 @@ from .assembly import (
 )
 from .eigensolve import Spectrum, polish_eigenvalue, solve_eigenvalues, solve_gevp
 from .analysis import (
-    AmFit,
-    BandMatch,
     ErrorBudget,
-    FrequencyContent,
     OutlierReport,
     StoppingBandReport,
     coefficient_flatness,

@@ -12,6 +12,12 @@ per-block bubbles and separator interfaces: the eigenvalues of the local
 bubble pencils reappear in the global spectrum and pin the error spikes that
 separate the spectrum branches.  Outliers are counted from the degree/
 separator census and checked empirically against the spectrum tail.
+
+Every report is a table of columns: :class:`ErrorBudget` holds one array per
+term, :class:`StoppingBandReport` one per band property and
+:class:`OutlierReport` one per outlier property, plus each outlier's
+magnitude spectrum as one row of a matrix.  Row ``k`` of every column
+describes the same mode or band.
 """
 
 from __future__ import annotations
@@ -35,11 +41,8 @@ from .splines import BlockLayout, span_basis_rows
 
 __all__ = [
     "ErrorBudget",
-    "BandMatch",
     "StoppingBandReport",
     "OutlierReport",
-    "FrequencyContent",
-    "AmFit",
     "exact_spectrum",
     "eigenvalue_errors",
     "eigenvalue_errors_2d",
@@ -239,9 +242,12 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
 
     Cost for ``n`` dofs and ``m`` modes: the three quadratic forms
     ``v^T A v`` take O(n m p) from the stored bands, and the pair inner
-    products O(Q m) on a grid of ``Q`` points.  Memory is O(n m) for the
-    selected eigenvectors plus a few grid temporaries of at most
-    ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is formed.
+    products O(Q m) on a grid of ``Q`` points.  The budgeted eigenvectors
+    are a slice of ``spectrum.eigenvectors``, not a copy.  Memory is the
+    ``n x m`` product ``A V`` of one quadratic form at a time (under Neumann
+    conditions the sparse product also gathers the strided slice), plus a
+    few grid temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no
+    dense operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -252,20 +258,21 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     exact = op if is_reference else assemble_layout(op.layout)
 
     js, lam = exact_spectrum(spectrum.n_modes, op.bc)
-    cols = np.flatnonzero(js)  # every mode but the Neumann constant one
-    js, lam = js[cols], lam[cols]
-    lam_h = spectrum.eigenvalues[cols]
-    V = spectrum.eigenvectors[:, cols]
+    first = int(js[0] == 0)  # the Neumann constant mode is not budgeted
+    js, lam = js[first:], lam[first:]
+    lam_h = spectrum.eigenvalues[first:]
+    V = spectrum.eigenvectors[:, first:]
     vMv = exact.M.quadratic_forms(V)
     vKv = exact.K.quadratic_forms(V)
-    vKq = op.K.quadratic_forms(V)
+    vKq = vKv if exact is op else op.K.quadratic_forms(V)
 
-    # one sampling matrix and quadrature grid per required subdivision count
+    # one sampling matrix and quadrature grid per required subdivision count;
+    # the counts never decrease with j, so each group is a run of columns
     subdivisions = _required_subdivisions(js, op.layout.h)
+    counts, starts = np.unique(subdivisions, return_index=True)
     uv = np.empty(js.size)
-    for s in np.unique(subdivisions):
-        group = np.flatnonzero(subdivisions == s)
-        uv[group] = _pair_inner(op, V[:, group], js[group], s)
+    for s, lo, hi in zip(counts, starts, [*starts[1:], js.size]):
+        uv[lo:hi] = _pair_inner(op, V[:, lo:hi], js[lo:hi], s)
     uv = np.abs(uv)
 
     ev_rel = _relative_errors(lam_h, lam)
@@ -273,8 +280,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     ef_energy = (lam - 2.0 * lam * uv + vKv) / lam
     energy_gap = (vKv - vKq) / lam
     l2_deficit = 1.0 - vMv
+    modes = np.arange(first, spectrum.n_modes) + 1
     return ErrorBudget(
-        j=cols + 1, j_over_n0=(cols + 1) / n0, lambda_exact=lam, lambda_h=lam_h,
+        j=modes, j_over_n0=modes / n0, lambda_exact=lam, lambda_h=lam_h,
         ev_rel=ev_rel, ef_l2_sq=ef_l2, ef_energy_rel_sq=ef_energy,
         energy_gap=energy_gap, l2_deficit=l2_deficit,
         pythagoras_residual=ef_energy - (ev_rel + ef_l2 + energy_gap + l2_deficit),
@@ -323,26 +331,30 @@ def local_bubble_spectra(op: DiscreteOperator,
 
 
 @dataclass
-class BandMatch:
-    value: float
-    nearest_global: float
-    rel_gap: float
-    global_index: int
-    block_multiplicity: int
-
-
-@dataclass
 class StoppingBandReport:
-    matches: list[BandMatch]
+    """Distinct bubble eigenvalues matched against the global spectrum, one
+    entry per band, ascending by ``value``.
+
+    ``nearest_global`` is the global eigenvalue closest to ``value``, at
+    the 0-based ``global_index``, and ``rel_gap`` their distance relative to
+    ``value``; ``block_multiplicity`` counts the blocks sharing the band.
+    ``expected_count`` is the number of bands the layout predicts.
+    """
+
+    value: np.ndarray
+    nearest_global: np.ndarray
+    rel_gap: np.ndarray
+    global_index: np.ndarray
+    block_multiplicity: np.ndarray
     expected_count: int
 
     @property
     def band_count(self) -> int:
-        return len(self.matches)
+        return self.value.size
 
     def matched_count(self) -> int:
         """Bands with a global eigenvalue within ``1e-6`` (relative)."""
-        return sum(1 for m in self.matches if m.rel_gap < _BAND_MATCH_TOL)
+        return int(np.count_nonzero(self.rel_gap < _BAND_MATCH_TOL))
 
 
 def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
@@ -357,33 +369,34 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
     touching the domain boundary are only consulted when no interior block
     exists.  Without separators the Schur construction is vacuous and no
     bands are reported.
+
+    Bubble eigenvalues within ``1e-9`` (relative) of the first value of their
+    cluster are one band.  The nearest global eigenvalue is the closer of the
+    two neighbours of the band value in the spectrum, the lower one on a tie.
     """
-    if layout.n_separators == 0:
-        return StoppingBandReport(matches=[], expected_count=0)
-    n_blocks = len(local)
-    pool = local[1:-1] if n_blocks > 2 else local
-    values = np.sort(np.concatenate(pool))
-    distinct, counts = [], []
-    for v in values:
-        if distinct and abs(v - distinct[-1]) <= _BAND_CLUSTER_TOL * abs(distinct[-1]):
-            counts[-1] += 1
-        else:
-            distinct.append(float(v))
-            counts.append(1)
+    pool = local[1:-1] if len(local) > 2 else local
+    values = np.sort(np.concatenate(pool)) if layout.n_separators else np.empty(0)
+    starts = []  # first value of each cluster
+    for k, v in enumerate(values):
+        if not (starts and abs(v - values[starts[-1]])
+                <= _BAND_CLUSTER_TOL * abs(values[starts[-1]])):
+            starts.append(k)
+    value = values[starts]
 
-    matches = []
-    for v, c in zip(distinct, counts):
-        i = int(np.searchsorted(eigenvalues, v))
-        best, best_gap = None, np.inf
-        for cand in (i - 1, i):
-            if 0 <= cand < eigenvalues.size:
-                gap = abs(eigenvalues[cand] - v) / abs(v)
-                if gap < best_gap:
-                    best, best_gap = cand, gap
-        matches.append(BandMatch(v, float(eigenvalues[best]), float(best_gap), best, c))
-
-    # one band per bubble of a full block; the first block is always full
-    return StoppingBandReport(matches=matches, expected_count=local[0].size)
+    i = np.searchsorted(eigenvalues, value)
+    below = np.maximum(i - 1, 0)
+    above = np.minimum(i, eigenvalues.size - 1)
+    gap_below = np.abs(eigenvalues[below] - value) / np.abs(value)
+    gap_above = np.abs(eigenvalues[above] - value) / np.abs(value)
+    closer_above = gap_above < gap_below
+    nearest = np.where(closer_above, above, below)
+    return StoppingBandReport(
+        value=value, nearest_global=eigenvalues[nearest],
+        rel_gap=np.where(closer_above, gap_above, gap_below), global_index=nearest,
+        block_multiplicity=np.diff([*starts, values.size]),
+        # one band per bubble of a full block; the first block is always full
+        expected_count=local[0].size if layout.n_separators else 0,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -433,29 +446,43 @@ def coefficient_flatness(v: np.ndarray) -> float:
 
 
 @dataclass
-class OutlierModeInfo:
-    mode: int
-    ev_rel: float
-    ev_ratio: float          # vs. median of the top decile
-    flatness: float          # coefficient-spectrum peak/median
-    am: "AmFit"
-    content: "FrequencyContent"
-
-
-@dataclass
 class OutlierReport:
+    """Census of the spectrum tail, and one entry per predicted outlier: the
+    top ``predicted`` modes, ascending by ``mode`` (numbered from 1).
+
+    ``ev_ratio`` is ``|ev_rel|`` over ``decile_median``, the median error of
+    the top decile, and ``flatness`` is :func:`coefficient_flatness`.
+    ``a1`` to ``misfit`` are the terms of :func:`_two_wave_fit`; ``f2``,
+    ``defect_dofs`` and ``defect_elements`` are object arrays holding
+    ``None`` for a mode with a single spectral peak.  Row ``k`` of
+    ``magnitudes`` is the ``k``-th mode's spectrum from
+    :func:`_frequency_content`.
+    """
+
     predicted: int
     empirical_count: int
     decile_median: float
-    outliers: list[OutlierModeInfo]
+    mode: np.ndarray
+    ev_rel: np.ndarray
+    ev_ratio: np.ndarray
+    flatness: np.ndarray
+    a1: np.ndarray
+    f1: np.ndarray
+    a2: np.ndarray
+    f2: np.ndarray
+    defect_dofs: np.ndarray
+    defect_elements: np.ndarray
+    misfit: np.ndarray
+    magnitudes: np.ndarray
 
 
 def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     """Census of the spectrum tail: predicted vs. empirically flagged outliers.
 
-    A top mode counts as empirically flagged while its relative eigenvalue
-    error is at least ten times the median error of the top
-    decile (a reporting convention; the census formula is authoritative).
+    A mode is flagged when its relative eigenvalue error is at least ten
+    times the median error of the top decile (a reporting convention; the
+    census formula is authoritative); the empirical count is the length of
+    the run of flagged modes at the top of the spectrum.
     """
     n = spectrum.n_modes
     ev = eigenvalue_errors(spectrum, op)
@@ -464,53 +491,32 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     layout = op.layout
     predicted = count_outliers(layout.p, layout.n_separators, layout.bc,
                                layout.separator_continuity)
-
-    empirical = 0
-    for m in range(n, 0, -1):
-        if med > 0 and abs(ev[m - 1]) >= _OUTLIER_EV_RATIO * med:
-            empirical += 1
-        else:
-            break
+    flagged = (med > 0) & (np.abs(ev) >= _OUTLIER_EV_RATIO * med)
+    empirical = n - 1 - int(np.flatnonzero(~flagged).max(initial=-1))
 
     # one sampling for all outlier modes; contiguous rows keep results bitwise
     V = spectrum.eigenvectors[:, n - predicted:]
     fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
-    infos = []
-    for m, f in zip(range(n - predicted + 1, n + 1), fields):
-        fc = _frequency_content(f, op.bc)
-        infos.append(OutlierModeInfo(
-            mode=m,
-            ev_rel=float(ev[m - 1]),
-            ev_ratio=float(abs(ev[m - 1]) / med) if med > 0 else math.inf,
-            flatness=coefficient_flatness(spectrum.eigenvectors[:, m - 1]),
-            am=_two_wave_fit(f, fc, op),
-            content=fc,
-        ))
-    return OutlierReport(predicted, empirical, med, infos)
+    magnitudes = _frequency_content(fields, op.bc)
+    fits = np.array([_two_wave_fit(f, mags, op) for f, mags in zip(fields, magnitudes)],
+                    dtype=object).reshape(-1, 7)
+    a1, f1, a2, f2, defect_dofs, defect_elements, misfit = fits.T
+    tail = ev[n - predicted:]
+    return OutlierReport(
+        predicted, empirical, med,
+        mode=np.arange(n - predicted, n) + 1,
+        ev_rel=tail,
+        ev_ratio=np.abs(tail) / med if med > 0 else np.full(predicted, math.inf),
+        flatness=np.array([coefficient_flatness(v) for v in V.T]),
+        a1=a1.astype(float), f1=f1.astype(float), a2=a2.astype(float), f2=f2,
+        defect_dofs=defect_dofs, defect_elements=defect_elements,
+        misfit=misfit.astype(float), magnitudes=magnitudes,
+    )
 
 
 # ---------------------------------------------------------------------------
 # frequency content and AM fits
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FrequencyContent:
-    """Magnitude spectrum of a discrete eigenfunction on half-cycle bins.
-
-    ``frequencies[k] = k / 2`` cycles per unit length, i.e. bin ``k`` carries
-    the content of the exact mode ``k``.
-    """
-
-    frequencies: np.ndarray
-    magnitudes: np.ndarray
-
-    def dominant_peaks(self, count: int = 2) -> list[tuple[float, float]]:
-        """Largest local maxima as ``(frequency, magnitude)`` pairs."""
-        m = self.magnitudes
-        interior = np.where((m[1:-1] > m[:-2]) & (m[1:-1] > m[2:]))[0] + 1
-        order = interior[np.argsort(-m[interior], kind="stable")]
-        return [(float(self.frequencies[k]), float(m[k])) for k in order[:count]]
-
 
 def _sample_grid(op: DiscreteOperator) -> np.ndarray:
     """Uniform grid ``k / samples`` of the frequency analysis: ``samples`` is
@@ -520,61 +526,54 @@ def _sample_grid(op: DiscreteOperator) -> np.ndarray:
     return np.arange(samples) / samples
 
 
-def _frequency_content(f: np.ndarray, bc: str) -> FrequencyContent:
-    """Half-cycle magnitude spectrum of a field sampled on :func:`_sample_grid`.
+def _frequency_content(fields: np.ndarray, bc: str) -> np.ndarray:
+    """Half-cycle magnitude spectra of fields sampled on :func:`_sample_grid`,
+    one row of ``samples + 1`` bins per row of ``fields``.
 
-    The field is extended to an odd (Dirichlet) or even (Neumann) function
+    Each field is extended to an odd (Dirichlet) or even (Neumann) function
     over a doubled period before the transform, so bin ``k`` corresponds to
-    ``sin(k pi x)`` respectively ``cos(k pi x)``; a pure exact mode ``j``
-    yields a single peak at frequency ``j / 2`` cycles per unit length.
+    ``sin(k pi x)`` respectively ``cos(k pi x)``, at frequency ``k / 2``
+    cycles per unit length; a pure exact mode ``j`` yields a single peak in
+    bin ``j``.
     """
     if bc == "dirichlet":
-        g = np.concatenate([f, [0.0], -f[1:][::-1]])
+        g = np.concatenate([fields, np.zeros((len(fields), 1)), -fields[:, :0:-1]], axis=1)
     else:
-        g = np.concatenate([f, f[::-1]])
-    mags = np.abs(np.fft.rfft(g)) / f.size
-    freqs = 0.5 * np.arange(mags.size)
-    return FrequencyContent(freqs, mags)
+        g = np.concatenate([fields, fields[:, ::-1]], axis=1)
+    return np.abs(np.fft.rfft(g, axis=1)) / fields.shape[1]
 
 
-@dataclass
-class AmFit:
-    """Two-wave amplitude-modulation fit of a near-top eigenfunction.
-
-    ``f2`` is undefined (``None``) for single-peak modes.  The frequency-link
-    defect is reported against both plausible mode-count conventions, the
-    number of degrees of freedom and the number of elements.
-    """
-
-    a1: float
-    f1: float
-    a2: float
-    f2: float | None
-    defect_dofs: float | None
-    defect_elements: float | None
-    misfit: float
+def _dominant_peaks(mags: np.ndarray, count: int) -> np.ndarray:
+    """Bins of the ``count`` largest local maxima of ``mags``, largest first."""
+    interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])) + 1
+    return interior[np.argsort(-mags[interior], kind="stable")][:count]
 
 
-def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
-                  op: DiscreteOperator) -> AmFit:
-    """AM fit of a field sampled on :func:`_sample_grid` with its spectrum ``fc``.
+def _two_wave_fit(f: np.ndarray, mags: np.ndarray, op: DiscreteOperator) -> tuple:
+    """Two-wave amplitude-modulation fit of a near-top eigenfunction: ``f`` is
+    the field sampled on :func:`_sample_grid` and ``mags`` its spectrum.
 
     The two dominant spectral peaks are fitted with a sine or cosine pair:
     even degrees use ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``, odd degrees
     the cosine pair with a plus sign; Neumann conditions swap the families.
     The relative L2 misfit between the field and the model (over the best
-    global sign) is reported as a diagnostic.
+    global sign) is reported as a diagnostic.  The frequency-link defect is
+    reported against both plausible mode-count conventions, the number of
+    degrees of freedom and the number of elements.
+
+    Returns ``(a1, f1, a2, f2, defect_dofs, defect_elements, misfit)``;
+    ``f2`` and both defects are ``None`` for a single-peak mode.
     """
     n = op.n_dofs
     n_el = op.layout.n_elements
-    peaks = fc.dominant_peaks(2)
-    if not peaks:
+    peaks = _dominant_peaks(mags, 2)
+    if not peaks.size:
         raise ValueError("eigenfunction has no spectral peak")
-    a1, f1 = peaks[0][1], peaks[0][0]
-    if len(peaks) < 2:
+    a1, f1 = float(mags[peaks[0]]), 0.5 * float(peaks[0])
+    if peaks.size < 2:
         a2, f2 = 0.0, None
     else:
-        a2, f2 = peaks[1][1], peaks[1][0]
+        a2, f2 = float(mags[peaks[1]]), 0.5 * float(peaks[1])
 
     xs = np.arange(f.size) / f.size
     even_degree = op.kv.p % 2 == 0
@@ -593,7 +592,7 @@ def _two_wave_fit(f: np.ndarray, fc: FrequencyContent,
 
     defect_dofs = abs(f2 - (n - f1)) if f2 is not None else None
     defect_elems = abs(f2 - (n_el - f1)) if f2 is not None else None
-    return AmFit(a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit))
+    return a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Each subcommand writes a deterministic CSV (17 significant digits, ``.``
 decimal separator, ``\\n`` line endings) with a ``# config:`` comment line
-echoing the full configuration, and optionally a structural SVG plot.
+echoing the full configuration, and optionally a structural SVG plot.  The
+library returns its results as column arrays, and every table is written by
+one writer from an ordered mapping of header to column: integers print as
+integers, ``None`` as an empty cell and everything else, NaN and infinities
+included, with 17 significant digits.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 assertion failure (``converge --assert-slope``).
@@ -87,14 +91,6 @@ class ExperimentConfig:
                         for k, v in sorted(asdict(self).items()))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
-        return ""
-    return f"{float(x):.17g}"
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -102,13 +98,18 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, newline="")
 
 
-def _csv(header: list[str], rows, config: ExperimentConfig,
-         extra_comments: list[str] | None = None) -> str:
-    lines = [f"# config: {config.echo()}"]
-    lines.extend(extra_comments or [])
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _cells(column) -> list[str]:
+    """One column's cells: ``str`` for an int, empty for ``None``, ``.17g`` else."""
+    return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
+            for v in np.asarray(column).tolist()]
+
+
+def _csv(columns: dict, config: ExperimentConfig,
+         comments: list[str] | None = None) -> str:
+    """The CSV text of equally long ``columns``, headed by their keys in order,
+    after the ``# config:`` line and any further ``comments`` lines."""
+    lines = [f"# config: {config.echo()}", *(comments or []), ",".join(columns)]
+    lines += map(",".join, zip(*map(_cells, columns.values()), strict=True))
     return "\n".join(lines) + "\n"
 
 
@@ -134,13 +135,12 @@ def cmd_spectrum(cfg: ExperimentConfig, out: str | None, svg: str | None) -> int
     op = assemble_layout(cfg.layout(), cfg.quadrature_spec())
     spectrum = solve_gevp(op)
     b = analysis.error_budget(spectrum, op)
-    header = ["j", "j_over_N0", "lambda_exact", "lambda_h", "ev_rel",
-              "ef_l2_sq", "ef_energy_rel_sq", "energy_gap", "l2_deficit",
-              "pythagoras_residual"]
-    rows = zip(b.j, b.j_over_n0, b.lambda_exact, b.lambda_h, b.ev_rel,
-               b.ef_l2_sq, b.ef_energy_rel_sq, b.energy_gap, b.l2_deficit,
-               b.pythagoras_residual)
-    _write_text(out, _csv(header, rows, cfg))
+    _write_text(out, _csv({
+        "j": b.j, "j_over_N0": b.j_over_n0, "lambda_exact": b.lambda_exact,
+        "lambda_h": b.lambda_h, "ev_rel": b.ev_rel, "ef_l2_sq": b.ef_l2_sq,
+        "ef_energy_rel_sq": b.ef_energy_rel_sq, "energy_gap": b.energy_gap,
+        "l2_deficit": b.l2_deficit, "pythagoras_residual": b.pythagoras_residual,
+    }, cfg))
     if svg:
         series = [
             (b.j_over_n0, b.ev_rel, "eigenvalue error"),
@@ -160,10 +160,8 @@ def cmd_converge(cfg: ExperimentConfig, elements_list: list[int],
                  assert_slope: float | None, slope_tol: float) -> int:
     layouts = [replace(cfg, elements=n).layout() for n in elements_list]
     hs, errs, slope = analysis.convergence_study(layouts, cfg.quadrature_spec())
-    header = ["n_elements", "h", "ev_rel_j1"]
-    rows = [(n, h, e) for n, h, e in zip(elements_list, hs, errs)]
-    comments = [f"# slope: {_fmt(slope)}"]
-    _write_text(out, _csv(header, rows, cfg, comments))
+    _write_text(out, _csv({"n_elements": elements_list, "h": hs, "ev_rel_j1": errs},
+                          cfg, [f"# slope: {slope:.17g}"]))
     if svg:
         _write_text(svg, svgplot.line_plot(
             [(np.log10(hs), np.log10(np.abs(errs)), f"slope {slope:.2f}")],
@@ -183,14 +181,13 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     blocks = analysis.partition_dofs(layout)
     op = assemble_layout(layout, cfg.quadrature_spec())
     local = analysis.local_bubble_spectra(op, blocks)
-    report = analysis.detect_stopping_bands(solve_eigenvalues(op), local, layout)
-    header = ["lambda_b", "nearest_lambda_h", "rel_gap", "global_index",
-              "block_multiplicity"]
-    rows = [(m.value, m.nearest_global, m.rel_gap, m.global_index + 1,
-             m.block_multiplicity) for m in report.matches]
-    comments = [f"# bands: {report.band_count} expected: {report.expected_count} "
-                f"matched_1e-6: {report.matched_count()}"]
-    _write_text(out, _csv(header, rows, cfg, comments))
+    r = analysis.detect_stopping_bands(solve_eigenvalues(op), local, layout)
+    _write_text(out, _csv({
+        "lambda_b": r.value, "nearest_lambda_h": r.nearest_global,
+        "rel_gap": r.rel_gap, "global_index": r.global_index + 1,
+        "block_multiplicity": r.block_multiplicity,
+    }, cfg, [f"# bands: {r.band_count} expected: {r.expected_count} "
+             f"matched_1e-6: {r.matched_count()}"]))
     return 0
 
 
@@ -201,27 +198,23 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
                             layout.separator_continuity)
     op = assemble_layout(layout, cfg.quadrature_spec())
     spectrum = solve_gevp(op)
-    report = analysis.outlier_report(spectrum, op)
-    header = ["mode", "ev_rel", "ev_ratio", "flatness", "a1", "f1", "a2", "f2",
-              "defect_dofs", "defect_elements", "misfit"]
-    rows = []
-    for info in report.outliers:
-        fit = info.am
-        rows.append((info.mode, info.ev_rel, info.ev_ratio, info.flatness,
-                     fit.a1, fit.f1, fit.a2, fit.f2, fit.defect_dofs,
-                     fit.defect_elements, fit.misfit))
-    comments = [f"# predicted: {report.predicted} observed: {report.empirical_count} "
-                f"decile_median: {_fmt(report.decile_median)}"]
-    _write_text(out, _csv(header, rows, cfg, comments))
+    r = analysis.outlier_report(spectrum, op)
+    _write_text(out, _csv({
+        "mode": r.mode, "ev_rel": r.ev_rel, "ev_ratio": r.ev_ratio,
+        "flatness": r.flatness, "a1": r.a1, "f1": r.f1, "a2": r.a2, "f2": r.f2,
+        "defect_dofs": r.defect_dofs, "defect_elements": r.defect_elements,
+        "misfit": r.misfit,
+    }, cfg, [f"# predicted: {r.predicted} observed: {r.empirical_count} "
+             f"decile_median: {r.decile_median:.17g}"]))
 
-    freq_header = ["mode", "frequency", "magnitude"]
-    freq_rows = []
-    for info in report.outliers:
-        fc = info.content
-        for f, m in zip(fc.frequencies, fc.magnitudes):
-            if f <= op.n_dofs:
-                freq_rows.append((info.mode, f, m))
-    freq_text = _csv(freq_header, freq_rows, cfg)
+    # bin k is frequency k / 2; the table stops at the dof count
+    freqs = 0.5 * np.arange(r.magnitudes.shape[1])
+    freqs = freqs[freqs <= op.n_dofs]
+    freq_text = _csv({
+        "mode": np.repeat(r.mode, freqs.size),
+        "frequency": np.tile(freqs, r.mode.size),
+        "magnitude": r.magnitudes[:, :freqs.size].ravel(),
+    }, cfg)
     if out is None:
         sys.stdout.write(freq_text)
     else:
@@ -234,9 +227,8 @@ def cmd_spectrum2d(cfg: ExperimentConfig, out: str | None, svg: str | None) -> i
     op1 = assemble_layout(cfg.layout(), cfg.quadrature_spec())
     lam1 = solve_eigenvalues(op1)
     jj, kk, exact, discrete, ev_rel = analysis.eigenvalue_errors_2d(lam1, cfg.bc)
-    header = ["j", "k", "lambda_exact", "lambda_h", "ev_rel"]
-    rows = zip(jj, kk, exact, discrete, ev_rel)
-    _write_text(out, _csv(header, rows, cfg))
+    _write_text(out, _csv({"j": jj, "k": kk, "lambda_exact": exact,
+                           "lambda_h": discrete, "ev_rel": ev_rel}, cfg))
     if svg:
         # the first row is the lowest wavenumber pair
         grid = np.empty((lam1.size, lam1.size))

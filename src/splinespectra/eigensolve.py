@@ -148,11 +148,12 @@ def _uniform_patch(op) -> tuple | None:
     ``n_elements`` a multiple of ``block_size``, with at least two blocks;
     the reduced dofs then run
     block by block, ``m = block_size + p - 2`` bubbles and one interface.
-    The stored bands must equal, to ``1e-12`` of their largest entry, the
-    bands tiled from the first block, whose bubble pencil must be invariant
-    under the mirror ``J`` (reversal of the bubbles) and couple to the
-    interface on its left by ``J`` times its coupling to the right.  Each
-    patch is ``(A_bb, r, a_ss, a_st)``: the bubble block, its coupling to the
+    To ``1e-12`` of the band's largest entry, the stored bands must equal
+    themselves shifted by one block, the first block's bubble pencil must be
+    invariant under the mirror ``J`` (reversal of the bubbles), its bubbles
+    must not couple to the next block, and its interface must couple to the
+    next block's bubbles by ``J`` times its coupling to its own.  Each patch
+    is ``(A_bb, r, a_ss, a_st)``: the bubble block, its coupling to the
     right interface, the interface diagonal and the coupling between
     neighbouring interfaces.
     """
@@ -173,32 +174,16 @@ def _uniform_patch(op) -> tuple | None:
         W = A.restricted(window).to_dense()
         bb, r, ss = W[:m, :m], W[:m, m], W[m, m]
         st = W[m, 2 * period - 1] if window.size == 2 * period else 0.0
-        scale = np.abs(A.band).max()
-        if not np.abs(bb - bb[::-1, ::-1]).max(initial=0.0) <= _PATCH_TOL * scale:
-            return None
-        if not np.abs(A.band - _tiled_band(W[:period, :period], r, st, A.bandwidth,
-                                           n_blocks, n)).max() <= _PATCH_TOL * scale:
+        shifted = A.restricted(np.arange(period, n)).band \
+            - A.restricted(np.arange(n - period)).band
+        mismatch = np.max([np.abs(bb - bb[::-1, ::-1]).max(initial=0.0),
+                           np.abs(W[:m, period:]).max(initial=0.0),
+                           np.abs(W[m, period:period + m] - r[::-1]).max(initial=0.0),
+                           np.abs(shifted).max(initial=0.0)])
+        if not mismatch <= _PATCH_TOL * np.abs(A.band).max():
             return None
         patches.append((bb, r, ss, st))
     return n_blocks, *patches
-
-
-def _tiled_band(D: np.ndarray, r: np.ndarray, st: float, u: int, n_blocks: int,
-                n: int) -> np.ndarray:
-    """Upper band (``u`` superdiagonals) of the block-Toeplitz matrix with
-    diagonal block ``D`` per period of bubbles and one interface, whose
-    interface couples to the next period's bubbles by ``r`` reversed and to
-    the next interface by ``st``, cut to ``n`` rows."""
-    period = D.shape[0]
-    G = np.zeros((2 * period, 2 * period))
-    G[:period, :period] = G[period:, period:] = D
-    G[period - 1, period:-1] = r[::-1]
-    G[period - 1, -1] = st
-    c = np.arange(period) + period
-    band = np.tile(np.array([G[c - d, c] for d in range(u, -1, -1)]), n_blocks)[:, :n]
-    for d in range(1, u + 1):
-        band[u - d, :d] = 0.0  # rows above the matrix
-    return band
 
 
 def _pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,9 +344,8 @@ def solve_eigenvalues(op: DiscreteOperator) -> np.ndarray:
 
 
 def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix) -> np.ndarray:
-    """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``."""
+    """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``, of any size."""
     n = K.n
-    _check_size(n)
     if not (np.isfinite(K.band).all() and np.isfinite(M.band).all()):
         raise ValueError("array must not contain infs or NaNs")
     ka, kb = K.bandwidth, M.bandwidth

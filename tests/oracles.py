@@ -458,5 +458,5 @@ def branch_count(eigenvalues: np.ndarray, op, j_max: int | None = None) -> int:
     report = detect_stopping_bands(eigenvalues, local, op.layout)
     if j_max is None:
         j_max = op.layout.n_elements + op.kv.p - 2
-    interior = sum(1 for m in report.matches if 1 < m.global_index + 1 < j_max)
-    return interior + 1
+    modes = report.global_index + 1
+    return int(np.count_nonzero((1 < modes) & (modes < j_max))) + 1

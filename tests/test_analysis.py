@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splinespectra.analysis import (
     coefficient_flatness,
@@ -234,6 +235,20 @@ def test_budget_memory_stays_near_the_eigenvectors():
     assert peak < 96 * 2 ** 20  # 1009 dofs: one n x n copy is 7.8 MiB
 
 
+def test_budget_reads_the_eigenvectors_in_place():
+    """Besides the ``A V`` product of one quadratic form at a time, the budget
+    copies no ``n x n`` array: its traced peak stays below 1.5 such arrays."""
+    op = assemble_layout(BlockLayout.riga(2000, 2, 100))
+    spec = solve_gevp(op)
+    tracemalloc.start()
+    try:
+        error_budget(spec, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * op.n_dofs ** 2
+
+
 def test_budget_neumann_skips_constant_mode():
     op = assemble_layout(BlockLayout.iga(16, 2, bc="neumann"))
     spec = solve_gevp(op)
@@ -326,7 +341,54 @@ def test_detect_bands_without_separators_is_empty():
     blocks = partition_dofs(lay)
     report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
     assert report.band_count == 0 == report.expected_count
-    assert report.matches == []
+    assert report.value.tolist() == []
+
+
+def nearest_by_scan(eigenvalues, value):
+    """Index and relative gap of the global eigenvalue nearest ``value``, by a
+    scan over the whole spectrum; the first (lowest) index wins a tie."""
+    best, best_gap = None, math.inf
+    for k, lam in enumerate(eigenvalues.tolist()):
+        gap = abs(lam - value) / abs(value)
+        if gap < best_gap:
+            best, best_gap = k, gap
+    return best, best_gap
+
+
+def assert_bands_match_scan(eigenvalues, local, layout):
+    report = detect_stopping_bands(eigenvalues, local, layout)
+    for value, nearest, gap, index in zip(report.value, report.nearest_global,
+                                          report.rel_gap, report.global_index):
+        assert (index, gap) == nearest_by_scan(eigenvalues, value)
+        assert nearest == eigenvalues[index]
+    return report
+
+
+def test_detect_bands_outside_the_spectrum_and_on_ties():
+    lay = BlockLayout.riga(30, 2, 10)  # three blocks: only the middle one counts
+    eigenvalues = np.array([2.0, 4.0, 6.0, 10.0])
+    # below lambda_1, equal gaps to 2 and 4, to 4 and 6, to 6 and 10, nearer
+    # 10, above lambda_n; 3 is a cluster of two blocks' values
+    local = [np.array([100.0]), np.array([1.0, 3.0, 3.0 + 1e-12, 5.0, 8.0, 9.0, 12.0]),
+             np.array([100.0])]
+    report = assert_bands_match_scan(eigenvalues, local, lay)
+    assert report.value.tolist() == [1.0, 3.0, 5.0, 8.0, 9.0, 12.0]
+    assert report.global_index.tolist() == [0, 0, 1, 2, 3, 3]
+    assert report.block_multiplicity.tolist() == [1, 2, 1, 1, 1, 1]
+    assert report.rel_gap.tolist() == [1.0, 1 / 3, 1 / 5, 2 / 8, 1 / 9, 2 / 12]
+    assert report.matched_count() == 0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(eigen=st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True),
+       bands=st.lists(st.integers(-2, 90), min_size=1, max_size=12))
+def test_detect_bands_match_a_full_scan(eigen, bands):
+    # half-integer spectra and band values: many exactly equal gaps
+    eigenvalues = np.sort(np.array(eigen, dtype=float)) / 2
+    values = np.array([b for b in bands if b != 0], dtype=float) / 2
+    if values.size:
+        lay = BlockLayout.riga(20, 2, 10)  # two blocks: both are consulted
+        assert_bands_match_scan(eigenvalues, [values, values[:1]], lay)
 
 
 def test_reconstruct_stopping_modes():
@@ -338,12 +400,12 @@ def test_reconstruct_stopping_modes():
     report = detect_stopping_bands(spec.eigenvalues, local, lay)
     K, M = op.K.to_dense(), op.M.to_dense()
     Me = assemble_layout(lay).M.to_dense()
-    for m in report.matches:
-        U = reconstruct_stopping_mode(op, blocks, m.value)
-        res = np.linalg.norm(K @ U - m.value * (M @ U))
-        assert res / (m.value * np.linalg.norm(M @ U)) < 1e-6
+    for value, index in zip(report.value, report.global_index):
+        U = reconstruct_stopping_mode(op, blocks, value)
+        res = np.linalg.norm(K @ U - value * (M @ U))
+        assert res / (value * np.linalg.norm(M @ U)) < 1e-6
         # lies in the global eigenspace at the matched eigenvalue
-        v = spec.eigenvectors[:, m.global_index]
+        v = spec.eigenvectors[:, index]
         cos = abs(U @ (Me @ v)) / math.sqrt((U @ (Me @ U)) * (v @ (Me @ v)))
         assert math.acos(min(cos, 1.0)) < 1e-4
 
@@ -405,13 +467,31 @@ def test_outlier_report_fig9(fig9_setup):
     op, spec = fig9_setup
     report = outlier_report(spec, op)
     assert report.predicted == 2
-    assert [o.mode for o in report.outliers] == [193, 194]
+    assert report.mode.tolist() == [193, 194]
     assert report.empirical_count == 2
-    for info in report.outliers:
-        assert info.ev_ratio >= 10.0
-        assert info.flatness < 3.0
+    assert np.all(report.ev_ratio >= 10.0)
+    assert np.all(report.flatness < 3.0)
     # resolved modes are near-pure by the same metric
     assert coefficient_flatness(spec.eigenvectors[:, 149]) > 1e3
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(192, 2, 64), BlockLayout.iga(64, 3), BlockLayout.iga(40, 2),
+    BlockLayout.fea(30, 2), BlockLayout.iga(30, 4, bc="neumann"),
+], ids=["riga", "iga-p3", "iga-p2", "fea", "iga-neumann"])
+def test_outlier_report_counts_the_flagged_run_like_a_loop(layout):
+    op = assemble_layout(layout)
+    spec = solve_gevp(op)
+    report = outlier_report(spec, op)
+    ev = eigenvalue_errors(spec, op)
+    med = report.decile_median
+    count = 0
+    for m in range(spec.n_modes, 0, -1):  # down from the top mode
+        if not (med > 0 and abs(ev[m - 1]) >= 10.0 * med):
+            break
+        count += 1
+    assert report.empirical_count == count
+    assert report.ev_rel.tolist() == ev[spec.n_modes - report.predicted:].tolist()
 
 
 def test_outlier_report_samples_once(fig9_setup, monkeypatch):
@@ -427,10 +507,10 @@ def test_outlier_report_samples_once(fig9_setup, monkeypatch):
     report = outlier_report(spec, op)
     assert len(calls) == 1
     # the shared sampling reproduces the standalone per-mode results exactly
-    for info in report.outliers:
-        fc, fit = frequency_analysis(spec.eigenvectors[:, info.mode - 1], op)
-        assert np.array_equal(info.content.magnitudes, fc.magnitudes)
-        assert info.am == fit
+    for k, mode in enumerate(report.mode):
+        mags, fit = frequency_analysis(spec.eigenvectors[:, mode - 1], op)
+        assert np.array_equal(report.magnitudes[k], mags)
+        assert {name: getattr(report, name)[k] for name in AM_FIT} == fit
 
 
 def test_outlier_report_no_outliers():
@@ -438,7 +518,7 @@ def test_outlier_report_no_outliers():
     spec = solve_gevp(op)
     report = outlier_report(spec, op)
     assert report.predicted == 0
-    assert [o.mode for o in report.outliers] == []
+    assert report.mode.tolist() == []
     assert report.empirical_count == 0
 
 
@@ -446,28 +526,31 @@ def test_outlier_report_no_outliers():
 # frequency content and AM fits
 # ---------------------------------------------------------------------------
 
+AM_FIT = ("a1", "f1", "a2", "f2", "defect_dofs", "defect_elements", "misfit")
+
+
 def frequency_analysis(v, op):
-    """Frequency content and AM fit of one mode, sampled on its own."""
+    """Magnitude spectrum and AM fit terms (by name) of one mode, sampled on its own."""
     f = analysis.sample_matrix(op, analysis._sample_grid(op)) @ v
-    fc = analysis._frequency_content(f, op.bc)
-    return fc, analysis._two_wave_fit(f, fc, op)
+    mags = analysis._frequency_content(f[None], op.bc)[0]
+    return mags, dict(zip(AM_FIT, analysis._two_wave_fit(f, mags, op)))
 
 
 def test_frequency_content_resolved_mode(fig9_setup):
     op, spec = fig9_setup
-    fc, _ = frequency_analysis(spec.eigenvectors[:, 99], op)
-    peaks = fc.dominant_peaks(1)
-    assert peaks[0][0] == pytest.approx(100 / 2)  # j/2 cycles per unit length
-    assert peaks[0][1] == pytest.approx(math.sqrt(2.0), rel=1e-2)
+    mags, _ = frequency_analysis(spec.eigenvectors[:, 99], op)
+    peaks = analysis._dominant_peaks(mags, 1)
+    assert 0.5 * peaks[0] == pytest.approx(100 / 2)  # j/2 cycles per unit length
+    assert mags[peaks[0]] == pytest.approx(math.sqrt(2.0), rel=1e-2)
 
 
 def test_am_fit_low_mode_single_peak(fig9_setup):
     op, spec = fig9_setup
     _, fit = frequency_analysis(spec.eigenvectors[:, 4], op)
-    assert fit.a1 == pytest.approx(math.sqrt(2.0), rel=1e-2)
-    assert fit.f1 == pytest.approx(2.5)
-    assert fit.a2 < 1e-4 * fit.a1
-    assert fit.misfit < 1e-4
+    assert fit["a1"] == pytest.approx(math.sqrt(2.0), rel=1e-2)
+    assert fit["f1"] == pytest.approx(2.5)
+    assert fit["a2"] < 1e-4 * fit["a1"]
+    assert fit["misfit"] < 1e-4
 
 
 def test_am_fit_near_top_frequency_link(fig9_setup):
@@ -476,16 +559,16 @@ def test_am_fit_near_top_frequency_link(fig9_setup):
     # dof-count convention is off by the two separator modes
     op, spec = fig9_setup
     _, fit = frequency_analysis(spec.eigenvectors[:, 190], op)
-    assert fit.a2 > 0.9 * fit.a1
-    assert fit.f1 + fit.f2 == pytest.approx(192.0)
-    assert fit.defect_elements <= 0.5  # within one half-cycle bin
-    assert fit.defect_dofs == pytest.approx(2.0)
+    assert fit["a2"] > 0.9 * fit["a1"]
+    assert fit["f1"] + fit["f2"] == pytest.approx(192.0)
+    assert fit["defect_elements"] <= 0.5  # within one half-cycle bin
+    assert fit["defect_dofs"] == pytest.approx(2.0)
 
 
 def test_outlier_has_no_clear_am_structure(fig9_setup):
     op, spec = fig9_setup
     _, fit = frequency_analysis(spec.eigenvectors[:, 193], op)
-    assert fit.misfit > 0.5  # spurious mode, the two-wave model fails
+    assert fit["misfit"] > 0.5  # spurious mode, the two-wave model fails
 
 
 # ---------------------------------------------------------------------------

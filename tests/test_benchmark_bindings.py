@@ -5,8 +5,9 @@ aliases in the importing modules and three ``SymmetricBandedMatrix`` methods,
 all by name.  A library change that renames one of them fails here, in the
 repository's own tests, instead of in every traced benchmark run.  One tiny
 job of every subcommand also runs traced, and the per-layer metrics it yields
-are the ones ``BENCHMARK.json`` declares.  These tests import ``perfbench``
-modules and change none of them.
+are the ones ``BENCHMARK.json`` declares.  Every job of every workload passes
+the benchmark's own output checks against its reference values.  These tests
+import ``perfbench`` modules and change none of them.
 """
 
 import json
@@ -21,7 +22,8 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
 try:
     import layers
-    from workloads import job_argv
+    from checks import check_job, load_reference
+    from workloads import WORKLOADS, job_argv
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -104,3 +106,13 @@ def test_dense_copies_only_on_the_dense_route(tmp_path):
     n = BlockLayout.riga(100, 2, 30).n_dofs
     assert dense_bytes("spectrum --method riga --p 2 --block 30 --elements 100") \
         >= 2 * 8 * n ** 2
+
+
+def test_every_workload_job_passes_the_benchmark_checks(tmp_path):
+    reference = load_reference()["jobs"]
+    lines = [line for jobs in WORKLOADS.values() for line in jobs]
+    assert sorted(lines) == sorted(reference)
+    for k, line in enumerate(lines):
+        stem = tmp_path / f"job{k}"
+        rc = cli.main(job_argv(line, str(stem)))
+        assert check_job(line, stem, rc, reference[line]) == [], line

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -348,3 +349,57 @@ def test_cli_exit_contract(argv):
                 _, _, rows = read_csv(path)
                 cells = [float(c) for r in rows for c in r.split(",") if c]
                 assert np.all(np.isfinite(cells)), path.name
+
+
+def reference_csv(header, rows, config, comments):
+    """The CSV writer's rule, applied one row and one cell at a time."""
+    def cell(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if x is None:
+            return ""
+        return f"{float(x):.17g}"
+
+    lines = [f"# config: {config.echo()}", *comments, ",".join(header)]
+    lines += [",".join(cell(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308,
+               1.7976931348623157e308, -1e300, 0.1, 1.0 / 3.0]
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def csv_columns(draw):
+    """Columns as the subcommands hand them over: int and float arrays, object
+    arrays holding ``None`` for missing values, and plain lists of ints."""
+    n_rows = draw(st.integers(0, 12))
+    columns = {}
+    for k in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["int", "float", "optional", "list"]))
+        if kind == "float":
+            col = np.array(draw(st.lists(FLOATS, min_size=n_rows, max_size=n_rows)))
+        elif kind == "optional":
+            col = np.array(draw(st.lists(st.none() | FLOATS, min_size=n_rows,
+                                         max_size=n_rows)), dtype=object)
+        else:
+            ints = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n_rows,
+                                 max_size=n_rows))
+            col = ints if kind == "list" else np.array(ints, dtype=np.int64)
+        columns[f"{kind}{k}"] = col
+    return columns
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(columns=csv_columns(), comments=st.sampled_from([None, ["# slope: 4"]]))
+def test_csv_columns_match_row_by_row_rule(columns, comments):
+    cfg = cli.ExperimentConfig()
+    rows = zip(*columns.values())
+    assert cli._csv(columns, cfg, comments) == \
+        reference_csv(list(columns), rows, cfg, comments or [])
+
+
+def test_csv_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError):
+        cli._csv({"a": np.arange(3), "b": np.zeros(2)}, cli.ExperimentConfig())
