@@ -41,7 +41,6 @@ from .analysis import (
     error_budget,
     exact_spectrum,
     find_optimal_tau,
-    local_bubble_spectra,
     outlier_report,
     partition_dofs,
 )

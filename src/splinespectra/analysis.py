@@ -8,10 +8,11 @@ inner product two extra terms appear (the discrete energy-norm gap, which
 vanishes in 1D, and the L2 normalization deficit).
 
 Stopping bands are diagnosed by partitioning the degrees of freedom into
-per-block bubbles and separator interfaces: the eigenvalues of the local
-bubble pencils reappear in the global spectrum and pin the error spikes that
-separate the spectrum branches.  Outliers are counted from the degree/
-separator census and checked empirically against the spectrum tail.
+per-block bubbles and separator interfaces: each eigenvalue of a block's
+bubble pencil reappears in the global spectrum as a stopping band, pinning an
+error spike between two spectrum branches.  Blocks of one size share their
+pencil, which is solved once.  Outliers are counted from the degree/separator
+census and checked empirically against the spectrum tail.
 
 Every report is a table of columns: :class:`ErrorBudget` holds one array per
 term, :class:`StoppingBandReport` one per band property and
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse
 
 from .assembly import (
@@ -48,7 +48,6 @@ __all__ = [
     "eigenvalue_errors_2d",
     "error_budget",
     "partition_dofs",
-    "local_bubble_spectra",
     "detect_stopping_bands",
     "count_outliers",
     "outlier_report",
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 
-# two bubble eigenvalues this close (relative) are one band
+# sorted bubble eigenvalues this close (relative) to their lower neighbour are one band
 _BAND_CLUSTER_TOL = 1e-9
 # a band is matched when a global eigenvalue lies this close (relative)
 _BAND_MATCH_TOL = 1e-6
@@ -297,8 +296,8 @@ def partition_dofs(layout: BlockLayout) -> list[np.ndarray]:
     """Reduced indices of every block's bubble functions, one contiguous range
     per block.
 
-    Only defined for ``C^0`` separators under Dirichlet conditions.  A block of
-    ``B`` elements then holds ``B + p - 2`` bubbles, supported inside it, and
+    Only defined for ``C^0`` separators under Dirichlet conditions.  Each block
+    then holds ``layout.bubble_counts`` bubbles, supported inside it, and
     each separator adds one interface function, the index right after the
     bubbles of the block to its left.
     """
@@ -306,28 +305,9 @@ def partition_dofs(layout: BlockLayout) -> list[np.ndarray]:
         raise ValueError("bubble/interface partition requires C^0 separators")
     if layout.bc != "dirichlet":
         raise ValueError("bubble/interface partition requires Dirichlet conditions")
-    sizes = [layout.block_size] * layout.n_separators
-    sizes.append(layout.n_elements - layout.block_size * layout.n_separators)
-    blocks, start = [], 0
-    for size in sizes:
-        count = size + layout.p - 2
-        blocks.append(np.arange(start, start + count))
-        start += count + 1
-    return blocks
-
-
-def local_bubble_spectra(op: DiscreteOperator,
-                         blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """Eigenvalues of the bubble pencil of every block of
-    :func:`partition_dofs`, one ascending array per block.
-
-    A block's bubbles are contiguous, so each pencil is its slice of the
-    stored bands, solved on those bands like
-    :func:`~splinespectra.eigensolve.solve_eigenvalues`; no dense matrix is
-    formed.
-    """
-    return [_band_eigenvalues(op.K.restricted(idx), op.M.restricted(idx))
-            for idx in blocks]
+    counts = layout.bubble_counts
+    starts = np.cumsum(counts + 1) - (counts + 1)
+    return [np.arange(start, start + count) for start, count in zip(starts, counts)]
 
 
 @dataclass
@@ -337,7 +317,7 @@ class StoppingBandReport:
 
     ``nearest_global`` is the global eigenvalue closest to ``value``, at
     the 0-based ``global_index``, and ``rel_gap`` their distance relative to
-    ``value``; ``block_multiplicity`` counts the blocks sharing the band.
+    ``value``; ``block_multiplicity`` counts the consulted blocks sharing it.
     ``expected_count`` is the number of bands the layout predicts.
     """
 
@@ -357,30 +337,36 @@ class StoppingBandReport:
         return int(np.count_nonzero(self.rel_gap < _BAND_MATCH_TOL))
 
 
-def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
-                          layout: BlockLayout) -> StoppingBandReport:
-    """Match distinct interior-block bubble eigenvalues against the global spectrum.
+def detect_stopping_bands(eigenvalues: np.ndarray, op: DiscreteOperator,
+                          blocks: list[np.ndarray]) -> StoppingBandReport:
+    """Match the distinct bubble eigenvalues of the blocks against the global spectrum.
 
-    ``eigenvalues`` is the ascending global spectrum and ``local`` the bubble
-    eigenvalues of each block, from :func:`local_bubble_spectra`.
+    ``eigenvalues`` is the ascending global spectrum of ``op`` and ``blocks``
+    its bubble partition, from :func:`partition_dofs`.  A stopping band is
+    confirmed when a bubble eigenvalue coincides with a global eigenvalue
+    (see :meth:`StoppingBandReport.matched_count`).  Without separators the
+    Schur construction is vacuous and no bands are reported.
 
-    A stopping band is confirmed when a bubble eigenvalue coincides with a
-    global eigenvalue (see :meth:`StoppingBandReport.matched_count`).  Blocks
-    touching the domain boundary are only consulted when no interior block
-    exists.  Without separators the Schur construction is vacuous and no
-    bands are reported.
-
-    Bubble eigenvalues within ``1e-9`` (relative) of the first value of their
-    cluster are one band.  The nearest global eigenvalue is the closer of the
-    two neighbours of the band value in the spectrum, the lower one on a tie.
+    The interior blocks are consulted, or every block when there are at most
+    two.  Blocks of one size share their bubble pencil, so each size is solved
+    once, on the stored bands of its first consulted block: at most two
+    pencils, the second for a ragged last block.  Sorted values within
+    ``1e-9`` (relative) of their lower neighbour are one band, valued at its
+    lowest.  The nearest global eigenvalue is the closer of the two
+    neighbours of the band value in the spectrum, the lower one on a tie.
     """
-    pool = local[1:-1] if len(local) > 2 else local
-    values = np.sort(np.concatenate(pool)) if layout.n_separators else np.empty(0)
-    starts = []  # first value of each cluster
-    for k, v in enumerate(values):
-        if not (starts and abs(v - values[starts[-1]])
-                <= _BAND_CLUSTER_TOL * abs(values[starts[-1]])):
-            starts.append(k)
+    layout = op.layout
+    consulted = (blocks[1:-1] if len(blocks) > 2 else blocks) if layout.n_separators else []
+    _, first, copies = np.unique([idx.size for idx in consulted],
+                                 return_index=True, return_counts=True)
+    local = [_band_eigenvalues(op.K.restricted(consulted[k]), op.M.restricted(consulted[k]))
+             for k in first]
+    values = np.concatenate([np.empty(0), *local])
+    order = np.argsort(values, kind="stable")
+    values, copies = values[order], np.repeat(copies, [w.size for w in local])[order]
+    starts = np.ones(values.size, dtype=bool)  # the first value of each band
+    starts[1:] = np.diff(values) > _BAND_CLUSTER_TOL * np.abs(values[:-1])
+    starts = np.flatnonzero(starts)
     value = values[starts]
 
     i = np.searchsorted(eigenvalues, value)
@@ -393,9 +379,8 @@ def detect_stopping_bands(eigenvalues: np.ndarray, local: list[np.ndarray],
     return StoppingBandReport(
         value=value, nearest_global=eigenvalues[nearest],
         rel_gap=np.where(closer_above, gap_above, gap_below), global_index=nearest,
-        block_multiplicity=np.diff([*starts, values.size]),
-        # one band per bubble of a full block; the first block is always full
-        expected_count=local[0].size if layout.n_separators else 0,
+        block_multiplicity=np.add.reduceat(copies, starts),
+        expected_count=int(layout.bubble_counts[0]) if layout.n_separators else 0,
     )
 
 
@@ -452,7 +437,7 @@ class OutlierReport:
 
     ``ev_ratio`` is ``|ev_rel|`` over ``decile_median``, the median error of
     the top decile, and ``flatness`` is :func:`coefficient_flatness`.
-    ``a1`` to ``misfit`` are the terms of :func:`_two_wave_fit`; ``f2``,
+    ``a1`` to ``misfit`` are the columns of :func:`_two_wave_fits`; ``f2``,
     ``defect_dofs`` and ``defect_elements`` are object arrays holding
     ``None`` for a mode with a single spectral peak.  Row ``k`` of
     ``magnitudes`` is the ``k``-th mode's spectrum from
@@ -498,9 +483,6 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     V = spectrum.eigenvectors[:, n - predicted:]
     fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
     magnitudes = _frequency_content(fields, op.bc)
-    fits = np.array([_two_wave_fit(f, mags, op) for f, mags in zip(fields, magnitudes)],
-                    dtype=object).reshape(-1, 7)
-    a1, f1, a2, f2, defect_dofs, defect_elements, misfit = fits.T
     tail = ev[n - predicted:]
     return OutlierReport(
         predicted, empirical, med,
@@ -508,9 +490,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
         ev_rel=tail,
         ev_ratio=np.abs(tail) / med if med > 0 else np.full(predicted, math.inf),
         flatness=np.array([coefficient_flatness(v) for v in V.T]),
-        a1=a1.astype(float), f1=f1.astype(float), a2=a2.astype(float), f2=f2,
-        defect_dofs=defect_dofs, defect_elements=defect_elements,
-        misfit=misfit.astype(float), magnitudes=magnitudes,
+        magnitudes=magnitudes, **_two_wave_fits(fields, magnitudes, op),
     )
 
 
@@ -543,56 +523,51 @@ def _frequency_content(fields: np.ndarray, bc: str) -> np.ndarray:
     return np.abs(np.fft.rfft(g, axis=1)) / fields.shape[1]
 
 
-def _dominant_peaks(mags: np.ndarray, count: int) -> np.ndarray:
-    """Bins of the ``count`` largest local maxima of ``mags``, largest first."""
-    interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])) + 1
-    return interior[np.argsort(-mags[interior], kind="stable")][:count]
+def _two_wave_fits(fields: np.ndarray, magnitudes: np.ndarray,
+                   op: DiscreteOperator) -> dict[str, np.ndarray]:
+    """Two-wave amplitude-modulation fits of near-top eigenfunctions: row
+    ``k`` of ``fields`` is a field sampled on :func:`_sample_grid` and row
+    ``k`` of ``magnitudes`` its spectrum.
 
-
-def _two_wave_fit(f: np.ndarray, mags: np.ndarray, op: DiscreteOperator) -> tuple:
-    """Two-wave amplitude-modulation fit of a near-top eigenfunction: ``f`` is
-    the field sampled on :func:`_sample_grid` and ``mags`` its spectrum.
-
-    The two dominant spectral peaks are fitted with a sine or cosine pair:
-    even degrees use ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``, odd degrees
-    the cosine pair with a plus sign; Neumann conditions swap the families.
-    The relative L2 misfit between the field and the model (over the best
-    global sign) is reported as a diagnostic.  The frequency-link defect is
-    reported against both plausible mode-count conventions, the number of
-    degrees of freedom and the number of elements.
-
-    Returns ``(a1, f1, a2, f2, defect_dofs, defect_elements, misfit)``;
-    ``f2`` and both defects are ``None`` for a single-peak mode.
+    The two largest local maxima of each spectrum (the lower bin on a tie)
+    are fitted with a sine or cosine pair: even degrees use
+    ``A1 sin(2 pi f1 x) - A2 sin(2 pi f2 x)``, odd degrees the cosine pair
+    with a plus sign; Neumann conditions swap the families.  The relative L2
+    misfit between the field and the model (over the best global sign) is
+    reported as a diagnostic.  The frequency-link defect is reported against
+    both plausible mode-count conventions, the number of degrees of freedom
+    and the number of elements.  Returns the columns ``a1`` to ``misfit`` by
+    name; ``f2`` and both defects hold ``None`` for a single-peak mode.
     """
-    n = op.n_dofs
-    n_el = op.layout.n_elements
-    peaks = _dominant_peaks(mags, 2)
-    if not peaks.size:
+    inner = magnitudes[:, 1:-1]
+    peak = (inner > magnitudes[:, :-2]) & (inner > magnitudes[:, 2:])
+    peaks = peak.sum(axis=1)
+    if np.any(peaks == 0):
         raise ValueError("eigenfunction has no spectral peak")
-    a1, f1 = float(mags[peaks[0]]), 0.5 * float(peaks[0])
-    if peaks.size < 2:
-        a2, f2 = 0.0, None
-    else:
-        a2, f2 = float(mags[peaks[1]]), 0.5 * float(peaks[1])
+    # largest first, the lower bin first on a tie; bins that are no peak last
+    bins = np.argsort(np.where(peak, -inner, np.inf), axis=1, kind="stable")[:, :2] + 1
+    a = np.take_along_axis(magnitudes, bins, axis=1)
+    two = peaks >= 2
+    a1, a2 = a[:, 0], np.where(two, a[:, 1], 0.0)
+    f1, f2 = 0.5 * bins[:, 0], 0.5 * bins[:, 1]
 
-    xs = np.arange(f.size) / f.size
+    xs = np.arange(fields.shape[1]) / fields.shape[1]
     even_degree = op.kv.p % 2 == 0
     use_sine = even_degree if op.bc == "dirichlet" else not even_degree
-    two_pi = 2.0 * math.pi
+    wave = np.sin if use_sine else np.cos
+    model = a1[:, None] * wave((2.0 * math.pi * f1)[:, None] * xs)
+    second = a2[:, None] * wave((2.0 * math.pi * f2)[:, None] * xs)
+    model = model - second if use_sine else model + second
 
-    def wave(freq):
-        arg = two_pi * freq * xs
-        return np.sin(arg) if use_sine else np.cos(arg)
-
-    model = a1 * wave(f1)
-    if f2 is not None:
-        model = model - a2 * wave(f2) if use_sine else model + a2 * wave(f2)
-    norm = np.linalg.norm(f)
-    misfit = min(np.linalg.norm(f - s * model) for s in (1.0, -1.0)) / norm
-
-    defect_dofs = abs(f2 - (n - f1)) if f2 is not None else None
-    defect_elems = abs(f2 - (n_el - f1)) if f2 is not None else None
-    return a1, f1, a2, f2, defect_dofs, defect_elems, float(misfit)
+    # one norm per row: a batched norm sums in another order than the BLAS dot
+    misfit = np.array([min(np.linalg.norm(f - m), np.linalg.norm(f + m)) / np.linalg.norm(f)
+                       for f, m in zip(fields, model)])
+    return {
+        "a1": a1, "f1": f1, "a2": a2, "f2": np.where(two, f2, None),
+        "defect_dofs": np.where(two, np.abs(f2 - (op.n_dofs - f1)), None),
+        "defect_elements": np.where(two, np.abs(f2 - (op.layout.n_elements - f1)), None),
+        "misfit": misfit,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -665,4 +640,5 @@ def find_optimal_tau(p: int, n_elements: int = 32) -> float:
         flo, fhi = f(lo), f(hi)
     else:
         raise NumericalError(f"no blending root near tau = {guess:.3f}")
+    import scipy.optimize  # only here: it costs every CLI run about 0.1 s to import
     return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-10))

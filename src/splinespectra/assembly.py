@@ -94,7 +94,7 @@ class SymmetricBandedMatrix:
         return np.einsum("ij,ij->j", V, self.to_sparse() @ V)
 
     def restricted(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
-        """Submatrix on a contiguous index range (boundary elimination)."""
+        """Submatrix on a contiguous index range: kept dofs, a bubble block or a patch window."""
         keep = np.asarray(keep)
         if keep.size and not np.array_equal(keep, np.arange(keep[0], keep[-1] + 1)):
             raise ValueError("restriction must be a contiguous index range")

@@ -180,8 +180,7 @@ def cmd_stopbands(cfg: ExperimentConfig, out: str | None) -> int:
     layout = cfg.layout()
     blocks = analysis.partition_dofs(layout)
     op = assemble_layout(layout, cfg.quadrature_spec())
-    local = analysis.local_bubble_spectra(op, blocks)
-    r = analysis.detect_stopping_bands(solve_eigenvalues(op), local, layout)
+    r = analysis.detect_stopping_bands(solve_eigenvalues(op), op, blocks)
     _write_text(out, _csv({
         "lambda_b": r.value, "nearest_lambda_h": r.nearest_global,
         "rel_gap": r.rel_gap, "global_index": r.global_index + 1,

@@ -147,7 +147,7 @@ def _uniform_patch(op) -> tuple | None:
     The layout must have Dirichlet conditions, ``C^0`` separators and
     ``n_elements`` a multiple of ``block_size``, with at least two blocks;
     the reduced dofs then run
-    block by block, ``m = block_size + p - 2`` bubbles and one interface.
+    block by block, ``m`` bubbles (``layout.bubble_counts``) and one interface.
     To ``1e-12`` of the band's largest entry, the stored bands must equal
     themselves shifted by one block, the first block's bubble pencil must be
     invariant under the mirror ``J`` (reversal of the bubbles), its bubbles
@@ -161,7 +161,7 @@ def _uniform_patch(op) -> tuple | None:
     if layout is None or layout.bc != "dirichlet" or layout.separator_continuity != 0:
         return None
     n_blocks, rest = divmod(layout.n_elements, layout.block_size)
-    m = layout.block_size + layout.p - 2
+    m = int(layout.bubble_counts[0])
     period = m + 1
     n = op.n_dofs
     if n_blocks < 2 or rest or n != n_blocks * period - 1:

@@ -8,6 +8,7 @@ Lobatto, and values outside ``[0, 1]`` give non-convex blends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,13 +124,15 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.kind not in ("gauss", "lobatto", "blended"):
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.kind == "blended" and self.tau is None:
-            raise ValueError("blended quadrature requires tau")
+        if self.kind == "blended" and (self.tau is None or not math.isfinite(self.tau)):
+            raise ValueError(f"blended quadrature requires a finite tau, got {self.tau}")
+        if self.points_per_element is not None and self.points_per_element < 1:
+            raise ValueError(f"points per element must be >= 1, got {self.points_per_element}")
 
     def n_points(self, p: int) -> int:
         # default p + 1 points integrates both mass and stiffness exactly
         # with Gauss and keeps Gauss/Lobatto node counts matched in blends
-        return self.points_per_element if self.points_per_element else p + 1
+        return p + 1 if self.points_per_element is None else self.points_per_element
 
     def reference_rule(self, p: int) -> Rule:
         n = self.n_points(p)

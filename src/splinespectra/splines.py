@@ -148,6 +148,15 @@ class BlockLayout:
         return math.ceil(self.n_elements / self.block_size) - 1
 
     @property
+    def bubble_counts(self) -> np.ndarray:
+        """Bubble functions of each block, left to right, under ``C^0``
+        separators and Dirichlet conditions: ``B + p - 2`` in a block of ``B``
+        elements, the last block taking the remaining elements."""
+        sizes = np.full(self.n_separators + 1, self.block_size)
+        sizes[-1] = self.n_elements - self.block_size * self.n_separators
+        return sizes + self.p - 2
+
+    @property
     def dim_before_bc(self) -> int:
         c = self.separator_continuity
         return self.n_elements + self.p + (self.p - 1 - c) * self.n_separators

@@ -21,6 +21,13 @@ Reference routes for claims the CLI computes another way:
   iteration;
 - :func:`knot_partition` finds each block's bubble functions by searching the
   knot vector, where ``partition_dofs`` counts them from the layout;
+- :func:`per_block_bands` takes the stopping-band census one block at a
+  time: every consulted block's bubble pencil solved densely
+  (:func:`per_block_bubble_spectra`) and the pooled values clustered one at
+  a time, where ``detect_stopping_bands`` solves one banded pencil per block
+  size;
+- :func:`per_mode_two_wave_fit` fits one outlier mode at a time, where
+  ``outlier_report`` fits every mode's row in one pass;
 - :func:`reconstruct_stopping_mode` rebuilds a global stopping mode from the
   bubble eigenvectors of the blocks;
 - :func:`branch_count` counts spectrum branches from the band positions.
@@ -34,17 +41,15 @@ import scipy.interpolate
 import scipy.linalg
 import scipy.sparse
 
-from splinespectra.analysis import (
-    detect_stopping_bands,
-    local_bubble_spectra,
-    partition_dofs,
-)
+from splinespectra.analysis import detect_stopping_bands, partition_dofs
 from splinespectra.assembly import NumericalError, assemble_layout
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
 # a block owns a band when one of its bubble eigenvalues is this close (relative)
 _BUBBLE_MATCH_TOL = 1e-8
+# bubble eigenvalues this close (relative) to the first value of their cluster are one band
+_BAND_CLUSTER_TOL = 1e-9
 _ORACLE_TOL = 1e-9
 _ORACLE_MAX_ITER = 200
 
@@ -365,6 +370,70 @@ def interface_dofs(blocks, n_dofs: int) -> np.ndarray:
     return np.setdiff1d(np.arange(n_dofs), np.concatenate(blocks))
 
 
+def per_block_bubble_spectra(op, blocks) -> list[np.ndarray]:
+    """Eigenvalues of every block's bubble pencil, one ascending array per
+    block, each solved by a dense ``scipy.linalg.eigh`` on its slice of the
+    assembled matrices."""
+    K, M = op.K.to_dense(), op.M.to_dense()
+    return [scipy.linalg.eigh(K[np.ix_(idx, idx)], M[np.ix_(idx, idx)], eigvals_only=True)
+            for idx in blocks]
+
+
+def per_block_bands(op) -> tuple[np.ndarray, np.ndarray]:
+    """Stopping-band values and block multiplicities of a ``C^0`` Dirichlet
+    layout, by the census one block at a time.
+
+    The blocks come from :func:`knot_partition`.  The interior blocks are
+    consulted, or every block when there are at most two, and none without
+    separators.  Every consulted block's pencil is solved on its own, and the
+    pooled values, sorted, are clustered one value at a time: a value within
+    ``1e-9`` (relative) of the first value of the current cluster joins it,
+    and the cluster's first value is the band.  The multiplicity of a band
+    is the size of its cluster.
+    """
+    blocks, _ = knot_partition(op.layout)
+    local = per_block_bubble_spectra(op, blocks)
+    pool = local[1:-1] if len(local) > 2 else local
+    values = np.sort(np.concatenate(pool)) if op.layout.n_separators else np.empty(0)
+    starts = []  # first value of each cluster
+    for k, v in enumerate(values):
+        if not (starts and abs(v - values[starts[-1]])
+                <= _BAND_CLUSTER_TOL * abs(values[starts[-1]])):
+            starts.append(k)
+    return values[starts], np.diff([*starts, values.size])
+
+
+def per_mode_two_wave_fit(f: np.ndarray, mags: np.ndarray, op) -> dict:
+    """The two-wave fit of one sampled field ``f`` with spectrum ``mags``, by
+    name: the two largest local maxima of ``mags`` (the lower bin on a tie),
+    and the sine or cosine pair of the outlier census fitted to them."""
+    interior = np.flatnonzero((mags[1:-1] > mags[:-2]) & (mags[1:-1] > mags[2:])) + 1
+    peaks = interior[np.argsort(-mags[interior], kind="stable")][:2]
+    a1, f1 = float(mags[peaks[0]]), 0.5 * float(peaks[0])
+    if peaks.size < 2:
+        a2, f2 = 0.0, None
+    else:
+        a2, f2 = float(mags[peaks[1]]), 0.5 * float(peaks[1])
+    xs = np.arange(f.size) / f.size
+    even_degree = op.kv.p % 2 == 0
+    use_sine = even_degree if op.bc == "dirichlet" else not even_degree
+
+    def wave(freq):
+        arg = 2.0 * math.pi * freq * xs
+        return np.sin(arg) if use_sine else np.cos(arg)
+
+    model = a1 * wave(f1)
+    if f2 is not None:
+        model = model - a2 * wave(f2) if use_sine else model + a2 * wave(f2)
+    misfit = min(np.linalg.norm(f - s * model) for s in (1.0, -1.0)) / np.linalg.norm(f)
+    return {
+        "a1": a1, "f1": f1, "a2": a2, "f2": f2,
+        "defect_dofs": None if f2 is None else abs(f2 - (op.n_dofs - f1)),
+        "defect_elements": None if f2 is None else abs(f2 - (op.layout.n_elements - f1)),
+        "misfit": float(misfit),
+    }
+
+
 class SingularInterfaceError(NumericalError):
     """Interface block of the shifted pencil is numerically singular."""
 
@@ -454,8 +523,7 @@ def branch_count(eigenvalues: np.ndarray, op, j_max: int | None = None) -> int:
     """
     if op.layout.n_separators == 0:
         return 1
-    local = local_bubble_spectra(op, partition_dofs(op.layout))
-    report = detect_stopping_bands(eigenvalues, local, op.layout)
+    report = detect_stopping_bands(eigenvalues, op, partition_dofs(op.layout))
     if j_max is None:
         j_max = op.layout.n_elements + op.kv.p - 2
     modes = report.global_index + 1

@@ -20,7 +20,6 @@ from splinespectra.analysis import (
     detect_stopping_bands,
     error_budget,
     eigenvalue_errors,
-    local_bubble_spectra,
     outlier_report,
     partition_dofs,
 )
@@ -155,8 +154,7 @@ def test_criterion_6_stopping_bands():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
-    local = local_bubble_spectra(op, blocks)
-    rep = detect_stopping_bands(solve_eigenvalues(op), local, lay)
+    rep = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
     bands_ok = rep.band_count == 10 and rep.matched_count() == 10
 
     K, M = op.K.to_dense(), op.M.to_dense()
@@ -171,8 +169,7 @@ def test_criterion_6_stopping_bands():
     lay_f = BlockLayout.fea(100, 2)
     op_f = assemble_layout(lay_f)
     blocks_f = partition_dofs(lay_f)
-    rep_f = detect_stopping_bands(solve_eigenvalues(op_f),
-                                  local_bubble_spectra(op_f, blocks_f), lay_f)
+    rep_f = detect_stopping_bands(solve_eigenvalues(op_f), op_f, blocks_f)
     fea_ok = rep_f.band_count == 1 and rep_f.matched_count() == 1
 
     ok = bands_ok and recon_ok and fea_ok

@@ -15,7 +15,6 @@ from splinespectra.analysis import (
     error_budget,
     exact_spectrum,
     find_optimal_tau,
-    local_bubble_spectra,
     outlier_report,
     partition_dofs,
 )
@@ -31,6 +30,8 @@ from oracles import (
     design_rows,
     interface_dofs,
     linear_fem_eigenvalue,
+    per_block_bubble_spectra,
+    per_mode_two_wave_fit,
     reconstruct_stopping_mode,
     reference_sampling,
 )
@@ -298,29 +299,63 @@ def test_single_element_bubble_eigenvalue():
     # quadratic bubble on an element of width h has lambda = 10 / h^2
     lay = BlockLayout.fea(2, 2)
     op = assemble_layout(lay)
-    blocks = partition_dofs(lay)
-    local = local_bubble_spectra(op, blocks)
-    for w in local:
-        assert w.size == 1
-        assert w[0] == pytest.approx(10.0 / 0.5 ** 2, rel=1e-12)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, partition_dofs(lay))
+    assert report.value.size == 1
+    assert report.value[0] == pytest.approx(10.0 / 0.5 ** 2, rel=1e-12)
+    assert report.block_multiplicity.tolist() == [2]  # both blocks are consulted
 
 
 def test_interior_blocks_share_spectra():
+    # the premise of solving one bubble pencil per block size
     lay = BlockLayout.riga(30, 2, 5)
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
-    local = local_bubble_spectra(op, blocks)
-    interior = local[1:-1]
+    interior = per_block_bubble_spectra(op, blocks)[1:-1]
     for w in interior[1:]:
         assert np.allclose(w, interior[0], rtol=1e-10)
     assert interior[0].size == 5  # Bsize + p - 2 distinct values
+    report = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
+    assert np.allclose(report.value, interior[0], rtol=1e-10)
+    assert report.block_multiplicity.tolist() == [len(interior)] * 5
+
+
+def test_ragged_two_block_bands_merge_and_count_both_blocks():
+    # a block of 15 and a block of 5: the five bubble eigenvalues of the
+    # ragged block coincide with five of the full block's
+    lay = BlockLayout.riga(20, 2, 15)
+    op = assemble_layout(lay)
+    blocks = partition_dofs(lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
+    assert report.band_count == 15 == report.expected_count
+    assert np.count_nonzero(report.block_multiplicity == 2) == 5
+    assert np.count_nonzero(report.block_multiplicity == 1) == 10
+    ragged = per_block_bubble_spectra(op, blocks)[1]
+    shared = report.value[report.block_multiplicity == 2]
+    assert np.allclose(shared, ragged, rtol=1e-12)
+
+
+def test_one_bubble_pencil_solve_per_block_size(monkeypatch):
+    # 300 one-element blocks, of which 298 interior ones are consulted
+    lay = BlockLayout.fea(300, 3)
+    op = assemble_layout(lay)
+    calls = []
+    real = analysis._band_eigenvalues
+
+    def counting(K, M):
+        calls.append(K.n)
+        return real(K, M)
+
+    monkeypatch.setattr(analysis, "_band_eigenvalues", counting)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, partition_dofs(lay))
+    assert calls == [2]
+    assert report.block_multiplicity.tolist() == [298, 298]
 
 
 def test_detect_bands_riga_ten_by_ten():
     lay = BlockLayout.riga(100, 2, 10)
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
-    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
     assert report.band_count == 10 == report.expected_count
     assert report.matched_count() == 10
 
@@ -330,7 +365,7 @@ def test_detect_bands_fea_degree_counts():
         lay = BlockLayout.fea(12, p)
         op = assemble_layout(lay)
         blocks = partition_dofs(lay)
-        report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
+        report = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
         assert report.band_count == want == report.expected_count
         assert report.matched_count() == want
 
@@ -339,7 +374,7 @@ def test_detect_bands_without_separators_is_empty():
     lay = BlockLayout.iga(10, 2)
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
-    report = detect_stopping_bands(solve_eigenvalues(op), local_bubble_spectra(op, blocks), lay)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, blocks)
     assert report.band_count == 0 == report.expected_count
     assert report.value.tolist() == []
 
@@ -355,8 +390,14 @@ def nearest_by_scan(eigenvalues, value):
     return best, best_gap
 
 
-def assert_bands_match_scan(eigenvalues, local, layout):
-    report = detect_stopping_bands(eigenvalues, local, layout)
+def assert_bands_match_scan(eigenvalues, pencil_values, layout):
+    """The census of ``layout`` against ``eigenvalues``, with every bubble
+    pencil's eigenvalues replaced by ``pencil_values``, checked by a scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_band_eigenvalues",
+                      lambda K, M: np.array(pencil_values, dtype=float))
+        report = detect_stopping_bands(eigenvalues, assemble_layout(layout),
+                                       partition_dofs(layout))
     for value, nearest, gap, index in zip(report.value, report.nearest_global,
                                           report.rel_gap, report.global_index):
         assert (index, gap) == nearest_by_scan(eigenvalues, value)
@@ -368,10 +409,9 @@ def test_detect_bands_outside_the_spectrum_and_on_ties():
     lay = BlockLayout.riga(30, 2, 10)  # three blocks: only the middle one counts
     eigenvalues = np.array([2.0, 4.0, 6.0, 10.0])
     # below lambda_1, equal gaps to 2 and 4, to 4 and 6, to 6 and 10, nearer
-    # 10, above lambda_n; 3 is a cluster of two blocks' values
-    local = [np.array([100.0]), np.array([1.0, 3.0, 3.0 + 1e-12, 5.0, 8.0, 9.0, 12.0]),
-             np.array([100.0])]
-    report = assert_bands_match_scan(eigenvalues, local, lay)
+    # 10, above lambda_n; 3 is a cluster of two of the pencil's values
+    report = assert_bands_match_scan(
+        eigenvalues, [1.0, 3.0, 3.0 + 1e-12, 5.0, 8.0, 9.0, 12.0], lay)
     assert report.value.tolist() == [1.0, 3.0, 5.0, 8.0, 9.0, 12.0]
     assert report.global_index.tolist() == [0, 0, 1, 2, 3, 3]
     assert report.block_multiplicity.tolist() == [1, 2, 1, 1, 1, 1]
@@ -387,8 +427,8 @@ def test_detect_bands_match_a_full_scan(eigen, bands):
     eigenvalues = np.sort(np.array(eigen, dtype=float)) / 2
     values = np.array([b for b in bands if b != 0], dtype=float) / 2
     if values.size:
-        lay = BlockLayout.riga(20, 2, 10)  # two blocks: both are consulted
-        assert_bands_match_scan(eigenvalues, [values, values[:1]], lay)
+        lay = BlockLayout.riga(20, 2, 10)  # two blocks of one size: one pencil
+        assert_bands_match_scan(eigenvalues, values, lay)
 
 
 def test_reconstruct_stopping_modes():
@@ -396,8 +436,7 @@ def test_reconstruct_stopping_modes():
     op = assemble_layout(lay)
     spec = solve_gevp(op)
     blocks = partition_dofs(lay)
-    local = local_bubble_spectra(op, blocks)
-    report = detect_stopping_bands(spec.eigenvalues, local, lay)
+    report = detect_stopping_bands(spec.eigenvalues, op, blocks)
     K, M = op.K.to_dense(), op.M.to_dense()
     Me = assemble_layout(lay).M.to_dense()
     for value, index in zip(report.value, report.global_index):
@@ -414,8 +453,7 @@ def test_reconstruct_symmetric_layout_zero_interface():
     lay = BlockLayout.riga(10, 2, 5)
     op = assemble_layout(lay)
     blocks = partition_dofs(lay)
-    local = local_bubble_spectra(op, blocks)
-    for value in local[0]:
+    for value in detect_stopping_bands(solve_eigenvalues(op), op, blocks).value:
         U = reconstruct_stopping_mode(op, blocks, value)
         assert abs(U[interface_dofs(blocks, op.n_dofs)[0]]) < 1e-8 * np.linalg.norm(U)
 
@@ -532,16 +570,36 @@ AM_FIT = ("a1", "f1", "a2", "f2", "defect_dofs", "defect_elements", "misfit")
 def frequency_analysis(v, op):
     """Magnitude spectrum and AM fit terms (by name) of one mode, sampled on its own."""
     f = analysis.sample_matrix(op, analysis._sample_grid(op)) @ v
-    mags = analysis._frequency_content(f[None], op.bc)[0]
-    return mags, dict(zip(AM_FIT, analysis._two_wave_fit(f, mags, op)))
+    mags = analysis._frequency_content(f[None], op.bc)
+    fits = analysis._two_wave_fits(f[None], mags, op)
+    return mags[0], {name: fits[name][0] for name in AM_FIT}
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(40, 2, 10), BlockLayout.iga(24, 3), BlockLayout.fea(12, 2),
+    BlockLayout.iga(20, 4, bc="neumann"), BlockLayout.riga(30, 3, 10, bc="neumann"),
+], ids=["riga-p2", "iga-p3", "fea", "iga-p4-neumann", "riga-p3-neumann"])
+def test_two_wave_fits_match_the_per_mode_loop(layout):
+    # every mode, both wave families, and one spectrum with a single peak
+    op = assemble_layout(layout)
+    V = solve_gevp(op).eigenvectors
+    fields = (analysis.sample_matrix(op, analysis._sample_grid(op)) @ V).T
+    mags = analysis._frequency_content(np.ascontiguousarray(fields), op.bc)
+    single = np.zeros(mags.shape[1])
+    single[5] = 1.0
+    fields, mags = np.vstack([fields, fields[:1]]), np.vstack([mags, single])
+    fits = analysis._two_wave_fits(fields, mags, op)
+    assert fits["f2"][-1] is None and fits["a2"][-1] == 0.0
+    for k in range(len(fields)):
+        assert {name: fits[name][k] for name in AM_FIT} \
+            == per_mode_two_wave_fit(fields[k], mags[k], op)
 
 
 def test_frequency_content_resolved_mode(fig9_setup):
     op, spec = fig9_setup
-    mags, _ = frequency_analysis(spec.eigenvectors[:, 99], op)
-    peaks = analysis._dominant_peaks(mags, 1)
-    assert 0.5 * peaks[0] == pytest.approx(100 / 2)  # j/2 cycles per unit length
-    assert mags[peaks[0]] == pytest.approx(math.sqrt(2.0), rel=1e-2)
+    _, fit = frequency_analysis(spec.eigenvectors[:, 99], op)
+    assert fit["f1"] == pytest.approx(100 / 2)  # j/2 cycles per unit length
+    assert fit["a1"] == pytest.approx(math.sqrt(2.0), rel=1e-2)
 
 
 def test_am_fit_low_mode_single_peak(fig9_setup):

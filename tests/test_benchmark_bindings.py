@@ -87,6 +87,9 @@ def test_every_subcommand_traces_and_reports_every_metric(tmp_path):
     assert all(math.isfinite(v) for v in metrics.values())
     for sub in layers.SUBCOMMANDS:
         assert metrics[f"cli.cmd_{sub}.s"] > 0
+    # the stopping-band layers the stopbands job runs keep their traced names
+    assert metrics["analysis.detect_stopping_bands.s"] > 0
+    assert metrics["analysis.partition_dofs.s"] > 0
 
 
 def test_dense_copies_only_on_the_dense_route(tmp_path):

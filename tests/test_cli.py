@@ -279,6 +279,27 @@ def test_library_input_errors_exit_2(line, capsys):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("flags, rule", [
+    ("--points 0", "points"),                       # ran the default p + 1 points
+    ("--quadrature blended --tau inf", "tau"),      # reached assembly with warnings
+    ("--quadrature blended --tau nan", "tau"),
+])
+def test_quadrature_input_rules_exit_2(flags, rule, capsys):
+    assert main(["spectrum", "--elements", "10", *flags.split()]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert rule in err  # the rule that was broken, not a symptom downstream
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only find_optimal_tau needs it, and no subcommand calls that
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, splinespectra.cli; sys.exit('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+
+
 def test_python_dash_m_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

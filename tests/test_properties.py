@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from splinespectra.analysis import (
+    detect_stopping_bands,
     eigenvalue_errors,
     eigenvalue_errors_2d,
     error_budget,
@@ -22,6 +23,7 @@ from splinespectra.splines import BlockLayout, make_block_knots
 from oracles import (
     knot_partition,
     kron_2d_operators,
+    per_block_bands,
     reference_assembly,
     reference_sampling,
 )
@@ -114,6 +116,21 @@ def test_partition_matches_knot_search(layout):
     # closed-form blocks and knot-searched interfaces tile the dofs exactly
     tiles = np.sort(np.concatenate(blocks + [ref_interface]))
     assert np.array_equal(tiles, np.arange(layout.n_dofs))
+
+
+@SETTINGS
+@given(layout=c0_dirichlet_layouts())
+def test_band_census_matches_the_per_block_census(layout):
+    """One banded pencil per block size gives the bands, counts and block
+    multiplicities of solving every consulted block densely on its own."""
+    assume(layout.n_dofs >= 1)
+    op = assemble_layout(layout)
+    report = detect_stopping_bands(solve_eigenvalues(op), op, partition_dofs(layout))
+    values, multiplicity = per_block_bands(op)
+    assert report.band_count == values.size
+    assert np.array_equal(report.block_multiplicity, multiplicity)
+    if values.size:
+        assert np.abs(report.value - values).max() <= 1e-12 * np.abs(values).max()
 
 
 @SETTINGS
