@@ -65,9 +65,9 @@ _BAND_MATCH_TOL = 1e-6
 _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
 _NOISE_FLOOR = 1e-13
-# grid values (points x modes) per column block of the pair inner products:
-# 8 MB per temporary, whatever the mesh
-_PAIR_BLOCK_ENTRIES = 1 << 20
+# (element, function) x modes entries per column block of the pair inner
+# products: 1 MB per temporary, whatever the mesh
+_PAIR_BLOCK_ENTRIES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -125,40 +125,59 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
 
     Integrates element by element with Gauss ``p + 2`` points on
     ``subdivisions`` equal subintervals per element; ``ceil(j h) + 1`` of
-    them resolve the oscillation of exact mode ``j >= 1``.  One sampling matrix
-    serves all columns, applied to blocks of columns so that the grid-sized
-    temporaries hold at most ``_PAIR_BLOCK_ENTRIES`` values each.
+    them resolve the oscillation of exact mode ``j >= 1``.
 
-    ``js`` are consecutive wavenumbers.  The exact modes come from the angle
-    addition formula: one table of ``sin`` and ``cos`` of the offsets
-    ``d = 0 .. width - 1`` within a column block serves every block, shifted
-    by the block's first wavenumber ``j0``.  With ``width`` near
-    ``sqrt(len(js))`` that takes about ``4 sqrt(len(js))`` transcendental
-    calls per grid point, against ``len(js)`` for each mode on its own."""
+    The sum runs over element load moments, with no grid of field values.
+    Every element of the uniform mesh carries the same local offsets ``t``
+    and weights ``w``, so with ``a_e = e h`` the angle addition formula gives
+    ``(u_j, v) = sqrt(2) sum_e sum_a V[r(e, a), j] (sin(j pi a_e) C[e, a, j]
+    + cos(j pi a_e) S[e, a, j])`` (the ``cos(a + b)`` form under Neumann
+    conditions).  ``r(e, a)`` is the reduced index of the element's ``a``-th
+    function, and ``C = (w N) @ cos(j pi t)`` and ``S = (w N) @ sin(j pi t)``
+    are one matrix product each.  The element phases come from one table of
+    ``k pi / n_e``, ``k = 0 .. 2 n_e - 1``, at ``k = j e mod 2 n_e``: exact
+    range reduction, and no transcendental per element and mode.  Columns
+    of consecutive wavenumbers ``js`` go in blocks so that each temporary
+    holds at most ``_PAIR_BLOCK_ENTRIES`` values."""
     if np.any(np.diff(js) != 1):
         raise ValueError("pair inner products need consecutive wavenumbers")
     kv = op.kv
+    p, n_e = kv.p, op.layout.n_elements
     spans = kv.spans()
-    edges = np.linspace(kv.knots[spans], kv.knots[spans + 1], subdivisions + 1, axis=1)
-    xs, ws = map_rule_to_element(gauss_rule(kv.p + 2), edges[:, :-1], edges[:, 1:])
-    xs, ws = xs.ravel(), ws.ravel()
-    S = sample_matrix(op, xs)
-    width = max(1, min(math.isqrt(max(js.size, 1) - 1) + 1,  # ceil(sqrt(len(js)))
-                       _PAIR_BLOCK_ENTRIES // xs.size))
-    offsets = np.outer(xs, np.arange(width) * math.pi)
-    sin_d, cos_d = np.sin(offsets), np.cos(offsets)
-    del offsets
+    edges = np.linspace(0.0, op.layout.h, subdivisions + 1)
+    t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
+    _, N = span_basis_rows(kv, np.repeat(spans, t.size),
+                           (kv.knots[spans][:, None] + t).ravel())
+    reduced = np.full(kv.n, -1, dtype=int)
+    reduced[op.dof_indices] = np.arange(op.n_dofs)
+    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)]
+    # weighted basis values, one row per (element, function); the functions
+    # removed by boundary conditions get zero rows, so any row of V serves them
+    wN = (N.reshape(n_e, t.size, p + 1) * w[:, None]).transpose(0, 2, 1)
+    wN = (wN * (rows >= 0)[..., None]).reshape(n_e * (p + 1), t.size)
+    rows = np.maximum(rows, 0).ravel()
+
+    e = np.arange(n_e)
+    width = max(1, min(js.size, _PAIR_BLOCK_ENTRIES // wN.shape[0]))
+    # j e mod 2 n_e for the block's wavenumbers j0 + d is (j0 e mod 2 n_e) +
+    # (d e mod 2 n_e): below 4 n_e, so the table is laid out twice
+    step = np.multiply.outer(e, np.arange(width)) % (2 * n_e)
+    angle = np.tile(np.arange(2 * n_e) * (math.pi / n_e), 2)
+    # sin(a + b) = sin a cos b + cos a sin b; cos(a + b) = cos a cos b - sin a sin b
+    on_c, on_s = ((np.sin(angle), np.cos(angle)) if op.bc == "dirichlet"
+                  else (np.cos(angle), -np.sin(angle)))
     out = np.empty(js.size)
     for lo in range(0, js.size, width):
         cols = slice(lo, lo + width)
-        P = S @ V[:, cols]
-        d = slice(0, P.shape[1])
-        first = (js[lo] * math.pi) * xs
-        w_sin, w_cos = ws * np.sin(first), ws * np.cos(first)
-        if op.bc == "dirichlet":  # sin(a + b) = sin a cos b + cos a sin b
-            out[cols] = w_sin @ (cos_d[:, d] * P) + w_cos @ (sin_d[:, d] * P)
-        else:  # cos(a + b) = cos a cos b - sin a sin b
-            out[cols] = w_cos @ (cos_d[:, d] * P) - w_sin @ (sin_d[:, d] * P)
+        jt = np.outer(t, js[cols] * math.pi)
+        C = (wN @ np.cos(jt)).reshape(n_e, p + 1, -1)
+        S = (wN @ np.sin(jt)).reshape(n_e, p + 1, -1)
+        Vg = np.take(V[:, cols], rows, axis=0).reshape(n_e, p + 1, -1)
+        VC = np.einsum("eaj,eaj->ej", Vg, C)
+        VS = np.einsum("eaj,eaj->ej", Vg, S)
+        k = ((js[lo] * e) % (2 * n_e))[:, None] + step[:, :VC.shape[1]]
+        out[cols] = (np.einsum("ej,ej->j", np.take(on_c, k), VC)
+                     + np.einsum("ej,ej->j", np.take(on_s, k), VS))
     # the Neumann constant mode is 1, not sqrt(2) cos(0)
     return out * np.where(js == 0, 1.0, math.sqrt(2.0))
 
@@ -239,14 +258,16 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     Under that rule ``op`` is its own reference; any other rule re-assembles
     the layout once.
 
-    Cost for ``n`` dofs and ``m`` modes: the three quadratic forms
-    ``v^T A v`` take O(n m p) from the stored bands, and the pair inner
-    products O(Q m) on a grid of ``Q`` points.  The budgeted eigenvectors
-    are a slice of ``spectrum.eigenvectors``, not a copy.  Memory is the
-    ``n x m`` product ``A V`` of one quadratic form at a time (under Neumann
-    conditions the sparse product also gathers the strided slice), plus a
-    few grid temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no
-    dense operator is formed.
+    Cost for ``n`` dofs, ``n_e`` elements and ``m`` modes: the three
+    quadratic forms ``v^T A v`` take O(n m p) from the stored bands, and the
+    pair inner products O(n_e (p + 1) m) elementwise work plus small matrix
+    products of the element load moments, with no grid-by-modes array (see
+    :func:`_pair_inner`).  The budgeted eigenvectors are a slice of
+    ``spectrum.eigenvectors``, not a copy.  Memory is the ``n x m`` product
+    ``A V`` of one quadratic form at a time (under Neumann conditions the
+    sparse product also gathers the strided slice), plus a few temporaries
+    of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is
+    formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -265,7 +286,7 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     vKv = exact.K.quadratic_forms(V)
     vKq = vKv if exact is op else op.K.quadratic_forms(V)
 
-    # one sampling matrix and quadrature grid per required subdivision count;
+    # one quadrature grid per required subdivision count;
     # the counts never decrease with j, so each group is a run of columns
     subdivisions = _required_subdivisions(js, op.layout.h)
     counts, starts = np.unique(subdivisions, return_index=True)
@@ -422,12 +443,15 @@ def coefficient_flatness(v: np.ndarray) -> float:
     the sine-series structure of the modes.  Outlier modes are localized at
     knot clusters, so their control-point sequence has a broadband spectrum
     and a ratio close to one; resolved modes are near-pure waves with a
-    ratio many orders larger.
+    ratio many orders larger.  The median is floored at ``eps`` times the
+    peak, so the ratio is finite and at most ``1 / eps``: a median at
+    round-off level, or zero, carries no information beyond that.
     """
     v = np.asarray(v, dtype=float)
     g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
     mags = np.abs(np.fft.rfft(g))[1:v.size // 2 + 1]
-    return float(mags.max() / np.median(mags))
+    peak = mags.max()
+    return float(peak / max(np.median(mags), np.finfo(float).eps * peak))
 
 
 @dataclass

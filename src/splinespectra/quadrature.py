@@ -126,6 +126,9 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature kind {self.kind!r}")
         if self.kind == "blended" and (self.tau is None or not math.isfinite(self.tau)):
             raise ValueError(f"blended quadrature requires a finite tau, got {self.tau}")
+        if self.kind != "blended" and self.tau is not None:
+            raise ValueError(f"tau applies to blended quadrature only, got tau={self.tau} "
+                             f"with {self.kind}")
         if self.points_per_element is not None and self.points_per_element < 1:
             raise ValueError(f"points per element must be >= 1, got {self.points_per_element}")
 

@@ -14,6 +14,10 @@ Reference routes for claims the CLI computes another way:
 - :func:`kron_2d_operators` forms the 2D pencil as Kronecker products of the
   1D operators, whose spectrum the ``spectrum2d`` subcommand reads as sums of
   pairs of 1D eigenvalues;
+- :func:`grid_pair_inner` takes the pair inner products of the error budget
+  from field values on the whole quadrature grid, one sampling matrix
+  applied to every eigenvector and the exact modes by angle addition, where
+  ``_pair_inner`` sums element load moments with exact element phases;
 - :func:`dense_eigenpairs` solves the assembled pencil with one dense
   ``scipy.linalg.eigh``, where ``solve_gevp`` solves a layout of repeated
   blocks by its per-wavenumber pencils;
@@ -41,7 +45,7 @@ import scipy.interpolate
 import scipy.linalg
 import scipy.sparse
 
-from splinespectra.analysis import detect_stopping_bands, partition_dofs
+from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
@@ -51,6 +55,8 @@ _BUBBLE_MATCH_TOL = 1e-8
 # bubble eigenvalues this close (relative) to the first value of their cluster are one band
 _BAND_CLUSTER_TOL = 1e-9
 _ORACLE_TOL = 1e-9
+# grid values (points x modes) per column block of grid_pair_inner
+_GRID_BLOCK_ENTRIES = 1 << 20
 _ORACLE_MAX_ITER = 200
 
 
@@ -255,6 +261,42 @@ def dense_error_budget(spectrum, op) -> dict[str, np.ndarray]:
         terms["ev_rel"] + terms["ef_l2_sq"] + terms["energy_gap"]
         + terms["l2_deficit"])
     return terms
+
+
+def grid_pair_inner(op, V: np.ndarray, js: np.ndarray, subdivisions: int) -> np.ndarray:
+    """L2 inner products of exact modes ``js`` (consecutive wavenumbers) with
+    the columns of ``V``, on the grid of Gauss ``p + 2`` points on
+    ``subdivisions`` equal pieces of every element.
+
+    One sampling matrix maps every column block of ``V`` to field values on
+    the whole grid.  The exact modes come from one table of ``sin`` and
+    ``cos`` of the offsets ``d = 0 .. width - 1`` within a column block,
+    shifted by the block's first wavenumber ``j0`` through the angle
+    addition formula.
+    """
+    kv = op.kv
+    spans = kv.spans()
+    edges = np.linspace(kv.knots[spans], kv.knots[spans + 1], subdivisions + 1, axis=1)
+    xs, ws = map_rule_to_element(gauss_rule(kv.p + 2), edges[:, :-1], edges[:, 1:])
+    xs, ws = xs.ravel(), ws.ravel()
+    S = sample_matrix(op, xs)
+    width = max(1, min(math.isqrt(max(js.size, 1) - 1) + 1,  # ceil(sqrt(len(js)))
+                       _GRID_BLOCK_ENTRIES // xs.size))
+    offsets = np.outer(xs, np.arange(width) * math.pi)
+    sin_d, cos_d = np.sin(offsets), np.cos(offsets)
+    out = np.empty(js.size)
+    for lo in range(0, js.size, width):
+        cols = slice(lo, lo + width)
+        P = S @ V[:, cols]
+        d = slice(0, P.shape[1])
+        first = (js[lo] * math.pi) * xs
+        w_sin, w_cos = ws * np.sin(first), ws * np.cos(first)
+        if op.bc == "dirichlet":  # sin(a + b) = sin a cos b + cos a sin b
+            out[cols] = w_sin @ (cos_d[:, d] * P) + w_cos @ (sin_d[:, d] * P)
+        else:  # cos(a + b) = cos a cos b - sin a sin b
+            out[cols] = w_cos @ (cos_d[:, d] * P) - w_sin @ (sin_d[:, d] * P)
+    # the Neumann constant mode is 1, not sqrt(2) cos(0)
+    return out * np.where(js == 0, 1.0, math.sqrt(2.0))
 
 
 def dense_eigenpairs(op) -> tuple[np.ndarray, np.ndarray]:

@@ -128,7 +128,7 @@ def test_l2_pair_inner_linearity_and_refinement():
 
 
 def test_l2_pair_inner_blocks_match_single_modes():
-    # the angle-addition table serves blocks of consecutive wavenumbers; each
+    # column blocks of consecutive wavenumbers share one phase table; each
     # entry must equal the same mode's product taken on its own
     op = assemble_layout(BlockLayout.riga(30, 3, 5))
     V = solve_gevp(op).eigenvectors
@@ -213,14 +213,32 @@ def test_budget_independent_of_block_width(monkeypatch):
     op = assemble_layout(BlockLayout.iga(64, 3))
     spec = solve_gevp(op)
     default = error_budget(spec, op)
-    # modes 1..64 use 2 subdivisions, a grid of 64 * 2 * (p + 2) points:
-    # blocks of 3 modes, the last one ragged (64 = 21 * 3 + 1)
-    monkeypatch.setattr(analysis, "_PAIR_BLOCK_ENTRIES", 3 * 64 * 2 * 5)
+    # modes 1..64 use 2 subdivisions; a column block holds 64 * (p + 1)
+    # (element, function) rows: blocks of 3 modes, the last one ragged
+    # (64 = 21 * 3 + 1)
+    monkeypatch.setattr(analysis, "_PAIR_BLOCK_ENTRIES", 3 * 64 * 4)
     blocked = error_budget(spec, op)
     for name in ("ef_l2_sq", "ef_energy_rel_sq", "l2_deficit",
                  "pythagoras_residual"):
         np.testing.assert_allclose(getattr(blocked, name), getattr(default, name),
                                    rtol=0, atol=1e-14, err_msg=name)
+
+
+def test_budget_samples_no_grid(monkeypatch):
+    """The pair inner products sum element load moments: the budget builds
+    no sampling matrix."""
+    calls = []
+    real = analysis.sample_matrix
+
+    def counting(op, xs):
+        calls.append(len(xs))
+        return real(op, xs)
+
+    monkeypatch.setattr(analysis, "sample_matrix", counting)
+    op = assemble_layout(BlockLayout.riga(200, 2, 20))
+    budget = error_budget(solve_gevp(op), op)
+    assert calls == []
+    assert np.all(np.abs(budget.pythagoras_residual) < 1e-7)
 
 
 def test_budget_memory_stays_near_the_eigenvectors():
@@ -511,6 +529,14 @@ def test_outlier_report_fig9(fig9_setup):
     assert np.all(report.flatness < 3.0)
     # resolved modes are near-pure by the same metric
     assert coefficient_flatness(spec.eigenvectors[:, 149]) > 1e3
+
+
+def test_coefficient_flatness_below_the_cap_is_the_plain_ratio():
+    # the eps floor on the median leaves a broadband sequence's ratio bit for bit
+    v = np.random.default_rng(1).standard_normal(40)
+    g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
+    mags = np.abs(np.fft.rfft(g))[1:21]
+    assert coefficient_flatness(v) == float(mags.max() / np.median(mags))
 
 
 @pytest.mark.parametrize("layout", [

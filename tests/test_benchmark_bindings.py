@@ -90,6 +90,9 @@ def test_every_subcommand_traces_and_reports_every_metric(tmp_path):
     # the stopping-band layers the stopbands job runs keep their traced names
     assert metrics["analysis.detect_stopping_bands.s"] > 0
     assert metrics["analysis.partition_dofs.s"] > 0
+    # so do the error budget of the spectrum job and its cost against the solve
+    assert metrics["analysis.error_budget.s"] > 0
+    assert metrics["analysis.over_solve_ratio"] > 0
 
 
 def test_dense_copies_only_on_the_dense_route(tmp_path):

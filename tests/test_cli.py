@@ -283,12 +283,26 @@ def test_library_input_errors_exit_2(line, capsys):
     ("--points 0", "points"),                       # ran the default p + 1 points
     ("--quadrature blended --tau inf", "tau"),      # reached assembly with warnings
     ("--quadrature blended --tau nan", "tau"),
+    ("--quadrature lobatto --tau nan", "tau applies to blended"),  # ran Lobatto, echoed tau
+    ("--tau 0.5", "tau applies to blended"),                      # ran Gauss, echoed tau
 ])
 def test_quadrature_input_rules_exit_2(flags, rule, capsys):
     assert main(["spectrum", "--elements", "10", *flags.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     assert rule in err  # the rule that was broken, not a symptom downstream
+
+
+def test_outliers_flatness_is_finite(tmp_path):
+    # a zero spectrum median gave inf and a RuntimeWarning (an error here)
+    out = tmp_path / "outliers.csv"
+    assert main(["outliers", "--method", "fea", "--p", "3", "--elements", "30",
+                 "--out", str(out)]) == 0
+    comments, header, rows = read_csv(out)
+    flatness = [float(r.split(",")[header.index("flatness")]) for r in rows]
+    assert len(flatness) == 60
+    assert all(math.isfinite(f) for f in flatness)
+    assert max(flatness) == 1.0 / np.finfo(float).eps
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

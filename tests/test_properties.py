@@ -2,11 +2,13 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+from splinespectra import analysis
 from splinespectra.analysis import (
     detect_stopping_bands,
     eigenvalue_errors,
@@ -21,6 +23,7 @@ from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout, make_block_knots
 
 from oracles import (
+    grid_pair_inner,
     knot_partition,
     kron_2d_operators,
     per_block_bands,
@@ -185,3 +188,25 @@ def test_every_error_pairs_modes_alike(layout, kind):
     assert np.array_equal(ev[shift:], (discrete - exact)[shift:] / exact[shift:])
     if shift:
         assert exact[0] == 0.0 and ev[0] == discrete[0]
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pair_inner_matches_the_grid_route(data):
+    """The element-moment pair inner products equal the grid route on every
+    layout: both boundary conditions (the Neumann constant mode included),
+    ``C^0`` and ``C^k`` separators, a ragged last element block, any
+    subdivision count and a ragged last column block."""
+    layout = data.draw(layouts(max_p=5))
+    assume(layout.n_dofs >= 1)
+    op = assemble_layout(layout)
+    spectrum = solve_gevp(op)
+    js, _ = analysis.exact_spectrum(spectrum.n_modes, layout.bc)
+    subdivisions = data.draw(st.integers(1, 3))
+    width = data.draw(st.integers(1, js.size))
+    V = spectrum.eigenvectors
+    with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES",
+                           width * layout.n_elements * (layout.p + 1)):
+        got = analysis._pair_inner(op, V, js, subdivisions)
+    expected = grid_pair_inner(op, V, js, subdivisions)
+    assert np.abs(got - expected).max() <= 1e-13

@@ -172,3 +172,7 @@ def test_quadrature_spec():
         QuadratureSpec("blended")
     with pytest.raises(ValueError):
         QuadratureSpec("simpson")
+    for kind in ("gauss", "lobatto"):  # a tau no rule would use
+        for tau in (0.5, 0.0, math.nan):
+            with pytest.raises(ValueError, match="tau applies to blended quadrature only"):
+                QuadratureSpec(kind, tau=tau)
