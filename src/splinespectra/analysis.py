@@ -603,14 +603,16 @@ def leading_mode_error(layout: BlockLayout,
     """Relative eigenvalue error of the first non-constant mode (exact ``pi^2``).
 
     Under Neumann conditions the constant mode comes first, so the measured
-    mode is the second one of the spectrum.  The values-only solve locates
-    the mode, and :func:`~splinespectra.eigensolve.polish_eigenvalue` returns
-    its Rayleigh quotient, free of the solve's absolute round-off.
+    mode is the second one of the spectrum.  A values-only solve for the
+    lowest modes up to this one locates it (bisection on the bands, or the
+    block-Fourier values of a layout of repeated blocks), and
+    :func:`~splinespectra.eigensolve.polish_eigenvalue` returns its Rayleigh
+    quotient, free of the solve's absolute round-off.
     """
     op = assemble_layout(layout, quadrature)
     js, lam = exact_spectrum(op.n_dofs, layout.bc)
     first = int(np.searchsorted(js, 1))
-    lam_h = polish_eigenvalue(op, solve_eigenvalues(op)[first])
+    lam_h = polish_eigenvalue(op, solve_eigenvalues(op, lowest=first + 1)[first])
     return float(_relative_errors(lam_h, lam[first]))
 
 

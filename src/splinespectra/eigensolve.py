@@ -29,13 +29,21 @@ one per kind of result:
   subspace; they are replaced by the subspace's localized (SCDM) basis,
   which is the same whichever route found the subspace.  Each column is
   then signed so that its leading entry is positive.
-- :func:`solve_eigenvalues` computes every eigenvalue and no eigenvector,
-  straight from the stored upper bands, with LAPACK ``dsbgvd`` (split
-  Cholesky factorization of ``M``, band reduction to tridiagonal form, and a
-  tridiagonal solve): O(n^2 p) time and O(n p) memory, against O(n^3) time
-  and two n x n copies for the dense route.
+- :func:`solve_eigenvalues` computes eigenvalues and no eigenvector, the
+  lowest ``k`` or all of them, by one of two routes picked as above:
 
-Both are backward stable, so an eigenvalue is accurate to about
+  - on a layout of repeated blocks, the eigenvalues of the same
+    per-wavenumber pencils and of the bubble pencil, from one batched
+    Cholesky factorization and ``eigvalsh``.  It builds no n x n array,
+    so ``DENSE_LIMIT`` does not apply to it;
+  - on every other pencil, LAPACK ``dsbgvx`` straight from the stored upper
+    bands (split Cholesky factorization of ``M``, band reduction to
+    tridiagonal form, then a root-free QL sweep for all values or bisection
+    for the lowest ``k``): O(n^2 p) time and O(n p) memory, against O(n^3)
+    time and two n x n copies for the dense route.  With all values it
+    returns the same bits as LAPACK ``dsbgvd``.
+
+Every route is backward stable, so an eigenvalue is accurate to about
 ``n eps lambda_max`` in absolute terms, not relative to itself; on fine
 meshes that noise swamps the discretization error of the lowest modes.
 :func:`polish_eigenvalue` removes it for one chosen mode: shifted inverse
@@ -59,7 +67,8 @@ from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
 DENSE_LIMIT = 6000
-# the stored bands of a repeated patch agree to this fraction of their largest entry
+# the stored bands of a repeated patch agree to this fraction of their largest
+# entry, plus n_elements eps: knot rounding grows with the element count
 _PATCH_TOL = 1e-12
 # entries this close (relative) to a column's largest magnitude tie for its sign
 _SIGN_TIE = 1e-12
@@ -140,7 +149,7 @@ def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
 
 
-def _uniform_patch(op) -> tuple | None:
+def _uniform_patch(op, mean: bool = False) -> tuple | None:
     """``(n_blocks, K_patch, M_patch)`` when every block of ``op`` repeats one
     mirror-symmetric patch, else ``None``.
 
@@ -148,14 +157,21 @@ def _uniform_patch(op) -> tuple | None:
     ``n_elements`` a multiple of ``block_size``, with at least two blocks;
     the reduced dofs then run
     block by block, ``m`` bubbles (``layout.bubble_counts``) and one interface.
-    To ``1e-12`` of the band's largest entry, the stored bands must equal
+    To ``1e-12 + n_elements eps`` of the band's largest entry (knot rounding
+    makes the bands repeat only to about ``n_elements eps``), the stored
+    bands must equal
     themselves shifted by one block, the first block's bubble pencil must be
     invariant under the mirror ``J`` (reversal of the bubbles), its bubbles
     must not couple to the next block, and its interface must couple to the
     next block's bubbles by ``J`` times its coupling to its own.  Each patch
     is ``(A_bb, r, a_ss, a_st)``: the bubble block, its coupling to the
     right interface, the interface diagonal and the coupling between
-    neighbouring interfaces.
+    neighbouring interfaces.  They are read from the first two blocks or,
+    with ``mean``, from the bands averaged over all blocks.  Knot rounding
+    grows along the mesh, so the first blocks' pencil eigenvalues drift from
+    the assembled pencil's by up to about ``n_elements eps lambda_max``; the
+    mean patch's stay within about ``4e-14 lambda_max`` (p up to 5, up to
+    900 elements).
     """
     layout = getattr(op, "layout", None)
     if layout is None or layout.bc != "dirichlet" or layout.separator_continuity != 0:
@@ -167,52 +183,69 @@ def _uniform_patch(op) -> tuple | None:
     if n_blocks < 2 or rest or n != n_blocks * period - 1:
         return None
     window = np.arange(min(2 * period, n))
+    tol = _PATCH_TOL + layout.n_elements * np.finfo(float).eps
     patches = []
     for A in (op.K, op.M):
         if A.bandwidth > period:
             return None
         W = A.restricted(window).to_dense()
-        bb, r, ss = W[:m, :m], W[:m, m], W[m, m]
-        st = W[m, 2 * period - 1] if window.size == 2 * period else 0.0
+        bb, r = W[:m, :m], W[:m, m]
         shifted = A.restricted(np.arange(period, n)).band \
             - A.restricted(np.arange(n - period)).band
         mismatch = np.max([np.abs(bb - bb[::-1, ::-1]).max(initial=0.0),
                            np.abs(W[:m, period:]).max(initial=0.0),
                            np.abs(W[m, period:period + m] - r[::-1]).max(initial=0.0),
                            np.abs(shifted).max(initial=0.0)])
-        if not mismatch <= _PATCH_TOL * np.abs(A.band).max():
+        if not mismatch <= tol * np.abs(A.band).max():
             return None
-        patches.append((bb, r, ss, st))
+        if mean:
+            W = _block_mean(A, n_blocks, window.size)
+        st = W[m, -1] if window.size == 2 * period else 0.0
+        patches.append((W[:m, :m], W[:m, m], W[m, m], st))
     return n_blocks, *patches
 
 
-def _pencil_eigh(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_mean(A: SymmetricBandedMatrix, n_blocks: int, size: int) -> np.ndarray:
+    """The leading ``size`` rows and columns (at most two blocks) of ``A``,
+    dense, with each stored band entry averaged over the blocks that hold it."""
+    period = (A.n + 1) // n_blocks
+    # the eliminated last interface is a zero column, left out of its mean
+    cols = np.pad(A.band, ((0, 0), (0, 1))).reshape(A.bandwidth + 1, n_blocks, period)
+    first, second = cols[:, :-1].mean(axis=1), cols[:, 1:].mean(axis=1)
+    if n_blocks > 2:
+        second[:, -1] = cols[:, 1:-1, -1].mean(axis=1)
+    band = np.hstack([first, second])[:, :size]
+    return SymmetricBandedMatrix(band).restricted(np.arange(size)).to_dense()
+
+
+def _pencil_eigh(A: np.ndarray, B: np.ndarray, vectors: bool = True):
     """Eigenpairs of stacked symmetric pencils ``(A[k], B[k])``, each ``B[k]``
-    positive definite, in one batched call; vectors are ``B``-orthonormal."""
+    positive definite, in one batched call; vectors are ``B``-orthonormal.
+    With ``vectors=False``, the eigenvalues alone."""
     try:
         Linv = np.linalg.inv(np.linalg.cholesky(B))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"patch mass matrix not positive definite: {exc}") from exc
-    w, Z = np.linalg.eigh(Linv @ A @ Linv.mT)
+    C = Linv @ A @ Linv.mT
+    if not vectors:
+        return np.linalg.eigvalsh(C)
+    w, Z = np.linalg.eigh(C)
     return w, Linv.mT @ Z
 
 
-def _bloch_eigenpairs(op: DiscreteOperator, n_blocks: int, K_patch: tuple,
-                      M_patch: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenpair of a pencil of :func:`_uniform_patch`, by a sine
-    transform over the blocks.
+def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple):
+    """The sine transform over the blocks of a pencil of :func:`_uniform_patch`.
 
     The mirror splits the ``m`` bubbles into ``me`` even and ``mo`` odd
-    combinations.  At wavenumber ``theta_k = k pi / n_b``, ``k = 1 .. n_b - 1``,
-    the interfaces carry ``sin(theta b) X``, the even bubbles
-    ``sin(theta (b - 1/2))`` and the odd ones ``cos(theta (b - 1/2))`` in
-    block ``b = 1 .. n_b``, and the amplitudes solve an ``(m + 1)``-sized
-    pencil.  The remaining ``m`` modes are the stopping bands: even bubble
-    modes with the block pattern ``(-1)^b`` and odd ones repeated unchanged,
-    zero on every interface.  The transforms are the orthonormal DST-I,
-    DST-II and DCT-II, so the rebuilt vectors are ``M``-orthonormal.
+    combinations, the columns of ``Qe`` and ``Qo``.  At wavenumber
+    ``theta_k = k pi / n_b``, ``k = 1 .. n_b - 1``, the interfaces carry
+    ``sin(theta b) X``, the even bubbles ``sin(theta (b - 1/2))`` and the odd
+    ones ``cos(theta (b - 1/2))`` in block ``b = 1 .. n_b``, and the
+    amplitudes solve the ``(m + 1)``-sized pencil ``(KA[k - 1], MA[k - 1])``,
+    even bubbles first, then odd ones, then the interface.  Its leading
+    ``me`` and next ``mo`` rows and columns, the same at every wavenumber,
+    are the even and odd bubble pencils.  Returns ``(KA, MA, Qe, Qo)``.
     """
-    n = op.n_dofs
     m = K_patch[0].shape[0]
     period, me, mo = m + 1, (m + 1) // 2, m // 2
     half = math.sqrt(0.5)
@@ -235,7 +268,36 @@ def _bloch_eigenpairs(op: DiscreteOperator, n_blocks: int, K_patch: tuple,
         A[:, m, m] = ss + 2.0 * st * np.cos(theta)
         return A
 
-    KA, MA = folded(K_patch), folded(M_patch)
+    return folded(K_patch), folded(M_patch), Qe, Qo
+
+
+def _bloch_eigenvalues(n_blocks: int, K_patch: tuple, M_patch: tuple) -> np.ndarray:
+    """Every eigenvalue of a pencil of :func:`_uniform_patch`, ascending: those
+    of the per-wavenumber pencils of :func:`_folded_pencils` and of the even
+    and odd bubble pencils, the stopping bands.  O(n_b m^3) time and
+    O(n_b m^2) memory; no n x n array."""
+    KA, MA, Qe, _ = _folded_pencils(n_blocks, K_patch, M_patch)
+    m, me = Qe.shape
+    pencils = [(KA, MA), (KA[:1, :me, :me], MA[:1, :me, :me]),
+               (KA[:1, me:m, me:m], MA[:1, me:m, me:m])]
+    return np.sort(np.concatenate(
+        [_pencil_eigh(A, B, vectors=False).ravel() for A, B in pencils]))
+
+
+def _bloch_eigenpairs(op: DiscreteOperator, n_blocks: int, K_patch: tuple,
+                      M_patch: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Every eigenpair of a pencil of :func:`_uniform_patch`: the
+    ``(n_b - 1)(m + 1)`` wave modes of the per-wavenumber pencils of
+    :func:`_folded_pencils`, and the ``m`` stopping-band modes of the bubble
+    pencils, even ones with the block pattern ``(-1)^b`` and odd ones
+    repeated unchanged, zero on every interface.  The transforms are the orthonormal DST-I, DST-II and
+    DCT-II, so the rebuilt vectors are ``M``-orthonormal.
+    """
+    n = op.n_dofs
+    KA, MA, Qe, Qo = _folded_pencils(n_blocks, K_patch, M_patch)
+    (m, me), mo = Qe.shape, Qo.shape[1]
+    period, half = m + 1, math.sqrt(0.5)
+    theta = np.arange(1, n_blocks) * math.pi / n_blocks
     w_wave, Y = _pencil_eigh(KA, MA)
     w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
     w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
@@ -300,76 +362,94 @@ def _localize_clusters(w: np.ndarray, V: np.ndarray, M: SymmetricBandedMatrix) -
         V[:, lo:hi] = W @ ((U / np.sqrt(g)) @ U.T)
 
 
-def _bind_dsbgvd():
-    """LAPACK ``dsbgvd`` from scipy's own LAPACK, which ``scipy.linalg.lapack``
+def _bind_dsbgvx():
+    """LAPACK ``dsbgvx`` from scipy's own LAPACK, which ``scipy.linalg.lapack``
     does not wrap; ``cython_lapack`` exports it as a C function pointer."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsbgvd"]
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsbgvx"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     address = get_pointer(capsule, get_name(capsule))
-    char, int_ = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int)
+    char, int_, double = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), \
+        ctypes.POINTER(ctypes.c_double)
     farray = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
     iarray = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS,WRITEABLE")
-    # jobz, uplo, n, ka, kb, ab, ldab, bb, ldbb, w, z, ldz,
-    # work, lwork, iwork, liwork, info
-    proto = ctypes.CFUNCTYPE(None, char, char, int_, int_, int_, farray, int_,
-                             farray, int_, farray, farray, int_,
-                             farray, int_, iarray, int_, int_)
+    # jobz, range, uplo, n, ka, kb, ab, ldab, bb, ldbb, q, ldq, vl, vu, il, iu,
+    # abstol, m, w, z, ldz, work, iwork, ifail, info
+    proto = ctypes.CFUNCTYPE(None, char, char, char, int_, int_, int_, farray, int_,
+                             farray, int_, farray, int_, double, double, int_, int_,
+                             double, int_, farray, farray, int_, farray, iarray, iarray,
+                             int_)
     return proto(address)
 
 
-_dsbgvd = _bind_dsbgvd()
+_dsbgvx = _bind_dsbgvx()
 
 
-def solve_eigenvalues(op: DiscreteOperator) -> np.ndarray:
-    """All eigenvalues of the 1D pencil ``K u = lambda M u``, ascending.
+def solve_eigenvalues(op: DiscreteOperator, lowest: int | None = None) -> np.ndarray:
+    """The ``lowest`` smallest eigenvalues of the 1D pencil ``K u = lambda M u``
+    (all of them by default), ascending.
 
-    Reads the stored upper bands of ``op.K`` and ``op.M`` and forms no
-    eigenvector and no dense matrix.  The values agree with
-    ``solve_gevp(op).eigenvalues`` to round-off, about ``1e-14 lambda_max``.
+    Forms no eigenvector and no n x n array.  A layout whose blocks all repeat
+    one patch (as in :func:`solve_gevp`) gets every eigenvalue from its
+    per-wavenumber and bubble pencils, whatever its size.  Any other pencil
+    is solved by LAPACK ``dsbgvx`` on the stored upper bands of ``op.K`` and
+    ``op.M``, by bisection when ``lowest`` is given.  The values agree with
+    ``solve_gevp(op).eigenvalues`` to round-off, a few ``1e-14 lambda_max``.
 
     Raises
     ------
     ValueError
-        If the dimension exceeds ``DENSE_LIMIT`` (the same limit as
+        If ``lowest`` is not in ``1 .. n_dofs``; or, off the repeated-patch
+        route, if the dimension exceeds ``DENSE_LIMIT`` (the same limit as
         :func:`solve_gevp`) or a band holds an infinity or NaN.
     NumericalError
-        If LAPACK reports a failure: ``M`` is not positive definite, or the
-        tridiagonal solve did not converge.
+        If a mass matrix is not positive definite, or LAPACK reports that
+        the tridiagonal solve did not converge.
     """
-    _check_size(op.n_dofs)  # before the bands are read
-    return _band_eigenvalues(op.K, op.M)
+    n = op.n_dofs
+    if lowest is not None and not 1 <= lowest <= n:
+        raise ValueError(f"lowest must be between 1 and {n}, got {lowest}")
+    patch = _uniform_patch(op, mean=True)
+    if patch is not None:
+        return _bloch_eigenvalues(*patch)[:lowest]
+    _check_size(n)  # before the bands are read
+    return _band_eigenvalues(op.K, op.M, lowest)
 
 
-def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix) -> np.ndarray:
+def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix,
+                      lowest: int | None = None) -> np.ndarray:
     """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``, of any size."""
     n = K.n
     if not (np.isfinite(K.band).all() and np.isfinite(M.band).all()):
         raise ValueError("array must not contain infs or NaNs")
     ka, kb = K.bandwidth, M.bandwidth
-    # dsbgvd overwrites both bands: hand it Fortran-ordered copies
+    # dsbgvx overwrites both bands: hand it Fortran-ordered copies
     ab = np.array(K.band, order="F")
     bb = np.array(M.band, order="F")
     w = np.empty(n, order="F")
-    z = np.empty(1, order="F")  # not referenced without eigenvectors
-    work = np.empty(max(1, 2 * n), order="F")
-    iwork = np.empty(1, dtype=np.intc)
-    info = ctypes.c_int(0)
+    unused = np.empty(1, order="F")  # q and z: not referenced without eigenvectors
+    work = np.empty(7 * n, order="F")
+    iwork = np.empty(5 * n, dtype=np.intc)
+    ifail = np.empty(n, dtype=np.intc)
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
 
     def ref(value: int):
         return ctypes.byref(ctypes.c_int(value))
 
-    _dsbgvd(b"N", b"U", ref(n), ref(ka), ref(kb), ab, ref(ka + 1), bb, ref(kb + 1),
-            w, z, ref(1), work, ref(work.size), iwork, ref(iwork.size),
-            ctypes.byref(info))
+    zero = ctypes.byref(ctypes.c_double(0.0))  # vl, vu (unused) and abstol (default)
+    # all values take the same tridiagonal QL sweep as dsbgvd; the lowest ones, bisection
+    _dsbgvx(b"N", b"A" if lowest is None else b"I", b"U", ref(n), ref(ka), ref(kb),
+            ab, ref(ka + 1), bb, ref(kb + 1), unused, ref(1), zero, zero,
+            ref(1), ref(n if lowest is None else lowest), zero, ctypes.byref(found),
+            w, unused, ref(1), work, iwork, ifail, ctypes.byref(info))
     if info.value != 0:
         cause = ("mass matrix not positive definite" if info.value > n
                  else "no convergence" if info.value > 0 else "bad argument")
         raise NumericalError(
-            f"banded eigensolve failed: {cause} (LAPACK dsbgvd info {info.value})")
-    return w
+            f"banded eigensolve failed: {cause} (LAPACK dsbgvx info {info.value})")
+    return w[:found.value]
 
 
 def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:

@@ -90,6 +90,11 @@ def test_every_subcommand_traces_and_reports_every_metric(tmp_path):
     # the stopping-band layers the stopbands job runs keep their traced names
     assert metrics["analysis.detect_stopping_bands.s"] > 0
     assert metrics["analysis.partition_dofs.s"] > 0
+    # so do the values-only callers: the converge and stopbands jobs and the
+    # leading mode that converge measures on each mesh
+    assert metrics["cli.cmd_converge.s"] > 0
+    assert metrics["cli.cmd_stopbands.s"] > 0
+    assert metrics["analysis.leading_mode_error.calls"] > 0
     # so do the error budget of the spectrum job and its cost against the solve
     assert metrics["analysis.error_budget.s"] > 0
     assert metrics["analysis.over_solve_ratio"] > 0

@@ -124,6 +124,16 @@ def test_values_only_jobs_form_no_eigenvectors(tmp_path, monkeypatch, line):
     assert main(line.split() + ["--out", str(tmp_path / "run.csv")]) == 0
 
 
+def test_stopbands_past_the_dense_limit(tmp_path):
+    # 20,199 dofs: the repeated blocks give every eigenvalue without an n x n array
+    out = tmp_path / "bands.csv"
+    assert main(["stopbands", "--method", "riga", "--p", "2", "--block", "100",
+                 "--elements", "20000", "--out", str(out)]) == 0
+    comments, header, rows = read_csv(out)
+    assert len(rows) == 100
+    assert "# bands: 100 expected: 100 matched_1e-6: 100" in comments
+
+
 def test_stopbands_csv(tmp_path, monkeypatch):
     out = tmp_path / "bands.csv"
     rc = main(["stopbands", "--method", "riga", "--p", "2", "--elements", "100",
@@ -267,7 +277,7 @@ def test_config_errors_exit_2(args):
     "spectrum --quadrature lobatto --points 1 --elements 10",
     "stopbands --method riga --block 3 --bc neumann --elements 12",
     "spectrum --elements 7000 --p 1",                    # eigensolve size limit
-    "stopbands --method fea --p 2 --elements 3001",      # same limit, values only
+    "stopbands --method riga --p 2 --elements 6001 --block 7",  # same limit, ragged values
     "converge --p 1 --elements 10,20,7000",
     "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
     "spectrum --method fea --p 1 --elements 1 --bc neumann",  # N0 = 0

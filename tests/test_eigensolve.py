@@ -7,12 +7,16 @@ import scipy.linalg
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from splinespectra import analysis, cli, eigensolve
 from splinespectra.assembly import (
     NumericalError,
     SymmetricBandedMatrix,
     assemble_layout,
 )
 from splinespectra.eigensolve import (
+    _band_eigenvalues,
+    _bloch_eigenvalues,
+    _uniform_patch,
     polish_eigenvalue,
     solve_eigenvalues,
     solve_gevp,
@@ -326,3 +330,100 @@ def test_unresolved_cluster_gets_the_localized_basis():
         assert peaks[0] < op.n_dofs // 2 < peaks[1]
         assert abs(peaks[0] + peaks[1] - (op.n_dofs - 1)) <= 2  # mirror images
     assert_matches_dense_oracle(op)
+
+
+# ---------------------------------------------------------------------------
+# the values-only routes
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(p=st.integers(1, 5), block=st.integers(1, 30), n_blocks=st.integers(2, 30))
+@example(p=5, block=30, n_blocks=30)  # the first two blocks' patch drifts by 2e-13 here
+@example(p=1, block=1, n_blocks=2)    # one dof
+def test_block_fourier_values_match_the_banded_solve(p, block, n_blocks):
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    patch = _uniform_patch(op, mean=True)
+    assert patch is not None
+    lam = _bloch_eigenvalues(*patch)
+    ref = _band_eigenvalues(op.K, op.M)
+    assert lam.size == op.n_dofs
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[-1]
+    assert np.array_equal(solve_eigenvalues(op), lam)  # the route solve_eigenvalues takes
+
+
+def assert_lowest_match_full(op, k):
+    full = solve_eigenvalues(op)
+    lowest = solve_eigenvalues(op, lowest=k)
+    assert lowest.shape == (k,)
+    assert np.max(np.abs(lowest - full[:k])) <= 1e-13 * full[-1]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(n_elements=st.integers(1, 60), p=st.integers(1, 5), data=st.data(),
+       bc=st.sampled_from(["dirichlet", "neumann"]))
+def test_lowest_values_match_the_full_solve(n_elements, p, data, bc):
+    block = data.draw(st.integers(1, n_elements))
+    continuity = data.draw(st.integers(0, p - 1))
+    layout = BlockLayout(n_elements, p, block, continuity, bc)
+    assume(layout.n_dofs >= 1)
+    assert_lowest_match_full(assemble_layout(layout), data.draw(st.integers(1, layout.n_dofs)))
+
+
+@pytest.mark.parametrize("layout, k", [
+    (BlockLayout.riga(40, 2, 10), 7),            # repeated blocks
+    (BlockLayout.riga(40, 2, 7), 1),             # ragged
+    (BlockLayout.iga(40, 3, bc="neumann"), 43),  # every mode
+])
+def test_lowest_values_on_each_route(layout, k):
+    assert_lowest_match_full(assemble_layout(layout), k)
+
+
+def test_lowest_must_be_a_mode_count():
+    op = assemble_layout(BlockLayout.iga(10, 2))
+    for k in (0, op.n_dofs + 1):
+        with pytest.raises(ValueError, match="lowest must be between 1 and"):
+            solve_eigenvalues(op, lowest=k)
+
+
+def test_only_the_block_fourier_values_pass_the_size_limit(monkeypatch):
+    monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 50)
+    repeated = assemble_layout(BlockLayout.riga(100, 2, 10))
+    assert solve_eigenvalues(repeated).size == repeated.n_dofs == 109
+    for layout in (BlockLayout.riga(100, 2, 7), BlockLayout.riga(100, 2, 10, bc="neumann")):
+        with pytest.raises(ValueError, match="exceed the limit of 50"):
+            solve_eigenvalues(assemble_layout(layout))
+    with pytest.raises(ValueError, match="exceed the limit of 50"):
+        solve_gevp(repeated)
+
+
+def record_band_solves(monkeypatch):
+    """Record ``(size, lowest)`` of every banded solve, global or per block."""
+    calls = []
+    real = eigensolve._band_eigenvalues
+
+    def recording(K, M, lowest=None):
+        calls.append((K.n, lowest))
+        return real(K, M, lowest)
+
+    monkeypatch.setattr(eigensolve, "_band_eigenvalues", recording)
+    monkeypatch.setattr(analysis, "_band_eigenvalues", recording)
+    return calls
+
+
+def test_leading_mode_error_solves_for_one_mode(monkeypatch):
+    calls = record_band_solves(monkeypatch)
+    analysis.leading_mode_error(BlockLayout.riga(800, 2, 10))
+    assert calls == []  # repeated blocks: no banded solve at all
+    analysis.leading_mode_error(BlockLayout.iga(200, 2))
+    analysis.leading_mode_error(BlockLayout.iga(200, 2, bc="neumann"))
+    assert calls == [(200, 1), (202, 2)]  # Neumann skips the constant mode
+
+
+def test_stopbands_makes_no_full_range_global_solve(monkeypatch, tmp_path):
+    calls = record_band_solves(monkeypatch)
+    layout = BlockLayout.riga(800, 2, 10)
+    cfg = cli.ExperimentConfig(method="riga", p=2, elements=800, block=10)
+    assert cli.cmd_stopbands(cfg, str(tmp_path / "bands.csv")) == 0
+    assert calls  # the bubble pencil of a block
+    assert all(n < layout.n_dofs for n, _ in calls)
