@@ -32,6 +32,7 @@ import scipy.sparse
 from .assembly import (
     DiscreteOperator,
     NumericalError,
+    _quadratic_forms,
     assemble_layout,
 )
 from .eigensolve import (Spectrum, _band_eigenvalues, polish_eigenvalue,
@@ -65,7 +66,7 @@ _BAND_MATCH_TOL = 1e-6
 _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
 _NOISE_FLOOR = 1e-13
-# (element, function) x modes entries per column block of the pair inner
+# (function, element) x modes entries per column block of the pair inner
 # products: 1 MB per temporary, whatever the mesh
 _PAIR_BLOCK_ENTRIES = 1 << 17
 
@@ -119,13 +120,15 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
                                    shape=(xs.size, op.n_dofs))
 
 
-def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
-                subdivisions: int) -> np.ndarray:
-    """L2 inner products of exact modes ``js`` with the columns of ``V``.
+def _pair_inner(op: DiscreteOperator, subdivisions: int):
+    """L2 inner products of exact modes with discrete fields, as a function
+    ``inner(V, js)`` of the exact modes ``js`` and one column of ``V`` per mode.
 
     Integrates element by element with Gauss ``p + 2`` points on
     ``subdivisions`` equal subintervals per element; ``ceil(j h) + 1`` of
-    them resolve the oscillation of exact mode ``j >= 1``.
+    them resolve the oscillation of exact mode ``j >= 1``.  The grid, the
+    basis values and the phase tables are built once, for every block of
+    columns the function is then given.
 
     The sum runs over element load moments, with no grid of field values.
     Every element of the uniform mesh carries the same local offsets ``t``
@@ -137,10 +140,12 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
     are one matrix product each.  The element phases come from one table of
     ``k pi / n_e``, ``k = 0 .. 2 n_e - 1``, at ``k = j e mod 2 n_e``: exact
     range reduction, and no transcendental per element and mode.  Columns
-    of consecutive wavenumbers ``js`` go in blocks so that each temporary
-    holds at most ``_PAIR_BLOCK_ENTRIES`` values."""
-    if np.any(np.diff(js) != 1):
-        raise ValueError("pair inner products need consecutive wavenumbers")
+    of consecutive wavenumbers ``js`` go in blocks of sizes one apart, so
+    that each temporary holds at most ``_PAIR_BLOCK_ENTRIES`` values and no
+    block is one column wide unless the limit or ``js`` is.  The rows of
+    ``w N`` and of the gathered ``V`` run function by function, each over
+    every element, so the sum over an element's functions goes over whole
+    rows."""
     kv = op.kv
     p, n_e = kv.p, op.layout.n_elements
     spans = kv.spans()
@@ -151,14 +156,15 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
     reduced = np.full(kv.n, -1, dtype=int)
     reduced[op.dof_indices] = np.arange(op.n_dofs)
     rows = reduced[(spans - p)[:, None] + np.arange(p + 1)]
-    # weighted basis values, one row per (element, function); the functions
-    # removed by boundary conditions get zero rows, so any row of V serves them
-    wN = (N.reshape(n_e, t.size, p + 1) * w[:, None]).transpose(0, 2, 1)
-    wN = (wN * (rows >= 0)[..., None]).reshape(n_e * (p + 1), t.size)
-    rows = np.maximum(rows, 0).ravel()
+    # weighted basis values, one row per (function, element): the sums over
+    # the functions run element-wise over whole rows; the functions removed
+    # by boundary conditions get zero rows, so any row of V serves them
+    wN = (N.reshape(n_e, t.size, p + 1) * w[:, None]).transpose(2, 0, 1)
+    wN = (wN * (rows.T >= 0)[..., None]).reshape((p + 1) * n_e, t.size)
+    rows = np.maximum(rows.T, 0).ravel()
 
     e = np.arange(n_e)
-    width = max(1, min(js.size, _PAIR_BLOCK_ENTRIES // wN.shape[0]))
+    width = max(1, min(op.n_dofs, _PAIR_BLOCK_ENTRIES // wN.shape[0]))
     # j e mod 2 n_e for the block's wavenumbers j0 + d is (j0 e mod 2 n_e) +
     # (d e mod 2 n_e): below 4 n_e, so the table is laid out twice
     step = np.multiply.outer(e, np.arange(width)) % (2 * n_e)
@@ -166,20 +172,40 @@ def _pair_inner(op: DiscreteOperator, V: np.ndarray, js: np.ndarray,
     # sin(a + b) = sin a cos b + cos a sin b; cos(a + b) = cos a cos b - sin a sin b
     on_c, on_s = ((np.sin(angle), np.cos(angle)) if op.bc == "dirichlet"
                   else (np.cos(angle), -np.sin(angle)))
-    out = np.empty(js.size)
-    for lo in range(0, js.size, width):
-        cols = slice(lo, lo + width)
-        jt = np.outer(t, js[cols] * math.pi)
-        C = (wN @ np.cos(jt)).reshape(n_e, p + 1, -1)
-        S = (wN @ np.sin(jt)).reshape(n_e, p + 1, -1)
-        Vg = np.take(V[:, cols], rows, axis=0).reshape(n_e, p + 1, -1)
-        VC = np.einsum("eaj,eaj->ej", Vg, C)
-        VS = np.einsum("eaj,eaj->ej", Vg, S)
-        k = ((js[lo] * e) % (2 * n_e))[:, None] + step[:, :VC.shape[1]]
-        out[cols] = (np.einsum("ej,ej->j", np.take(on_c, k), VC)
-                     + np.einsum("ej,ej->j", np.take(on_s, k), VS))
-    # the Neumann constant mode is 1, not sqrt(2) cos(0)
-    return out * np.where(js == 0, 1.0, math.sqrt(2.0))
+
+    # scratch for every block's temporaries: fresh arrays of this size would
+    # be mapped anew from the system on each block, every page faulting
+    n_rows = wN.shape[0]
+    big = np.empty((3, n_rows * width))
+    small = np.empty((4, n_e * width))
+    k_buf = np.empty(n_e * width, dtype=np.intp)
+
+    def inner(V: np.ndarray, js: np.ndarray) -> np.ndarray:
+        if np.any(np.diff(js) != 1):
+            raise ValueError("pair inner products need consecutive wavenumbers")
+        out = np.empty(js.size)
+        pieces = -(-js.size // width)  # of at most width columns, sizes one apart
+        edges = [js.size * i // pieces for i in range(pieces + 1)]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            cols, size = slice(lo, hi), hi - lo
+            C, S, Vg = (b[:n_rows * size].reshape(n_rows, size) for b in big)
+            VC, VS, on_ck, on_sk = (b[:n_e * size].reshape(n_e, size) for b in small)
+            k = k_buf[:n_e * size].reshape(n_e, size)
+            jt = np.outer(t, js[cols] * math.pi)
+            np.matmul(wN, np.cos(jt), out=C)
+            np.matmul(wN, np.sin(jt), out=S)
+            np.take(V[:, cols], rows, axis=0, out=Vg, mode="clip")
+            Vg, C, S = (a.reshape(p + 1, n_e, size) for a in (Vg, C, S))
+            np.einsum("aej,aej->ej", Vg, C, out=VC)
+            np.einsum("aej,aej->ej", Vg, S, out=VS)
+            np.add(((js[lo] * e) % (2 * n_e))[:, None], step[:, :size], out=k)
+            np.take(on_c, k, out=on_ck, mode="clip")
+            np.take(on_s, k, out=on_sk, mode="clip")
+            out[cols] = np.einsum("ej,ej->j", on_ck, VC) + np.einsum("ej,ej->j", on_sk, VS)
+        # the Neumann constant mode is 1, not sqrt(2) cos(0)
+        return out * np.where(js == 0, 1.0, math.sqrt(2.0))
+
+    return inner
 
 
 def _required_subdivisions(js: np.ndarray, h: float) -> np.ndarray:
@@ -262,12 +288,13 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     quadratic forms ``v^T A v`` take O(n m p) from the stored bands, and the
     pair inner products O(n_e (p + 1) m) elementwise work plus small matrix
     products of the element load moments, with no grid-by-modes array (see
-    :func:`_pair_inner`).  The budgeted eigenvectors are a slice of
-    ``spectrum.eigenvectors``, not a copy.  Memory is the ``n x m`` product
-    ``A V`` of one quadratic form at a time (under Neumann conditions the
-    sparse product also gathers the strided slice), plus a few temporaries
-    of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no dense operator is
-    formed.
+    :func:`_pair_inner`, whose tables are built once per subdivision
+    count).  The budget walks the eigenvectors a block of columns at a time,
+    ``spectrum.columns`` over ``spectrum.blocks``: a slice of the dense
+    route's array, or a block built from the Bloch factors.  Memory is that
+    block, the ``A V`` product of one quadratic form at a time and a few
+    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
+    array and no dense operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -281,18 +308,33 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     first = int(js[0] == 0)  # the Neumann constant mode is not budgeted
     js, lam = js[first:], lam[first:]
     lam_h = spectrum.eigenvalues[first:]
-    V = spectrum.eigenvectors[:, first:]
-    vMv = exact.M.quadratic_forms(V)
-    vKv = exact.K.quadratic_forms(V)
-    vKq = vKv if exact is op else op.K.quadratic_forms(V)
-
-    # one quadrature grid per required subdivision count;
-    # the counts never decrease with j, so each group is a run of columns
+    # the block-Fourier solve formed v^T K v and v^T M v on op's own bands
+    forms = spectrum.quadratic_forms if exact is op else None
+    if forms is None:
+        Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
+        vKv, vMv = np.empty(js.size), np.empty(js.size)
+    else:
+        vKv, vMv = forms[0][first:], forms[1][first:]
+    Kq = None if exact is op else op.K.to_sparse()
+    vKq, uv = np.empty(js.size), np.empty(js.size)
+    # one quadrature grid per required subdivision count; the counts never
+    # decrease with j, so each group is a run of columns
     subdivisions = _required_subdivisions(js, op.layout.h)
-    counts, starts = np.unique(subdivisions, return_index=True)
-    uv = np.empty(js.size)
-    for s, lo, hi in zip(counts, starts, [*starts[1:], js.size]):
-        uv[lo:hi] = _pair_inner(op, V[:, lo:hi], js[lo:hi], s)
+    pairs = {}
+    for lo, hi in spectrum.blocks(first):
+        V = spectrum.columns(lo, hi)
+        rows = slice(lo - first, hi - first)
+        if forms is None:
+            vMv[rows] = _quadratic_forms(Ms, V)
+            vKv[rows] = _quadratic_forms(Ks, V)
+        if Kq is not None:
+            vKq[rows] = _quadratic_forms(Kq, V)
+        counts, starts = np.unique(subdivisions[rows], return_index=True)
+        for s, a, b in zip(counts, starts, [*starts[1:], hi - lo]):
+            if s not in pairs:
+                pairs[s] = _pair_inner(op, s)
+            uv[lo - first + a:lo - first + b] = pairs[s](V[:, a:b], js[rows][a:b])
+    vKq = vKv if Kq is None else vKq
     uv = np.abs(uv)
 
     ev_rel = _relative_errors(lam_h, lam)
@@ -445,12 +487,15 @@ def coefficient_flatness(v: np.ndarray) -> float:
     and a ratio close to one; resolved modes are near-pure waves with a
     ratio many orders larger.  The median is floored at ``eps`` times the
     peak, so the ratio is finite and at most ``1 / eps``: a median at
-    round-off level, or zero, carries no information beyond that.
+    round-off level, or zero, carries no information beyond that.  A window
+    of zeros (a mode whose content lies wholly above it) is flat: ratio 1.
     """
     v = np.asarray(v, dtype=float)
     g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
     mags = np.abs(np.fft.rfft(g))[1:v.size // 2 + 1]
     peak = mags.max()
+    if peak == 0.0:
+        return 1.0
     return float(peak / max(np.median(mags), np.finfo(float).eps * peak))
 
 
@@ -504,7 +549,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     empirical = n - 1 - int(np.flatnonzero(~flagged).max(initial=-1))
 
     # one sampling for all outlier modes; contiguous rows keep results bitwise
-    V = spectrum.eigenvectors[:, n - predicted:]
+    V = spectrum.columns(n - predicted, n)
     fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
     magnitudes = _frequency_content(fields, op.bc)
     tail = ev[n - predicted:]

@@ -99,9 +99,19 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _cells(column) -> list[str]:
-    """One column's cells: ``str`` for an int, empty for ``None``, ``.17g`` else."""
+    """One column's cells: ``str`` for an int, empty for ``None``, ``.17g`` else.
+
+    The column's dtype picks the rule once: integer and bool columns take
+    ``str``, float columns one ``%.17g`` template for all their rows, and
+    object columns (which hold ``None``) go cell by cell."""
+    column = np.asarray(column)
+    values = column.tolist()
+    if column.dtype.kind in "biu":
+        return list(map(str, values))
+    if column.dtype.kind == "f":
+        return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
     return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
-            for v in np.asarray(column).tolist()]
+            for v in values]
 
 
 def _csv(columns: dict, config: ExperimentConfig,

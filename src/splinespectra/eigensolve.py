@@ -13,17 +13,24 @@ one per kind of result:
     over the blocks splits the pencil into ``n_b - 1`` pencils of size
     ``m + 1`` (``m`` bubbles per block and one interface), one per
     wavenumber ``k pi / n_b``, solved in one batched call, plus the ``m``
-    stopping-band modes of the bubble pencil.  The eigenvectors are rebuilt
-    in O(n^2) and the eigenvalues are their Rayleigh quotients
-    ``v^T K v / v^T M v`` on the stored bands: the small pencils' own
-    eigenvalues lose the lowest modes to cancellation.  This is the Bloch
-    dispersion of condensed macro-elements (Hughes, Reali & Sangalli 2008);
+    stopping-band modes of the bubble pencil.  The eigenvectors stay
+    factored: the returned spectrum keeps the per-wavenumber amplitudes and
+    the bubble vectors, and builds any block of columns from them in O(n)
+    per column, so no n x n array is formed and ``DENSE_LIMIT`` does not
+    apply.  The eigenvalues are the columns' Rayleigh quotients
+    ``v^T K v / v^T M v`` on the stored bands, formed in one pass over
+    column blocks: the small pencils' own eigenvalues lose the lowest modes
+    to cancellation.  This is the Bloch dispersion of condensed
+    macro-elements (Hughes, Reali & Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
-    separators, and pencils without a layout.
+    separators, and pencils without a layout.  It holds the n x n
+    eigenvector array, so it refuses more than ``DENSE_LIMIT`` dofs.
 
-  Eigenvectors are normalized against the assembled mass matrix.  A run of
+  Callers read eigenvectors a block of columns at a time
+  (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), whichever the
+  route.  Eigenvectors are normalized against the assembled mass matrix.  A run of
   eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
   by either route, so its vectors are an arbitrary basis of the run's
   subspace; they are replaced by the subspace's localized (SCDM) basis,
@@ -33,9 +40,9 @@ one per kind of result:
   lowest ``k`` or all of them, by one of two routes picked as above:
 
   - on a layout of repeated blocks, the eigenvalues of the same
-    per-wavenumber pencils and of the bubble pencil, from one batched
-    Cholesky factorization and ``eigvalsh``.  It builds no n x n array,
-    so ``DENSE_LIMIT`` does not apply to it;
+    per-wavenumber pencils and of the bubble pencil, from batched Cholesky
+    factorizations and ``eigvalsh`` over chunks of wavenumbers.  It builds
+    no n x n array, so ``DENSE_LIMIT`` does not apply to it;
   - on every other pencil, LAPACK ``dsbgvx`` straight from the stored upper
     bands (split Cholesky factorization of ``M``, band reduction to
     tridiagonal form, then a root-free QL sweep for all values or bisection
@@ -55,18 +62,21 @@ from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.sparse.linalg
 
-from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
+from .assembly import (DiscreteOperator, NumericalError, SymmetricBandedMatrix,
+                       _quadratic_forms)
 
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
 DENSE_LIMIT = 6000
+# entries per block of eigenvector columns or of stacked per-wavenumber
+# pencils: 512 KB per temporary, whatever the mesh
+_BLOCK_ENTRIES = 1 << 16
 # the stored bands of a repeated patch agree to this fraction of their largest
 # entry, plus n_elements eps: knot rounding grows with the element count
 _PATCH_TOL = 1e-12
@@ -79,31 +89,64 @@ _POLISH_SHIFT = 1e-8
 _POLISH_STEPS = 3
 
 
-@dataclass
 class Spectrum:
-    """All eigenpairs, ascending; column ``j`` holds the coefficients of mode ``j + 1``."""
+    """All eigenpairs, ascending: ``eigenvalues[j]`` and eigenvector column
+    ``j`` belong to mode ``j + 1``.
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    Callers read the eigenvectors a block of columns at a time,
+    :meth:`columns` over the bounds of :meth:`blocks`, so that no n x n array
+    need exist.  This class slices one dense array, the dense route's; the
+    block-Fourier route's :class:`_BlochSpectrum` builds each block from its
+    factors.  :attr:`eigenvectors` is every column at once.
+    """
+
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
+        self.eigenvalues = eigenvalues
+        self._vectors = vectors
+        # (v^T K v, v^T M v) of every column on the solved pencil's stored
+        # bands, where the route formed them; else None
+        self.quadratic_forms: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Every column: an n x n array."""
+        return self.columns(0, self.n_modes)
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's leading entry is positive.
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
+        :func:`solve_gevp` describes: here a view of the dense array."""
+        return self._vectors[:, lo:hi]
+
+    def blocks(self, lo: int = 0, hi: int | None = None) -> list[tuple[int, int]]:
+        """Bounds ``(a, b)`` of consecutive column blocks covering columns
+        ``lo .. hi - 1`` (all of them by default), each of about
+        ``_BLOCK_ENTRIES`` entries.  No block is one column wide unless the
+        range is: such a block sums its quadratic forms in another order
+        (see :func:`~splinespectra.assembly._quadratic_forms`)."""
+        hi = self.n_modes if hi is None else hi
+        if hi <= lo:
+            return []
+        width = max(2, _BLOCK_ENTRIES // self.n_modes)
+        edges = [*range(lo, max(hi - 1, lo + 1), width), hi]
+        return list(zip(edges[:-1], edges[1:]))
+
+
+def _signs(V: np.ndarray) -> np.ndarray:
+    """``+1`` or ``-1`` per column of ``V``, the sign of its leading entry.
 
     The leading entry is the first one within ``1 - 1e-12`` of the column's
     largest magnitude, so that a mirror-antisymmetric mode, whose two largest
     entries are equal and opposite, is signed by position, not by round-off.
     """
-    mag = np.abs(vectors)
+    mag = np.abs(V)
     lead = (mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0)).argmax(axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
+    signs = np.sign(V[lead, np.arange(V.shape[1])])
     signs[signs == 0] = 1.0
-    vectors *= signs
-    return vectors
+    return signs
 
 
 def _check_size(n: int) -> None:
@@ -119,23 +162,32 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
 
     A layout whose blocks all repeat one patch (Dirichlet conditions, ``C^0``
     separators, at least two blocks of equal size, bands that repeat and are
-    mirror-symmetric) is solved by its per-wavenumber pencils, and its
-    eigenvalues are the Rayleigh quotients of the rebuilt eigenvectors.  Any
-    other pencil, including one without a ``layout``, takes a dense
+    mirror-symmetric) is solved by its per-wavenumber pencils, whatever its
+    size.  Its eigenvectors stay factored, built a block of columns at a
+    time, and its eigenvalues are their Rayleigh quotients.  Any other
+    pencil, including one without a ``layout``, takes a dense
     :func:`scipy.linalg.eigh`.  Either way, each run of eigenvalues closer
     than ``n eps lambda_max`` gets its localized basis (see the module
     docstring), and each column is signed so that its leading entry, the
     first within ``1e-12`` (relative) of its largest magnitude, is positive.
+
+    Raises
+    ------
+    ValueError
+        If the pencil takes the dense route and its dimension exceeds
+        ``DENSE_LIMIT``.
     """
-    n = op.n_dofs
-    _check_size(n)
     patch = _uniform_patch(op)
-    if patch is None:
-        w, v = _dense_eigenpairs(op)
-    else:
-        w, v = _bloch_eigenpairs(op, *patch)
-    _localize_clusters(w, v, op.M)
-    return Spectrum(w, _fix_signs(v))
+    if patch is not None:
+        return _BlochSpectrum(op, *patch)
+    _check_size(op.n_dofs)
+    w, V = _dense_eigenpairs(op)
+    for lo, hi, W in _localized_runs(w, lambda a, b: V[:, a:b], op.M):
+        V[:, lo:hi] = W
+    spectrum = Spectrum(w, V)
+    for lo, hi in spectrum.blocks():
+        V[:, lo:hi] *= _signs(V[:, lo:hi])
+    return spectrum
 
 
 def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +285,8 @@ def _pencil_eigh(A: np.ndarray, B: np.ndarray, vectors: bool = True):
     return w, Linv.mT @ Z
 
 
-def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple):
+def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple,
+                    ks: np.ndarray | None = None):
     """The sine transform over the blocks of a pencil of :func:`_uniform_patch`.
 
     The mirror splits the ``m`` bubbles into ``me`` even and ``mo`` odd
@@ -241,10 +294,11 @@ def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple):
     ``theta_k = k pi / n_b``, ``k = 1 .. n_b - 1``, the interfaces carry
     ``sin(theta b) X``, the even bubbles ``sin(theta (b - 1/2))`` and the odd
     ones ``cos(theta (b - 1/2))`` in block ``b = 1 .. n_b``, and the
-    amplitudes solve the ``(m + 1)``-sized pencil ``(KA[k - 1], MA[k - 1])``,
-    even bubbles first, then odd ones, then the interface.  Its leading
-    ``me`` and next ``mo`` rows and columns, the same at every wavenumber,
-    are the even and odd bubble pencils.  Returns ``(KA, MA, Qe, Qo)``.
+    amplitudes solve the ``(m + 1)``-sized pencil ``(KA[i], MA[i])`` of the
+    ``i``-th wavenumber ``k`` of ``ks`` (all of them by default), even bubbles
+    first, then odd ones, then the interface.  Its leading ``me`` and next
+    ``mo`` rows and columns, the same at every wavenumber, are the even and
+    odd bubble pencils.  Returns ``(KA, MA, Qe, Qo)``.
     """
     m = K_patch[0].shape[0]
     period, me, mo = m + 1, (m + 1) // 2, m // 2
@@ -255,11 +309,12 @@ def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple):
     Qo[m - 1 - i, i] = -half
     if m % 2:
         Qe[mo, mo] = 1.0
-    theta = np.arange(1, n_blocks) * math.pi / n_blocks
+    ks = np.arange(1, n_blocks) if ks is None else ks
+    theta = ks * math.pi / n_blocks
 
     def folded(patch):
         bb, r, ss, st = patch
-        A = np.zeros((n_blocks - 1, period, period))
+        A = np.zeros((ks.size, period, period))
         A[:, :me, :me] = Qe.T @ bb @ Qe
         A[:, me:m, me:m] = Qo.T @ bb @ Qo
         A[:, :m, m] = A[:, m, :m] = np.hstack(
@@ -274,72 +329,139 @@ def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple):
 def _bloch_eigenvalues(n_blocks: int, K_patch: tuple, M_patch: tuple) -> np.ndarray:
     """Every eigenvalue of a pencil of :func:`_uniform_patch`, ascending: those
     of the per-wavenumber pencils of :func:`_folded_pencils` and of the even
-    and odd bubble pencils, the stopping bands.  O(n_b m^3) time and
-    O(n_b m^2) memory; no n x n array."""
-    KA, MA, Qe, _ = _folded_pencils(n_blocks, K_patch, M_patch)
+    and odd bubble pencils, the stopping bands.  O(n_b m^3) time.  The
+    wavenumbers go in chunks of about ``_BLOCK_ENTRIES`` entries per stacked
+    array, so memory is that bound plus the ``n`` values; no n x n array."""
+    chunk = max(1, _BLOCK_ENTRIES // (K_patch[0].shape[0] + 1) ** 2)
+    values = []
+    for k in range(1, n_blocks, chunk):
+        KA, MA, Qe, _ = _folded_pencils(n_blocks, K_patch, M_patch,
+                                        np.arange(k, min(k + chunk, n_blocks)))
+        values.append(_pencil_eigh(KA, MA, vectors=False).ravel())
     m, me = Qe.shape
-    pencils = [(KA, MA), (KA[:1, :me, :me], MA[:1, :me, :me]),
-               (KA[:1, me:m, me:m], MA[:1, me:m, me:m])]
-    return np.sort(np.concatenate(
-        [_pencil_eigh(A, B, vectors=False).ravel() for A, B in pencils]))
+    for bubbles in (slice(0, me), slice(me, m)):
+        values.append(_pencil_eigh(KA[:1, bubbles, bubbles], MA[:1, bubbles, bubbles],
+                                   vectors=False).ravel())
+    return np.sort(np.concatenate(values))
 
 
-def _bloch_eigenpairs(op: DiscreteOperator, n_blocks: int, K_patch: tuple,
-                      M_patch: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Every eigenpair of a pencil of :func:`_uniform_patch`: the
-    ``(n_b - 1)(m + 1)`` wave modes of the per-wavenumber pencils of
-    :func:`_folded_pencils`, and the ``m`` stopping-band modes of the bubble
-    pencils, even ones with the block pattern ``(-1)^b`` and odd ones
-    repeated unchanged, zero on every interface.  The transforms are the orthonormal DST-I, DST-II and
-    DCT-II, so the rebuilt vectors are ``M``-orthonormal.
+class _BlochSpectrum(Spectrum):
+    """Every eigenpair of a pencil of :func:`_uniform_patch`, its eigenvectors
+    kept as Bloch factors and built a block of columns at a time.
+
+    The modes are the ``(n_b - 1)(m + 1)`` wave modes of the per-wavenumber
+    pencils of :func:`_folded_pencils`, and the ``m`` stopping-band modes of
+    the bubble pencils, even ones with the block pattern ``(-1)^b`` and odd
+    ones repeated unchanged, zero on every interface.  The transforms are
+    the orthonormal DST-I, DST-II and DCT-II, so the built vectors are
+    ``M``-orthonormal.  The factors are the per-wavenumber amplitudes ``Y``,
+    the bubble vectors, and tables of the block patterns at each
+    wavenumber: O(n_b m^2) memory.  Besides them the spectrum keeps the mode
+    of each column, its sign, and the localized columns of each tight run
+    (see :func:`_localized_runs`): O(n) besides the runs' columns.
+
+    One pass over column blocks, in the order of the pencil eigenvalues,
+    forms the Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
+    free of the cancellation in the small pencils, and each column's sign;
+    the quotients, sorted, are the eigenvalues.  Their numerators and
+    denominators are kept as :attr:`quadratic_forms`, those of the run
+    columns formed again once the runs are localized.  Each block's
+    arithmetic is the same whatever the blocking, so columns, quotients and
+    forms do not depend on it bit for bit.
     """
-    n = op.n_dofs
-    KA, MA, Qe, Qo = _folded_pencils(n_blocks, K_patch, M_patch)
-    (m, me), mo = Qe.shape, Qo.shape[1]
-    period, half = m + 1, math.sqrt(0.5)
-    theta = np.arange(1, n_blocks) * math.pi / n_blocks
-    w_wave, Y = _pencil_eigh(KA, MA)
-    w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
-    w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
 
-    # each mode's column, in ascending order of the pencil eigenvalues
-    pos = np.empty(n, dtype=int)
-    pos[np.argsort(np.concatenate([w_wave.ravel(), w_even[0], w_odd[0]]),
-                   kind="stable")] = np.arange(n)
-    wave_cols, band_cols = pos[:w_wave.size], pos[w_wave.size:]
-    Y = Y.transpose(1, 0, 2).reshape(period, -1)  # column k * period + t
-    angle = np.repeat(theta, period)
-    scale = math.sqrt(2.0 / n_blocks)
-    b = np.arange(n_blocks)[:, None] + 0.5
-    W_even = scale * np.sin(b * angle)
-    W_odd = scale * np.cos(b * angle)
+    def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
+                 M_patch: tuple):
+        KA, MA, Qe, Qo = _folded_pencils(n_blocks, K_patch, M_patch)
+        m, me = Qe.shape
+        w_wave, Y = _pencil_eigh(KA, MA)
+        w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
+        w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
+        self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
+        self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
+        theta = np.arange(1, n_blocks) * math.pi / n_blocks
+        scale = math.sqrt(2.0 / n_blocks)
+        b = np.arange(n_blocks)[:, None] + 0.5
+        # block patterns, one column per wavenumber: even bubbles, odd
+        # bubbles and the interfaces of blocks 1 .. n_b - 1
+        self._even = scale * np.sin(b * theta)
+        self._odd = scale * np.cos(b * theta)
+        self._interface = scale * np.sin((b[:-1] + 0.5) * theta)
+        self._bands = np.hstack([Qe @ Z_even[0], Qo @ Z_odd[0]]) / math.sqrt(n_blocks)
 
-    V = np.zeros((n_blocks * period, n))
-    R = V.reshape(n_blocks, period, n)  # block, bubble or interface, mode
-    for i in range(mo):  # bubble rows i and m - 1 - i, mirror images
-        even = W_even * (half * Y[i])
-        odd = W_odd * (half * Y[me + i])
-        R[:, i, wave_cols] = even + odd
-        R[:, m - 1 - i, wave_cols] = even - odd
-    if m % 2:
-        R[:, mo, wave_cols] = W_even * Y[mo]
-    R[:-1, m, wave_cols] = scale * np.sin((b[:-1] + 0.5) * angle) * Y[m]
-    sign = np.where(np.arange(n_blocks) % 2, -1.0, 1.0)[:, None, None]
-    R[:, :m, band_cols[:me]] = sign * (Qe @ Z_even[0]) / math.sqrt(n_blocks)
-    R[:, :m, band_cols[me:]] = (Qo @ Z_odd[0]) / math.sqrt(n_blocks)
-    V = V[:n]
+        # the modes in ascending order of the pencil eigenvalues
+        self._modes = np.argsort(np.concatenate([w_wave.ravel(), w_even[0], w_odd[0]]),
+                                 kind="stable")
+        Ks, Ms = op.K.to_sparse(), op.M.to_sparse()
+        n = self._n
+        self.eigenvalues = np.empty(n)  # sets n_modes for blocks()
+        vKv, vMv, signs = np.empty(n), np.empty(n), np.empty(n)
+        for lo, hi in self.blocks():
+            V = self._build(self._modes[lo:hi], np.ones(hi - lo))
+            vKv[lo:hi], vMv[lo:hi] = _quadratic_forms(Ks, V), _quadratic_forms(Ms, V)
+            signs[lo:hi] = _signs(V)
+        w = vKv / vMv
+        order = np.argsort(w, kind="stable")
+        self.eigenvalues, self._modes, self._signs = w[order], self._modes[order], signs[order]
+        self.quadratic_forms = vKv[order], vMv[order]
+        self._runs = []
+        runs = _localized_runs(self.eigenvalues,
+                               lambda a, b: self._build(self._modes[a:b], np.ones(b - a)), op.M)
+        for lo, hi, W in runs:
+            W *= _signs(W)
+            self._runs.append((lo, hi, W))
+            self.quadratic_forms[0][lo:hi] = _quadratic_forms(Ks, W)
+            self.quadratic_forms[1][lo:hi] = _quadratic_forms(Ms, W)
 
-    # Rayleigh quotients, free of the cancellation in the small pencils
-    w = op.K.quadratic_forms(V) / op.M.quadratic_forms(V)
-    order = np.argsort(w, kind="stable")
-    moved = np.flatnonzero(order != np.arange(n))
-    V[:, moved] = V[:, order[moved]]
-    return w[order], V
+    def _build(self, modes: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """The columns of ``modes``, indices into the wave modes (``k * (m + 1)
+        + t``, flattened) followed by the even and the odd band modes, times
+        ``signs``.
+
+        Every column is first built as a wave mode, by slices alone; the few
+        band columns are then overwritten.  The signs multiply the small
+        amplitudes before the block patterns do, which changes no bit."""
+        n_blocks, m = self._n_blocks, self._m
+        period, me, mo = m + 1, (m + 1) // 2, m // 2
+        n_wave = self._Y.shape[1]
+        band = np.flatnonzero(modes >= n_wave)
+        c = modes.copy()
+        c[band] = 0
+        k, Y = c // period, self._Y[:, c] * signs
+        even, odd = self._even[:, k], self._odd[:, k]
+        R = np.empty((n_blocks, period, modes.size))  # block, bubble or interface, mode
+        half = math.sqrt(0.5)
+        # bubble rows i and m - 1 - i are mirror images
+        sym = even[:, None] * (half * Y[:mo])
+        anti = odd[:, None] * (half * Y[me:me + mo])
+        np.add(sym, anti, out=R[:, :mo])
+        np.subtract(sym, anti, out=R[:, m - mo:m][:, ::-1])
+        if m % 2:
+            R[:, mo] = even * Y[mo]
+        R[:-1, m] = self._interface[:, k] * Y[m]
+        R[-1, m] = 0.0
+        if band.size:
+            c = modes[band] - n_wave
+            sign = np.where((np.arange(n_blocks)[:, None] % 2 == 1) & (c < me), -1.0, 1.0)
+            B = np.zeros((n_blocks, period, band.size))
+            B[:, :m] = sign[:, None] * (self._bands[:, c] * signs[band])
+            R[:, :, band] = B
+        return R.reshape(n_blocks * period, modes.size)[:self._n]
+
+    def columns(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
+        :func:`solve_gevp` describes, built from the factors: O(n) per column."""
+        V = self._build(self._modes[lo:hi], self._signs[lo:hi])
+        for a, b, W in self._runs:
+            if a < hi and b > lo:
+                V[:, max(a, lo) - lo:min(b, hi) - lo] = W[:, max(a, lo) - a:min(b, hi) - a]
+        return V
 
 
-def _localize_clusters(w: np.ndarray, V: np.ndarray, M: SymmetricBandedMatrix) -> None:
-    """Replace, in place, the vectors of every run of eigenvalues with gaps of
-    at most ``n eps lambda_max`` by the run's localized basis.
+def _localized_runs(w: np.ndarray, columns, M: SymmetricBandedMatrix):
+    """``(lo, hi, W)`` for every run ``lo .. hi - 1`` of eigenvalues ``w``
+    (ascending) with gaps of at most ``n eps lambda_max``: ``W`` is the
+    localized basis of the run's subspace, spanned by ``columns(lo, hi)``.
 
     No solver resolves such a run, so its vectors are any basis of its
     subspace.  The localized one (SCDM, Damle, Lin & Ying 2015) depends on
@@ -355,11 +477,11 @@ def _localize_clusters(w: np.ndarray, V: np.ndarray, M: SymmetricBandedMatrix) -
     edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
     Ms = M.to_sparse() if edges.size else None
     for lo, hi in zip(edges[::2], edges[1::2] + 1):
-        Vc = V[:, lo:hi]
+        Vc = columns(lo, hi)
         rows = np.sort(scipy.linalg.qr(Vc.T, mode="r", pivoting=True)[1][:hi - lo])
         W = Vc @ Vc[rows].T
         g, U = np.linalg.eigh(W.T @ (Ms @ W))
-        V[:, lo:hi] = W @ ((U / np.sqrt(g)) @ U.T)
+        yield lo, hi, W @ ((U / np.sqrt(g)) @ U.T)
 
 
 def _bind_dsbgvx():

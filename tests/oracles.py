@@ -34,7 +34,10 @@ Reference routes for claims the CLI computes another way:
   ``outlier_report`` fits every mode's row in one pass;
 - :func:`reconstruct_stopping_mode` rebuilds a global stopping mode from the
   bubble eigenvectors of the blocks;
-- :func:`branch_count` counts spectrum branches from the band positions.
+- :func:`branch_count` counts spectrum branches from the band positions;
+- :func:`reference_cells` formats one CSV column cell by cell, testing the
+  type of every value, where ``cli._cells`` picks the rule once from the
+  column's dtype.
 """
 
 import math
@@ -570,3 +573,10 @@ def branch_count(eigenvalues: np.ndarray, op, j_max: int | None = None) -> int:
         j_max = op.layout.n_elements + op.kv.p - 2
     modes = report.global_index + 1
     return int(np.count_nonzero((1 < modes) & (modes < j_max))) + 1
+
+
+def reference_cells(column) -> list[str]:
+    """One CSV column's cells by the per-cell rule: ``str`` for an int (a
+    bool included), empty for ``None``, ``.17g`` for everything else."""
+    return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
+            for v in np.asarray(column).tolist()]

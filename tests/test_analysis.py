@@ -100,8 +100,7 @@ def pair_inner(op, j, v, subdivisions=None):
     """``(u_j, v)`` for exact mode ``j``, on the grid ``error_budget`` uses."""
     if subdivisions is None:
         subdivisions = analysis._required_subdivisions(j, op.layout.h)
-    return float(analysis._pair_inner(op, v[:, None], np.array([j]),
-                                      subdivisions)[0])
+    return float(analysis._pair_inner(op, subdivisions)(v[:, None], np.array([j]))[0])
 
 
 def test_l2_pair_inner_resolved_mode():
@@ -133,11 +132,11 @@ def test_l2_pair_inner_blocks_match_single_modes():
     op = assemble_layout(BlockLayout.riga(30, 3, 5))
     V = solve_gevp(op).eigenvectors
     js = np.arange(3, 20)
-    block = analysis._pair_inner(op, V[:, js - 1], js, 2)
+    block = analysis._pair_inner(op, 2)(V[:, js - 1], js)
     single = [pair_inner(op, j, V[:, j - 1], subdivisions=2) for j in js]
     assert np.max(np.abs(block - single)) <= 1e-13
     with pytest.raises(ValueError, match="consecutive"):
-        analysis._pair_inner(op, V[:, :2], np.array([1, 3]), 2)
+        analysis._pair_inner(op, 2)(V[:, :2], np.array([1, 3]))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,8 @@ def test_budget_independent_of_block_width(monkeypatch):
     spec = solve_gevp(op)
     default = error_budget(spec, op)
     # modes 1..64 use 2 subdivisions; a column block holds 64 * (p + 1)
-    # (element, function) rows: blocks of 3 modes, the last one ragged
-    # (64 = 21 * 3 + 1)
+    # (function, element) rows: blocks of at most 3 modes, sizes one apart
+    # (64 = 20 * 3 + 2 * 2)
     monkeypatch.setattr(analysis, "_PAIR_BLOCK_ENTRIES", 3 * 64 * 4)
     blocked = error_budget(spec, op)
     for name in ("ef_l2_sq", "ef_energy_rel_sq", "l2_deficit",
@@ -266,6 +265,19 @@ def test_budget_reads_the_eigenvectors_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * op.n_dofs ** 2
+
+
+def test_factored_solve_and_budget_hold_no_eigenvector_array():
+    """On repeated blocks the solve and the budget walk column blocks of the
+    Bloch factors: their traced peak stays below one n x n array."""
+    op = assemble_layout(BlockLayout.riga(2000, 2, 100))
+    tracemalloc.start()
+    try:
+        error_budget(solve_gevp(op), op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * op.n_dofs ** 2
 
 
 def test_budget_neumann_skips_constant_mode():
@@ -537,6 +549,10 @@ def test_coefficient_flatness_below_the_cap_is_the_plain_ratio():
     g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
     mags = np.abs(np.fft.rfft(g))[1:21]
     assert coefficient_flatness(v) == float(mags.max() / np.median(mags))
+
+
+def test_coefficient_flatness_of_an_empty_window_is_one():
+    assert coefficient_flatness(np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])) == 1.0
 
 
 @pytest.mark.parametrize("layout", [

@@ -14,6 +14,8 @@ from splinespectra import analysis, cli, eigensolve
 from splinespectra.cli import main
 from splinespectra.splines import BlockLayout
 
+from oracles import reference_cells
+
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
@@ -122,6 +124,20 @@ def test_values_only_jobs_form_no_eigenvectors(tmp_path, monkeypatch, line):
         if hasattr(module, "solve_gevp"):
             monkeypatch.setattr(module, "solve_gevp", no_eigenvectors)
     assert main(line.split() + ["--out", str(tmp_path / "run.csv")]) == 0
+
+
+def test_spectrum_past_the_dense_limit(tmp_path):
+    # 6,160 dofs: the repeated blocks give every eigenpair, a block of
+    # eigenvector columns at a time, without an n x n array
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--method", "riga", "--p", "2", "--block", "100",
+                 "--elements", "6100", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    assert len(rows) == 6160
+    assert [int(r.split(",", 1)[0]) for r in rows] == list(range(1, 6161))
+    cells = np.array([[float(c) for c in r.split(",")] for r in rows])
+    assert np.all(np.isfinite(cells))
+    assert np.max(np.abs(cells[:, header.index("pythagoras_residual")])) < 1e-9
 
 
 def test_stopbands_past_the_dense_limit(tmp_path):
@@ -315,6 +331,18 @@ def test_outliers_flatness_is_finite(tmp_path):
     assert max(flatness) == 1.0 / np.finfo(float).eps
 
 
+def test_outliers_flatness_of_a_mode_above_the_window_is_finite(tmp_path):
+    # riga(4, 3, 2): a mode +a, 0, -a, 0, ... has no content in the lower half
+    # of its sine spectrum, whose 0 / 0 ratio was written as nan
+    out = tmp_path / "outliers.csv"
+    assert main(["outliers", "--method", "riga", "--p", "3", "--block", "2",
+                 "--elements", "4", "--out", str(out)]) == 0
+    _, header, rows = read_csv(out)
+    flatness = [float(r.split(",")[header.index("flatness")]) for r in rows]
+    assert all(math.isfinite(f) for f in flatness)
+    assert 1.0 in flatness
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only find_optimal_tau needs it, and no subcommand calls that
     src = Path(__file__).resolve().parents[1] / "src"
@@ -443,6 +471,32 @@ def test_csv_columns_match_row_by_row_rule(columns, comments):
     rows = zip(*columns.values())
     assert cli._csv(columns, cfg, comments) == \
         reference_csv(list(columns), rows, cfg, comments or [])
+
+
+@pytest.mark.parametrize("line", [
+    "spectrum --method riga --p 2 --block 10 --elements 40",
+    "converge --p 2 --elements 10,20,40",
+    "stopbands --method riga --p 3 --block 4 --elements 16",
+    "outliers --method riga --p 3 --block 10 --elements 40",
+    "outliers --method iga --p 2 --elements 24",
+    "spectrum2d --method riga --p 2 --block 4 --elements 8",
+], ids=lambda line: "-".join(line.split()[:3:2]))
+def test_cells_by_dtype_match_the_per_cell_rule(tmp_path, monkeypatch, line):
+    """Every column a subcommand writes is formatted, byte for byte, as the
+    per-cell rule formats it."""
+    tables = []
+    real = cli._csv
+
+    def recording(columns, config, comments=None):
+        tables.append(columns)
+        return real(columns, config, comments)
+
+    monkeypatch.setattr(cli, "_csv", recording)
+    assert main(line.split() + ["--out", str(tmp_path / "run.csv")]) == 0
+    assert tables
+    for columns in tables:
+        for name, column in columns.items():
+            assert cli._cells(column) == reference_cells(column), name
 
 
 def test_csv_refuses_columns_of_different_lengths():

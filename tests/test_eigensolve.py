@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -332,6 +333,48 @@ def test_unresolved_cluster_gets_the_localized_basis():
     assert_matches_dense_oracle(op)
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(p=st.integers(2, 4), block=st.integers(1, 12), n_blocks=st.integers(2, 8),
+       data=st.data())
+@example(p=2, block=64, n_blocks=3, data=None)  # a tight run of two outliers
+@example(p=4, block=12, n_blocks=8, data=None)
+def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block, n_blocks,
+                                                                         data):
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    spectrum = solve_gevp(op)
+    assert spectrum.quadratic_forms is not None  # the block-Fourier route
+    V, n = spectrum.eigenvectors, spectrum.n_modes
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6))) if data else [1, n // 2]
+    edges = [0, *cuts, n]
+    assert np.array_equal(np.hstack([spectrum.columns(a, b)
+                                     for a, b in zip(edges[:-1], edges[1:])]), V)
+
+    # the block route against the same spectrum held as one array
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, V)
+    for got, expected in ((analysis.error_budget(spectrum, op),
+                           analysis.error_budget(materialized, op)),
+                          (analysis.outlier_report(spectrum, op),
+                           analysis.outlier_report(materialized, op))):
+        for field in dataclasses.fields(got):
+            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), \
+                field.name
+
+    # against the dense eigh route: the budget of every mode resolved by both
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolve, "_uniform_patch", lambda op: None)
+        dense = solve_gevp(op)
+    lam_max = dense.eigenvalues[-1]
+    assert np.max(np.abs(spectrum.eigenvalues - dense.eigenvalues)) <= 1e-12 * lam_max
+    resolved = np.concatenate([run for run in clusters(dense.eigenvalues, 1e-6 * lam_max)
+                               if run.size == 1]).astype(int)
+    got, expected = analysis.error_budget(spectrum, op), analysis.error_budget(dense, op)
+    for name in ("ef_l2_sq", "ef_energy_rel_sq", "energy_gap", "l2_deficit",
+                 "pythagoras_residual"):
+        np.testing.assert_allclose(getattr(got, name)[resolved],
+                                   getattr(expected, name)[resolved], rtol=0, atol=1e-10,
+                                   err_msg=name)
+
+
 # ---------------------------------------------------------------------------
 # the values-only routes
 # ---------------------------------------------------------------------------
@@ -387,14 +430,47 @@ def test_lowest_must_be_a_mode_count():
 
 
 def test_only_the_block_fourier_values_pass_the_size_limit(monkeypatch):
+    # the block-Fourier route of both solvers forms no n x n array, so the
+    # limit binds only the dense and banded routes
     monkeypatch.setattr(eigensolve, "DENSE_LIMIT", 50)
     repeated = assemble_layout(BlockLayout.riga(100, 2, 10))
     assert solve_eigenvalues(repeated).size == repeated.n_dofs == 109
+    assert solve_gevp(repeated).n_modes == 109
     for layout in (BlockLayout.riga(100, 2, 7), BlockLayout.riga(100, 2, 10, bc="neumann")):
-        with pytest.raises(ValueError, match="exceed the limit of 50"):
-            solve_eigenvalues(assemble_layout(layout))
-    with pytest.raises(ValueError, match="exceed the limit of 50"):
-        solve_gevp(repeated)
+        op = assemble_layout(layout)
+        for solve in (solve_eigenvalues, solve_gevp):
+            with pytest.raises(ValueError, match="exceed the limit of 50"):
+                solve(op)
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(100, 2, 10), BlockLayout.riga(600, 3, 20), BlockLayout.fea(300, 3),
+    BlockLayout.riga(240, 5, 30), BlockLayout.fea(2, 1),
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}")
+@pytest.mark.parametrize("entries", [1, 200, 5000])
+def test_block_fourier_values_do_not_depend_on_the_chunk(monkeypatch, layout, entries):
+    # one wavenumber per chunk (entries 1), a few, and a ragged last chunk
+    patch = _uniform_patch(assemble_layout(layout), mean=True)
+    whole = _bloch_eigenvalues(*patch)
+    monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
+    assert np.array_equal(_bloch_eigenvalues(*patch), whole)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(n=st.integers(1, 400), lo=st.integers(0, 400), width=st.integers(0, 400),
+       entries=st.integers(1, 2000))
+def test_column_blocks_cover_the_range(n, lo, width, entries):
+    lo = min(lo, n)
+    hi = min(lo + width, n)
+    spectrum = eigensolve.Spectrum(np.zeros(n), None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
+        blocks = spectrum.blocks(lo, hi)
+    edges = [lo, *(b for _, b in blocks)]
+    assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == hi
+    sizes = [b - a for a, b in blocks]
+    assert all(size >= 2 for size in sizes) or sizes == [1]
+    assert max(sizes, default=0) <= max(2, entries // n) + 1
 
 
 def record_band_solves(monkeypatch):

@@ -207,6 +207,6 @@ def test_pair_inner_matches_the_grid_route(data):
     V = spectrum.eigenvectors
     with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES",
                            width * layout.n_elements * (layout.p + 1)):
-        got = analysis._pair_inner(op, V, js, subdivisions)
+        got = analysis._pair_inner(op, subdivisions)(V, js)
     expected = grid_pair_inner(op, V, js, subdivisions)
     assert np.abs(got - expected).max() <= 1e-13
