@@ -308,15 +308,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     first = int(js[0] == 0)  # the Neumann constant mode is not budgeted
     js, lam = js[first:], lam[first:]
     lam_h = spectrum.eigenvalues[first:]
-    # the block-Fourier solve formed v^T K v and v^T M v on op's own bands
-    forms = spectrum.quadratic_forms if exact is op else None
-    if forms is None:
-        Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
-        vKv, vMv = np.empty(js.size), np.empty(js.size)
-    else:
-        vKv, vMv = forms[0][first:], forms[1][first:]
+    Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
     Kq = None if exact is op else op.K.to_sparse()
-    vKq, uv = np.empty(js.size), np.empty(js.size)
+    vKv, vMv, vKq, uv = (np.empty(js.size) for _ in range(4))
     # one quadrature grid per required subdivision count; the counts never
     # decrease with j, so each group is a run of columns
     subdivisions = _required_subdivisions(js, op.layout.h)
@@ -324,9 +318,8 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     for lo, hi in spectrum.blocks(first):
         V = spectrum.columns(lo, hi)
         rows = slice(lo - first, hi - first)
-        if forms is None:
-            vMv[rows] = _quadratic_forms(Ms, V)
-            vKv[rows] = _quadratic_forms(Ks, V)
+        vMv[rows] = _quadratic_forms(Ms, V)
+        vKv[rows] = _quadratic_forms(Ks, V)
         if Kq is not None:
             vKq[rows] = _quadratic_forms(Kq, V)
         counts, starts = np.unique(subdivisions[rows], return_index=True)
@@ -487,15 +480,12 @@ def coefficient_flatness(v: np.ndarray) -> float:
     and a ratio close to one; resolved modes are near-pure waves with a
     ratio many orders larger.  The median is floored at ``eps`` times the
     peak, so the ratio is finite and at most ``1 / eps``: a median at
-    round-off level, or zero, carries no information beyond that.  A window
-    of zeros (a mode whose content lies wholly above it) is flat: ratio 1.
+    round-off level, or zero, carries no information beyond that.
     """
     v = np.asarray(v, dtype=float)
     g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
     mags = np.abs(np.fft.rfft(g))[1:v.size // 2 + 1]
     peak = mags.max()
-    if peak == 0.0:
-        return 1.0
     return float(peak / max(np.median(mags), np.finfo(float).eps * peak))
 
 

@@ -103,9 +103,6 @@ class Spectrum:
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
         self.eigenvalues = eigenvalues
         self._vectors = vectors
-        # (v^T K v, v^T M v) of every column on the solved pencil's stored
-        # bands, where the route formed them; else None
-        self.quadratic_forms: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_modes(self) -> int:
@@ -121,13 +118,13 @@ class Spectrum:
         :func:`solve_gevp` describes: here a view of the dense array."""
         return self._vectors[:, lo:hi]
 
-    def blocks(self, lo: int = 0, hi: int | None = None) -> list[tuple[int, int]]:
+    def blocks(self, lo: int = 0) -> list[tuple[int, int]]:
         """Bounds ``(a, b)`` of consecutive column blocks covering columns
-        ``lo .. hi - 1`` (all of them by default), each of about
-        ``_BLOCK_ENTRIES`` entries.  No block is one column wide unless the
-        range is: such a block sums its quadratic forms in another order
-        (see :func:`~splinespectra.assembly._quadratic_forms`)."""
-        hi = self.n_modes if hi is None else hi
+        ``lo .. n_modes - 1``, each of about ``_BLOCK_ENTRIES`` entries.  No
+        block is one column wide unless the range is: such a block sums its
+        quadratic forms in another order (see
+        :func:`~splinespectra.assembly._quadratic_forms`)."""
+        hi = self.n_modes
         if hi <= lo:
             return []
         width = max(2, _BLOCK_ENTRIES // self.n_modes)
@@ -363,11 +360,9 @@ class _BlochSpectrum(Spectrum):
     One pass over column blocks, in the order of the pencil eigenvalues,
     forms the Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
     free of the cancellation in the small pencils, and each column's sign;
-    the quotients, sorted, are the eigenvalues.  Their numerators and
-    denominators are kept as :attr:`quadratic_forms`, those of the run
-    columns formed again once the runs are localized.  Each block's
-    arithmetic is the same whatever the blocking, so columns, quotients and
-    forms do not depend on it bit for bit.
+    the quotients, sorted, are the eigenvalues.  Each block's arithmetic is
+    the same whatever the blocking, so columns and quotients do not depend
+    on it bit for bit.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
@@ -403,15 +398,12 @@ class _BlochSpectrum(Spectrum):
         w = vKv / vMv
         order = np.argsort(w, kind="stable")
         self.eigenvalues, self._modes, self._signs = w[order], self._modes[order], signs[order]
-        self.quadratic_forms = vKv[order], vMv[order]
         self._runs = []
         runs = _localized_runs(self.eigenvalues,
                                lambda a, b: self._build(self._modes[a:b], np.ones(b - a)), op.M)
         for lo, hi, W in runs:
             W *= _signs(W)
             self._runs.append((lo, hi, W))
-            self.quadratic_forms[0][lo:hi] = _quadratic_forms(Ks, W)
-            self.quadratic_forms[1][lo:hi] = _quadratic_forms(Ms, W)
 
     def _build(self, modes: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """The columns of ``modes``, indices into the wave modes (``k * (m + 1)

@@ -551,10 +551,6 @@ def test_coefficient_flatness_below_the_cap_is_the_plain_ratio():
     assert coefficient_flatness(v) == float(mags.max() / np.median(mags))
 
 
-def test_coefficient_flatness_of_an_empty_window_is_one():
-    assert coefficient_flatness(np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])) == 1.0
-
-
 @pytest.mark.parametrize("layout", [
     BlockLayout.riga(192, 2, 64), BlockLayout.iga(64, 3), BlockLayout.iga(40, 2),
     BlockLayout.fea(30, 2), BlockLayout.iga(30, 4, bc="neumann"),

@@ -331,18 +331,6 @@ def test_outliers_flatness_is_finite(tmp_path):
     assert max(flatness) == 1.0 / np.finfo(float).eps
 
 
-def test_outliers_flatness_of_a_mode_above_the_window_is_finite(tmp_path):
-    # riga(4, 3, 2): a mode +a, 0, -a, 0, ... has no content in the lower half
-    # of its sine spectrum, whose 0 / 0 ratio was written as nan
-    out = tmp_path / "outliers.csv"
-    assert main(["outliers", "--method", "riga", "--p", "3", "--block", "2",
-                 "--elements", "4", "--out", str(out)]) == 0
-    _, header, rows = read_csv(out)
-    flatness = [float(r.split(",")[header.index("flatness")]) for r in rows]
-    assert all(math.isfinite(f) for f in flatness)
-    assert 1.0 in flatness
-
-
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only find_optimal_tau needs it, and no subcommand calls that
     src = Path(__file__).resolve().parents[1] / "src"

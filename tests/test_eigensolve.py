@@ -342,7 +342,7 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
                                                                          data):
     op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
     spectrum = solve_gevp(op)
-    assert spectrum.quadratic_forms is not None  # the block-Fourier route
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
     V, n = spectrum.eigenvectors, spectrum.n_modes
     cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6))) if data else [1, n // 2]
     edges = [0, *cuts, n]
@@ -351,13 +351,15 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
 
     # the block route against the same spectrum held as one array
     materialized = eigensolve.Spectrum(spectrum.eigenvalues, V)
-    for got, expected in ((analysis.error_budget(spectrum, op),
-                           analysis.error_budget(materialized, op)),
-                          (analysis.outlier_report(spectrum, op),
-                           analysis.outlier_report(materialized, op))):
+    budgets = analysis.error_budget(spectrum, op), analysis.error_budget(materialized, op)
+    # coefficient_flatness divides 0 by 0 on a mode with no content in its
+    # window (riga(4, 3, 2)): both routes then read nan, which counts as equal
+    with np.errstate(invalid="ignore"):
+        reports = analysis.outlier_report(spectrum, op), analysis.outlier_report(materialized, op)
+    for got, expected in (budgets, reports):
         for field in dataclasses.fields(got):
-            assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), \
-                field.name
+            np.testing.assert_array_equal(getattr(got, field.name),
+                                          getattr(expected, field.name), err_msg=field.name)
 
     # against the dense eigh route: the budget of every mode resolved by both
     with pytest.MonkeyPatch.context() as patch:
@@ -373,6 +375,22 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
         np.testing.assert_allclose(getattr(got, name)[resolved],
                                    getattr(expected, name)[resolved], rtol=0, atol=1e-10,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("solved_on, budgeted_on", [("lobatto", "gauss"),
+                                                    ("gauss", "lobatto")])
+def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
+    # the budget reads only the spectrum's eigenpairs, whichever pencil they
+    # came from: the factored spectrum and the same one held as one array agree
+    layout = BlockLayout.riga(60, 2, 10)
+    spectrum = solve_gevp(assemble_layout(layout, QuadratureSpec(solved_on)))
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    op = assemble_layout(layout, QuadratureSpec(budgeted_on))
+    got, expected = analysis.error_budget(spectrum, op), analysis.error_budget(materialized, op)
+    for field in dataclasses.fields(got):
+        assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), \
+            field.name
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +475,15 @@ def test_block_fourier_values_do_not_depend_on_the_chunk(monkeypatch, layout, en
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(n=st.integers(1, 400), lo=st.integers(0, 400), width=st.integers(0, 400),
-       entries=st.integers(1, 2000))
-def test_column_blocks_cover_the_range(n, lo, width, entries):
+@given(n=st.integers(1, 400), lo=st.integers(0, 400), entries=st.integers(1, 2000))
+def test_column_blocks_cover_the_range(n, lo, entries):
     lo = min(lo, n)
-    hi = min(lo + width, n)
     spectrum = eigensolve.Spectrum(np.zeros(n), None)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
-        blocks = spectrum.blocks(lo, hi)
+        blocks = spectrum.blocks(lo)
     edges = [lo, *(b for _, b in blocks)]
-    assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == hi
+    assert [a for a, _ in blocks] == edges[:-1] and edges[-1] == n
     sizes = [b - a for a, b in blocks]
     assert all(size >= 2 for size in sizes) or sizes == [1]
     assert max(sizes, default=0) <= max(2, entries // n) + 1
