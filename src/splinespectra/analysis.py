@@ -35,7 +35,7 @@ from .assembly import (
     _quadratic_forms,
     assemble_layout,
 )
-from .eigensolve import (Spectrum, _band_eigenvalues, polish_eigenvalue,
+from .eigensolve import (Spectrum, _band_eigenvalues, _BlochSpectrum, polish_eigenvalue,
                          solve_eigenvalues)
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, span_basis_rows
@@ -67,7 +67,8 @@ _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
 _NOISE_FLOOR = 1e-13
 # (function, element) x modes entries per column block of the pair inner
-# products: 1 MB per temporary, whatever the mesh
+# products, and per moment or pattern table of a chunk of factored columns:
+# 1 MB per temporary, whatever the mesh
 _PAIR_BLOCK_ENTRIES = 1 << 17
 
 
@@ -145,7 +146,12 @@ def _pair_inner(op: DiscreteOperator, subdivisions: int):
     block is one column wide unless the limit or ``js`` is.  The rows of
     ``w N`` and of the gathered ``V`` run function by function, each over
     every element, so the sum over an element's functions goes over whole
-    rows."""
+    rows.
+
+    :func:`error_budget` takes this route on the dense route's spectra and
+    on the tight runs of a factored one, whose localized columns have no
+    Bloch factors; the other columns of a factored spectrum take
+    :func:`_bloch_pair_inner`, which needs one block of elements, not all."""
     kv = op.kv
     p, n_e = kv.p, op.layout.n_elements
     spans = kv.spans()
@@ -210,6 +216,124 @@ def _pair_inner(op: DiscreteOperator, subdivisions: int):
 
 def _required_subdivisions(js: np.ndarray, h: float) -> np.ndarray:
     return np.ceil(js * h).astype(int) + 1
+
+
+def _pair_inner_by_count(op: DiscreteOperator, pairs: dict, V: np.ndarray,
+                         js: np.ndarray) -> np.ndarray:
+    """:func:`_pair_inner` of the columns ``V`` against the consecutive exact
+    modes ``js``, one call per run of equal subdivision counts; ``pairs``
+    caches the inner products by count."""
+    out = np.empty(js.size)
+    # the counts never decrease with j, so each group is a run of columns
+    counts, starts = np.unique(_required_subdivisions(js, op.layout.h), return_index=True)
+    for s, a, b in zip(counts, starts, [*starts[1:], js.size]):
+        if s not in pairs:
+            pairs[s] = _pair_inner(op, s)
+        out[a:b] = pairs[s](V[:, a:b], js[a:b])
+    return out
+
+
+def _block_moments(op: DiscreteOperator, subdivisions: int):
+    """The moments ``G_f(j) = int exp(i j pi x) N_f(x) dx`` of the first
+    block's ``m`` bubbles and of its right interface function ``f = m``, as a
+    function ``moments(js)`` of consecutive exact modes that returns the real
+    and imaginary parts, each ``(m + 1) x len(js)``.
+
+    The rule is :func:`_pair_inner`'s, Gauss ``p + 2`` points on
+    ``subdivisions`` equal pieces of each element, over a window of the
+    block's ``B`` elements and the next block's first, where the interface
+    function ends.  Each element's moments are one matrix product of the
+    weighted basis values against ``exp(i j pi t)`` at the local offsets
+    ``t``, times the element phase ``exp(i j pi e h)`` from a table of
+    ``k pi / n_e`` at ``k = j e mod 2 n_e``; one sparse incidence product
+    sums them into the functions."""
+    kv, layout = op.kv, op.layout
+    p, n_e, B = kv.p, layout.n_elements, layout.block_size
+    m = int(layout.bubble_counts[0])
+    spans = kv.spans()[:B + 1]
+    edges = np.linspace(0.0, layout.h, subdivisions + 1)
+    t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
+    _, N = span_basis_rows(kv, np.repeat(spans, t.size),
+                           (kv.knots[spans][:, None] + t).ravel())
+    # one row per (element, function), element-major
+    wN = (N.reshape(B + 1, t.size, p + 1) * w[:, None]).transpose(0, 2, 1).reshape(-1, t.size)
+    reduced = np.full(kv.n, -1, dtype=int)
+    reduced[op.dof_indices] = np.arange(op.n_dofs)
+    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)].ravel()
+    keep = np.flatnonzero((rows >= 0) & (rows <= m))
+    incidence = scipy.sparse.csr_matrix((np.ones(keep.size), (rows[keep], keep)),
+                                        shape=(m + 1, rows.size))
+    e = np.arange(B + 1)
+    angle = np.arange(2 * n_e) * (math.pi / n_e)
+    cos_e, sin_e = np.cos(angle), np.sin(angle)
+
+    def moments(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        jt = np.outer(t, js * math.pi)
+        C = (wN @ np.cos(jt)).reshape(B + 1, p + 1, js.size)
+        S = (wN @ np.sin(jt)).reshape(B + 1, p + 1, js.size)
+        k = np.multiply.outer(e, js) % (2 * n_e)
+        c, s = cos_e[k][:, None], sin_e[k][:, None]
+        return (incidence @ (c * C - s * S).reshape(rows.size, js.size),
+                incidence @ (s * C + c * S).reshape(rows.size, js.size))
+
+    return moments
+
+
+def _bloch_pair_inner(spectrum: _BlochSpectrum, op: DiscreteOperator, js: np.ndarray,
+                      pairs: dict) -> np.ndarray:
+    """The pair inner products ``(u_j, v_j)`` of the Dirichlet modes ``js``
+    with the last ``len(js)`` columns of a factored spectrum, from its Bloch
+    factors (:meth:`~splinespectra.eigensolve._BlochSpectrum.factors`).
+
+    Block ``b`` is the first block shifted by ``(b - 1) / n_b``, so
+    ``(u_j, v) = sqrt(2) Im sum_i S_i F_i`` over the three parts ``i`` of the
+    column: ``F_i = sum_f local[i, f] G_f(j)`` contracts the part's local
+    vector with the first block's moments (:func:`_block_moments`), and
+    ``S_i = sum_b pattern[i, b] exp(i j pi (b - 1) / n_b)`` sums its block
+    pattern against the block phases, from a table of ``k pi / n_b`` at
+    ``k = j (b - 1) mod 2 n_b``.  O(B (p + 1) q + n_b) per column for
+    ``q`` points per element, against O(n_e (p + 1) q) from a built column.
+    The columns of tight runs have no such factors and take
+    :func:`_pair_inner` on their built columns, through ``pairs``.  Columns
+    go in chunks whose moment and pattern tables hold at most
+    ``_PAIR_BLOCK_ENTRIES`` values each."""
+    layout = op.layout
+    n_blocks = layout.n_elements // layout.block_size
+    n, first = spectrum.n_modes, spectrum.n_modes - js.size
+    m = int(layout.bubble_counts[0])
+    # the tallest table of a chunk: element moments, local vectors or patterns
+    height = max((layout.p + 1) * (layout.block_size + 1), 3 * (m + 1), 3 * n_blocks)
+    width = max(1, _PAIR_BLOCK_ENTRIES // height)
+    b = np.arange(n_blocks)
+    angle = np.arange(2 * n_blocks) * (math.pi / n_blocks)
+    cos_b, sin_b = np.cos(angle), np.sin(angle)
+    subdivisions = _required_subdivisions(js, layout.h)
+    moments = {}
+    out = np.empty(js.size)
+    for lo in range(first, n, width):
+        hi = min(lo + width, n)
+        local, pattern, tight = spectrum.factors(lo, hi)
+        rows = slice(lo - first, hi - first)
+        jc = js[rows]
+        k = np.multiply.outer(b, jc) % (2 * n_blocks)
+        Sc = np.einsum("ibc,bc->ic", pattern, cos_b[k])
+        Ss = np.einsum("ibc,bc->ic", pattern, sin_b[k])
+        Gc, Gs = np.empty(local.shape[1:]), np.empty(local.shape[1:])
+        counts, starts = np.unique(subdivisions[rows], return_index=True)
+        for s, a, z in zip(counts, starts, [*starts[1:], jc.size]):
+            if s not in moments:
+                moments[s] = _block_moments(op, s)
+            Gc[:, a:z], Gs[:, a:z] = moments[s](jc[a:z])
+        Fc = np.einsum("ifc,fc->ic", local, Gc)
+        Fs = np.einsum("ifc,fc->ic", local, Gs)
+        out[rows] = math.sqrt(2.0) * (np.einsum("ic,ic->c", Sc, Fs)
+                                      + np.einsum("ic,ic->c", Ss, Fc))
+        # the tight runs within the chunk, each a range of columns
+        bounds = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
+        for a, z in zip(bounds[::2], bounds[1::2]):
+            out[lo - first + a:lo - first + z] = _pair_inner_by_count(
+                op, pairs, spectrum.columns(lo + a, lo + z), jc[a:z])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +409,27 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     the layout once.
 
     Cost for ``n`` dofs, ``n_e`` elements and ``m`` modes: the three
-    quadratic forms ``v^T A v`` take O(n m p) from the stored bands, and the
-    pair inner products O(n_e (p + 1) m) elementwise work plus small matrix
-    products of the element load moments, with no grid-by-modes array (see
-    :func:`_pair_inner`, whose tables are built once per subdivision
-    count).  The budget walks the eigenvectors a block of columns at a time,
-    ``spectrum.columns`` over ``spectrum.blocks``: a slice of the dense
-    route's array, or a block built from the Bloch factors.  Memory is that
-    block, the ``A V`` product of one quadratic form at a time and a few
-    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
-    array and no dense operator is formed.
+    quadratic forms ``v^T A v`` take O(n m p) from the stored bands.  The
+    pair inner products have two sources, with no grid-by-modes array:
+
+    - a factored spectrum of repeated blocks (the block-Fourier route of
+      :func:`~splinespectra.eigensolve.solve_gevp`) gives them from its
+      Bloch factors, one block's load moments and a sum of each column's
+      block pattern against the block phases (:func:`_bloch_pair_inner`):
+      O(m (B (p + 1) q + n_b)) for ``B`` elements in each of ``n_b``
+      blocks and ``q`` points per element, however many elements;
+    - every other spectrum, and the columns of a factored spectrum's tight
+      runs, give them from built columns (:func:`_pair_inner`):
+      O(n_e (p + 1) m) elementwise work plus small matrix products of the
+      element load moments.
+
+    Both build their tables once per subdivision count.  The quadratic forms
+    walk the eigenvectors a block of columns at a time, ``spectrum.columns``
+    over ``spectrum.blocks``: a slice of the dense route's array, or a
+    block built from the Bloch factors.  Memory is that block, the ``A V``
+    product of one quadratic form at a time and a few temporaries of at most
+    ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n array and no dense
+    operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -310,11 +445,10 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     lam_h = spectrum.eigenvalues[first:]
     Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
     Kq = None if exact is op else op.K.to_sparse()
-    vKv, vMv, vKq, uv = (np.empty(js.size) for _ in range(4))
-    # one quadrature grid per required subdivision count; the counts never
-    # decrease with j, so each group is a run of columns
-    subdivisions = _required_subdivisions(js, op.layout.h)
-    pairs = {}
+    vKv, vMv, vKq = (np.empty(js.size) for _ in range(3))
+    pairs = {}  # one quadrature grid per required subdivision count
+    factored = isinstance(spectrum, _BlochSpectrum)
+    uv = _bloch_pair_inner(spectrum, op, js, pairs) if factored else np.empty(js.size)
     for lo, hi in spectrum.blocks(first):
         V = spectrum.columns(lo, hi)
         rows = slice(lo - first, hi - first)
@@ -322,11 +456,8 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
         vKv[rows] = _quadratic_forms(Ks, V)
         if Kq is not None:
             vKq[rows] = _quadratic_forms(Kq, V)
-        counts, starts = np.unique(subdivisions[rows], return_index=True)
-        for s, a, b in zip(counts, starts, [*starts[1:], hi - lo]):
-            if s not in pairs:
-                pairs[s] = _pair_inner(op, s)
-            uv[lo - first + a:lo - first + b] = pairs[s](V[:, a:b], js[rows][a:b])
+        if not factored:
+            uv[rows] = _pair_inner_by_count(op, pairs, V, js[rows])
     vKq = vKv if Kq is None else vKq
     uv = np.abs(uv)
 
@@ -480,12 +611,16 @@ def coefficient_flatness(v: np.ndarray) -> float:
     and a ratio close to one; resolved modes are near-pure waves with a
     ratio many orders larger.  The median is floored at ``eps`` times the
     peak, so the ratio is finite and at most ``1 / eps``: a median at
-    round-off level, or zero, carries no information beyond that.
+    round-off level, or zero, carries no information beyond that.  The
+    window is the lower half of the spectrum, sine bins ``1 .. n // 2``; a
+    sequence with no content there reads ``1``, as no bin stands out.
     """
     v = np.asarray(v, dtype=float)
     g = np.concatenate([v, [0.0], -v[::-1], [0.0]])
     mags = np.abs(np.fft.rfft(g))[1:v.size // 2 + 1]
     peak = mags.max()
+    if peak == 0.0:
+        return 1.0
     return float(peak / max(np.median(mags), np.finfo(float).eps * peak))
 
 

@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+# basis values (point x function) per chunk of elements in assembly: a few MB
+# of temporaries, whatever the mesh
+_ASSEMBLY_ENTRIES = 1 << 16
+
+
 class NumericalError(RuntimeError):
     """A numerical failure that is reported rather than silently accepted."""
 
@@ -129,21 +134,26 @@ def _quadratic_forms(A: scipy.sparse.csr_matrix, V: np.ndarray) -> np.ndarray:
 
 
 def _assemble_pair(kv: KnotVector, rule: Rule) -> tuple[SymmetricBandedMatrix, SymmetricBandedMatrix]:
-    """Mass and stiffness from one basis evaluation over every quadrature
-    point of the mesh and one batched product per matrix."""
+    """Mass and stiffness from one basis evaluation and one batched product
+    per matrix for each chunk of elements.
+
+    A chunk holds at most about ``_ASSEMBLY_ENTRIES`` basis values, so memory
+    does not grow with the mesh beyond the bands.  The chunks add their
+    blocks in element order, so each band entry sums in that order whatever
+    the chunk size."""
     p, spans = kv.p, kv.spans()
-    nodes, weights = map_rule_to_element(rule, kv.knots[spans], kv.knots[spans + 1])
-    _, N, dN = span_basis_rows(kv, np.repeat(spans, rule.nodes.size), nodes.ravel(),
-                               derivs=True)
-    w = weights[:, :, None]
-
-    def gram(rows: np.ndarray) -> SymmetricBandedMatrix:
-        B = rows.reshape(*nodes.shape, p + 1)  # element, point, function
-        mat = SymmetricBandedMatrix.zeros(kv.n, p)
-        mat.add_symmetric_block(spans - p, (B * w).transpose(0, 2, 1) @ B)
-        return mat
-
-    return gram(N), gram(dN)
+    M, K = SymmetricBandedMatrix.zeros(kv.n, p), SymmetricBandedMatrix.zeros(kv.n, p)
+    chunk = max(1, _ASSEMBLY_ENTRIES // (rule.nodes.size * (p + 1)))
+    for lo in range(0, spans.size, chunk):
+        part = spans[lo:lo + chunk]
+        nodes, weights = map_rule_to_element(rule, kv.knots[part], kv.knots[part + 1])
+        _, N, dN = span_basis_rows(kv, np.repeat(part, rule.nodes.size), nodes.ravel(),
+                                   derivs=True)
+        w = weights[:, :, None]
+        for mat, rows in ((M, N), (K, dN)):
+            B = rows.reshape(*nodes.shape, p + 1)  # element, point, function
+            mat.add_symmetric_block(part - p, (B * w).transpose(0, 2, 1) @ B)
+    return M, K
 
 
 def _kept_indices(n: int, bc: str) -> np.ndarray:

@@ -17,11 +17,14 @@ one per kind of result:
     factored: the returned spectrum keeps the per-wavenumber amplitudes and
     the bubble vectors, and builds any block of columns from them in O(n)
     per column, so no n x n array is formed and ``DENSE_LIMIT`` does not
-    apply.  The eigenvalues are the columns' Rayleigh quotients
-    ``v^T K v / v^T M v`` on the stored bands, formed in one pass over
-    column blocks: the small pencils' own eigenvalues lose the lowest modes
-    to cancellation.  This is the Bloch dispersion of condensed
-    macro-elements (Hughes, Reali & Sangalli 2008);
+    apply.  It also hands out the factors of a block of columns, one
+    block's local vectors and their block patterns
+    (:meth:`_BlochSpectrum.factors`), from which the error budget
+    integrates a column without building it.  The eigenvalues are the
+    columns' Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
+    formed in one pass over column blocks: the small pencils' own
+    eigenvalues lose the lowest modes to cancellation.  This is the Bloch
+    dispersion of condensed macro-elements (Hughes, Reali & Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
@@ -357,6 +360,12 @@ class _BlochSpectrum(Spectrum):
     of each column, its sign, and the localized columns of each tight run
     (see :func:`_localized_runs`): O(n) besides the runs' columns.
 
+    :meth:`factors` hands out the factors of any block of columns, signed as
+    the columns: for each of three parts, a local vector over one block's
+    bubbles and right interface and its block pattern, the part's factor in
+    each block.  A caller can then integrate a column over the first block
+    and sum over the blocks by the patterns, in O(m + n_b) per column.
+
     One pass over column blocks, in the order of the pencil eigenvalues,
     forms the Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
     free of the cancellation in the small pencils, and each column's sign;
@@ -373,6 +382,7 @@ class _BlochSpectrum(Spectrum):
         w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
         w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
+        self._Qe, self._Qo = Qe, Qo
         self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
         theta = np.arange(1, n_blocks) * math.pi / n_blocks
         scale = math.sqrt(2.0 / n_blocks)
@@ -439,6 +449,51 @@ class _BlochSpectrum(Spectrum):
             B[:, :m] = sign[:, None] * (self._bands[:, c] * signs[band])
             R[:, :, band] = B
         return R.reshape(n_blocks * period, modes.size)[:self._n]
+
+    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Bloch factors of columns ``lo .. hi - 1``, signed as the
+        columns are: ``(local, pattern, tight)``.
+
+        On block ``b = 1 .. n_b``, column ``c`` is the sum over three parts
+        ``i`` of the number ``pattern[i, b - 1, c]`` times the local vector
+        ``local[i, :, c]``, whose entries are the coefficients of the block's
+        ``m`` bubbles and of its right interface.  A wave mode of wavenumber
+        ``theta`` has its even bubbles ``Qe y_e`` under the pattern
+        ``sin(theta (b - 1/2))``, its odd bubbles ``Qo y_o`` under
+        ``cos(theta (b - 1/2))``, and its interface amplitude under
+        ``sin(theta b)``, zero at the eliminated last interface.  A band mode
+        has its bubble vector under ``(-1)^(b - 1)`` (even) or ``1`` (odd) in
+        the first part, and zero local vectors in the other two.  O(m + n_b)
+        memory per column.
+
+        ``tight[c]`` marks the columns of a tight run: they are localized
+        combinations of modes (see :func:`_localized_runs`), with no factors
+        of this form, so read them with :meth:`columns`.  Their entries in
+        ``local`` and ``pattern`` are those of the modes they replace.
+        """
+        n_blocks, m = self._n_blocks, self._m
+        me = (m + 1) // 2
+        modes, signs = self._modes[lo:hi], self._signs[lo:hi]
+        n_wave = self._Y.shape[1]
+        band = modes >= n_wave
+        wave = np.where(band, 0, modes)  # band columns are set below
+        k, Y = wave // (m + 1), self._Y[:, wave] * signs
+        local = np.zeros((3, m + 1, modes.size))
+        local[0, :m] = self._Qe @ Y[:me]
+        local[1, :m] = self._Qo @ Y[me:m]
+        local[2, m] = Y[m]
+        pattern = np.zeros((3, n_blocks, modes.size))
+        pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]
+        pattern[2, :-1] = self._interface[:, k]
+        c = modes[band] - n_wave
+        local[:, :, band] = 0.0
+        local[0, :m, band] = (self._bands[:, c] * signs[band]).T
+        alternating = (-1.0) ** np.arange(n_blocks)[:, None]
+        pattern[0][:, band] = np.where(c < me, alternating, 1.0)
+        tight = np.zeros(modes.size, dtype=bool)
+        for a, b, _ in self._runs:
+            tight[max(a - lo, 0):max(b - lo, 0)] = True
+        return local, pattern, tight
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as

@@ -240,6 +240,33 @@ def test_budget_samples_no_grid(monkeypatch):
     assert np.all(np.abs(budget.pythagoras_residual) < 1e-7)
 
 
+def test_factored_budget_takes_column_pair_products_only_on_tight_runs(monkeypatch):
+    """A factored spectrum's pair products come from its Bloch factors; only
+    the columns of a tight run, which have none, go through ``_pair_inner``."""
+    built, columns = [], []
+    real = analysis._pair_inner
+
+    def counting(op, subdivisions):
+        built.append(subdivisions)
+        inner = real(op, subdivisions)
+
+        def counted(V, js):
+            columns.extend(js)
+            return inner(V, js)
+
+        return counted
+
+    monkeypatch.setattr(analysis, "_pair_inner", counting)
+    op = assemble_layout(BlockLayout.riga(200, 2, 20))  # no tight run
+    error_budget(solve_gevp(op), op)
+    assert built == [] and columns == []
+
+    op = assemble_layout(BlockLayout.riga(192, 2, 64))  # modes 193 and 194 tie
+    budget = error_budget(solve_gevp(op), op)
+    assert built == [3] and columns == [193, 194]
+    assert np.all(np.abs(budget.pythagoras_residual) < 1e-12)
+
+
 def test_budget_memory_stays_near_the_eigenvectors():
     """No dense operator and no full grid-by-modes array is formed."""
     op = assemble_layout(BlockLayout.riga(1000, 2, 100))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from splinespectra import assembly
 from splinespectra.assembly import (
     SingularMassError,
     SymmetricBandedMatrix,
@@ -15,6 +16,22 @@ from oracles import direct_2d_operators, eliminate_2d_dirichlet, kron_2d_operato
 
 def row_sums(mat):
     return np.asarray(mat.to_sparse().sum(axis=1)).ravel()
+
+
+@pytest.mark.parametrize("entries", [1, 50])
+@pytest.mark.parametrize("layout, quadrature", [
+    (BlockLayout.riga(60, 3, 7), None),
+    (BlockLayout.riga(40, 2, 10, bc="neumann"), QuadratureSpec("lobatto")),
+    (BlockLayout.iga(25, 4, bc="neumann"), None),
+    (BlockLayout.fea(30, 2), QuadratureSpec("blended", tau=0.5)),
+])
+def test_assembly_does_not_depend_on_the_chunk(monkeypatch, layout, quadrature, entries):
+    # the chunks add their element blocks in element order: the same bits
+    whole = assemble_layout(layout, quadrature)
+    monkeypatch.setattr(assembly, "_ASSEMBLY_ENTRIES", entries)
+    chunked = assemble_layout(layout, quadrature)
+    assert np.array_equal(chunked.M.band, whole.M.band)
+    assert np.array_equal(chunked.K.band, whole.K.band)
 
 
 def test_linear_two_elements_dirichlet():

@@ -331,6 +331,19 @@ def test_outliers_flatness_is_finite(tmp_path):
     assert max(flatness) == 1.0 / np.finfo(float).eps
 
 
+def test_outliers_flatness_of_an_empty_window(tmp_path):
+    # mode 4 of riga(4, 3, 2) has no content in sine bins 1 .. n // 2: its
+    # ratio was 0 / 0, written as nan with a RuntimeWarning (an error here)
+    out = tmp_path / "outliers.csv"
+    assert main(["outliers", "--method", "riga", "--p", "3", "--block", "2",
+                 "--elements", "4", "--out", str(out)]) == 0
+    comments, header, rows = read_csv(out)
+    cells = [cell for r in rows for cell in r.split(",")]
+    assert len(cells) == 4 * len(header)
+    assert all(math.isfinite(float(cell)) for cell in cells)
+    assert rows[0].split(",")[header.index("flatness")] == "1"
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # only find_optimal_tau needs it, and no subcommand calls that
     src = Path(__file__).resolve().parents[1] / "src"

@@ -333,6 +333,25 @@ def test_unresolved_cluster_gets_the_localized_basis():
     assert_matches_dense_oracle(op)
 
 
+# The factored spectrum's budget takes its pair products (u_j, v_j) from the
+# Bloch factors, the dense array's from its columns: the terms they enter
+# differ in round-off, by at most 5.3e-14 on riga(2000, 2, 100) and 7.8e-15
+# on 123 layouts of up to 12 blocks of up to 12 elements, p = 1 .. 5; every
+# other term is the same bit for bit
+_PAIR_PRODUCT_TERMS = ("ef_l2_sq", "ef_energy_rel_sq", "pythagoras_residual")
+_PAIR_PRODUCT_ATOL = 5e-13
+
+
+def assert_budgets_agree(got, expected):
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if field.name in _PAIR_PRODUCT_TERMS:
+            np.testing.assert_allclose(a, b, rtol=0, atol=_PAIR_PRODUCT_ATOL,
+                                       err_msg=field.name)
+        else:
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(p=st.integers(2, 4), block=st.integers(1, 12), n_blocks=st.integers(2, 8),
        data=st.data())
@@ -351,15 +370,13 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
 
     # the block route against the same spectrum held as one array
     materialized = eigensolve.Spectrum(spectrum.eigenvalues, V)
-    budgets = analysis.error_budget(spectrum, op), analysis.error_budget(materialized, op)
-    # coefficient_flatness divides 0 by 0 on a mode with no content in its
-    # window (riga(4, 3, 2)): both routes then read nan, which counts as equal
-    with np.errstate(invalid="ignore"):
-        reports = analysis.outlier_report(spectrum, op), analysis.outlier_report(materialized, op)
-    for got, expected in (budgets, reports):
-        for field in dataclasses.fields(got):
-            np.testing.assert_array_equal(getattr(got, field.name),
-                                          getattr(expected, field.name), err_msg=field.name)
+    assert_budgets_agree(analysis.error_budget(spectrum, op),
+                         analysis.error_budget(materialized, op))
+    got = analysis.outlier_report(spectrum, op)
+    expected = analysis.outlier_report(materialized, op)
+    for field in dataclasses.fields(got):
+        np.testing.assert_array_equal(getattr(got, field.name),
+                                      getattr(expected, field.name), err_msg=field.name)
 
     # against the dense eigh route: the budget of every mode resolved by both
     with pytest.MonkeyPatch.context() as patch:
@@ -387,10 +404,8 @@ def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
     assert isinstance(spectrum, eigensolve._BlochSpectrum)
     materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
     op = assemble_layout(layout, QuadratureSpec(budgeted_on))
-    got, expected = analysis.error_budget(spectrum, op), analysis.error_budget(materialized, op)
-    for field in dataclasses.fields(got):
-        assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), \
-            field.name
+    assert_budgets_agree(analysis.error_budget(spectrum, op),
+                         analysis.error_budget(materialized, op))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splinespectra import analysis
 from splinespectra.analysis import (
@@ -18,7 +18,7 @@ from splinespectra.analysis import (
     sample_matrix,
 )
 from splinespectra.assembly import _assemble_pair, assemble_layout
-from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
+from splinespectra.eigensolve import _BlochSpectrum, solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout, make_block_knots
 
@@ -209,4 +209,32 @@ def test_pair_inner_matches_the_grid_route(data):
                            width * layout.n_elements * (layout.p + 1)):
         got = analysis._pair_inner(op, subdivisions)(V, js)
     expected = grid_pair_inner(op, V, js, subdivisions)
+    assert np.abs(got - expected).max() <= 1e-13
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(p=st.integers(1, 5), block=st.integers(1, 12), n_blocks=st.integers(2, 8),
+       start=st.integers(0, 10 ** 6), entries=st.sampled_from([1, 300, 3000, 1 << 17]))
+# a tight run of two outliers, whole and split between one-column chunks
+@example(p=2, block=64, n_blocks=3, start=0, entries=1 << 17)
+@example(p=2, block=64, n_blocks=3, start=150, entries=300)
+@example(p=2, block=100, n_blocks=20, start=0, entries=1 << 17)  # a run of 19
+def test_factored_pair_products_match_the_grid_route(p, block, n_blocks, start, entries):
+    """The pair inner products from the Bloch factors equal the grid route on
+    the built columns, from any first mode and in chunks of any width, with
+    the columns of tight runs taken from the columns themselves."""
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    spectrum = solve_gevp(op)
+    assert isinstance(spectrum, _BlochSpectrum)
+    n = spectrum.n_modes
+    first = start % n
+    js = analysis.exact_spectrum(n)[0][first:]
+    with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES", entries):
+        got = analysis._bloch_pair_inner(spectrum, op, js, {})
+    V = spectrum.columns(first, n)
+    subdivisions = analysis._required_subdivisions(js, op.layout.h)
+    expected = np.empty(js.size)
+    for s in np.unique(subdivisions):
+        cols = subdivisions == s
+        expected[cols] = grid_pair_inner(op, V[:, cols], js[cols], s)
     assert np.abs(got - expected).max() <= 1e-13
