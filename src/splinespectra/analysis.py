@@ -35,8 +35,7 @@ from .assembly import (
     _quadratic_forms,
     assemble_layout,
 )
-from .eigensolve import (Spectrum, _band_eigenvalues, _BlochSpectrum, polish_eigenvalue,
-                         solve_eigenvalues)
+from .eigensolve import Spectrum, _band_eigenvalues, polish_eigenvalue, solve_eigenvalues
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, span_basis_rows
 
@@ -66,8 +65,7 @@ _BAND_MATCH_TOL = 1e-6
 _OUTLIER_EV_RATIO = 10.0
 # round-off level of the leading-mode eigenvalue error
 _NOISE_FLOOR = 1e-13
-# (function, element) x modes entries per column block of the pair inner
-# products, and per moment or pattern table of a chunk of factored columns:
+# (part, function, element) x modes entries per piece of the load moments:
 # 1 MB per temporary, whatever the mesh
 _PAIR_BLOCK_ENTRIES = 1 << 17
 
@@ -121,9 +119,14 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
                                    shape=(xs.size, op.n_dofs))
 
 
-def _pair_inner(op: DiscreteOperator, subdivisions: int):
-    """L2 inner products of exact modes with discrete fields, as a function
-    ``inner(V, js)`` of the exact modes ``js`` and one column of ``V`` per mode.
+def _load_moments(op: DiscreteOperator, subdivisions: int, n_el: int, parts: int,
+                  height: int):
+    """The load moments ``F(j) = int exp(i j pi x) v(x) dx`` over the first
+    ``n_el`` elements, as a function ``moments(local, js, imag)`` of
+    ``parts`` fields per column: ``local`` is ``parts x height x len(js)``,
+    coefficients of the reduced dofs ``0 .. height - 1``, and column ``c``
+    meets exact mode ``js[c]``, consecutive wavenumbers.  It returns one row
+    per part, ``Im F`` where ``imag[i]`` holds and ``Re F`` elsewhere.
 
     Integrates element by element with Gauss ``p + 2`` points on
     ``subdivisions`` equal subintervals per element; ``ceil(j h) + 1`` of
@@ -133,206 +136,153 @@ def _pair_inner(op: DiscreteOperator, subdivisions: int):
 
     The sum runs over element load moments, with no grid of field values.
     Every element of the uniform mesh carries the same local offsets ``t``
-    and weights ``w``, so with ``a_e = e h`` the angle addition formula gives
-    ``(u_j, v) = sqrt(2) sum_e sum_a V[r(e, a), j] (sin(j pi a_e) C[e, a, j]
-    + cos(j pi a_e) S[e, a, j])`` (the ``cos(a + b)`` form under Neumann
-    conditions).  ``r(e, a)`` is the reduced index of the element's ``a``-th
-    function, and ``C = (w N) @ cos(j pi t)`` and ``S = (w N) @ sin(j pi t)``
-    are one matrix product each.  The element phases come from one table of
-    ``k pi / n_e``, ``k = 0 .. 2 n_e - 1``, at ``k = j e mod 2 n_e``: exact
-    range reduction, and no transcendental per element and mode.  Columns
-    of consecutive wavenumbers ``js`` go in blocks of sizes one apart, so
-    that each temporary holds at most ``_PAIR_BLOCK_ENTRIES`` values and no
-    block is one column wide unless the limit or ``js`` is.  The rows of
-    ``w N`` and of the gathered ``V`` run function by function, each over
-    every element, so the sum over an element's functions goes over whole
-    rows.
-
-    :func:`error_budget` takes this route on the dense route's spectra and
-    on the tight runs of a factored one, whose localized columns have no
-    Bloch factors; the other columns of a factored spectrum take
-    :func:`_bloch_pair_inner`, which needs one block of elements, not all."""
+    and weights ``w``, so with ``a_e = e h``, ``F = sum_e exp(i j pi a_e)
+    sum_a v[r(e, a)] (C[e, a, j] + i S[e, a, j])``.  ``r(e, a)`` is the
+    reduced index of the element's ``a``-th function; the functions removed
+    by boundary conditions, and those past ``height``, count as zero.
+    ``C = (w N) @ cos(j pi t)`` and ``S = (w N) @ sin(j pi t)`` are one
+    matrix product each.  The element phases come from one table of ``k pi
+    / n_e``, ``k = 0 .. 2 n_e - 1``, at ``k = j e mod 2 n_e``: exact range
+    reduction, and no transcendental per element and mode.  Columns go in
+    pieces of sizes one apart, so that each temporary holds at most
+    ``_PAIR_BLOCK_ENTRIES`` values and no piece is one column wide unless
+    the limit or ``js`` is.  The rows of ``w N`` and of the gathered
+    coefficients run function by function, each over every element, so the
+    sum over an element's functions goes over whole rows."""
     kv = op.kv
     p, n_e = kv.p, op.layout.n_elements
-    spans = kv.spans()
+    spans = kv.spans()[:n_el]
     edges = np.linspace(0.0, op.layout.h, subdivisions + 1)
     t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
     _, N = span_basis_rows(kv, np.repeat(spans, t.size),
                            (kv.knots[spans][:, None] + t).ravel())
     reduced = np.full(kv.n, -1, dtype=int)
     reduced[op.dof_indices] = np.arange(op.n_dofs)
-    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)]
+    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)].T
+    kept = (rows >= 0) & (rows < height)
     # weighted basis values, one row per (function, element): the sums over
-    # the functions run element-wise over whole rows; the functions removed
-    # by boundary conditions get zero rows, so any row of V serves them
-    wN = (N.reshape(n_e, t.size, p + 1) * w[:, None]).transpose(2, 0, 1)
-    wN = (wN * (rows.T >= 0)[..., None]).reshape((p + 1) * n_e, t.size)
-    rows = np.maximum(rows.T, 0).ravel()
+    # the functions run element-wise over whole rows; the functions that
+    # count as zero get zero rows, so any row of the coefficients serves them
+    wN = (N.reshape(n_el, t.size, p + 1) * w[:, None]).transpose(2, 0, 1)
+    wN = (wN * kept[..., None]).reshape((p + 1) * n_el, t.size)
+    rows = np.where(kept, rows, 0).ravel()
 
-    e = np.arange(n_e)
-    width = max(1, min(op.n_dofs, _PAIR_BLOCK_ENTRIES // wN.shape[0]))
-    # j e mod 2 n_e for the block's wavenumbers j0 + d is (j0 e mod 2 n_e) +
+    e, n_rows = np.arange(n_el), wN.shape[0]
+    width = max(1, min(op.n_dofs, _PAIR_BLOCK_ENTRIES // (parts * n_rows)))
+    # j e mod 2 n_e for the piece's wavenumbers j0 + d is (j0 e mod 2 n_e) +
     # (d e mod 2 n_e): below 4 n_e, so the table is laid out twice
     step = np.multiply.outer(e, np.arange(width)) % (2 * n_e)
     angle = np.tile(np.arange(2 * n_e) * (math.pi / n_e), 2)
-    # sin(a + b) = sin a cos b + cos a sin b; cos(a + b) = cos a cos b - sin a sin b
-    on_c, on_s = ((np.sin(angle), np.cos(angle)) if op.bc == "dirichlet"
-                  else (np.cos(angle), -np.sin(angle)))
+    cos_e, sin_e = np.cos(angle), np.sin(angle)
 
-    # scratch for every block's temporaries: fresh arrays of this size would
-    # be mapped anew from the system on each block, every page faulting
-    n_rows = wN.shape[0]
-    big = np.empty((3, n_rows * width))
-    small = np.empty((4, n_e * width))
-    k_buf = np.empty(n_e * width, dtype=np.intp)
+    # scratch for every piece's temporaries: fresh arrays of this size would
+    # be mapped anew from the system on each piece, every page faulting
+    rule = np.empty((2, n_rows * width))
+    gathered = np.empty(parts * n_rows * width)
+    summed = np.empty((2, parts * n_el * width))
+    phases = np.empty((2, n_el * width))
+    k_buf = np.empty(n_el * width, dtype=np.intp)
 
-    def inner(V: np.ndarray, js: np.ndarray) -> np.ndarray:
+    def moments(local: np.ndarray, js: np.ndarray, imag: tuple) -> np.ndarray:
         if np.any(np.diff(js) != 1):
-            raise ValueError("pair inner products need consecutive wavenumbers")
-        out = np.empty(js.size)
+            raise ValueError("load moments need consecutive wavenumbers")
+        out = np.empty((parts, js.size))
         pieces = -(-js.size // width)  # of at most width columns, sizes one apart
         edges = [js.size * i // pieces for i in range(pieces + 1)]
         for lo, hi in zip(edges[:-1], edges[1:]):
             cols, size = slice(lo, hi), hi - lo
-            C, S, Vg = (b[:n_rows * size].reshape(n_rows, size) for b in big)
-            VC, VS, on_ck, on_sk = (b[:n_e * size].reshape(n_e, size) for b in small)
-            k = k_buf[:n_e * size].reshape(n_e, size)
+            C, S = (b[:n_rows * size].reshape(n_rows, size) for b in rule)
+            VC, VS = (b[:parts * n_el * size].reshape(parts, n_el, size) for b in summed)
+            cos_k, sin_k = (b[:n_el * size].reshape(n_el, size) for b in phases)
+            Vg = gathered[:parts * n_rows * size].reshape(parts, n_rows, size)
+            k = k_buf[:n_el * size].reshape(n_el, size)
             jt = np.outer(t, js[cols] * math.pi)
             np.matmul(wN, np.cos(jt), out=C)
             np.matmul(wN, np.sin(jt), out=S)
-            np.take(V[:, cols], rows, axis=0, out=Vg, mode="clip")
-            Vg, C, S = (a.reshape(p + 1, n_e, size) for a in (Vg, C, S))
-            np.einsum("aej,aej->ej", Vg, C, out=VC)
-            np.einsum("aej,aej->ej", Vg, S, out=VS)
+            np.take(local[:, :, cols], rows, axis=1, out=Vg, mode="clip")
+            Vg, C, S = (a.reshape(-1, p + 1, n_el, size) for a in (Vg, C, S))
+            np.einsum("iaej,aej->iej", Vg, C[0], out=VC)
+            np.einsum("iaej,aej->iej", Vg, S[0], out=VS)
             np.add(((js[lo] * e) % (2 * n_e))[:, None], step[:, :size], out=k)
-            np.take(on_c, k, out=on_ck, mode="clip")
-            np.take(on_s, k, out=on_sk, mode="clip")
-            out[cols] = np.einsum("ej,ej->j", on_ck, VC) + np.einsum("ej,ej->j", on_sk, VS)
-        # the Neumann constant mode is 1, not sqrt(2) cos(0)
-        return out * np.where(js == 0, 1.0, math.sqrt(2.0))
+            np.take(cos_e, k, out=cos_k, mode="clip")
+            np.take(sin_e, k, out=sin_k, mode="clip")
+            # exp(i a) (C + i S) = (cos a C - sin a S) + i (sin a C + cos a S)
+            for i in range(parts):
+                on_c, on_s, sign = (sin_k, cos_k, 1.0) if imag[i] else (cos_k, sin_k, -1.0)
+                out[i, cols] = (np.einsum("ej,ej->j", on_c, VC[i])
+                                + sign * np.einsum("ej,ej->j", on_s, VS[i]))
+        return out
 
-    return inner
+    return moments
 
 
 def _required_subdivisions(js: np.ndarray, h: float) -> np.ndarray:
     return np.ceil(js * h).astype(int) + 1
 
 
-def _pair_inner_by_count(op: DiscreteOperator, pairs: dict, V: np.ndarray,
-                         js: np.ndarray) -> np.ndarray:
-    """:func:`_pair_inner` of the columns ``V`` against the consecutive exact
-    modes ``js``, one call per run of equal subdivision counts; ``pairs``
-    caches the inner products by count."""
-    out = np.empty(js.size)
-    # the counts never decrease with j, so each group is a run of columns
-    counts, starts = np.unique(_required_subdivisions(js, op.layout.h), return_index=True)
-    for s, a, b in zip(counts, starts, [*starts[1:], js.size]):
-        if s not in pairs:
-            pairs[s] = _pair_inner(op, s)
-        out[a:b] = pairs[s](V[:, a:b], js[a:b])
-    return out
+def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
+                   counts: np.ndarray, evaluators: dict) -> np.ndarray:
+    """The pair inner products ``(u_j, v_j)`` of the exact modes ``js``
+    (consecutive wavenumbers) with the last ``len(js)`` columns of
+    ``spectrum``, from their factors ``(local, pattern, tight)``
+    (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on block ``b = 1
+    .. n_b``, column ``c`` is ``sum_i pattern[i, b - 1, c] local[i, :, c]``.
 
+    Block ``b`` is the first shifted by ``(b - 1) / n_b``, so ``(u_j, v) =
+    sqrt(2) Im sum_i S_i F_i`` (``Re`` under Neumann conditions; ``1`` in
+    place of ``sqrt(2)`` for the constant mode ``j = 0``).  ``F_i`` are the
+    load moments of the local vectors (:func:`_load_moments`) over the first
+    block's elements and the next block's first, where its right interface
+    function ends: ``min(n_e // n_b + 1, n_e)`` elements.  ``S_i = sum_b
+    pattern[i, b] exp(i j pi (b - 1) / n_b)``, from a table of ``k pi /
+    n_b`` at ``k = j (b - 1) mod 2 n_b``.  ``F`` is linear, so the sum is
+    ``F(L)`` of the one complex local vector ``L = sum_i S_i local[i]``,
+    whose real and imaginary parts take one load moment each.  A dense
+    spectrum is one block: the window is the whole mesh, ``S = 1`` and ``L``
+    the column itself.  O(n_el (p + 1) q + n_b) per column, for ``n_el``
+    elements in the window and ``q`` points per element.
 
-def _block_moments(op: DiscreteOperator, subdivisions: int):
-    """The moments ``G_f(j) = int exp(i j pi x) N_f(x) dx`` of the first
-    block's ``m`` bubbles and of its right interface function ``f = m``, as a
-    function ``moments(js)`` of consecutive exact modes that returns the real
-    and imaginary parts, each ``(m + 1) x len(js)``.
-
-    The rule is :func:`_pair_inner`'s, Gauss ``p + 2`` points on
-    ``subdivisions`` equal pieces of each element, over a window of the
-    block's ``B`` elements and the next block's first, where the interface
-    function ends.  Each element's moments are one matrix product of the
-    weighted basis values against ``exp(i j pi t)`` at the local offsets
-    ``t``, times the element phase ``exp(i j pi e h)`` from a table of
-    ``k pi / n_e`` at ``k = j e mod 2 n_e``; one sparse incidence product
-    sums them into the functions."""
-    kv, layout = op.kv, op.layout
-    p, n_e, B = kv.p, layout.n_elements, layout.block_size
-    m = int(layout.bubble_counts[0])
-    spans = kv.spans()[:B + 1]
-    edges = np.linspace(0.0, layout.h, subdivisions + 1)
-    t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
-    _, N = span_basis_rows(kv, np.repeat(spans, t.size),
-                           (kv.knots[spans][:, None] + t).ravel())
-    # one row per (element, function), element-major
-    wN = (N.reshape(B + 1, t.size, p + 1) * w[:, None]).transpose(0, 2, 1).reshape(-1, t.size)
-    reduced = np.full(kv.n, -1, dtype=int)
-    reduced[op.dof_indices] = np.arange(op.n_dofs)
-    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)].ravel()
-    keep = np.flatnonzero((rows >= 0) & (rows <= m))
-    incidence = scipy.sparse.csr_matrix((np.ones(keep.size), (rows[keep], keep)),
-                                        shape=(m + 1, rows.size))
-    e = np.arange(B + 1)
-    angle = np.arange(2 * n_e) * (math.pi / n_e)
-    cos_e, sin_e = np.cos(angle), np.sin(angle)
-
-    def moments(js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jt = np.outer(t, js * math.pi)
-        C = (wN @ np.cos(jt)).reshape(B + 1, p + 1, js.size)
-        S = (wN @ np.sin(jt)).reshape(B + 1, p + 1, js.size)
-        k = np.multiply.outer(e, js) % (2 * n_e)
-        c, s = cos_e[k][:, None], sin_e[k][:, None]
-        return (incidence @ (c * C - s * S).reshape(rows.size, js.size),
-                incidence @ (s * C + c * S).reshape(rows.size, js.size))
-
-    return moments
-
-
-def _bloch_pair_inner(spectrum: _BlochSpectrum, op: DiscreteOperator, js: np.ndarray,
-                      pairs: dict) -> np.ndarray:
-    """The pair inner products ``(u_j, v_j)`` of the Dirichlet modes ``js``
-    with the last ``len(js)`` columns of a factored spectrum, from its Bloch
-    factors (:meth:`~splinespectra.eigensolve._BlochSpectrum.factors`).
-
-    Block ``b`` is the first block shifted by ``(b - 1) / n_b``, so
-    ``(u_j, v) = sqrt(2) Im sum_i S_i F_i`` over the three parts ``i`` of the
-    column: ``F_i = sum_f local[i, f] G_f(j)`` contracts the part's local
-    vector with the first block's moments (:func:`_block_moments`), and
-    ``S_i = sum_b pattern[i, b] exp(i j pi (b - 1) / n_b)`` sums its block
-    pattern against the block phases, from a table of ``k pi / n_b`` at
-    ``k = j (b - 1) mod 2 n_b``.  O(B (p + 1) q + n_b) per column for
-    ``q`` points per element, against O(n_e (p + 1) q) from a built column.
-    The columns of tight runs have no such factors and take
-    :func:`_pair_inner` on their built columns, through ``pairs``.  Columns
-    go in chunks whose moment and pattern tables hold at most
-    ``_PAIR_BLOCK_ENTRIES`` values each."""
-    layout = op.layout
-    n_blocks = layout.n_elements // layout.block_size
-    n, first = spectrum.n_modes, spectrum.n_modes - js.size
-    m = int(layout.bubble_counts[0])
-    # the tallest table of a chunk: element moments, local vectors or patterns
-    height = max((layout.p + 1) * (layout.block_size + 1), 3 * (m + 1), 3 * n_blocks)
-    width = max(1, _PAIR_BLOCK_ENTRIES // height)
-    b = np.arange(n_blocks)
-    angle = np.arange(2 * n_blocks) * (math.pi / n_blocks)
+    Mode ``js[c]`` takes ``counts[c]`` subdivisions per element, and the
+    caller's dict ``evaluators`` caches :func:`_load_moments`.  The factors
+    go in blocks whose tables hold about ``_BLOCK_ENTRIES`` entries each,
+    the column blocks on one block.  A tight run's columns have no Bloch
+    factors: each run takes this route as a dense spectrum of its built
+    columns, in one column block."""
+    n_e, dirichlet = op.layout.n_elements, op.bc == "dirichlet"
+    first = spectrum.n_modes - js.size
+    local, pattern, _ = spectrum.factors(first, first)  # no column: the shapes alone
+    parts, height, n_b = *local.shape[:2], pattern.shape[1]
+    window = min(n_e // n_b + 1, n_e)
+    angle = np.arange(2 * n_b) * (math.pi / n_b)
     cos_b, sin_b = np.cos(angle), np.sin(angle)
-    subdivisions = _required_subdivisions(js, layout.h)
-    moments = {}
+    # Im F(L) = Im F(Re L) + Re F(Im L); Re F(L) = Re F(Re L) - Im F(Im L)
+    imag, sign = (dirichlet, not dirichlet), 1.0 if dirichlet else -1.0
     out = np.empty(js.size)
-    for lo in range(first, n, width):
-        hi = min(lo + width, n)
+    # one block's factors are views of the columns: take the column blocks
+    for lo, hi in spectrum.blocks(first, parts * max(height, n_b) if n_b > 1 else None):
         local, pattern, tight = spectrum.factors(lo, hi)
         rows = slice(lo - first, hi - first)
-        jc = js[rows]
-        k = np.multiply.outer(b, jc) % (2 * n_blocks)
-        Sc = np.einsum("ibc,bc->ic", pattern, cos_b[k])
-        Ss = np.einsum("ibc,bc->ic", pattern, sin_b[k])
-        Gc, Gs = np.empty(local.shape[1:]), np.empty(local.shape[1:])
-        counts, starts = np.unique(subdivisions[rows], return_index=True)
-        for s, a, z in zip(counts, starts, [*starts[1:], jc.size]):
-            if s not in moments:
-                moments[s] = _block_moments(op, s)
-            Gc[:, a:z], Gs[:, a:z] = moments[s](jc[a:z])
-        Fc = np.einsum("ifc,fc->ic", local, Gc)
-        Fs = np.einsum("ifc,fc->ic", local, Gs)
-        out[rows] = math.sqrt(2.0) * (np.einsum("ic,ic->c", Sc, Fs)
-                                      + np.einsum("ic,ic->c", Ss, Fc))
-        # the tight runs within the chunk, each a range of columns
-        bounds = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
-        for a, z in zip(bounds[::2], bounds[1::2]):
-            out[lo - first + a:lo - first + z] = _pair_inner_by_count(
-                op, pairs, spectrum.columns(lo + a, lo + z), jc[a:z])
+        jc, cc, uv = js[rows], counts[rows], out[rows]
+        if n_b > 1:  # Re L and Im L, from Re S and Im S
+            k = np.multiply.outer(np.arange(n_b), jc) % (2 * n_b)
+            S = np.stack([np.einsum("ibc,bc->ic", pattern, c[k]) for c in (cos_b, sin_b)])
+            local = (S.transpose(2, 0, 1) @ local.transpose(2, 0, 1)).transpose(1, 2, 0)
+        # the counts never decrease with j, so each group is a run of columns
+        values, starts = np.unique(cc, return_index=True)
+        for s, a, z in zip(values, starts, [*starts[1:], jc.size]):
+            if tight[a:z].all():  # taken below
+                continue
+            key = (int(s), window, len(local), height)
+            if key not in evaluators:
+                evaluators[key] = _load_moments(op, *key)
+            F = evaluators[key](local[:, :, a:z], jc[a:z], imag)
+            uv[a:z] = F[0] if n_b == 1 else F[0] + sign * F[1]
+        # the Neumann constant mode is 1, not sqrt(2) cos(0)
+        uv *= np.where(jc == 0, 1.0, math.sqrt(2.0))
+        edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
+        for a, z in zip(edges[::2], edges[1::2]):
+            run = Spectrum(spectrum.eigenvalues[lo + a:lo + z], spectrum.columns(lo + a, lo + z))
+            uv[a:z] = _pair_products(run, op, jc[a:z], cc[a:z], evaluators)
     return out
 
 
@@ -408,28 +358,24 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     Under that rule ``op`` is its own reference; any other rule re-assembles
     the layout once.
 
-    Cost for ``n`` dofs, ``n_e`` elements and ``m`` modes: the three
-    quadratic forms ``v^T A v`` take O(n m p) from the stored bands.  The
-    pair inner products have two sources, with no grid-by-modes array:
+    Cost for ``n`` dofs and ``m`` modes: the three quadratic forms ``v^T A
+    v`` take O(n m p) from the stored bands.  The pair inner products take
+    one route (:func:`_pair_products`), with no grid-by-modes array: each
+    column's load moments over a window of ``n_el`` elements and a sum of
+    its block pattern against ``n_b`` block phases, O(m (n_el (p + 1) q +
+    n_b)) for ``q`` points per element.  A dense spectrum is one block, the
+    whole mesh; a factored spectrum of ``n_b`` repeated blocks of ``B``
+    elements (the block-Fourier route of
+    :func:`~splinespectra.eigensolve.solve_gevp`) reads ``B + 1`` elements
+    however many there are, but for the columns of its tight runs.
 
-    - a factored spectrum of repeated blocks (the block-Fourier route of
-      :func:`~splinespectra.eigensolve.solve_gevp`) gives them from its
-      Bloch factors, one block's load moments and a sum of each column's
-      block pattern against the block phases (:func:`_bloch_pair_inner`):
-      O(m (B (p + 1) q + n_b)) for ``B`` elements in each of ``n_b``
-      blocks and ``q`` points per element, however many elements;
-    - every other spectrum, and the columns of a factored spectrum's tight
-      runs, give them from built columns (:func:`_pair_inner`):
-      O(n_e (p + 1) m) elementwise work plus small matrix products of the
-      element load moments.
-
-    Both build their tables once per subdivision count.  The quadratic forms
-    walk the eigenvectors a block of columns at a time, ``spectrum.columns``
-    over ``spectrum.blocks``: a slice of the dense route's array, or a
-    block built from the Bloch factors.  Memory is that block, the ``A V``
-    product of one quadratic form at a time and a few temporaries of at most
-    ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n array and no dense
-    operator is formed.
+    The tables are built once per subdivision count and window.  The
+    quadratic forms walk the eigenvectors a block of columns at a time,
+    ``spectrum.columns`` over ``spectrum.blocks``: a slice of the dense
+    route's array, or a block built from the Bloch factors.  Memory is that
+    block, the ``A V`` product of one quadratic form at a time and a few
+    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
+    array and no dense operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -446,9 +392,6 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
     Kq = None if exact is op else op.K.to_sparse()
     vKv, vMv, vKq = (np.empty(js.size) for _ in range(3))
-    pairs = {}  # one quadrature grid per required subdivision count
-    factored = isinstance(spectrum, _BlochSpectrum)
-    uv = _bloch_pair_inner(spectrum, op, js, pairs) if factored else np.empty(js.size)
     for lo, hi in spectrum.blocks(first):
         V = spectrum.columns(lo, hi)
         rows = slice(lo - first, hi - first)
@@ -456,10 +399,8 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
         vKv[rows] = _quadratic_forms(Ks, V)
         if Kq is not None:
             vKq[rows] = _quadratic_forms(Kq, V)
-        if not factored:
-            uv[rows] = _pair_inner_by_count(op, pairs, V, js[rows])
     vKq = vKv if Kq is None else vKq
-    uv = np.abs(uv)
+    uv = np.abs(_pair_products(spectrum, op, js, _required_subdivisions(js, op.layout.h), {}))
 
     ev_rel = _relative_errors(lam_h, lam)
     ef_l2 = 1.0 - 2.0 * uv + vMv

@@ -17,14 +17,11 @@ one per kind of result:
     factored: the returned spectrum keeps the per-wavenumber amplitudes and
     the bubble vectors, and builds any block of columns from them in O(n)
     per column, so no n x n array is formed and ``DENSE_LIMIT`` does not
-    apply.  It also hands out the factors of a block of columns, one
-    block's local vectors and their block patterns
-    (:meth:`_BlochSpectrum.factors`), from which the error budget
-    integrates a column without building it.  The eigenvalues are the
-    columns' Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
-    formed in one pass over column blocks: the small pencils' own
-    eigenvalues lose the lowest modes to cancellation.  This is the Bloch
-    dispersion of condensed macro-elements (Hughes, Reali & Sangalli 2008);
+    apply.  The eigenvalues are the columns' Rayleigh quotients ``v^T K v /
+    v^T M v`` on the stored bands, formed in one pass over column blocks:
+    the small pencils' own eigenvalues lose the lowest modes to
+    cancellation.  This is the Bloch dispersion of condensed macro-elements
+    (Hughes, Reali & Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
@@ -33,7 +30,10 @@ one per kind of result:
 
   Callers read eigenvectors a block of columns at a time
   (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), whichever the
-  route.  Eigenvectors are normalized against the assembled mass matrix.  A run of
+  route, or as Bloch factors (:meth:`Spectrum.factors`): one block's local
+  vectors and their block patterns, from which the error budget integrates
+  a column over one block.  A dense spectrum is one block, the whole mesh.
+  Eigenvectors are normalized against the assembled mass matrix.  A run of
   eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
   by either route, so its vectors are an arbitrary basis of the run's
   subspace; they are replaced by the subspace's localized (SCDM) basis,
@@ -98,9 +98,10 @@ class Spectrum:
 
     Callers read the eigenvectors a block of columns at a time,
     :meth:`columns` over the bounds of :meth:`blocks`, so that no n x n array
-    need exist.  This class slices one dense array, the dense route's; the
-    block-Fourier route's :class:`_BlochSpectrum` builds each block from its
-    factors.  :attr:`eigenvectors` is every column at once.
+    need exist, or as the Bloch factors of :meth:`factors`.  This class
+    slices one dense array, the dense route's, and is one block of the whole
+    mesh; the block-Fourier route's :class:`_BlochSpectrum` builds each
+    block from its factors.  :attr:`eigenvectors` is every column at once.
     """
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
@@ -121,16 +122,25 @@ class Spectrum:
         :func:`solve_gevp` describes: here a view of the dense array."""
         return self._vectors[:, lo:hi]
 
-    def blocks(self, lo: int = 0) -> list[tuple[int, int]]:
+    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factors ``(local, pattern, tight)`` of columns ``lo .. hi - 1``,
+        as :meth:`_BlochSpectrum.factors` describes them: here one block, the
+        whole mesh, with the columns themselves as local vectors under the
+        pattern ``1``, and no tight run."""
+        w = hi - lo
+        return self.columns(lo, hi)[None], np.ones((1, 1, w)), np.zeros(w, dtype=bool)
+
+    def blocks(self, lo: int = 0, entries: int | None = None) -> list[tuple[int, int]]:
         """Bounds ``(a, b)`` of consecutive column blocks covering columns
-        ``lo .. n_modes - 1``, each of about ``_BLOCK_ENTRIES`` entries.  No
-        block is one column wide unless the range is: such a block sums its
-        quadratic forms in another order (see
+        ``lo .. n_modes - 1``, each of about ``_BLOCK_ENTRIES`` entries, a
+        column holding ``entries`` of them (``n_modes`` by default: a built
+        column).  No block is one column wide unless the range is: such a
+        block sums its quadratic forms in another order (see
         :func:`~splinespectra.assembly._quadratic_forms`)."""
         hi = self.n_modes
         if hi <= lo:
             return []
-        width = max(2, _BLOCK_ENTRIES // self.n_modes)
+        width = max(2, _BLOCK_ENTRIES // (self.n_modes if entries is None else entries))
         edges = [*range(lo, max(hi - 1, lo + 1), width), hi]
         return list(zip(edges[:-1], edges[1:]))
 
@@ -201,7 +211,7 @@ def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
 
 
-def _uniform_patch(op, mean: bool = False) -> tuple | None:
+def _uniform_patch(op) -> tuple | None:
     """``(n_blocks, K_patch, M_patch)`` when every block of ``op`` repeats one
     mirror-symmetric patch, else ``None``.
 
@@ -218,12 +228,11 @@ def _uniform_patch(op, mean: bool = False) -> tuple | None:
     next block's bubbles by ``J`` times its coupling to its own.  Each patch
     is ``(A_bb, r, a_ss, a_st)``: the bubble block, its coupling to the
     right interface, the interface diagonal and the coupling between
-    neighbouring interfaces.  They are read from the first two blocks or,
-    with ``mean``, from the bands averaged over all blocks.  Knot rounding
-    grows along the mesh, so the first blocks' pencil eigenvalues drift from
-    the assembled pencil's by up to about ``n_elements eps lambda_max``; the
-    mean patch's stay within about ``4e-14 lambda_max`` (p up to 5, up to
-    900 elements).
+    neighbouring interfaces.  They are read from the bands averaged over all
+    blocks.  Knot rounding grows along the mesh, so the first blocks' own
+    pencil eigenvalues would drift from the assembled pencil's by up to
+    about ``n_elements eps lambda_max``; the mean patch's stay within about
+    ``4e-14 lambda_max`` (p up to 5, up to 900 elements).
     """
     layout = getattr(op, "layout", None)
     if layout is None or layout.bc != "dirichlet" or layout.separator_continuity != 0:
@@ -250,8 +259,7 @@ def _uniform_patch(op, mean: bool = False) -> tuple | None:
                            np.abs(shifted).max(initial=0.0)])
         if not mismatch <= tol * np.abs(A.band).max():
             return None
-        if mean:
-            W = _block_mean(A, n_blocks, window.size)
+        W = _block_mean(A, n_blocks, window.size)
         st = W[m, -1] if window.size == 2 * period else 0.0
         patches.append((W[:m, :m], W[:m, m], W[m, m], st))
     return n_blocks, *patches
@@ -580,7 +588,7 @@ def solve_eigenvalues(op: DiscreteOperator, lowest: int | None = None) -> np.nda
     n = op.n_dofs
     if lowest is not None and not 1 <= lowest <= n:
         raise ValueError(f"lowest must be between 1 and {n}, got {lowest}")
-    patch = _uniform_patch(op, mean=True)
+    patch = _uniform_patch(op)
     if patch is not None:
         return _bloch_eigenvalues(*patch)[:lowest]
     _check_size(n)  # before the bands are read

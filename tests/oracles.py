@@ -17,7 +17,8 @@ Reference routes for claims the CLI computes another way:
 - :func:`grid_pair_inner` takes the pair inner products of the error budget
   from field values on the whole quadrature grid, one sampling matrix
   applied to every eigenvector and the exact modes by angle addition, where
-  ``_pair_inner`` sums element load moments with exact element phases;
+  ``_pair_products`` sums one block's element load moments with exact
+  element phases against the block phases, the whole mesh on the dense route;
 - :func:`dense_eigenpairs` solves the assembled pencil with one dense
   ``scipy.linalg.eigh``, where ``solve_gevp`` solves a layout of repeated
   blocks by its per-wavenumber pencils;

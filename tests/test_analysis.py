@@ -20,7 +20,7 @@ from splinespectra.analysis import (
 )
 from splinespectra import analysis
 from splinespectra.assembly import assemble_layout
-from splinespectra.eigensolve import solve_eigenvalues, solve_gevp
+from splinespectra.eigensolve import Spectrum, solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
@@ -96,11 +96,19 @@ def test_sample_matrix_matches_design_matrix(layout):
 # pair inner products
 # ---------------------------------------------------------------------------
 
+def pair_products(op, V, js, subdivisions):
+    """``(u_j, v)`` of the exact modes ``js`` with the columns of ``V``, on
+    ``subdivisions`` pieces per element, by the error budget's one route: the
+    columns as a dense spectrum, one block of the whole mesh."""
+    counts = np.full(len(js), subdivisions)
+    return analysis._pair_products(Spectrum(np.zeros(len(js)), V), op, np.asarray(js), counts, {})
+
+
 def pair_inner(op, j, v, subdivisions=None):
     """``(u_j, v)`` for exact mode ``j``, on the grid ``error_budget`` uses."""
     if subdivisions is None:
         subdivisions = analysis._required_subdivisions(j, op.layout.h)
-    return float(analysis._pair_inner(op, subdivisions)(v[:, None], np.array([j]))[0])
+    return float(pair_products(op, v[:, None], [j], subdivisions)[0])
 
 
 def test_l2_pair_inner_resolved_mode():
@@ -132,11 +140,11 @@ def test_l2_pair_inner_blocks_match_single_modes():
     op = assemble_layout(BlockLayout.riga(30, 3, 5))
     V = solve_gevp(op).eigenvectors
     js = np.arange(3, 20)
-    block = analysis._pair_inner(op, 2)(V[:, js - 1], js)
+    block = pair_products(op, V[:, js - 1], js, 2)
     single = [pair_inner(op, j, V[:, j - 1], subdivisions=2) for j in js]
     assert np.max(np.abs(block - single)) <= 1e-13
     with pytest.raises(ValueError, match="consecutive"):
-        analysis._pair_inner(op, 2)(V[:, :2], np.array([1, 3]))
+        pair_products(op, V[:, :2], [1, 3], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +249,26 @@ def test_budget_samples_no_grid(monkeypatch):
 
 
 def test_factored_budget_takes_column_pair_products_only_on_tight_runs(monkeypatch):
-    """A factored spectrum's pair products come from its Bloch factors; only
-    the columns of a tight run, which have none, go through ``_pair_inner``."""
+    """A factored spectrum's pair products come from its Bloch factors, over
+    one block and the next block's first element; only the columns of a
+    tight run, which have none, build a load-moment evaluator of the whole
+    mesh, as a dense spectrum of their own."""
     built, columns = [], []
-    real = analysis._pair_inner
+    real = analysis._load_moments
 
-    def counting(op, subdivisions):
+    def counting(op, subdivisions, n_el, parts, height):
+        moments = real(op, subdivisions, n_el, parts, height)
+        if n_el < op.layout.n_elements:
+            return moments
         built.append(subdivisions)
-        inner = real(op, subdivisions)
 
-        def counted(V, js):
+        def counted(local, js, imag):
             columns.extend(js)
-            return inner(V, js)
+            return moments(local, js, imag)
 
         return counted
 
-    monkeypatch.setattr(analysis, "_pair_inner", counting)
+    monkeypatch.setattr(analysis, "_load_moments", counting)
     op = assemble_layout(BlockLayout.riga(200, 2, 20))  # no tight run
     error_budget(solve_gevp(op), op)
     assert built == [] and columns == []

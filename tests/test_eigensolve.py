@@ -418,7 +418,7 @@ def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
 @example(p=1, block=1, n_blocks=2)    # one dof
 def test_block_fourier_values_match_the_banded_solve(p, block, n_blocks):
     op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
-    patch = _uniform_patch(op, mean=True)
+    patch = _uniform_patch(op)
     assert patch is not None
     lam = _bloch_eigenvalues(*patch)
     ref = _band_eigenvalues(op.K, op.M)
@@ -483,7 +483,7 @@ def test_only_the_block_fourier_values_pass_the_size_limit(monkeypatch):
 @pytest.mark.parametrize("entries", [1, 200, 5000])
 def test_block_fourier_values_do_not_depend_on_the_chunk(monkeypatch, layout, entries):
     # one wavenumber per chunk (entries 1), a few, and a ragged last chunk
-    patch = _uniform_patch(assemble_layout(layout), mean=True)
+    patch = _uniform_patch(assemble_layout(layout))
     whole = _bloch_eigenvalues(*patch)
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
     assert np.array_equal(_bloch_eigenvalues(*patch), whole)

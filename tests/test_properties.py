@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splinespectra import analysis
+from splinespectra import analysis, eigensolve
 from splinespectra.analysis import (
     detect_stopping_bands,
     eigenvalue_errors,
@@ -18,7 +18,7 @@ from splinespectra.analysis import (
     sample_matrix,
 )
 from splinespectra.assembly import _assemble_pair, assemble_layout
-from splinespectra.eigensolve import _BlochSpectrum, solve_eigenvalues, solve_gevp
+from splinespectra.eigensolve import Spectrum, _BlochSpectrum, solve_eigenvalues, solve_gevp
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout, make_block_knots
 
@@ -205,11 +205,45 @@ def test_pair_inner_matches_the_grid_route(data):
     subdivisions = data.draw(st.integers(1, 3))
     width = data.draw(st.integers(1, js.size))
     V = spectrum.eigenvectors
+    dense = Spectrum(spectrum.eigenvalues, V)  # one block, whichever route solved it
     with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES",
                            width * layout.n_elements * (layout.p + 1)):
-        got = analysis._pair_inner(op, subdivisions)(V, js)
+        got = analysis._pair_products(dense, op, js, np.full(js.size, subdivisions), {})
     expected = grid_pair_inner(op, V, js, subdivisions)
     assert np.abs(got - expected).max() <= 1e-13
+
+
+@st.composite
+def uniform_layouts(draw):
+    """Layouts of repeated blocks, which take the block-Fourier route."""
+    p, block = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    return BlockLayout.riga(block * draw(st.integers(2, 8)), p, block)
+
+
+@SETTINGS
+@given(layout=st.one_of(layouts(max_p=5), uniform_layouts()), data=st.data())
+@example(layout=BlockLayout.riga(192, 2, 64), data=None)  # a tight run of two outliers
+def test_factors_rebuild_the_columns(layout, data):
+    """On both spectrum classes, block ``b`` of every column outside a tight
+    run is ``sum_i pattern[i, b] local[i]``: the dense route's one block of
+    the whole mesh (ragged, Neumann and ``C^k`` layouts), and the Bloch
+    factors of a layout of repeated blocks, whose last block ends at an
+    eliminated interface."""
+    assume(layout.n_dofs >= 1)
+    spectrum = solve_gevp(assemble_layout(layout))
+    n = spectrum.n_modes
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2))) \
+        if data else (0, n)
+    local, pattern, tight = spectrum.factors(lo, hi)
+    parts, height, n_b = *local.shape[:2], pattern.shape[1]
+    assert pattern.shape == (parts, n_b, hi - lo) and tight.shape == (hi - lo,)
+    assert n_b * height in (n, n + 1)
+    blocks = np.zeros((n_b * height, hi - lo))
+    blocks[:n] = spectrum.columns(lo, hi)
+    rebuilt = np.einsum("ibc,ifc->bfc", pattern, local).reshape(n_b * height, hi - lo)
+    assert np.abs(rebuilt - blocks)[:, ~tight].max(initial=0.0) <= 1e-13
+    if data is None:
+        assert tight.sum() == 2
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
@@ -221,18 +255,19 @@ def test_pair_inner_matches_the_grid_route(data):
 @example(p=2, block=100, n_blocks=20, start=0, entries=1 << 17)  # a run of 19
 def test_factored_pair_products_match_the_grid_route(p, block, n_blocks, start, entries):
     """The pair inner products from the Bloch factors equal the grid route on
-    the built columns, from any first mode and in chunks of any width, with
-    the columns of tight runs taken from the columns themselves."""
+    the built columns, from any first mode and in chunks and pieces of any
+    width, with the columns of tight runs taken from the columns themselves."""
     op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
     spectrum = solve_gevp(op)
     assert isinstance(spectrum, _BlochSpectrum)
     n = spectrum.n_modes
     first = start % n
     js = analysis.exact_spectrum(n)[0][first:]
-    with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES", entries):
-        got = analysis._bloch_pair_inner(spectrum, op, js, {})
-    V = spectrum.columns(first, n)
     subdivisions = analysis._required_subdivisions(js, op.layout.h)
+    with mock.patch.object(analysis, "_PAIR_BLOCK_ENTRIES", entries), \
+            mock.patch.object(eigensolve, "_BLOCK_ENTRIES", entries):
+        got = analysis._pair_products(spectrum, op, js, subdivisions, {})
+    V = spectrum.columns(first, n)
     expected = np.empty(js.size)
     for s in np.unique(subdivisions):
         cols = subdivisions == s
