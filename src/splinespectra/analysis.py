@@ -29,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .assembly import (
-    DiscreteOperator,
-    NumericalError,
-    _quadratic_forms,
-    assemble_layout,
-)
+from .assembly import DiscreteOperator, NumericalError, assemble_layout
 from .eigensolve import Spectrum, _band_eigenvalues, polish_eigenvalue, solve_eigenvalues
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, span_basis_rows
@@ -358,8 +353,14 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     Under that rule ``op`` is its own reference; any other rule re-assembles
     the layout once.
 
-    Cost for ``n`` dofs and ``m`` modes: the three quadratic forms ``v^T A
-    v`` take O(n m p) from the stored bands.  The pair inner products take
+    Cost for ``n`` dofs and ``m`` modes: the two or three quadratic forms
+    ``v^T A v`` take O(n m p) from the stored bands
+    (:meth:`~splinespectra.eigensolve.Spectrum.quadratic_forms`), but for
+    those the solve kept.  A factored spectrum keeps ``v^T K v`` and ``v^T M
+    v`` of the pencil it was solved on: under the reference Gauss rule it
+    builds no column but those of the blocks holding a tight run, and under
+    any other rule only the exact pencil's two forms are formed.  The pair
+    inner products take
     one route (:func:`_pair_products`), with no grid-by-modes array: each
     column's load moments over a window of ``n_el`` elements and a sum of
     its block pattern against ``n_b`` block phases, O(m (n_el (p + 1) q +
@@ -370,12 +371,12 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     however many there are, but for the columns of its tight runs.
 
     The tables are built once per subdivision count and window.  The
-    quadratic forms walk the eigenvectors a block of columns at a time,
-    ``spectrum.columns`` over ``spectrum.blocks``: a slice of the dense
-    route's array, or a block built from the Bloch factors.  Memory is that
-    block, the ``A V`` product of one quadratic form at a time and a few
-    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
-    array and no dense operator is formed.
+    quadratic forms that are formed walk the eigenvectors a block of columns
+    at a time, ``spectrum.columns`` over ``spectrum.blocks``: a slice of the
+    dense route's array, or a block built from the Bloch factors.  Memory is
+    that block, the ``A V`` product of one quadratic form at a time and a
+    few temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x
+    n array and no dense operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
@@ -389,17 +390,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     first = int(js[0] == 0)  # the Neumann constant mode is not budgeted
     js, lam = js[first:], lam[first:]
     lam_h = spectrum.eigenvalues[first:]
-    Ms, Ks = exact.M.to_sparse(), exact.K.to_sparse()
-    Kq = None if exact is op else op.K.to_sparse()
-    vKv, vMv, vKq = (np.empty(js.size) for _ in range(3))
-    for lo, hi in spectrum.blocks(first):
-        V = spectrum.columns(lo, hi)
-        rows = slice(lo - first, hi - first)
-        vMv[rows] = _quadratic_forms(Ms, V)
-        vKv[rows] = _quadratic_forms(Ks, V)
-        if Kq is not None:
-            vKq[rows] = _quadratic_forms(Kq, V)
-    vKq = vKv if Kq is None else vKq
+    vMv, vKv, *rest = spectrum.quadratic_forms(
+        [exact.M, exact.K] + ([] if exact is op else [op.K]), first)
+    vKq = rest[0] if rest else vKv
     uv = np.abs(_pair_products(spectrum, op, js, _required_subdivisions(js, op.layout.h), {}))
 
     ev_rel = _relative_errors(lam_h, lam)

@@ -20,8 +20,11 @@ one per kind of result:
     apply.  The eigenvalues are the columns' Rayleigh quotients ``v^T K v /
     v^T M v`` on the stored bands, formed in one pass over column blocks:
     the small pencils' own eigenvalues lose the lowest modes to
-    cancellation.  This is the Bloch dispersion of condensed macro-elements
-    (Hughes, Reali & Sangalli 2008);
+    cancellation.  The spectrum keeps those forms with copies of the two
+    bands they were formed on, and serves them to any caller that asks for
+    the forms of the same bands (:meth:`Spectrum.quadratic_forms`).  This is
+    the Bloch dispersion of condensed macro-elements (Hughes, Reali &
+    Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
@@ -30,9 +33,11 @@ one per kind of result:
 
   Callers read eigenvectors a block of columns at a time
   (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), whichever the
-  route, or as Bloch factors (:meth:`Spectrum.factors`): one block's local
+  route, as Bloch factors (:meth:`Spectrum.factors`): one block's local
   vectors and their block patterns, from which the error budget integrates
-  a column over one block.  A dense spectrum is one block, the whole mesh.
+  a column over one block, or as the quadratic forms ``diag(V^T A V)`` of
+  banded matrices (:meth:`Spectrum.quadratic_forms`).  A dense spectrum is
+  one block, the whole mesh.
   Eigenvectors are normalized against the assembled mass matrix.  A run of
   eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
   by either route, so its vectors are an arbitrary basis of the run's
@@ -98,11 +103,19 @@ class Spectrum:
 
     Callers read the eigenvectors a block of columns at a time,
     :meth:`columns` over the bounds of :meth:`blocks`, so that no n x n array
-    need exist, or as the Bloch factors of :meth:`factors`.  This class
-    slices one dense array, the dense route's, and is one block of the whole
-    mesh; the block-Fourier route's :class:`_BlochSpectrum` builds each
-    block from its factors.  :attr:`eigenvectors` is every column at once.
+    need exist, or as the Bloch factors of :meth:`factors`;
+    :meth:`quadratic_forms` walks those blocks, or takes forms the solve
+    kept.  This class slices one dense array, the dense route's, keeps no
+    forms, and is one block of the whole mesh; the block-Fourier route's
+    :class:`_BlochSpectrum` builds each block from its factors.
+    :attr:`eigenvectors` is every column at once.
     """
+
+    # forms diag(V^T A V) kept from the solve, as (band of A, forms) pairs,
+    # and the tight runs (lo, hi, W) whose built columns replace their modes:
+    # none here, where the array holds every column as built
+    _kept: tuple = ()
+    _runs: tuple = ()
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
         self.eigenvalues = eigenvalues
@@ -129,6 +142,30 @@ class Spectrum:
         pattern ``1``, and no tight run."""
         w = hi - lo
         return self.columns(lo, hi)[None], np.ones((1, 1, w)), np.zeros(w, dtype=bool)
+
+    def quadratic_forms(self, matrices: list, lo: int = 0) -> np.ndarray:
+        """``diag(V^T A V)`` over columns ``lo .. n_modes - 1``, one row per
+        :class:`~splinespectra.assembly.SymmetricBandedMatrix` ``A`` of
+        ``matrices``.
+
+        A matrix whose band equals a band the solve kept forms of takes the
+        kept forms, except on the blocks that hold a tight run's columns;
+        every other matrix is formed over the columns of :meth:`blocks`,
+        each block built once for all of them.  The kept forms are the same
+        bits: each column sums in row order whatever its block, and its sign
+        changes no bit of its form."""
+        kept = [next((f for band, f in self._kept if np.array_equal(A.band, band)), None)
+                for A in matrices]
+        out = np.array([np.empty(self.n_modes - lo) if f is None else f[lo:] for f in kept])
+        sparse = [A.to_sparse() for A in matrices]
+        for a, b in self.blocks(lo):
+            stale = any(r < b and s > a for r, s, _ in self._runs)
+            todo = [i for i, f in enumerate(kept) if f is None or stale]
+            if todo:
+                V = self.columns(a, b)
+                for i in todo:
+                    out[i, a - lo:b - lo] = _quadratic_forms(sparse[i], V)
+        return out
 
     def blocks(self, lo: int = 0, entries: int | None = None) -> list[tuple[int, int]]:
         """Bounds ``(a, b)`` of consecutive column blocks covering columns
@@ -379,7 +416,11 @@ class _BlochSpectrum(Spectrum):
     free of the cancellation in the small pencils, and each column's sign;
     the quotients, sorted, are the eigenvalues.  Each block's arithmetic is
     the same whatever the blocking, so columns and quotients do not depend
-    on it bit for bit.
+    on it bit for bit.  The spectrum keeps ``v^T K v`` and ``v^T M v``, in
+    column order, with copies of the bands of ``K`` and ``M`` (O(n p)), so
+    that :meth:`quadratic_forms` of those bands builds only the blocks
+    holding a tight run's columns; a band changed after the solve no longer
+    matches its copy.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
@@ -390,7 +431,6 @@ class _BlochSpectrum(Spectrum):
         w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
         w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
-        self._Qe, self._Qo = Qe, Qo
         self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
         theta = np.arange(1, n_blocks) * math.pi / n_blocks
         scale = math.sqrt(2.0 / n_blocks)
@@ -416,6 +456,8 @@ class _BlochSpectrum(Spectrum):
         w = vKv / vMv
         order = np.argsort(w, kind="stable")
         self.eigenvalues, self._modes, self._signs = w[order], self._modes[order], signs[order]
+        # copies: a band changed in place after the solve must not match
+        self._kept = ((op.K.band.copy(), vKv[order]), (op.M.band.copy(), vMv[order]))
         self._runs = []
         runs = _localized_runs(self.eigenvalues,
                                lambda a, b: self._build(self._modes[a:b], np.ones(b - a)), op.M)
@@ -480,15 +522,19 @@ class _BlochSpectrum(Spectrum):
         ``local`` and ``pattern`` are those of the modes they replace.
         """
         n_blocks, m = self._n_blocks, self._m
-        me = (m + 1) // 2
+        me, mo = (m + 1) // 2, m // 2
         modes, signs = self._modes[lo:hi], self._signs[lo:hi]
         n_wave = self._Y.shape[1]
         band = modes >= n_wave
         wave = np.where(band, 0, modes)  # band columns are set below
         k, Y = wave // (m + 1), self._Y[:, wave] * signs
         local = np.zeros((3, m + 1, modes.size))
-        local[0, :m] = self._Qe @ Y[:me]
-        local[1, :m] = self._Qo @ Y[me:m]
+        # bubble rows i and m - 1 - i are mirror images, as in _build
+        even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
+        local[0, :mo], local[0, m - mo:m] = even, even[::-1]
+        local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
+        if m % 2:
+            local[0, mo] = Y[mo]
         local[2, m] = Y[m]
         pattern = np.zeros((3, n_blocks, modes.size))
         pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]

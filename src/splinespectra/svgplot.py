@@ -97,7 +97,8 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{ml - 8}" y="{py + 4:.2f}" font-size="11" '
                    f'text-anchor="end">{label}</text>')
     for k, (x, y, label) in enumerate(prepared):
-        pts = " ".join(f"{sx(u):.2f},{sy(v):.2f}" for u, v in zip(x, y))
+        # whole arrays mapped at once: elementwise, the same values as per point
+        pts = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(sx(x).tolist(), sy(y).tolist()))
         color = _COLORS[k % len(_COLORS)]
         out.append(f'<polyline fill="none" stroke="{color}" '
                    f'stroke-width="1.2" points="{pts}"/>')

@@ -126,6 +126,46 @@ def test_values_only_jobs_form_no_eigenvectors(tmp_path, monkeypatch, line):
     assert main(line.split() + ["--out", str(tmp_path / "run.csv")]) == 0
 
 
+@pytest.mark.parametrize("quadrature", ["gauss", "lobatto"])
+def test_spectrum_does_not_depend_on_the_solve_kept_forms(tmp_path, monkeypatch, quadrature):
+    """The budget takes v^T M v and v^T K v of the solve's pencil from the
+    solve.  Its CSV and SVG are the bytes of a run that forms them afresh
+    from the columns, and its columns are those of the same spectrum held as
+    one array, but for the three that read the pair products, which that
+    spectrum forms from its columns, not from the Bloch factors."""
+    args = ["spectrum", "--method", "riga", "--p", "2", "--block", "20",
+            "--elements", "200", "--quadrature", quadrature]
+
+    def run(name, spectrum_of):
+        monkeypatch.setattr(cli, "solve_gevp", lambda op: spectrum_of(solve(op)))
+        csv, svg = tmp_path / f"{name}.csv", tmp_path / f"{name}.svg"
+        assert main(args + ["--out", str(csv), "--svg", str(svg)]) == 0
+        return csv.read_bytes(), svg.read_bytes()
+
+    def dropped(spectrum):
+        assert isinstance(spectrum, eigensolve._BlochSpectrum) and spectrum._kept
+        spectrum._kept = ()
+        return spectrum
+
+    solve = cli.solve_gevp
+    kept = run("kept", lambda spectrum: spectrum)
+    assert kept == run("fresh", dropped)
+    run("dense", lambda s: eigensolve.Spectrum(s.eigenvalues, s.eigenvectors))
+
+    def columns(name):
+        comments, header, rows = read_csv(tmp_path / f"{name}.csv")
+        return comments, dict(zip(header, zip(*(row.split(",") for row in rows))))
+
+    (comments, got), (dense_comments, expected) = columns("kept"), columns("dense")
+    assert comments == dense_comments and got.keys() == expected.keys()
+    for name, cells in got.items():
+        if name in ("ef_l2_sq", "ef_energy_rel_sq", "pythagoras_residual"):
+            np.testing.assert_allclose(np.array(cells, float), np.array(expected[name], float),
+                                       rtol=0, atol=5e-13, err_msg=name)
+        else:
+            assert cells == expected[name], name
+
+
 def test_spectrum_past_the_dense_limit(tmp_path):
     # 6,160 dofs: the repeated blocks give every eigenpair, a block of
     # eigenvector columns at a time, without an n x n array

@@ -394,18 +394,148 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("solved_on, budgeted_on", [("lobatto", "gauss"),
-                                                    ("gauss", "lobatto")])
+_BLENDED = QuadratureSpec("blended", tau=0.5)
+
+
+@pytest.mark.parametrize("solved_on, budgeted_on", [
+    (QuadratureSpec("lobatto"), QuadratureSpec("gauss")),
+    (QuadratureSpec("gauss"), QuadratureSpec("lobatto")),
+    (_BLENDED, QuadratureSpec("gauss")),
+    (QuadratureSpec("gauss"), _BLENDED),
+    (_BLENDED, _BLENDED),
+], ids=["lobatto-gauss", "gauss-lobatto", "blended-gauss", "gauss-blended",
+        "blended-blended"])
 def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
     # the budget reads only the spectrum's eigenpairs, whichever pencil they
-    # came from: the factored spectrum and the same one held as one array agree
+    # came from: the factored spectrum, whose kept forms serve only the
+    # pencil it was solved on, and the same one held as one array agree
     layout = BlockLayout.riga(60, 2, 10)
-    spectrum = solve_gevp(assemble_layout(layout, QuadratureSpec(solved_on)))
+    spectrum = solve_gevp(assemble_layout(layout, solved_on))
     assert isinstance(spectrum, eigensolve._BlochSpectrum)
     materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
-    op = assemble_layout(layout, QuadratureSpec(budgeted_on))
+    op = assemble_layout(layout, budgeted_on)
     assert_budgets_agree(analysis.error_budget(spectrum, op),
                          analysis.error_budget(materialized, op))
+
+
+@pytest.mark.parametrize("matrix", ["K", "M"])
+def test_budget_of_a_pencil_changed_after_the_solve(matrix):
+    # the kept forms are tied to copies of the bands they were formed on: a
+    # band scaled in place after the solve no longer matches, and is formed
+    op = assemble_layout(BlockLayout.riga(60, 2, 10))
+    spectrum = solve_gevp(op)
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    getattr(op, matrix).band *= 2.0
+    assert_budgets_agree(analysis.error_budget(spectrum, op),
+                         analysis.error_budget(materialized, op))
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(60, 2, 10),   # m = 10 bubbles: no middle row
+    BlockLayout.riga(60, 3, 10),   # m = 11: a middle row
+    BlockLayout.riga(192, 2, 64),  # a tight run of two
+    BlockLayout.riga(40, 4, 5),
+    BlockLayout.riga(4, 1, 1),     # no bubble
+], ids=["m10", "m11", "tight", "p4", "m0"])
+def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
+    # the local bubble vectors are the mirror combinations Qe y_e and Qo y_o:
+    # each entry one nonzero term, so the slices give the products' bits
+    op = assemble_layout(layout)
+    spectrum = solve_gevp(op)
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
+    _, _, Qe, Qo = eigensolve._folded_pencils(*_uniform_patch(op))
+    m, me = Qe.shape
+    n = spectrum.n_modes
+    for lo, hi in [(0, n), (n // 3, n - 1), (n - 2, n)]:
+        local, _, _ = spectrum.factors(lo, hi)
+        modes, signs = spectrum._modes[lo:hi], spectrum._signs[lo:hi]
+        band = modes >= spectrum._Y.shape[1]
+        Y = spectrum._Y[:, np.where(band, 0, modes)] * signs
+        expected = np.zeros_like(local)
+        expected[0, :m], expected[1, :m], expected[2, m] = Qe @ Y[:me], Qo @ Y[me:m], Y[m]
+        wave = ~band
+        bits = [a[:, :, wave].view(np.int64) for a in (local, expected)]
+        assert np.array_equal(*bits)  # zeros keep their signs too
+        assert not local[1:, :, band].any()
+
+
+def test_kept_forms_follow_the_sort_of_the_quotients(monkeypatch):
+    # the quotient pass walks the modes in the order of the pencil
+    # eigenvalues, which the quotients' sort almost never permutes; negated
+    # pencil eigenvalues reverse that order, so every kept form is permuted
+    real = eigensolve._pencil_eigh
+
+    def negated(A, B):
+        w, Z = real(A, B)
+        return -w, Z
+
+    op = assemble_layout(BlockLayout.riga(60, 3, 10))
+    monkeypatch.setattr(eigensolve, "_pencil_eigh", negated)
+    spectrum = solve_gevp(op)
+    assert np.all(np.diff(spectrum.eigenvalues) > 0)
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    assert np.array_equal(spectrum.quadratic_forms([op.K, op.M]),
+                          materialized.quadratic_forms([op.K, op.M]))
+
+
+def _count_builds(monkeypatch, spectrum):
+    """Record the column ranges ``spectrum`` builds, and the width of every
+    quadratic form formed, from here on."""
+    ranges, widths = [], []
+    columns, forms = spectrum.columns, eigensolve._quadratic_forms
+    monkeypatch.setattr(spectrum, "columns",
+                        lambda lo, hi: ranges.append((lo, hi)) or columns(lo, hi))
+    monkeypatch.setattr(eigensolve, "_quadratic_forms",
+                        lambda A, V: widths.append(V.shape[1]) or forms(A, V))
+    return ranges, widths
+
+
+def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
+    # under the reference rule the solve's v^T K v and v^T M v serve the
+    # budget: it builds no column and forms nothing
+    op = assemble_layout(BlockLayout.riga(200, 2, 20))
+    spectrum = solve_gevp(op)
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    builds = []
+    build = spectrum._build
+    monkeypatch.setattr(spectrum, "_build", lambda *a: builds.append(a) or build(*a))
+    ranges, widths = _count_builds(monkeypatch, spectrum)
+    budget = analysis.error_budget(spectrum, op)
+    assert builds == [] and ranges == [] and widths == []
+    monkeypatch.undo()
+    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
+
+
+def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
+    # the localized columns of a tight run replaced the modes whose forms the
+    # solve kept: the blocks holding them are built and formed again, and the
+    # run's own columns are read once more for their pair products
+    op = assemble_layout(BlockLayout.riga(192, 2, 64))  # modes 193 and 194 tie
+    spectrum = solve_gevp(op)
+    n = spectrum.n_modes
+    assert [(a, b) for a, b, _ in spectrum._runs] == [(n - 2, n)]
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", 5 * n)  # blocks of 5 columns
+    ranges, widths = _count_builds(monkeypatch, spectrum)
+    budget = analysis.error_budget(spectrum, op)
+    assert ranges == [(n - 4, n), (n - 2, n)]
+    assert widths == [4, 4]  # v^T M v and v^T K v of the run's block
+    monkeypatch.undo()
+    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
+
+
+def test_lobatto_budget_forms_two_quadratic_forms_per_column(monkeypatch):
+    # the exact pencil is formed on every column; v^T K v on the solve's own
+    # Lobatto pencil comes from the solve
+    op = assemble_layout(BlockLayout.riga(200, 2, 20), QuadratureSpec("lobatto"))
+    spectrum = solve_gevp(op)
+    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    ranges, widths = _count_builds(monkeypatch, spectrum)
+    budget = analysis.error_budget(spectrum, op)
+    assert ranges == spectrum.blocks()
+    assert sum(widths) == 2 * spectrum.n_modes
+    monkeypatch.undo()
+    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
 
 
 # ---------------------------------------------------------------------------
