@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -269,7 +270,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="key=value file overriding flags")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in
+    it, and each :func:`main` call parses into a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="splinespectra",
         description="spectral analysis of variable-continuity spline meshes")

@@ -111,11 +111,9 @@ class Spectrum:
     :attr:`eigenvectors` is every column at once.
     """
 
-    # forms diag(V^T A V) kept from the solve, as (band of A, forms) pairs,
-    # and the tight runs (lo, hi, W) whose built columns replace their modes:
-    # none here, where the array holds every column as built
+    # forms diag(V^T A V) kept from the solve, as (band of A, forms) pairs:
+    # none here
     _kept: tuple = ()
-    _runs: tuple = ()
 
     def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
         self.eigenvalues = eigenvalues
@@ -149,22 +147,21 @@ class Spectrum:
         ``matrices``.
 
         A matrix whose band equals a band the solve kept forms of takes the
-        kept forms, except on the blocks that hold a tight run's columns;
-        every other matrix is formed over the columns of :meth:`blocks`,
-        each block built once for all of them.  The kept forms are the same
-        bits: each column sums in row order whatever its block, and its sign
-        changes no bit of its form."""
+        kept forms; every other matrix is formed over the columns of
+        :meth:`blocks`, each block built once for all of them.  The kept
+        forms are the same bits: each column sums in row order whatever its
+        block, and its sign changes no bit of its form."""
         kept = [next((f for band, f in self._kept if np.array_equal(A.band, band)), None)
                 for A in matrices]
         out = np.array([np.empty(self.n_modes - lo) if f is None else f[lo:] for f in kept])
-        sparse = [A.to_sparse() for A in matrices]
+        todo = [i for i, f in enumerate(kept) if f is None]
+        if not todo:
+            return out
+        sparse = [matrices[i].to_sparse() for i in todo]
         for a, b in self.blocks(lo):
-            stale = any(r < b and s > a for r, s, _ in self._runs)
-            todo = [i for i, f in enumerate(kept) if f is None or stale]
-            if todo:
-                V = self.columns(a, b)
-                for i in todo:
-                    out[i, a - lo:b - lo] = _quadratic_forms(sparse[i], V)
+            V = self.columns(a, b)
+            for i, A in zip(todo, sparse):
+                out[i, a - lo:b - lo] = _quadratic_forms(A, V)
         return out
 
     def blocks(self, lo: int = 0, entries: int | None = None) -> list[tuple[int, int]]:
@@ -417,10 +414,10 @@ class _BlochSpectrum(Spectrum):
     the quotients, sorted, are the eigenvalues.  Each block's arithmetic is
     the same whatever the blocking, so columns and quotients do not depend
     on it bit for bit.  The spectrum keeps ``v^T K v`` and ``v^T M v``, in
-    column order, with copies of the bands of ``K`` and ``M`` (O(n p)), so
-    that :meth:`quadratic_forms` of those bands builds only the blocks
-    holding a tight run's columns; a band changed after the solve no longer
-    matches its copy.
+    column order, with copies of the bands of ``K`` and ``M`` (O(n p)); on
+    a tight run they are the forms of its localized columns, formed once
+    here.  So :meth:`quadratic_forms` of those bands builds no column; a
+    band changed after the solve no longer matches its copy.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
@@ -456,14 +453,19 @@ class _BlochSpectrum(Spectrum):
         w = vKv / vMv
         order = np.argsort(w, kind="stable")
         self.eigenvalues, self._modes, self._signs = w[order], self._modes[order], signs[order]
-        # copies: a band changed in place after the solve must not match
-        self._kept = ((op.K.band.copy(), vKv[order]), (op.M.band.copy(), vMv[order]))
+        vKv, vMv = vKv[order], vMv[order]
         self._runs = []
         runs = _localized_runs(self.eigenvalues,
                                lambda a, b: self._build(self._modes[a:b], np.ones(b - a)), op.M)
         for lo, hi, W in runs:
             W *= _signs(W)
             self._runs.append((lo, hi, W))
+            # the localized columns replace the run's modes, and so do their
+            # forms: row-order sums, as in the pass above (a run is at least
+            # two columns wide)
+            vKv[lo:hi], vMv[lo:hi] = _quadratic_forms(Ks, W), _quadratic_forms(Ms, W)
+        # copies: a band changed in place after the solve must not match
+        self._kept = ((op.K.band.copy(), vKv), (op.M.band.copy(), vMv))
 
     def _build(self, modes: np.ndarray, signs: np.ndarray) -> np.ndarray:
         """The columns of ``modes``, indices into the wave modes (``k * (m + 1)
@@ -681,11 +683,13 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     A few steps of inverse iteration at the shift
     ``sigma = estimate (1 - 1e-8)``, with one sparse LU factorization of
     ``K - sigma M``, give the eigenvector ``v``; the result is
-    ``v^T K v / v^T M v`` from the stored bands.  The quotient's error is
-    quadratic in the eigenvector's, so it is free of the absolute round-off
-    ``n eps lambda_max`` that a full solve leaves on every eigenvalue.  The
-    start is a fixed random vector, not the constant vector, which under
-    Neumann conditions is the zero mode itself.
+    ``v^T K v / v^T M v`` from the stored bands.  The shifted matrix is
+    formed on the bands, so it is exactly symmetric, and its sparse rows
+    are handed to the factorization as its columns.  The quotient's error
+    is quadratic in the eigenvector's, so it is free of the absolute
+    round-off ``n eps lambda_max`` that a full solve leaves on every
+    eigenvalue.  The start is a fixed random vector, not the constant
+    vector, which under Neumann conditions is the zero mode itself.
 
     Raises
     ------
@@ -694,9 +698,10 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     """
     sigma = estimate * (1.0 - _POLISH_SHIFT)
     Ms = op.M.to_sparse()
+    A = SymmetricBandedMatrix(op.K.band - sigma * op.M.band).to_sparse()
     try:
-        lu = scipy.sparse.linalg.splu((op.K.to_sparse() - sigma * Ms).tocsc(),
-                                      permc_spec="NATURAL")
+        # A^T is A: the transpose of its CSR rows is a CSC view, no copy
+        lu = scipy.sparse.linalg.splu(A.T, permc_spec="NATURAL")
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise NumericalError(f"shifted factorization at {sigma:.17g} failed: {exc}") from exc
     x = np.random.default_rng(0).standard_normal(op.n_dofs)
@@ -707,4 +712,4 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
             raise NumericalError(f"inverse iteration at {sigma:.17g} broke down")
         x = y / scale
     V = x[:, None]
-    return float(op.K.quadratic_forms(V)[0] / op.M.quadratic_forms(V)[0])
+    return float(op.K.quadratic_forms(V)[0] / _quadratic_forms(Ms, V)[0])

@@ -4,10 +4,15 @@ Rules live on the reference interval ``[-1, 1]`` and are mapped affinely onto
 mesh elements.  A blended rule combines Gauss and Lobatto with a parameter
 ``tau`` (the Lobatto fraction): ``tau = 0`` is plain Gauss, ``tau = 1`` plain
 Lobatto, and values outside ``[0, 1]`` give non-convex blends.
+
+Gauss and Lobatto rules are computed once per point count and cached: a
+:class:`Rule` is frozen and its arrays are read-only, so every caller can
+share one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +56,7 @@ def _symmetrized(nodes: np.ndarray, weights: np.ndarray) -> Rule:
     return Rule(nodes, weights)
 
 
+@functools.cache
 def gauss_rule(n_points: int) -> Rule:
     """Gauss-Legendre rule, exact for polynomials of degree ``2 n - 1``."""
     if not 1 <= n_points <= MAX_POINTS:
@@ -59,6 +65,7 @@ def gauss_rule(n_points: int) -> Rule:
     return _symmetrized(nodes, weights)
 
 
+@functools.cache
 def lobatto_rule(n_points: int) -> Rule:
     """Gauss-Lobatto rule with endpoint nodes, exact to degree ``2 n - 3``.
 

@@ -69,12 +69,14 @@ class KnotVector:
             raise ValueError("knots must be non-decreasing")
         if self.n < 1:
             raise ValueError("knot vector defines an empty basis")
-        for value, mult in zip(*np.unique(knots, return_counts=True)):
-            interior = knots[0] + _KNOT_TOL < value < knots[-1] - _KNOT_TOL
-            if interior and mult > self.p:
-                raise ValueError(
-                    f"interior knot {value} has multiplicity {mult} > degree {self.p}"
-                )
+        values, mults = np.unique(knots, return_counts=True)
+        bad = ((knots[0] + _KNOT_TOL < values) & (values < knots[-1] - _KNOT_TOL)
+               & (mults > self.p))
+        if bad.any():
+            k = bad.argmax()  # the first one
+            raise ValueError(
+                f"interior knot {values[k]} has multiplicity {mults[k]} > degree {self.p}"
+            )
 
     @property
     def n(self) -> int:

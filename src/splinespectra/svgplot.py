@@ -18,6 +18,8 @@ _LOG_FLOOR = 1e-16
 # page size of a line plot, and the width a heatmap's cells are sized to fill
 LINE_WIDTH, LINE_HEIGHT = 720, 460
 _HEATMAP_WIDTH = 560
+_STOPS = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98),
+                   (253, 231, 37)], dtype=float)
 
 
 def _fmt(x: float) -> str:
@@ -97,8 +99,10 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
         out.append(f'<text x="{ml - 8}" y="{py + 4:.2f}" font-size="11" '
                    f'text-anchor="end">{label}</text>')
     for k, (x, y, label) in enumerate(prepared):
-        # whole arrays mapped at once: elementwise, the same values as per point
-        pts = " ".join(f"{u:.2f},{v:.2f}" for u, v in zip(sx(x).tolist(), sy(y).tolist()))
+        # whole arrays mapped at once: elementwise, the same values as per
+        # point; one template formats every point
+        xy = np.column_stack([sx(x), sy(y)]).ravel().tolist()
+        pts = ("%.2f,%.2f " * x.size % tuple(xy))[:-1]
         color = _COLORS[k % len(_COLORS)]
         out.append(f'<polyline fill="none" stroke="{color}" '
                    f'stroke-width="1.2" points="{pts}"/>')
@@ -118,14 +122,14 @@ def line_plot(series, *, title: str = "", xlabel: str = "", ylabel: str = "",
     return "\n".join(out) + "\n"
 
 
-def _viridis(t: float) -> str:
-    # coarse four-stop approximation, good enough for orientation
-    stops = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
-    t = min(max(t, 0.0), 1.0) * (len(stops) - 1)
-    i = min(int(t), len(stops) - 2)
-    f = t - i
-    rgb = [round(a + f * (b - a)) for a, b in zip(stops[i], stops[i + 1])]
-    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+def _viridis(t: np.ndarray) -> np.ndarray:
+    """The ``(r, g, b)`` channels, on a last axis, of a coarse four-stop
+    viridis approximation at ``t`` in ``[0, 1]``: good enough for orientation.
+    Each channel blends its two stops linearly and rounds half to even."""
+    t = np.clip(t, 0.0, 1.0) * (len(_STOPS) - 1)
+    i = np.minimum(t.astype(int), len(_STOPS) - 2)
+    f = (t - i)[..., None]
+    return np.rint(_STOPS[i] + f * (_STOPS[i + 1] - _STOPS[i])).astype(int)
 
 
 def heatmap(values: np.ndarray, *, title: str = "", xlabel: str = "",
@@ -133,6 +137,8 @@ def heatmap(values: np.ndarray, *, title: str = "", xlabel: str = "",
     """Render the log10 magnitudes of a matrix as a colored cell grid (row 0
     at the bottom; magnitudes below 1e-16 are clamped)."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("heatmap values must be finite")
     nr, nc = values.shape
     mag = np.log10(np.maximum(np.abs(values), _LOG_FLOOR))
     vmin, vmax = float(mag.min()), float(mag.max())
@@ -149,13 +155,13 @@ def heatmap(values: np.ndarray, *, title: str = "", xlabel: str = "",
         f'data-vmin="{_fmt(vmin)}" data-vmax="{_fmt(vmax)}" '
         'data-log="true">',
     ]
-    for i in range(nr):
-        for j in range(nc):
-            t = (mag[i, j] - vmin) / (vmax - vmin)
-            x = ml + j * cell
-            y = mt + (nr - 1 - i) * cell
-            out.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                       f'fill="{_viridis(t)}"/>')
+    # every cell at once, row by row from row 0
+    rows, cols = np.divmod(np.arange(nr * nc), nc)
+    rgb = _viridis(((mag - vmin) / (vmax - vmin)).ravel())
+    cells = np.column_stack([ml + cols * cell, mt + (nr - 1 - rows) * cell, rgb])
+    rect = (f'<rect x="%d" y="%d" width="{cell}" height="{cell}" '
+            'fill="rgb(%d,%d,%d)"/>')
+    out.append("\n".join([rect] * (nr * nc)) % tuple(cells.ravel().tolist()))
     if title:
         out.append(f'<text x="{w / 2}" y="20" font-size="14" '
                    f'text-anchor="middle">{title}</text>')

@@ -38,7 +38,13 @@ Reference routes for claims the CLI computes another way:
 - :func:`branch_count` counts spectrum branches from the band positions;
 - :func:`reference_cells` formats one CSV column cell by cell, testing the
   type of every value, where ``cli._cells`` picks the rule once from the
-  column's dtype.
+  column's dtype;
+- :func:`reference_viridis` colors one heatmap cell at a time with Python
+  scalars, where ``svgplot.heatmap`` colors the whole grid in one array
+  expression;
+- :func:`reference_polish_eigenvalue` factors the shifted pencil formed as
+  a sparse difference and converted to CSC, where ``polish_eigenvalue``
+  forms it on the bands and hands its sparse rows over as columns.
 """
 
 import math
@@ -48,9 +54,11 @@ import numpy as np
 import scipy.interpolate
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
+from splinespectra.eigensolve import _POLISH_SHIFT, _POLISH_STEPS
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
@@ -581,3 +589,30 @@ def reference_cells(column) -> list[str]:
     bool included), empty for ``None``, ``.17g`` for everything else."""
     return ["" if v is None else str(v) if isinstance(v, int) else f"{v:.17g}"
             for v in np.asarray(column).tolist()]
+
+
+def reference_viridis(t: float) -> str:
+    """The ``fill`` of one heatmap cell at ``t`` in ``[0, 1]``: the four-stop
+    viridis blend, each channel rounded by Python's ``round``."""
+    stops = [(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)]
+    t = min(max(t, 0.0), 1.0) * (len(stops) - 1)
+    i = min(int(t), len(stops) - 2)
+    f = t - i
+    rgb = [round(a + f * (b - a)) for a, b in zip(stops[i], stops[i + 1])]
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
+
+
+def reference_polish_eigenvalue(op, estimate: float) -> float:
+    """``polish_eigenvalue`` with ``K - sigma M`` formed as the difference of
+    the two sparse matrices and converted to CSC, and each quadratic form
+    taken from a sparse matrix of its own."""
+    sigma = estimate * (1.0 - _POLISH_SHIFT)
+    Ms = op.M.to_sparse()
+    lu = scipy.sparse.linalg.splu((op.K.to_sparse() - sigma * Ms).tocsc(),
+                                  permc_spec="NATURAL")
+    x = np.random.default_rng(0).standard_normal(op.n_dofs)
+    for _ in range(_POLISH_STEPS):
+        y = lu.solve(Ms @ x)
+        x = y / np.abs(y).max()
+    V = x[:, None]
+    return float(op.K.quadratic_forms(V)[0] / op.M.quadratic_forms(V)[0])

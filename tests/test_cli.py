@@ -1,3 +1,6 @@
+import argparse
+import collections
+import dataclasses
 import math
 import os
 import subprocess
@@ -10,11 +13,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splinespectra import analysis, cli, eigensolve
+from splinespectra import analysis, cli, eigensolve, quadrature
 from splinespectra.cli import main
+from splinespectra.quadrature import gauss_rule, lobatto_rule
 from splinespectra.splines import BlockLayout
 
 from oracles import reference_cells
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+sys.path.insert(0, PERFBENCH)
+try:
+    from workloads import WORKLOADS, job_argv
+finally:
+    sys.path.remove(PERFBENCH)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -543,3 +554,86 @@ def test_cells_by_dtype_match_the_per_cell_rule(tmp_path, monkeypatch, line):
 def test_csv_refuses_columns_of_different_lengths():
     with pytest.raises(ValueError):
         cli._csv({"a": np.arange(3), "b": np.zeros(2)}, cli.ExperimentConfig())
+
+
+# ---------------------------------------------------------------------------
+# the parser and the quadrature rules are built once per process
+# ---------------------------------------------------------------------------
+
+def _clear_caches():
+    cli.build_parser.cache_clear()
+    gauss_rule.cache_clear()
+    lobatto_rule.cache_clear()
+
+
+def test_cached_parser_and_rules_change_no_output(tmp_path, capsys):
+    # every workload line, a --config line and an exit-2 line whose Gauss rule
+    # does not exist, run twice interleaved in one process and once more after
+    # the caches are cleared: every exit code, stream and file byte agrees
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("elements=12\nmethod=riga\nblock=4\nquadrature=lobatto\n")
+    lines = [line for jobs in WORKLOADS.values() for line in jobs]
+    lines += [f"spectrum --p 3 --elements 999 --config {cfg} --svg",
+              "spectrum --points 40 --elements 10"]
+
+    def run(tag: str, k: int):
+        stem = tmp_path / f"{tag}{k}"
+        code = main(job_argv(lines[k], str(stem)))
+        files = {p.name[len(stem.name):]: p.read_bytes()
+                 for p in sorted(tmp_path.glob(f"{stem.name}.*"))}
+        return code, capsys.readouterr(), files
+
+    order = [*range(len(lines)), *reversed(range(len(lines)))]
+    runs = collections.defaultdict(list)
+    for i, k in enumerate(order):
+        runs[k].append(run(f"warm{i}-", k))
+    _clear_caches()
+    for k in range(len(lines)):
+        runs[k].append(run("cold-", k))
+    for k, (first, second, cold) in runs.items():
+        assert first == second == cold, lines[k]
+        assert first[0] == (2 if k == len(lines) - 1 else 0)
+        assert first[2] or first[0] == 2
+
+
+@pytest.mark.parametrize("rule", [gauss_rule, lobatto_rule])
+def test_a_rule_is_shared_and_read_only(rule):
+    for n in (2, 3, 7, quadrature.MAX_POINTS):
+        r = rule(n)
+        assert rule(n) is r
+        assert not r.nodes.flags.writeable and not r.weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            r.weights[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.nodes = np.zeros(n)
+
+
+def test_an_unsupported_rule_raises_on_every_call():
+    for _ in range(3):
+        for rule, n in ((gauss_rule, 0), (gauss_rule, 33), (lobatto_rule, 1),
+                        (lobatto_rule, 33)):
+            with pytest.raises(ValueError, match=f"unsupported .* order {n}"):
+                rule(n)
+
+
+def test_values_sweep_builds_one_parser_and_each_rule_once(tmp_path, monkeypatch):
+    # nine in-process jobs: one top-level parser, and one root computation
+    # per distinct point count of each rule
+    _clear_caches()
+    parsers, roots = [], collections.Counter()
+    init = argparse.ArgumentParser.__init__
+    leggauss, roots_jacobi = np.polynomial.legendre.leggauss, quadrature.roots_jacobi
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: parsers.append(kw.get("prog"))
+                        or init(self, *a, **kw))
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: roots.update([("gauss", n)]) or leggauss(n))
+    monkeypatch.setattr(quadrature, "roots_jacobi",
+                        lambda n, a, b: roots.update([("jacobi", n)]) or roots_jacobi(n, a, b))
+    jobs = WORKLOADS["values-sweep"]
+    for k, line in enumerate(jobs):
+        assert main(job_argv(line, str(tmp_path / f"job{k}"))) == 0
+    assert len(jobs) == 9
+    assert parsers.count("splinespectra") == 1
+    assert roots and max(roots.values()) == 1
+    assert {("gauss", 2), ("gauss", 3), ("gauss", 4), ("jacobi", 1)} <= roots.keys()

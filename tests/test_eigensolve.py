@@ -26,7 +26,7 @@ from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
 from oracles import (OracleDivergenceError, dense_eigenpairs, kron_2d_operators,
-                     oracle_check)
+                     oracle_check, reference_polish_eigenvalue)
 
 
 def banded_diag(values):
@@ -150,6 +150,28 @@ def test_polish_reaches_the_nearest_eigenvalue():
     lam = solve_gevp(op).eigenvalues
     for k in (1, 2, 7):  # k = 0 is the zero mode, where a relative tolerance means nothing
         assert polish_eigenvalue(op, lam[k] * (1 + 1e-9)) == pytest.approx(lam[k], rel=1e-10)
+
+
+@pytest.mark.parametrize("layout, quadrature", [
+    (BlockLayout.iga(160, 2), None),
+    (BlockLayout.riga(200, 3, 20), None),
+    (BlockLayout.riga(90, 2, 7), None),                   # ragged blocks
+    (BlockLayout.fea(60, 3), None),
+    (BlockLayout.iga(40, 3, bc="neumann"), None),
+    (BlockLayout.riga(40, 3, 8, bc="neumann"), None),
+    (BlockLayout.iga(80, 2), QuadratureSpec("lobatto")),
+    (BlockLayout.riga(120, 2, 10), QuadratureSpec("lobatto")),
+    (BlockLayout.iga(8, 1), None),
+], ids=["iga", "riga", "riga-ragged", "fea", "iga-neumann", "riga-neumann",
+        "iga-lobatto", "riga-lobatto", "iga-p1"])
+def test_polish_matches_the_sparse_difference_bit_for_bit(layout, quadrature):
+    # the shift formed on the bands, its CSR arrays handed over as CSC,
+    # factors the same matrix as the sparse difference converted to CSC
+    op = assemble_layout(layout, quadrature)
+    lam = solve_eigenvalues(op)
+    for k in {1, 2, lam.size // 2, lam.size - 1}:
+        estimate = lam[k] * (1 + 1e-9)
+        assert polish_eigenvalue(op, estimate) == reference_polish_eigenvalue(op, estimate)
 
 
 def test_polish_rejects_a_singular_shift():
@@ -507,9 +529,9 @@ def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
 
 
 def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
-    # the localized columns of a tight run replaced the modes whose forms the
-    # solve kept: the blocks holding them are built and formed again, and the
-    # run's own columns are read once more for their pair products
+    # the localized columns of a tight run replaced their modes, and the solve
+    # kept their forms: only the run's own columns are read again, for their
+    # pair products, and nothing is formed
     op = assemble_layout(BlockLayout.riga(192, 2, 64))  # modes 193 and 194 tie
     spectrum = solve_gevp(op)
     n = spectrum.n_modes
@@ -518,8 +540,8 @@ def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", 5 * n)  # blocks of 5 columns
     ranges, widths = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
-    assert ranges == [(n - 4, n), (n - 2, n)]
-    assert widths == [4, 4]  # v^T M v and v^T K v of the run's block
+    assert ranges == [(n - 2, n)]
+    assert widths == []
     monkeypatch.undo()
     assert_budgets_agree(budget, analysis.error_budget(materialized, op))
 

@@ -66,6 +66,24 @@ def test_open_uniform_validation():
         make_block_knots(BlockLayout.iga(4, 0))
 
 
+@pytest.mark.parametrize("knots, message", [
+    ([0, 0, 0, 0.25, 0.25, 0.25, 0.5, 0.75, 0.75, 0.75, 0.75, 1, 1, 1],
+     "interior knot 0.25 has multiplicity 3 > degree 2"),
+    ([0, 0, 0, 0.25, 0.25, 0.5, 0.75, 0.75, 0.75, 0.75, 1, 1, 1],
+     "interior knot 0.75 has multiplicity 4 > degree 2"),
+    ([0, 0, 0, 0.1, 0.1, 0.1, 0.1, 0.1, 1, 1, 1], "interior knot 0.1 has multiplicity 5"),
+])
+def test_knot_vector_names_the_first_overfull_interior_knot(knots, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        KnotVector(2, np.array(knots))
+
+
+def test_knot_vector_allows_full_multiplicity_at_the_ends():
+    # end knots and knots within 1e-12 of them are not interior
+    ends = [0, 0, 0, 0, 1e-13, 0.5, 0.5, 1 - 1e-13, 1 - 1e-13, 1 - 1e-13, 1, 1, 1]
+    assert KnotVector(2, np.array(ends)).n == len(ends) - 3
+
+
 def test_block_knots_cubic_separators():
     kv = make_block_knots(BlockLayout.riga(15, 3, 5))
     assert knot_multiplicity(kv, 1 / 3) == 3
