@@ -219,7 +219,8 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
                    counts: np.ndarray, evaluators: dict) -> np.ndarray:
     """The pair inner products ``(u_j, v_j)`` of the exact modes ``js``
     (consecutive wavenumbers) with the last ``len(js)`` columns of
-    ``spectrum``, from their factors ``(local, pattern, tight)``
+    ``spectrum``, up to the columns' signs, from their factors ``(local,
+    pattern, tight)``
     (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on block ``b = 1
     .. n_b``, column ``c`` is ``sum_i pattern[i, b - 1, c] local[i, :, c]``.
 
@@ -357,10 +358,11 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     ``v^T A v`` take O(n m p) from the stored bands
     (:meth:`~splinespectra.eigensolve.Spectrum.quadratic_forms`), but for
     those the solve kept.  A factored spectrum keeps ``v^T K v`` and ``v^T M
-    v`` of the pencil it was solved on: under the reference Gauss rule it
-    builds no column but those of the blocks holding a tight run, and under
-    any other rule only the exact pencil's two forms are formed.  The pair
-    inner products take
+    v`` of the pencil it was solved on, the sums its solve formed over one
+    block's quadrature points: under the reference Gauss rule no column is
+    built but those of the blocks holding a tight run, and under any other
+    rule only the exact pencil's two forms are formed, on the bands.  The
+    pair inner products take
     one route (:func:`_pair_products`), with no grid-by-modes array: each
     column's load moments over a window of ``n_el`` elements and a sum of
     its block pattern against ``n_b`` block phases, O(m (n_el (p + 1) q +

@@ -18,6 +18,7 @@ import argparse
 import functools
 import sys
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +105,11 @@ def _cells(column) -> list[str]:
 
     The column's dtype picks the rule once: integer and bool columns take
     ``str``, float columns one ``%.17g`` template for all their rows, and
-    object columns (which hold ``None``) go cell by cell."""
+    object columns (which hold ``None``) go cell by cell.  A list of ``str``
+    is cells this function formatted already, say once for each distinct
+    value of a column that repeats them, and passes through."""
+    if isinstance(column, list) and column and isinstance(column[0], str):
+        return column
     column = np.asarray(column)
     values = column.tolist()
     if column.dtype.kind in "biu":
@@ -220,9 +225,10 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
     # bin k is frequency k / 2; the table stops at the dof count
     freqs = 0.5 * np.arange(r.magnitudes.shape[1])
     freqs = freqs[freqs <= op.n_dofs]
+    # each mode and each frequency is formatted once, then repeated
     freq_text = _csv({
-        "mode": np.repeat(r.mode, freqs.size),
-        "frequency": np.tile(freqs, r.mode.size),
+        "mode": list(chain.from_iterable(repeat(cell, freqs.size) for cell in _cells(r.mode))),
+        "frequency": _cells(freqs) * r.mode.size,
         "magnitude": r.magnitudes[:, :freqs.size].ravel(),
     }, cfg)
     if out is None:

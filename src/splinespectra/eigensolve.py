@@ -17,14 +17,18 @@ one per kind of result:
     factored: the returned spectrum keeps the per-wavenumber amplitudes and
     the bubble vectors, and builds any block of columns from them in O(n)
     per column, so no n x n array is formed and ``DENSE_LIMIT`` does not
-    apply.  The eigenvalues are the columns' Rayleigh quotients ``v^T K v /
-    v^T M v`` on the stored bands, formed in one pass over column blocks:
-    the small pencils' own eigenvalues lose the lowest modes to
-    cancellation.  The spectrum keeps those forms with copies of the two
-    bands they were formed on, and serves them to any caller that asks for
-    the forms of the same bands (:meth:`Spectrum.quadratic_forms`).  This is
-    the Bloch dispersion of condensed macro-elements (Hughes, Reali &
-    Sangalli 2008);
+    apply.  The eigenvalues are the modes' Rayleigh quotients ``sum_q w_q
+    v'^2 / sum_q w_q v^2`` at the operator's own quadrature points, each
+    formed over one block in O(B q p) for blocks of ``B`` elements and ``q``
+    points per element: the sums of a mode's squared block phases over the
+    blocks are exact, so one block's sums stand for the whole mesh's.  The
+    small pencils' own eigenvalues lose the lowest modes to cancellation,
+    and so do quotients formed on the stored bands.  No column is built to
+    solve.  The spectrum keeps the two sums, ``v^T K v`` and ``v^T M v``,
+    with copies of the two bands, and serves them to any caller that asks
+    for the forms of the same bands (:meth:`Spectrum.quadratic_forms`).
+    This is the Bloch dispersion of condensed macro-elements (Hughes, Reali
+    & Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
@@ -33,17 +37,18 @@ one per kind of result:
 
   Callers read eigenvectors a block of columns at a time
   (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), whichever the
-  route, as Bloch factors (:meth:`Spectrum.factors`): one block's local
-  vectors and their block patterns, from which the error budget integrates
-  a column over one block, or as the quadratic forms ``diag(V^T A V)`` of
-  banded matrices (:meth:`Spectrum.quadratic_forms`).  A dense spectrum is
-  one block, the whole mesh.
+  route, as unsigned Bloch factors (:meth:`Spectrum.factors`): one block's
+  local vectors and their block patterns, from which the error budget
+  integrates a column over one block, or as the quadratic forms
+  ``diag(V^T A V)`` of banded matrices (:meth:`Spectrum.quadratic_forms`).
+  A dense spectrum is one block, the whole mesh.
   Eigenvectors are normalized against the assembled mass matrix.  A run of
   eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
   by either route, so its vectors are an arbitrary basis of the run's
   subspace; they are replaced by the subspace's localized (SCDM) basis,
   which is the same whichever route found the subspace.  Each column is
-  then signed so that its leading entry is positive.
+  signed so that its leading entry is positive: on the block-Fourier
+  route, when it is built.
 - :func:`solve_eigenvalues` computes eigenvalues and no eigenvector, the
   lowest ``k`` or all of them, by one of two routes picked as above:
 
@@ -58,12 +63,15 @@ one per kind of result:
     time and two n x n copies for the dense route.  With all values it
     returns the same bits as LAPACK ``dsbgvd``.
 
-Every route is backward stable, so an eigenvalue is accurate to about
-``n eps lambda_max`` in absolute terms, not relative to itself; on fine
-meshes that noise swamps the discretization error of the lowest modes.
-:func:`polish_eigenvalue` removes it for one chosen mode: shifted inverse
-iteration gives the mode's eigenvector, and its Rayleigh quotient has an
-error quadratic in the eigenvector's.
+Every eigensolver is backward stable, so its eigenvalues are accurate to
+about ``n eps lambda_max`` in absolute terms, not relative to themselves; on
+fine meshes that noise swamps the discretization error of the lowest modes.
+The block-Fourier eigenpairs' quotients at the quadrature points are free of
+it on every mode: their error is quadratic in the eigenvectors', and their
+sums add terms of one sign (under a rule of positive weights).
+:func:`polish_eigenvalue` removes it for one chosen mode of any pencil:
+shifted inverse iteration gives the mode's eigenvector, and its Rayleigh
+quotient has an error quadratic in the eigenvector's.
 """
 
 from __future__ import annotations
@@ -74,10 +82,14 @@ import math
 import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
+import scipy.linalg.lapack
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .assembly import (DiscreteOperator, NumericalError, SymmetricBandedMatrix,
                        _quadratic_forms)
+from .quadrature import map_rule_to_element
+from .splines import span_basis_rows
 
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
@@ -103,7 +115,7 @@ class Spectrum:
 
     Callers read the eigenvectors a block of columns at a time,
     :meth:`columns` over the bounds of :meth:`blocks`, so that no n x n array
-    need exist, or as the Bloch factors of :meth:`factors`;
+    need exist, or up to sign as the Bloch factors of :meth:`factors`;
     :meth:`quadratic_forms` walks those blocks, or takes forms the solve
     kept.  This class slices one dense array, the dense route's, keeps no
     forms, and is one block of the whole mesh; the block-Fourier route's
@@ -135,9 +147,10 @@ class Spectrum:
 
     def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The factors ``(local, pattern, tight)`` of columns ``lo .. hi - 1``,
-        as :meth:`_BlochSpectrum.factors` describes them: here one block, the
-        whole mesh, with the columns themselves as local vectors under the
-        pattern ``1``, and no tight run."""
+        as :meth:`_BlochSpectrum.factors` describes them, unsigned: they give
+        each column up to its sign.  Here one block, the whole mesh, with the
+        columns themselves as local vectors under the pattern ``1``, and no
+        tight run."""
         w = hi - lo
         return self.columns(lo, hi)[None], np.ones((1, 1, w)), np.zeros(w, dtype=bool)
 
@@ -149,8 +162,10 @@ class Spectrum:
         A matrix whose band equals a band the solve kept forms of takes the
         kept forms; every other matrix is formed over the columns of
         :meth:`blocks`, each block built once for all of them.  The kept
-        forms are the same bits: each column sums in row order whatever its
-        block, and its sign changes no bit of its form."""
+        forms are sums at the quadrature points the band was assembled
+        from: they equal the forms on the band up to round-off, not bit for
+        bit, and are free of the band forms' cancellation on the lowest
+        modes."""
         kept = [next((f for band, f in self._kept if np.array_equal(A.band, band)), None)
                 for A in matrices]
         out = np.array([np.empty(self.n_modes - lo) if f is None else f[lo:] for f in kept])
@@ -208,7 +223,8 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     separators, at least two blocks of equal size, bands that repeat and are
     mirror-symmetric) is solved by its per-wavenumber pencils, whatever its
     size.  Its eigenvectors stay factored, built a block of columns at a
-    time, and its eigenvalues are their Rayleigh quotients.  Any other
+    time, and its eigenvalues are their Rayleigh quotients at the
+    quadrature points, each formed over one block.  Any other
     pencil, including one without a ``layout``, takes a dense
     :func:`scipy.linalg.eigh`.  Either way, each run of eigenvalues closer
     than ``n eps lambda_max`` gets its localized basis (see the module
@@ -315,11 +331,17 @@ def _block_mean(A: SymmetricBandedMatrix, n_blocks: int, size: int) -> np.ndarra
 def _pencil_eigh(A: np.ndarray, B: np.ndarray, vectors: bool = True):
     """Eigenpairs of stacked symmetric pencils ``(A[k], B[k])``, each ``B[k]``
     positive definite, in one batched call; vectors are ``B``-orthonormal.
-    With ``vectors=False``, the eigenvalues alone."""
+    With ``vectors=False``, the eigenvalues alone.  Each Cholesky factor
+    is inverted by LAPACK ``dtrtri``, one call per pencil: a triangular
+    inverse, a quarter of the work of a general one."""
     try:
-        Linv = np.linalg.inv(np.linalg.cholesky(B))
+        L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"patch mass matrix not positive definite: {exc}") from exc
+    Linv = np.empty_like(L)
+    for k, factor in enumerate(L if L.size else ()):  # LAPACK refuses an empty pencil
+        # a Cholesky factor has a positive diagonal: never singular
+        Linv[k] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
     C = Linv @ A @ Linv.mT
     if not vectors:
         return np.linalg.eigvalsh(C)
@@ -399,34 +421,36 @@ class _BlochSpectrum(Spectrum):
     ``M``-orthonormal.  The factors are the per-wavenumber amplitudes ``Y``,
     the bubble vectors, and tables of the block patterns at each
     wavenumber: O(n_b m^2) memory.  Besides them the spectrum keeps the mode
-    of each column, its sign, and the localized columns of each tight run
-    (see :func:`_localized_runs`): O(n) besides the runs' columns.
+    of each column and the localized columns of each tight run (see
+    :func:`_localized_runs`): O(n) besides the runs' columns.
 
-    :meth:`factors` hands out the factors of any block of columns, signed as
-    the columns: for each of three parts, a local vector over one block's
-    bubbles and right interface and its block pattern, the part's factor in
-    each block.  A caller can then integrate a column over the first block
-    and sum over the blocks by the patterns, in O(m + n_b) per column.
+    :meth:`factors` hands out the factors of any block of columns: for each
+    of three parts, a local vector over one block's bubbles and right
+    interface and its block pattern, the part's factor in each block.  A
+    caller can then integrate a column over the first block and sum over
+    the blocks by the patterns, in O(m + n_b) per column.
 
-    One pass over column blocks, in the order of the pencil eigenvalues,
-    forms the Rayleigh quotients ``v^T K v / v^T M v`` on the stored bands,
-    free of the cancellation in the small pencils, and each column's sign;
-    the quotients, sorted, are the eigenvalues.  Each block's arithmetic is
-    the same whatever the blocking, so columns and quotients do not depend
-    on it bit for bit.  The spectrum keeps ``v^T K v`` and ``v^T M v``, in
-    column order, with copies of the bands of ``K`` and ``M`` (O(n p)); on
-    a tight run they are the forms of its localized columns, formed once
-    here.  So :meth:`quadratic_forms` of those bands builds no column; a
-    band changed after the solve no longer matches its copy.
+    The eigenvalues are the modes' Rayleigh quotients ``sum_q w_q v'^2 /
+    sum_q w_q v^2`` at the operator's own quadrature points, formed over one
+    block and sorted (:meth:`_block_forms`); the small pencils' own
+    eigenvalues lose the lowest modes to cancellation, and so do quotients
+    formed on the stored bands.  The solve builds no column: the modes
+    are built and signed when :meth:`columns` is called, but for the few
+    columns of a tight run.  The spectrum keeps the numerator and the
+    denominator, ``v^T K v`` and ``v^T M v``, in column order, with copies
+    of the bands of ``K`` and ``M`` (O(n p)); on a tight run they are the
+    forms of its localized columns on the bands.  So :meth:`quadratic_forms`
+    of those bands builds no column; a band changed after the solve no
+    longer matches its copy.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
                  M_patch: tuple):
         KA, MA, Qe, Qo = _folded_pencils(n_blocks, K_patch, M_patch)
         m, me = Qe.shape
-        w_wave, Y = _pencil_eigh(KA, MA)
-        w_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
-        w_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
+        _, Y = _pencil_eigh(KA, MA)
+        _, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
+        _, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
         self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
         theta = np.arange(1, n_blocks) * math.pi / n_blocks
@@ -439,49 +463,123 @@ class _BlochSpectrum(Spectrum):
         self._interface = scale * np.sin((b[:-1] + 0.5) * theta)
         self._bands = np.hstack([Qe @ Z_even[0], Qo @ Z_odd[0]]) / math.sqrt(n_blocks)
 
-        # the modes in ascending order of the pencil eigenvalues
-        self._modes = np.argsort(np.concatenate([w_wave.ravel(), w_even[0], w_odd[0]]),
-                                 kind="stable")
-        Ks, Ms = op.K.to_sparse(), op.M.to_sparse()
-        n = self._n
-        self.eigenvalues = np.empty(n)  # sets n_modes for blocks()
-        vKv, vMv, signs = np.empty(n), np.empty(n), np.empty(n)
-        for lo, hi in self.blocks():
-            V = self._build(self._modes[lo:hi], np.ones(hi - lo))
-            vKv[lo:hi], vMv[lo:hi] = _quadratic_forms(Ks, V), _quadratic_forms(Ms, V)
-            signs[lo:hi] = _signs(V)
+        vKv, vMv = self._block_forms(op)
         w = vKv / vMv
-        order = np.argsort(w, kind="stable")
-        self.eigenvalues, self._modes, self._signs = w[order], self._modes[order], signs[order]
-        vKv, vMv = vKv[order], vMv[order]
-        self._runs = []
-        runs = _localized_runs(self.eigenvalues,
-                               lambda a, b: self._build(self._modes[a:b], np.ones(b - a)), op.M)
-        for lo, hi, W in runs:
+        self._modes = np.argsort(w, kind="stable")
+        self.eigenvalues, vKv, vMv = w[self._modes], vKv[self._modes], vMv[self._modes]
+        self._runs = list(_localized_runs(self.eigenvalues,
+                                          lambda a, b: self._build(self._modes[a:b]), op.M))
+        if self._runs:
+            Ks, Ms = op.K.to_sparse(), op.M.to_sparse()
+        for lo, hi, W in self._runs:
             W *= _signs(W)
-            self._runs.append((lo, hi, W))
             # the localized columns replace the run's modes, and so do their
-            # forms: row-order sums, as in the pass above (a run is at least
-            # two columns wide)
+            # forms, on the bands
             vKv[lo:hi], vMv[lo:hi] = _quadratic_forms(Ks, W), _quadratic_forms(Ms, W)
         # copies: a band changed in place after the solve must not match
         self._kept = ((op.K.band.copy(), vKv), (op.M.band.copy(), vMv))
 
-    def _build(self, modes: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    def _block_forms(self, op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+        """``(v^T K v, v^T M v)`` of every mode, in mode order, as sums over
+        the quadrature points of one block.
+
+        On block ``b``, a wave mode of wavenumber ``theta`` is ``sin(phi_b) A
+        + cos(phi_b) B`` with ``phi_b = theta (b - 1/2)``, times the pattern
+        scale ``sqrt(2 / n_b)``.  Over the block's left interface, its ``m``
+        bubbles and its right interface, ``A`` has the coefficients ``[c X,
+        Qe y_e, c X]`` and ``B`` has ``[-s X, Qo y_o, s X]``, with ``c =
+        cos(theta / 2)``, ``s = sin(theta / 2)`` and ``X`` the interface
+        amplitude: ``sin(theta b)`` and ``sin(theta (b - 1))`` are ``c
+        sin(phi_b) +- s cos(phi_b)``.  For ``k = 1 .. n_b - 1`` the sums of
+        ``sin^2(phi_b)`` and of ``cos^2(phi_b)`` over the blocks are ``n_b /
+        2`` and that of ``sin(phi_b) cos(phi_b)`` is zero, so ``int v'^2 =
+        int_block (A'^2 + B'^2)``, and the same for ``v^2``.  A band mode's
+        sums are ``n_b`` times one block's.  Every block repeats the first
+        one's ``B + p`` functions, so those are evaluated there, at the
+        operator's rule, in one basis call.
+
+        No step cancels: ``v'`` at a point takes the differences of
+        neighbouring coefficients against non-negative weights, not the
+        terms ``v_a N_a'``, which cancel to a part in ``1 / (j pi h)`` on
+        mode ``j``; each sum adds terms of one sign (under a rule of
+        positive weights), element by element and then by :func:`_sum_rows`.
+        So the lowest eigenvalues are right to about one rounding.
+        O(B q (p + 1)) per mode for ``q`` points per element; the modes go
+        in chunks whose point values hold about ``_BLOCK_ENTRIES`` entries
+        per field."""
+        kv, p, size = op.kv, op.kv.p, op.layout.block_size
+        rule = op.quadrature.reference_rule(p)
+        spans = kv.spans()[:size]
+        nodes, weights = map_rule_to_element(rule, kv.knots[spans], kv.knots[spans + 1])
+        first, N, dN = span_basis_rows(kv, np.repeat(spans, rule.nodes.size), nodes.ravel(),
+                                       derivs=True)
+        points = first.size
+        # v' = sum_a v_a N_a' = sum_a (v_(a+1) - v_a) G_a, as the N_a' sum to
+        # zero: G_a = sum_(r > a) N_r' is a degree p - 1 function times p over
+        # its knot span, never negative
+        G = np.cumsum(dN[:, :0:-1], axis=1)[:, ::-1]
+        rows = [scipy.sparse.csr_matrix(
+                    (X.ravel(), (first[:, None] + np.arange(X.shape[1])).ravel(),
+                     np.arange(0, X.size + 1, X.shape[1])), (points, size + X.shape[1] - 1))
+                for X in (G, N)]
+        n_blocks, m, n_wave = self._n_blocks, self._m, self._Y.shape[1]
+        forms = np.empty((2, self._n))
+        chunk = max(1, _BLOCK_ENTRIES // (2 * points))
+        for lo in range(0, self._n, chunk):
+            modes = np.arange(lo, min(lo + chunk, self._n))
+            local = self._local(modes)
+            # theta / 2 of each wave mode (a band mode has no interface amplitude)
+            half = (modes // (m + 1) + 1) * (0.5 * math.pi / n_blocks)
+            X = local[2, m]
+            C = np.empty((m + 2, 2, modes.size))  # function, field A or B, mode
+            C[1:-1] = local[:2, :m].transpose(1, 0, 2)
+            C[0, 0] = C[-1, 0] = np.cos(half) * X
+            C[-1, 1] = np.sin(half) * X
+            C[0, 1] = -C[-1, 1]
+            C = C.reshape(m + 2, -1)
+            for out, R, D in zip(forms, rows, (np.diff(C, axis=0), C)):
+                # each element's sum of field A, then of field B, one row each
+                terms = np.einsum("eqc,eq->ec", np.square(R @ D).reshape(weights.shape + (-1,)),
+                                  weights)
+                out[modes] = _sum_rows(terms.reshape(2 * size, -1))
+        forms[:, n_wave:] *= n_blocks
+        return forms[0], forms[1]
+
+    def _local(self, modes: np.ndarray) -> np.ndarray:
+        """The local vectors of :meth:`factors` of ``modes``, indices into the
+        wave modes (``k * (m + 1) + t``, flattened) followed by the even and
+        the odd band modes."""
+        m = self._m
+        me, mo = (m + 1) // 2, m // 2
+        n_wave = self._Y.shape[1]
+        band = modes >= n_wave
+        Y = self._Y[:, np.where(band, 0, modes)]  # band columns are set below
+        local = np.zeros((3, m + 1, modes.size))
+        # bubble rows i and m - 1 - i are mirror images, as in _build
+        even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
+        local[0, :mo], local[0, m - mo:m] = even, even[::-1]
+        local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
+        if m % 2:
+            local[0, mo] = Y[mo]
+        local[2, m] = Y[m]
+        local[:, :, band] = 0.0
+        local[0, :m, band] = self._bands[:, modes[band] - n_wave].T
+        return local
+
+    def _build(self, modes: np.ndarray) -> np.ndarray:
         """The columns of ``modes``, indices into the wave modes (``k * (m + 1)
-        + t``, flattened) followed by the even and the odd band modes, times
-        ``signs``.
+        + t``, flattened) followed by the even and the odd band modes,
+        unsigned.
 
         Every column is first built as a wave mode, by slices alone; the few
-        band columns are then overwritten.  The signs multiply the small
-        amplitudes before the block patterns do, which changes no bit."""
+        band columns are then overwritten."""
         n_blocks, m = self._n_blocks, self._m
         period, me, mo = m + 1, (m + 1) // 2, m // 2
         n_wave = self._Y.shape[1]
         band = np.flatnonzero(modes >= n_wave)
         c = modes.copy()
         c[band] = 0
-        k, Y = c // period, self._Y[:, c] * signs
+        k, Y = c // period, self._Y[:, c]
         even, odd = self._even[:, k], self._odd[:, k]
         R = np.empty((n_blocks, period, modes.size))  # block, bubble or interface, mode
         half = math.sqrt(0.5)
@@ -498,25 +596,27 @@ class _BlochSpectrum(Spectrum):
             c = modes[band] - n_wave
             sign = np.where((np.arange(n_blocks)[:, None] % 2 == 1) & (c < me), -1.0, 1.0)
             B = np.zeros((n_blocks, period, band.size))
-            B[:, :m] = sign[:, None] * (self._bands[:, c] * signs[band])
+            B[:, :m] = sign[:, None] * self._bands[:, c]
             R[:, :, band] = B
         return R.reshape(n_blocks * period, modes.size)[:self._n]
 
     def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The Bloch factors of columns ``lo .. hi - 1``, signed as the
-        columns are: ``(local, pattern, tight)``.
+        """The Bloch factors of columns ``lo .. hi - 1``, unsigned: ``(local,
+        pattern, tight)``.
 
-        On block ``b = 1 .. n_b``, column ``c`` is the sum over three parts
-        ``i`` of the number ``pattern[i, b - 1, c]`` times the local vector
-        ``local[i, :, c]``, whose entries are the coefficients of the block's
-        ``m`` bubbles and of its right interface.  A wave mode of wavenumber
-        ``theta`` has its even bubbles ``Qe y_e`` under the pattern
-        ``sin(theta (b - 1/2))``, its odd bubbles ``Qo y_o`` under
-        ``cos(theta (b - 1/2))``, and its interface amplitude under
-        ``sin(theta b)``, zero at the eliminated last interface.  A band mode
-        has its bubble vector under ``(-1)^(b - 1)`` (even) or ``1`` (odd) in
-        the first part, and zero local vectors in the other two.  O(m + n_b)
-        memory per column.
+        On block ``b = 1 .. n_b``, column ``c`` is, up to its sign, the sum
+        over three parts ``i`` of the number ``pattern[i, b - 1, c]`` times
+        the local vector ``local[i, :, c]``, whose entries are the
+        coefficients of the block's ``m`` bubbles and of its right interface.
+        A wave mode of wavenumber ``theta`` has its even bubbles ``Qe y_e``
+        under the pattern ``sin(theta (b - 1/2))``, its odd bubbles ``Qo
+        y_o`` under ``cos(theta (b - 1/2))``, and its interface amplitude
+        under ``sin(theta b)``, zero at the eliminated last interface.  A
+        band mode has its bubble vector under ``(-1)^(b - 1)`` (even) or
+        ``1`` (odd) in the first part, and zero local vectors in the other
+        two.  O(m + n_b) memory per column.  The signs of :meth:`columns`
+        are found on the built columns, so the factors do not carry them:
+        the one caller, the error budget, takes ``|(u_j, v_j)|``.
 
         ``tight[c]`` marks the columns of a tight run: they are localized
         combinations of modes (see :func:`_localized_runs`), with no factors
@@ -524,41 +624,54 @@ class _BlochSpectrum(Spectrum):
         ``local`` and ``pattern`` are those of the modes they replace.
         """
         n_blocks, m = self._n_blocks, self._m
-        me, mo = (m + 1) // 2, m // 2
-        modes, signs = self._modes[lo:hi], self._signs[lo:hi]
+        modes = self._modes[lo:hi]
         n_wave = self._Y.shape[1]
         band = modes >= n_wave
-        wave = np.where(band, 0, modes)  # band columns are set below
-        k, Y = wave // (m + 1), self._Y[:, wave] * signs
-        local = np.zeros((3, m + 1, modes.size))
-        # bubble rows i and m - 1 - i are mirror images, as in _build
-        even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
-        local[0, :mo], local[0, m - mo:m] = even, even[::-1]
-        local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
-        if m % 2:
-            local[0, mo] = Y[mo]
-        local[2, m] = Y[m]
+        k = np.where(band, 0, modes) // (m + 1)
         pattern = np.zeros((3, n_blocks, modes.size))
         pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]
         pattern[2, :-1] = self._interface[:, k]
-        c = modes[band] - n_wave
-        local[:, :, band] = 0.0
-        local[0, :m, band] = (self._bands[:, c] * signs[band]).T
         alternating = (-1.0) ** np.arange(n_blocks)[:, None]
-        pattern[0][:, band] = np.where(c < me, alternating, 1.0)
+        pattern[0][:, band] = np.where(modes[band] - n_wave < (m + 1) // 2, alternating, 1.0)
         tight = np.zeros(modes.size, dtype=bool)
         for a, b, _ in self._runs:
             tight[max(a - lo, 0):max(b - lo, 0)] = True
-        return local, pattern, tight
+        return self._local(modes), pattern, tight
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
         :func:`solve_gevp` describes, built from the factors: O(n) per column."""
-        V = self._build(self._modes[lo:hi], self._signs[lo:hi])
+        V = self._build(self._modes[lo:hi])
+        V *= _signs(V)
         for a, b, W in self._runs:
             if a < hi and b > lo:
                 V[:, max(a, lo) - lo:min(b, hi) - lo] = W[:, max(a, lo) - a:min(b, hi) - a]
         return V
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """The column sums of ``x``, to about one rounding each; ``x`` is
+    overwritten.
+
+    A pairwise sum recovers the rounding error of every addition exactly
+    (Knuth's TwoSum: ``a + b = s + (a - (s - z)) + (b - z)`` with ``z = s -
+    a``) and adds them back at the end.  A plain sum of ``r`` rows errs by
+    up to about ``log2 r`` roundings: a few units in the last place of the
+    lowest eigenvalues, whose discretization error is only tens of units
+    there on fine meshes."""
+    err = np.zeros(x.shape[1:])
+    while len(x) > 1:
+        h = len(x) // 2
+        a, b = x[:h], x[h:2 * h]
+        s = a + b
+        z = s - a
+        b -= z
+        z -= s
+        z += a  # a - (s - z), exactly
+        z += b
+        err += z.sum(axis=0)
+        x = np.concatenate([s, x[2 * h:]]) if len(x) % 2 else s
+    return x[0] + err
 
 
 def _localized_runs(w: np.ndarray, columns, M: SymmetricBandedMatrix):

@@ -19,6 +19,10 @@ Reference routes for claims the CLI computes another way:
   applied to every eigenvector and the exact modes by angle addition, where
   ``_pair_products`` sums one block's element load moments with exact
   element phases against the block phases, the whole mesh on the dense route;
+- :func:`whole_mesh_quotient` sums ``w_q v'^2`` and ``w_q v^2`` of built
+  eigenvector columns over the quadrature points of every element, with
+  scipy's B-spline evaluator, where ``solve_gevp`` forms each mode's sums
+  over one block from its Bloch factors;
 - :func:`dense_eigenpairs` solves the assembled pencil with one dense
   ``scipy.linalg.eigh``, where ``solve_gevp`` solves a layout of repeated
   blocks by its per-wavenumber pencils;
@@ -58,7 +62,7 @@ import scipy.sparse.linalg
 
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
-from splinespectra.eigensolve import _POLISH_SHIFT, _POLISH_STEPS
+from splinespectra.eigensolve import _POLISH_SHIFT, _POLISH_STEPS, Spectrum
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
@@ -315,6 +319,61 @@ def dense_eigenpairs(op) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of the pencil of ``op`` from its dense matrices, ascending,
     eigenvectors ``M``-orthonormal, in whatever basis and sign LAPACK returns."""
     return scipy.linalg.eigh(op.K.to_dense(), op.M.to_dense())
+
+
+def whole_mesh_quotient(op, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(v^T K v, v^T M v)`` of every column ``v`` of ``V`` (on the reduced
+    dofs of ``op``): the sums of ``w_q v'(x_q)^2`` and of ``w_q v(x_q)^2``
+    over the quadrature points of every element of the mesh, under the rule
+    ``op`` was assembled with, a block of columns at a time.  Their ratio is
+    the column's Rayleigh quotient.
+
+    The fields come from scipy's B-spline evaluator on the whole knot
+    vector, and the sums accumulate in extended precision.  scipy evaluates
+    a point on a knot from the right, and the derivative jumps at a ``C^0``
+    separator: a point at an element's right end takes its values from the
+    mirror image of the spline, ``x -> 1 - x``, at the image's left end."""
+    kv, p = op.kv, op.kv.p
+    rule = op.quadrature.reference_rule(p)
+    t, spans = kv.knots, kv.spans()
+    a, b = t[spans][:, None], t[spans + 1][:, None]
+    xs = (0.5 * (a * (1.0 - rule.nodes) + b * (1.0 + rule.nodes))).ravel()  # ends exact
+    ws = (0.5 * (b - a) * rule.weights).ravel()
+    right = np.tile(rule.nodes == 1.0, spans.size)
+    w = ws.astype(np.longdouble)[:, None]
+    vKv, vMv = np.empty(V.shape[1]), np.empty(V.shape[1])
+    width = max(1, _GRID_BLOCK_ENTRIES // (8 * xs.size))
+    for lo in range(0, V.shape[1], width):
+        coefficients = np.zeros((kv.n, V[:, lo:lo + width].shape[1]))
+        coefficients[op.dof_indices] = V[:, lo:lo + width]
+        spline = scipy.interpolate.BSpline(t, coefficients, p)
+        mirror = scipy.interpolate.BSpline(1.0 - t[::-1], coefficients[::-1], p)
+        values, slopes = spline(xs), spline.derivative()(xs)
+        values[right] = mirror(1.0 - xs[right])
+        slopes[right] = -mirror.derivative()(1.0 - xs[right])
+        for out, f in ((vKv, slopes), (vMv, values)):
+            out[lo:lo + width] = (w * np.square(f.astype(np.longdouble))).sum(axis=0)
+    return vKv, vMv
+
+
+class QuadratureFormsSpectrum(Spectrum):
+    """``spectrum`` held as one array, whose quadratic forms of the bands of
+    each operator of ``ops`` are the :func:`whole_mesh_quotient` sums of its
+    columns: a budget of it is the reference for a budget of ``spectrum``,
+    which reads the sums its solve kept, one block's, where a dense spectrum
+    forms them on the bands.  ``extra`` pairs further bands with their forms,
+    for a band changed after its assembly."""
+
+    def __init__(self, spectrum, ops, extra=()):
+        super().__init__(spectrum.eigenvalues, spectrum.eigenvectors)
+        self.forms = list(extra)
+        for op in ops:
+            vKv, vMv = whole_mesh_quotient(op, self._vectors)
+            self.forms += [(op.K.band, vKv), (op.M.band, vMv)]
+
+    def quadratic_forms(self, matrices, lo=0):
+        return np.array([next(f for band, f in self.forms if np.array_equal(A.band, band))[lo:]
+                         for A in matrices])
 
 
 def kron_2d_operators(op):

@@ -25,8 +25,9 @@ from splinespectra.eigensolve import (
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import (OracleDivergenceError, dense_eigenpairs, kron_2d_operators,
-                     oracle_check, reference_polish_eigenvalue)
+from oracles import (OracleDivergenceError, QuadratureFormsSpectrum, dense_eigenpairs,
+                     kron_2d_operators, oracle_check, reference_polish_eigenvalue,
+                     whole_mesh_quotient)
 
 
 def banded_diag(values):
@@ -334,13 +335,18 @@ def test_mirror_antisymmetric_modes_get_one_sign_from_both_routes():
 
 
 def test_low_modes_of_a_long_uniform_layout_are_accurate(monkeypatch):
-    # the dense solve gives 4.1e-12, 4.9e-12 and 5.3e-12 here; the small
-    # pencils' own eigenvalues lose the low modes to cancellation
+    # the discretization error of mode j is (j pi h)^4 / 720 here: 8.5e-15 at
+    # j = 1, some 50 units in the last place of lambda.  The dense solve
+    # gives 4.1e-12, 4.9e-12 and 5.3e-12, quotients on the stored bands gave
+    # -4.0e-12, -9.4e-13 and 3.9e-13, and the small pencils' own eigenvalues
+    # lose the low modes to cancellation
     op = assemble_layout(BlockLayout.riga(2000, 2, 100))
     monkeypatch.setattr(scipy.linalg, "eigh", refuse_dense)
     lam = solve_gevp(op).eigenvalues[:3]
-    exact = (np.arange(1, 4) * math.pi) ** 2
-    assert np.all(np.abs((lam - exact) / exact) <= 2e-11)
+    j = np.arange(1, 4)
+    exact = (j * math.pi) ** 2
+    truth = (j * math.pi * op.layout.h) ** 4 / 720
+    np.testing.assert_allclose((lam - exact) / exact, truth, rtol=0.05)
 
 
 def test_unresolved_cluster_gets_the_localized_basis():
@@ -356,22 +362,33 @@ def test_unresolved_cluster_gets_the_localized_basis():
 
 
 # The factored spectrum's budget takes its pair products (u_j, v_j) from the
-# Bloch factors, the dense array's from its columns: the terms they enter
-# differ in round-off, by at most 5.3e-14 on riga(2000, 2, 100) and 7.8e-15
-# on 123 layouts of up to 12 blocks of up to 12 elements, p = 1 .. 5; every
-# other term is the same bit for bit
-_PAIR_PRODUCT_TERMS = ("ef_l2_sq", "ef_energy_rel_sq", "pythagoras_residual")
-_PAIR_PRODUCT_ATOL = 5e-13
+# Bloch factors, and v^T K v and v^T M v of its solve's pencil from the sums
+# its solve kept, one block's at the quadrature points.  The reference holds
+# the same spectrum as one array, with the pair products of its columns and
+# the whole-mesh sums of whole_mesh_quotient.  The pair products differ by at
+# most 5.3e-14 on riga(2000, 2, 100) and 7.8e-15 on 123 layouts of up to 12
+# blocks of up to 12 elements, p = 1 .. 5; the forms by at most 2.3e-14
+# relative on layouts of up to 8 blocks of up to 12 elements, p = 1 .. 5,
+# under Gauss, Lobatto and blended rules (knot rounding differs from block to
+# block).  The eigenvalue terms are the same bit for bit.
+_EIGENVALUE_TERMS = ("j", "j_over_n0", "lambda_exact", "lambda_h", "ev_rel")
+_BUDGET_ATOL = 5e-13
 
 
 def assert_budgets_agree(got, expected):
     for field in dataclasses.fields(got):
         a, b = getattr(got, field.name), getattr(expected, field.name)
-        if field.name in _PAIR_PRODUCT_TERMS:
-            np.testing.assert_allclose(a, b, rtol=0, atol=_PAIR_PRODUCT_ATOL,
-                                       err_msg=field.name)
-        else:
+        if field.name in _EIGENVALUE_TERMS:
             np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            np.testing.assert_allclose(a, b, rtol=0, atol=_BUDGET_ATOL, err_msg=field.name)
+
+
+def reference_budget(spectrum, op, extra=()):
+    """The budget of ``spectrum`` on ``op`` from the same spectrum held as one
+    array, its forms the whole-mesh sums of the Gauss and the ``op`` pencils."""
+    ops = [assemble_layout(op.layout), op]
+    return analysis.error_budget(QuadratureFormsSpectrum(spectrum, ops, extra), op)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -391,9 +408,8 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
                                      for a, b in zip(edges[:-1], edges[1:])]), V)
 
     # the block route against the same spectrum held as one array
+    assert_budgets_agree(analysis.error_budget(spectrum, op), reference_budget(spectrum, op))
     materialized = eigensolve.Spectrum(spectrum.eigenvalues, V)
-    assert_budgets_agree(analysis.error_budget(spectrum, op),
-                         analysis.error_budget(materialized, op))
     got = analysis.outlier_report(spectrum, op)
     expected = analysis.outlier_report(materialized, op)
     for field in dataclasses.fields(got):
@@ -417,6 +433,7 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
 
 
 _BLENDED = QuadratureSpec("blended", tau=0.5)
+_RULES = [QuadratureSpec("gauss"), QuadratureSpec("lobatto"), _BLENDED]
 
 
 @pytest.mark.parametrize("solved_on, budgeted_on", [
@@ -429,15 +446,13 @@ _BLENDED = QuadratureSpec("blended", tau=0.5)
         "blended-blended"])
 def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
     # the budget reads only the spectrum's eigenpairs, whichever pencil they
-    # came from: the factored spectrum, whose kept forms serve only the
-    # pencil it was solved on, and the same one held as one array agree
+    # came from: the factored spectrum's kept forms serve only the pencil it
+    # was solved on, and every other form is formed on the bands
     layout = BlockLayout.riga(60, 2, 10)
     spectrum = solve_gevp(assemble_layout(layout, solved_on))
     assert isinstance(spectrum, eigensolve._BlochSpectrum)
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
     op = assemble_layout(layout, budgeted_on)
-    assert_budgets_agree(analysis.error_budget(spectrum, op),
-                         analysis.error_budget(materialized, op))
+    assert_budgets_agree(analysis.error_budget(spectrum, op), reference_budget(spectrum, op))
 
 
 @pytest.mark.parametrize("matrix", ["K", "M"])
@@ -446,10 +461,12 @@ def test_budget_of_a_pencil_changed_after_the_solve(matrix):
     # band scaled in place after the solve no longer matches, and is formed
     op = assemble_layout(BlockLayout.riga(60, 2, 10))
     spectrum = solve_gevp(op)
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    reference = QuadratureFormsSpectrum(spectrum, [op])
+    band, forms = next((b, f) for b, f in reference.forms if b is getattr(op, matrix).band)
     getattr(op, matrix).band *= 2.0
-    assert_budgets_agree(analysis.error_budget(spectrum, op),
-                         analysis.error_budget(materialized, op))
+    expected = analysis.error_budget(
+        QuadratureFormsSpectrum(spectrum, [], [(band, 2.0 * forms), *reference.forms]), op)
+    assert_budgets_agree(analysis.error_budget(spectrum, op), expected)
 
 
 @pytest.mark.parametrize("layout", [
@@ -470,9 +487,9 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
     n = spectrum.n_modes
     for lo, hi in [(0, n), (n // 3, n - 1), (n - 2, n)]:
         local, _, _ = spectrum.factors(lo, hi)
-        modes, signs = spectrum._modes[lo:hi], spectrum._signs[lo:hi]
+        modes = spectrum._modes[lo:hi]
         band = modes >= spectrum._Y.shape[1]
-        Y = spectrum._Y[:, np.where(band, 0, modes)] * signs
+        Y = spectrum._Y[:, np.where(band, 0, modes)]
         expected = np.zeros_like(local)
         expected[0, :m], expected[1, :m], expected[2, m] = Qe @ Y[:me], Qo @ Y[me:m], Y[m]
         wave = ~band
@@ -481,23 +498,96 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
         assert not local[1:, :, band].any()
 
 
-def test_kept_forms_follow_the_sort_of_the_quotients(monkeypatch):
-    # the quotient pass walks the modes in the order of the pencil
-    # eigenvalues, which the quotients' sort almost never permutes; negated
-    # pencil eigenvalues reverse that order, so every kept form is permuted
-    real = eigensolve._pencil_eigh
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(p=st.integers(1, 5), block=st.integers(1, 12), n_blocks=st.integers(2, 8),
+       rule=st.sampled_from(_RULES))
+@example(p=1, block=1, n_blocks=2, rule=_RULES[0])  # one dof
+@example(p=5, block=12, n_blocks=2, rule=_RULES[1])
+@example(p=2, block=64, n_blocks=3, rule=_RULES[0])  # a tight run of two outliers
+@example(p=2, block=100, n_blocks=20, rule=_RULES[0])  # a tight run of 19
+def test_one_block_quotients_match_the_whole_mesh_oracle(p, block, n_blocks, rule):
+    # every mode's eigenvalue and kept forms, summed over one block's
+    # quadrature points, against the sums over every element of the built
+    # columns.  A knot rounds by up to eps / 2, so an element's length by up
+    # to n_e eps (relative) and a quotient by up to 2 n_e eps: at most 38 eps
+    # apart on layouts of up to 96 elements, 331 eps on riga(2000, 2, 100).
+    # The eigenvalues of a tight run are those of its modes, within n eps
+    # lambda_max of its localized columns' quotients
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block), rule)
+    spectrum = solve_gevp(op)
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
+    vKv, vMv = whole_mesh_quotient(op, spectrum.eigenvectors)
+    lam, eps = spectrum.eigenvalues, np.finfo(float).eps
+    rtol = (16 + 2 * op.layout.n_elements) * eps
+    tight = np.zeros(lam.size, dtype=bool)
+    for lo, hi, _ in spectrum._runs:
+        tight[lo:hi] = True
+    error = np.abs(lam - vKv / vMv) - np.where(tight, lam.size * eps * lam[-1], 0.0)
+    assert np.all(error <= rtol * lam)
+    kept = spectrum.quadratic_forms([op.K, op.M])
+    np.testing.assert_allclose(kept, [vKv, vMv], rtol=rtol, atol=0)
 
-    def negated(A, B):
-        w, Z = real(A, B)
-        return -w, Z
 
+# The lowest Gauss ev_rel of every mode of riga(2000, 2, 100), riga(400, 3,
+# 50), riga(600, 4, 60) and riga(300, 5, 30), and of the 40 layouts below:
+# -3.6e-16 (1.6 eps, on riga(300, 5, 30)); quotients on the stored bands gave
+# -7.3e-14 on riga(600, 4, 60) and -2.1e-13 on riga(300, 5, 30).  The error
+# is the rounding of lambda itself and of the quotient's sums: a few units in
+# the last place.
+_EV_REL_ALLOWANCE = 8 * np.finfo(float).eps
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(p=st.integers(1, 5), block=st.integers(1, 60), n_blocks=st.integers(2, 20))
+@example(p=2, block=100, n_blocks=20)
+@example(p=3, block=50, n_blocks=8)
+@example(p=4, block=60, n_blocks=10)
+@example(p=5, block=30, n_blocks=10)
+def test_gauss_eigenvalues_never_fall_below_the_exact_ones(p, block, n_blocks):
+    # Gauss p + 1 points integrate the pencil exactly, so by the min-max
+    # principle every discrete eigenvalue lies above the exact one
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    spectrum = solve_gevp(op)
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
+    assert analysis.eigenvalue_errors(spectrum, op).min() >= -_EV_REL_ALLOWANCE
+
+
+@pytest.mark.parametrize("layout, built", [
+    (BlockLayout.riga(200, 2, 20), 0),
+    (BlockLayout.riga(192, 2, 64), 2),  # a tight run of two outliers
+], ids=["no-run", "tight"])
+def test_the_solve_builds_only_the_columns_of_tight_runs(monkeypatch, layout, built):
+    builds = []
+    build = eigensolve._BlochSpectrum._build
+    monkeypatch.setattr(eigensolve._BlochSpectrum, "_build",
+                        lambda self, modes: builds.append(modes.size) or build(self, modes))
+    spectrum = solve_gevp(assemble_layout(layout))
+    assert builds == ([built] if built else [])
+    assert [b - a for a, b, _ in spectrum._runs] == builds
+
+
+def test_kept_forms_follow_the_sort_of_the_quotients():
+    # the quotient pass walks the modes wavenumber by wavenumber, an order
+    # the sort of the quotients permutes throughout: each kept form is still
+    # that of its column
     op = assemble_layout(BlockLayout.riga(60, 3, 10))
-    monkeypatch.setattr(eigensolve, "_pencil_eigh", negated)
     spectrum = solve_gevp(op)
     assert np.all(np.diff(spectrum.eigenvalues) > 0)
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
-    assert np.array_equal(spectrum.quadratic_forms([op.K, op.M]),
-                          materialized.quadratic_forms([op.K, op.M]))
+    assert np.mean(spectrum._modes != np.arange(spectrum.n_modes)) > 0.5
+    np.testing.assert_allclose(spectrum.quadratic_forms([op.K, op.M]),
+                               whole_mesh_quotient(op, spectrum.eigenvectors),
+                               rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 255, 256])
+def test_row_sums_are_right_to_one_rounding(rows):
+    # _sum_rows against math.fsum, correctly rounded; the plain float64 sum
+    # of the same columns is off by more than one unit in the last place in
+    # about two thirds of the columns at 255 and 256 rows
+    rng = np.random.default_rng(rows)
+    x = rng.random((rows, 400)) * np.exp(rng.standard_normal((rows, 400)))
+    exact = np.array([math.fsum(column) for column in x.T])
+    assert np.all(np.abs(eigensolve._sum_rows(x.copy()) - exact) <= np.spacing(exact))
 
 
 def _count_builds(monkeypatch, spectrum):
@@ -517,15 +607,14 @@ def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
     # budget: it builds no column and forms nothing
     op = assemble_layout(BlockLayout.riga(200, 2, 20))
     spectrum = solve_gevp(op)
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    expected = reference_budget(spectrum, op)
     builds = []
     build = spectrum._build
     monkeypatch.setattr(spectrum, "_build", lambda *a: builds.append(a) or build(*a))
     ranges, widths = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
     assert builds == [] and ranges == [] and widths == []
-    monkeypatch.undo()
-    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
+    assert_budgets_agree(budget, expected)
 
 
 def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
@@ -536,14 +625,13 @@ def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
     spectrum = solve_gevp(op)
     n = spectrum.n_modes
     assert [(a, b) for a, b, _ in spectrum._runs] == [(n - 2, n)]
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    expected = reference_budget(spectrum, op)
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", 5 * n)  # blocks of 5 columns
     ranges, widths = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
     assert ranges == [(n - 2, n)]
     assert widths == []
-    monkeypatch.undo()
-    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
+    assert_budgets_agree(budget, expected)
 
 
 def test_lobatto_budget_forms_two_quadratic_forms_per_column(monkeypatch):
@@ -551,13 +639,12 @@ def test_lobatto_budget_forms_two_quadratic_forms_per_column(monkeypatch):
     # Lobatto pencil comes from the solve
     op = assemble_layout(BlockLayout.riga(200, 2, 20), QuadratureSpec("lobatto"))
     spectrum = solve_gevp(op)
-    materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
+    expected = reference_budget(spectrum, op)
     ranges, widths = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
     assert ranges == spectrum.blocks()
     assert sum(widths) == 2 * spectrum.n_modes
-    monkeypatch.undo()
-    assert_budgets_agree(budget, analysis.error_budget(materialized, op))
+    assert_budgets_agree(budget, expected)
 
 
 # ---------------------------------------------------------------------------
