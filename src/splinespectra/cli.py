@@ -105,11 +105,7 @@ def _cells(column) -> list[str]:
 
     The column's dtype picks the rule once: integer and bool columns take
     ``str``, float columns one ``%.17g`` template for all their rows, and
-    object columns (which hold ``None``) go cell by cell.  A list of ``str``
-    is cells this function formatted already, say once for each distinct
-    value of a column that repeats them, and passes through."""
-    if isinstance(column, list) and column and isinstance(column[0], str):
-        return column
+    object columns (which hold ``None``) go cell by cell."""
     column = np.asarray(column)
     values = column.tolist()
     if column.dtype.kind in "biu":
@@ -120,12 +116,20 @@ def _cells(column) -> list[str]:
             for v in values]
 
 
+class _Cells(list):
+    """A column of cells :func:`_cells` formatted already, which :func:`_csv`
+    writes as they are: a column that repeats a few values can format each
+    of them once."""
+
+
 def _csv(columns: dict, config: ExperimentConfig,
          comments: list[str] | None = None) -> str:
     """The CSV text of equally long ``columns``, headed by their keys in order,
-    after the ``# config:`` line and any further ``comments`` lines."""
+    after the ``# config:`` line and any further ``comments`` lines.  Each
+    column goes through :func:`_cells`, but a :class:`_Cells` one."""
     lines = [f"# config: {config.echo()}", *(comments or []), ",".join(columns)]
-    lines += map(",".join, zip(*map(_cells, columns.values()), strict=True))
+    cells = [c if isinstance(c, _Cells) else _cells(c) for c in columns.values()]
+    lines += map(",".join, zip(*cells, strict=True))
     return "\n".join(lines) + "\n"
 
 
@@ -227,8 +231,8 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
     freqs = freqs[freqs <= op.n_dofs]
     # each mode and each frequency is formatted once, then repeated
     freq_text = _csv({
-        "mode": list(chain.from_iterable(repeat(cell, freqs.size) for cell in _cells(r.mode))),
-        "frequency": _cells(freqs) * r.mode.size,
+        "mode": _Cells(chain.from_iterable(repeat(cell, freqs.size) for cell in _cells(r.mode))),
+        "frequency": _Cells(_cells(freqs) * r.mode.size),
         "magnitude": r.magnitudes[:, :freqs.size].ravel(),
     }, cfg)
     if out is None:

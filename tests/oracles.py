@@ -23,6 +23,9 @@ Reference routes for claims the CLI computes another way:
   eigenvector columns over the quadrature points of every element, with
   scipy's B-spline evaluator, where ``solve_gevp`` forms each mode's sums
   over one block from its Bloch factors;
+- :func:`extended_block_quotients` forms one block's quotients of given
+  coefficients in extended precision, with the scalar Cox-de Boor basis,
+  where ``solve_gevp`` sums them in float64 from one basis call;
 - :func:`dense_eigenpairs` solves the assembled pencil with one dense
   ``scipy.linalg.eigh``, where ``solve_gevp`` solves a layout of repeated
   blocks by its per-wavenumber pencils;
@@ -53,6 +56,7 @@ Reference routes for claims the CLI computes another way:
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.interpolate
@@ -354,6 +358,36 @@ def whole_mesh_quotient(op, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for out, f in ((vKv, slopes), (vMv, values)):
             out[lo:lo + width] = (w * np.square(f.astype(np.longdouble))).sum(axis=0)
     return vKv, vMv
+
+
+def extended_block_quotients(op, C: np.ndarray) -> np.ndarray:
+    """``sum_q w_q v'^2 / sum_q w_q v^2`` over the quadrature points of the
+    first block of ``op.layout``, one per mode ``c``, whose fields ``v`` have
+    the coefficients ``C[:, f, c]`` on the block's ``block_size + p`` basis
+    functions and whose sums add over the fields ``f``.
+
+    The points and weights are those of ``map_rule_to_element``; the basis
+    values come from the scalar Cox-de Boor recursion on the knots, and every
+    operation is in extended precision: the quotient of the same
+    coefficients at the same points, well below one rounding of a float64.
+    The points must lie inside their elements (a Gauss rule)."""
+    kv, p, size = op.kv, op.kv.p, op.layout.block_size
+    rule = op.quadrature.reference_rule(p)
+    spans = kv.spans()[:size]
+    nodes, weights = map_rule_to_element(rule, kv.knots[spans], kv.knots[spans + 1])
+    extended = SimpleNamespace(knots=kv.knots.astype(np.longdouble), p=p)
+    N = np.zeros((nodes.size, size + p), dtype=np.longdouble)
+    dN = np.zeros_like(N)
+    for row, (span, x) in enumerate(zip(np.repeat(spans, rule.nodes.size), nodes.ravel())):
+        x = np.longdouble(x)
+        for i in range(span - p, span + 1):
+            N[row, i] = cox_de_boor_value(extended, i, x)
+            dN[row, i] = cox_de_boor_deriv(extended, i, x)
+    w = weights.astype(np.longdouble).ravel()[:, None]
+    C = C.astype(np.longdouble)
+    num = sum((w * np.square(dN @ C[:, f])).sum(axis=0) for f in range(C.shape[1]))
+    den = sum((w * np.square(N @ C[:, f])).sum(axis=0) for f in range(C.shape[1]))
+    return num / den
 
 
 class QuadratureFormsSpectrum(Spectrum):

@@ -545,9 +545,12 @@ def test_cells_by_dtype_match_the_per_cell_rule(tmp_path, monkeypatch, line):
     assert tables
     for columns in tables:
         for name, column in columns.items():
-            if isinstance(column, list) and column and isinstance(column[0], str):
-                column = [int(cell) if cell.isdigit() else float(cell) for cell in column]
-            assert cli._cells(columns[name]) == reference_cells(column), name
+            if isinstance(column, cli._Cells):
+                # each cell reads back as the value it was formatted from
+                values = [int(cell) if cell.isdigit() else float(cell) for cell in column]
+                assert column == reference_cells(values), name
+            else:
+                assert cli._cells(column) == reference_cells(column), name
 
 
 def test_csv_refuses_columns_of_different_lengths():
