@@ -348,53 +348,42 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     For Neumann operators the constant mode (zero exact eigenvalue) is
     excluded from the budget.
 
-    The exact terms ``v^T M v`` and ``v^T K v`` come from the reference
-    pencil under Gauss ``p + 1`` points, which integrates both the mass
-    (degree ``2p``) and stiffness (degree ``2p - 2``) integrands exactly.
-    Under that rule ``op`` is its own reference; any other rule re-assembles
-    the layout once.
+    The exact terms ``v^T M v`` and ``v^T K v`` are the spectrum's forms
+    (:meth:`~splinespectra.eigensolve.Spectrum.forms`) under Gauss ``p + 1``
+    points, which integrate both the mass (degree ``2p``) and stiffness
+    (degree ``2p - 2``) integrands exactly; ``op``'s own ``v^T K v`` is the
+    form under ``op.quadrature``.  Neither reads the bands, so nothing is
+    re-assembled and a band edited after the solve changes nothing.
 
-    Cost for ``n`` dofs and ``m`` modes: the two or three quadratic forms
-    ``v^T A v`` take O(n m p) from the stored bands
-    (:meth:`~splinespectra.eigensolve.Spectrum.quadratic_forms`), but for
-    those the solve kept.  A factored spectrum keeps ``v^T K v`` and ``v^T M
-    v`` of the pencil it was solved on, the sums its solve formed over one
-    block's quadrature points: under the reference Gauss rule no column is
-    built but those of the blocks holding a tight run, and under any other
-    rule only the exact pencil's two forms are formed, on the bands.  The
-    pair inner products take
-    one route (:func:`_pair_products`), with no grid-by-modes array: each
-    column's load moments over a window of ``n_el`` elements and a sum of
-    its block pattern against ``n_b`` block phases, O(m (n_el (p + 1) q +
-    n_b)) for ``q`` points per element.  A dense spectrum is one block, the
-    whole mesh; a factored spectrum of ``n_b`` repeated blocks of ``B``
-    elements (the block-Fourier route of
-    :func:`~splinespectra.eigensolve.solve_gevp`) reads ``B + 1`` elements
-    however many there are, but for the columns of its tight runs.
-
-    The tables are built once per subdivision count and window.  The
-    quadratic forms that are formed walk the eigenvectors a block of columns
-    at a time, ``spectrum.columns`` over ``spectrum.blocks``: a slice of the
-    dense route's array, or a block built from the Bloch factors.  Memory is
-    that block, the ``A V`` product of one quadratic form at a time and a
-    few temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x
-    n array and no dense operator is formed.
+    Cost for ``n`` dofs and ``m`` modes: the forms of the rule the spectrum
+    was solved under were formed by the solve, and any other rule's take
+    one sum over the quadrature points per column, over one block of
+    ``B`` elements on the block-Fourier route
+    (:func:`~splinespectra.eigensolve.solve_gevp`), over the whole mesh for a
+    dense spectrum and for the columns of a tight run.  No column is built
+    for them.  The pair inner products take one route
+    (:func:`_pair_products`), with no grid-by-modes array: each column's
+    load moments over a window of ``n_el`` elements and a sum of its block
+    pattern against ``n_b`` block phases, O(m (n_el (p + 1) q + n_b)) for
+    ``q`` points per element.  A dense spectrum is one block, the whole
+    mesh; a factored spectrum of ``n_b`` repeated blocks of ``B`` elements
+    reads ``B + 1`` elements however many there are, but for the columns
+    of its tight runs, which it builds.  The tables are built once per
+    subdivision count and window.  Memory is a block of columns and a few
+    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
+    array and no dense operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2
     if n0 < 1:
         raise ValueError("error budget needs N0 = n_elements + p - 2 >= 1")
-    q = op.quadrature
-    is_reference = q.kind == "gauss" and q.n_points(p) == p + 1
-    exact = op if is_reference else assemble_layout(op.layout)
 
     js, lam = exact_spectrum(spectrum.n_modes, op.bc)
     first = int(js[0] == 0)  # the Neumann constant mode is not budgeted
     js, lam = js[first:], lam[first:]
     lam_h = spectrum.eigenvalues[first:]
-    vMv, vKv, *rest = spectrum.quadratic_forms(
-        [exact.M, exact.K] + ([] if exact is op else [op.K]), first)
-    vKq = rest[0] if rest else vKv
+    vKv, vMv = spectrum.forms(QuadratureSpec("gauss"))[:, first:]
+    vKq = spectrum.forms(op.quadrature)[0, first:]
     uv = np.abs(_pair_products(spectrum, op, js, _required_subdivisions(js, op.layout.h), {}))
 
     ev_rel = _relative_errors(lam_h, lam)

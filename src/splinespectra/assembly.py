@@ -81,27 +81,23 @@ class SymmetricBandedMatrix:
         return out
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        u = self.bandwidth
+        """CSR form: each row's nonzero band entries, in column order."""
+        u, n = self.bandwidth, self.n
         # a band wider than the matrix (one element of high degree) stores
         # diagonals that lie wholly outside it
-        w = min(u, self.n - 1)
-        offsets = range(-w, w + 1)
-        return scipy.sparse.diags([self.band[u - abs(k), abs(k):] for k in offsets],
-                                  offsets, shape=(self.n, self.n), format="csr")
-
-    def quadratic_forms(self, V: np.ndarray) -> np.ndarray:
-        """``diag(V^T A V)``, one entry per column of ``V``, in O(n p) per column.
-
-        ``A @ V`` is formed row by row from the band, then one dot product per
-        column; summing diagonal by diagonal instead cancels badly on smooth
-        columns.
-        """
-        return _quadratic_forms(self.to_sparse(), V)
+        w = min(u, n - 1)
+        i = np.repeat(np.arange(n), 2 * w + 1)
+        j = i + np.tile(np.arange(-w, w + 1), n)
+        i, j = i[(j >= 0) & (j < n)], j[(j >= 0) & (j < n)]
+        values = self.band[u - np.abs(j - i), np.maximum(i, j)]
+        nonzero = values != 0.0
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(i[nonzero], minlength=n))])
+        return scipy.sparse.csr_matrix((values[nonzero], j[nonzero], indptr), (n, n))
 
     def restricted(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Submatrix on a contiguous index range: kept dofs, a bubble block or a patch window."""
         keep = np.asarray(keep)
-        if keep.size and not np.array_equal(keep, np.arange(keep[0], keep[-1] + 1)):
+        if np.any(np.diff(keep) != 1):
             raise ValueError("restriction must be a contiguous index range")
         u = self.bandwidth
         sub = self.band[:, keep].copy()
@@ -120,17 +116,6 @@ class SymmetricBandedMatrix:
         except scipy.linalg.LinAlgError:
             return False
         return bool((factor[-1] ** 2).min() >= 1e-12 * self.band[-1].max())
-
-
-def _quadratic_forms(A: scipy.sparse.csr_matrix, V: np.ndarray) -> np.ndarray:
-    """:meth:`SymmetricBandedMatrix.quadratic_forms` from the matrix's
-    :meth:`~SymmetricBandedMatrix.to_sparse`, formed once by callers that
-    take the forms of many column blocks.
-
-    Each column's dot product sums in row order whatever the block, except
-    in a block of one contiguous column, which numpy sums pairwise.
-    """
-    return np.einsum("ij,ij->j", V, A @ V)
 
 
 def _assemble_pair(kv: KnotVector, rule: Rule) -> tuple[SymmetricBandedMatrix, SymmetricBandedMatrix]:
@@ -156,7 +141,7 @@ def _assemble_pair(kv: KnotVector, rule: Rule) -> tuple[SymmetricBandedMatrix, S
     return M, K
 
 
-def _kept_indices(n: int, bc: str) -> np.ndarray:
+def _reduced_indices(n: int, bc: str) -> np.ndarray:
     if bc == "dirichlet":
         if n < 3:
             raise ValueError("Dirichlet elimination leaves no degrees of freedom")
@@ -201,7 +186,7 @@ def assemble_layout(layout: BlockLayout,
     kv = make_block_knots(layout)
     quadrature = quadrature or QuadratureSpec("gauss")
     M_full, K_full = _assemble_pair(kv, quadrature.reference_rule(kv.p))
-    keep = _kept_indices(kv.n, layout.bc)
+    keep = _reduced_indices(kv.n, layout.bc)
     op = DiscreteOperator(
         kv=kv,
         layout=layout,

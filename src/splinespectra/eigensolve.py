@@ -17,42 +17,35 @@ one per kind of result:
     factored: the returned spectrum keeps the per-wavenumber amplitudes and
     the bubble vectors, and builds any block of columns from them in O(n)
     per column, so no n x n array is formed and ``DENSE_LIMIT`` does not
-    apply.  The eigenvalues are the modes' Rayleigh quotients ``sum_q w_q
-    v'^2 / sum_q w_q v^2`` at the operator's own quadrature points, each
-    formed over one block in O(B q p) for blocks of ``B`` elements and ``q``
-    points per element: the sums of a mode's squared block phases over the
-    blocks are exact, so one block's sums stand for the whole mesh's.  The
-    small pencils' own eigenvalues lose the lowest modes to cancellation,
-    and so do quotients formed on the stored bands.  No column is built to
-    solve, unless the stored bands are not the assembly of ``op.kv`` under
-    ``op.quadrature`` (say, scaled after assembly): the modes' forms on the
-    bands, their pencil eigenvalues and ``1``, then disagree with their
-    sums, and the forms are taken on the bands of the built columns, in
-    O(n^2).  The spectrum keeps the two sums, ``v^T K v`` and ``v^T M v``,
-    with copies of the two bands, and serves them to any caller that asks
-    for the forms of the same bands (:meth:`Spectrum.quadratic_forms`).
-    This is the Bloch dispersion of condensed macro-elements (Hughes, Reali
-    & Sangalli 2008);
+    apply.  Its modes' quadrature forms are summed over one block, which
+    stands for every block: the Bloch dispersion of condensed
+    macro-elements (Hughes, Reali & Sangalli 2008);
   - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
     reduces the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
     separators, and pencils without a layout.  It holds the n x n
-    eigenvector array, so it refuses more than ``DENSE_LIMIT`` dofs.
+    eigenvector array, so it refuses more than ``DENSE_LIMIT`` dofs, and
+    sums its quadrature forms over the whole mesh, as one block.
 
-  Callers read eigenvectors a block of columns at a time
-  (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), whichever the
-  route, as unsigned Bloch factors (:meth:`Spectrum.factors`): one block's
-  local vectors and their block patterns, from which the error budget
-  integrates a column over one block, or as the quadratic forms
-  ``diag(V^T A V)`` of banded matrices (:meth:`Spectrum.quadratic_forms`).
-  A dense spectrum is one block, the whole mesh.
-  Eigenvectors are normalized against the assembled mass matrix.  A run of
-  eigenvalues with gaps of at most ``n eps lambda_max`` cannot be resolved
-  by either route, so its vectors are an arbitrary basis of the run's
-  subspace; they are replaced by the subspace's localized (SCDM) basis,
-  which is the same whichever route found the subspace.  Each column is
-  signed so that its leading entry is positive: on the block-Fourier
-  route, when it is built.
+  Both routes then take the same steps.  Each mode's forms ``v^T K v = sum_q
+  w_q v'(x_q)^2`` and ``v^T M v = sum_q w_q v(x_q)^2`` at the points of
+  ``op.quadrature`` are checked against the pencil, on whose bands they are
+  the mode's eigenvalue and ``1``, and the eigenvalues are their quotients,
+  unless the bands are not the assembly of ``op.kv`` under that rule (a
+  pencil without a layout keeps its own eigenvalues, and has no forms).  The
+  spectrum keeps those forms and sums any other rule's on request
+  (:meth:`Spectrum.forms`).  Callers read eigenvectors a block of columns
+  at a time (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), or as
+  unsigned Bloch factors (:meth:`Spectrum.factors`): one block's local
+  vectors and their block patterns, from which the error budget integrates
+  a column over one block.  Eigenvectors are normalized against the
+  assembled mass matrix.  A run of eigenvalues with gaps of at most ``n eps
+  lambda_max`` cannot be resolved by either route, so its vectors are an
+  arbitrary basis of the run's subspace; they are replaced by the
+  subspace's localized (SCDM) basis, which is the same whichever route
+  found the subspace, and whose forms are summed over the whole mesh.  Each
+  column is signed so that its leading entry is positive: on the
+  block-Fourier route, when it is built.
 - :func:`solve_eigenvalues` computes eigenvalues and no eigenvector, the
   lowest ``k`` or all of them, by one of two routes picked as above:
 
@@ -69,13 +62,12 @@ one per kind of result:
 
 Every eigensolver is backward stable, so its eigenvalues are accurate to
 about ``n eps lambda_max`` in absolute terms, not relative to themselves; on
-fine meshes that noise swamps the discretization error of the lowest modes.
-The block-Fourier eigenpairs' quotients at the quadrature points are free of
-it on every mode: their error is quadratic in the eigenvectors', and their
-sums add terms of one sign (under a rule of positive weights).
-:func:`polish_eigenvalue` removes it for one chosen mode of any pencil:
-shifted inverse iteration gives the mode's eigenvector, and its Rayleigh
-quotient has an error quadratic in the eigenvector's.
+fine meshes that noise swamps the discretization error of the lowest modes,
+and so does the cancellation of quotients formed on the stored bands.  The
+quotients at the quadrature points are free of both on every mode: their
+error is quadratic in the eigenvectors', and their sums add terms of one
+sign (under a rule of positive weights).  :func:`polish_eigenvalue` takes
+the same quotient for one chosen mode of any pencil.
 """
 
 from __future__ import annotations
@@ -90,9 +82,8 @@ import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .assembly import (DiscreteOperator, NumericalError, SymmetricBandedMatrix,
-                       _quadratic_forms)
-from .quadrature import map_rule_to_element
+from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
+from .quadrature import QuadratureSpec, map_rule_to_element
 from .splines import span_basis_rows
 
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
@@ -103,7 +94,9 @@ DENSE_LIMIT = 6000
 _BLOCK_ENTRIES = 1 << 16
 # the stored bands of a repeated patch agree to this fraction of their largest
 # entry, plus n_elements eps: knot rounding grows with the element count.  A
-# mode's quadrature sums match its forms on the bands to the same tolerance
+# mode's quadrature forms match its pencil eigenvalue and 1 to the same
+# tolerance plus the solver's n eps (see _settle): on the dense route at most
+# 0.001 of it, up to riga(5900, 2, 99) and iga(5990, 2), under each rule
 _PATCH_TOL = 1e-12
 # entries this close (relative) to a column's largest magnitude tie for its sign
 _SIGN_TIE = 1e-12
@@ -120,21 +113,22 @@ class Spectrum:
 
     Callers read the eigenvectors a block of columns at a time,
     :meth:`columns` over the bounds of :meth:`blocks`, so that no n x n array
-    need exist, or up to sign as the Bloch factors of :meth:`factors`;
-    :meth:`quadratic_forms` walks those blocks, or takes forms the solve
-    kept.  This class slices one dense array, the dense route's, keeps no
-    forms, and is one block of the whole mesh; the block-Fourier route's
-    :class:`_BlochSpectrum` builds each block from its factors.
-    :attr:`eigenvectors` is every column at once.
+    need exist, or up to sign as the Bloch factors of :meth:`factors`, and
+    their quadrature forms under any rule from :meth:`forms`.  This class
+    slices one dense array, the dense route's, and is one block of the whole
+    mesh; the block-Fourier route's :class:`_BlochSpectrum` builds each block
+    from its factors.  :attr:`eigenvectors` is every column at once.  The
+    spectrum holds the knot vector ``kv`` of its mesh and the basis index of
+    each row, ``dofs``, not the bands it was solved on; a pencil without a
+    mesh has neither, and no forms.
     """
 
-    # forms diag(V^T A V) kept from the solve, as (band of A, forms) pairs:
-    # none here
-    _kept: tuple = ()
-
-    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray):
+    def __init__(self, eigenvalues: np.ndarray, vectors: np.ndarray, kv=None,
+                 dofs: np.ndarray | None = None):
         self.eigenvalues = eigenvalues
         self._vectors = vectors
+        self._kv, self._dofs = kv, dofs
+        self._forms = {}  # the forms of each rule, once formed
 
     @property
     def n_modes(self) -> int:
@@ -159,38 +153,35 @@ class Spectrum:
         w = hi - lo
         return self.columns(lo, hi)[None], np.ones((1, 1, w)), np.zeros(w, dtype=bool)
 
-    def quadratic_forms(self, matrices: list, lo: int = 0) -> np.ndarray:
-        """``diag(V^T A V)`` over columns ``lo .. n_modes - 1``, one row per
-        :class:`~splinespectra.assembly.SymmetricBandedMatrix` ``A`` of
-        ``matrices``.
+    def forms(self, rule: QuadratureSpec) -> np.ndarray:
+        """``(v^T K v, v^T M v)`` of every column, one row each: the sums of
+        ``w_q v'(x_q)^2`` and of ``w_q v(x_q)^2`` over the points ``x_q`` and
+        weights ``w_q`` of ``rule`` on every element of the spectrum's mesh.
+        They are the forms on the bands assembled under ``rule``, without the
+        cancellation of band products on smooth columns.
 
-        A matrix whose band equals a band the solve kept forms of takes the
-        kept forms; every other matrix is formed over the columns of
-        :meth:`blocks`, each block built once for all of them.  The kept
-        forms are sums at the quadrature points the band was assembled
-        from: they equal the forms on the band up to round-off, not bit for
-        bit, and are free of the band forms' cancellation on the lowest
-        modes."""
-        kept = [next((f for band, f in self._kept if np.array_equal(A.band, band)), None)
-                for A in matrices]
-        out = np.array([np.empty(self.n_modes - lo) if f is None else f[lo:] for f in kept])
-        todo = [i for i, f in enumerate(kept) if f is None]
-        if not todo:
-            return out
-        sparse = [matrices[i].to_sparse() for i in todo]
-        for a, b in self.blocks(lo):
-            V = self.columns(a, b)
-            for i, A in zip(todo, sparse):
-                out[i, a - lo:b - lo] = _quadratic_forms(A, V)
-        return out
+        Each rule's forms are formed once and kept, read-only; the solve
+        keeps those of the rule it solved under.  Here each column is summed
+        over the whole mesh, as one block: O(n_e q (p + 1)) per column for
+        ``q`` points per element."""
+        if rule not in self._forms:
+            self._keep(rule, self._point_forms(rule))
+        return self._forms[rule]
+
+    def _point_forms(self, rule: QuadratureSpec) -> np.ndarray:
+        return _mesh_forms(self._kv, self._dofs, rule, self._vectors)
+
+    def _keep(self, rule: QuadratureSpec, forms: np.ndarray) -> None:
+        forms.flags.writeable = False
+        self._forms[rule] = forms
 
     def blocks(self, lo: int = 0, entries: int | None = None) -> list[tuple[int, int]]:
         """Bounds ``(a, b)`` of consecutive column blocks covering columns
         ``lo .. n_modes - 1``, each of about ``_BLOCK_ENTRIES`` entries, a
         column holding ``entries`` of them (``n_modes`` by default: a built
-        column).  No block is one column wide unless the range is: such a
-        block sums its quadratic forms in another order (see
-        :func:`~splinespectra.assembly._quadratic_forms`)."""
+        column).  No block is one column wide unless the range is: the error
+        budget's load moments sum such a block in another order (see
+        :func:`~splinespectra.analysis._load_moments`)."""
         hi = self.n_modes
         if hi <= lo:
             return []
@@ -227,16 +218,14 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     A layout whose blocks all repeat one patch (Dirichlet conditions, ``C^0``
     separators, at least two blocks of equal size, bands that repeat and are
     mirror-symmetric) is solved by its per-wavenumber pencils, whatever its
-    size.  Its eigenvectors stay factored, built a block of columns at a
-    time, and its eigenvalues are their Rayleigh quotients at the
-    quadrature points, each formed over one block; where the stored bands
-    are not the assembly of ``op.kv`` under ``op.quadrature``, their
-    quotients on the bands.  Any other
-    pencil, including one without a ``layout``, takes a dense
-    :func:`scipy.linalg.eigh`.  Either way, each run of eigenvalues closer
-    than ``n eps lambda_max`` gets its localized basis (see the module
-    docstring), and each column is signed so that its leading entry, the
-    first within ``1e-12`` (relative) of its largest magnitude, is positive.
+    size, its eigenvectors factored and built a block of columns at a time.
+    Any other pencil, including one without a ``layout``, takes a dense
+    :func:`scipy.linalg.eigh`.  Either way (:func:`_settle`), the
+    eigenvalues are the quotients of the quadrature forms at the points of
+    ``op.quadrature``, each run of eigenvalues closer than ``n eps
+    lambda_max`` gets its localized basis, and each column is signed so
+    that its leading entry, the first within ``1e-12`` (relative) of its
+    largest magnitude, is positive.
 
     Raises
     ------
@@ -249,12 +238,49 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
         return _BlochSpectrum(op, *patch)
     _check_size(op.n_dofs)
     w, V = _dense_eigenpairs(op)
-    for lo, hi, W in _localized_runs(w, lambda a, b: V[:, a:b], op.M):
+    kv, dofs = getattr(op, "kv", None), getattr(op, "dof_indices", None)
+    forms = None if kv is None else _mesh_forms(kv, dofs, op.quadrature, V)
+    w, order, forms, runs = _settle(op, w, forms, lambda modes: V[:, modes])
+    moved = np.flatnonzero(order != np.arange(w.size))
+    V[:, moved] = V[:, order[moved]]
+    for lo, hi, W in runs:
         V[:, lo:hi] = W
-    spectrum = Spectrum(w, V)
+    spectrum = Spectrum(w, V, kv, dofs)
     for lo, hi in spectrum.blocks():
         V[:, lo:hi] *= _signs(V[:, lo:hi])
+    if forms is not None:
+        spectrum._keep(op.quadrature, forms)
     return spectrum
+
+
+def _settle(op, lam: np.ndarray, forms: np.ndarray | None, columns):
+    """The steps both routes of :func:`solve_gevp` take after their
+    eigenpairs: ``(eigenvalues, order, forms, runs)`` from the pencil
+    eigenvalues ``lam`` of the modes, their forms under ``op.quadrature``
+    (``None`` without a mesh) and their unsigned eigenvectors
+    ``columns(modes)``.  On the stored bands a mode's forms are its pencil
+    eigenvalue and ``1``; where all match within ``_PATCH_TOL + (n_elements
+    + n) eps`` (times ``lambda_max`` for the eigenvalues), in O(n), the
+    eigenvalues are the quotients, else those of the pencil the eigenvectors
+    solve.  ``order`` sorts them, stably; ``runs`` are the signed
+    :func:`_localized_runs` of the sorted ones, whose forms replace theirs
+    in the sorted ``forms``, summed over the whole mesh."""
+    if forms is not None:
+        vKv, vMv = forms
+        tol = _PATCH_TOL + (op.layout.n_elements + lam.size) * np.finfo(float).eps
+        if (np.abs(vMv - 1.0).max() <= tol
+                and np.abs(vKv / vMv - lam).max() <= tol * np.abs(lam).max()):
+            lam = vKv / vMv
+    order = np.argsort(lam, kind="stable")
+    lam = lam[order]
+    runs = list(_localized_runs(lam, lambda a, b: columns(order[a:b]), op.M))
+    for lo, hi, W in runs:
+        W *= _signs(W)
+    if forms is not None:
+        forms = forms[:, order]
+        for lo, hi, W in runs:
+            forms[:, lo:hi] = _mesh_forms(op.kv, op.dof_indices, op.quadrature, W)
+    return lam, order, forms, runs
 
 
 def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -437,22 +463,10 @@ class _BlochSpectrum(Spectrum):
     caller can then integrate a column over the first block and sum over
     the blocks by the patterns, in O(m + n_b) per column.
 
-    The eigenvalues are the modes' Rayleigh quotients ``sum_q w_q v'^2 /
-    sum_q w_q v^2`` at the operator's own quadrature points, formed over one
-    block and sorted (:meth:`_block_forms`); the small pencils' own
-    eigenvalues lose the lowest modes to cancellation, and so do quotients
-    formed on the stored bands.  The solve builds no column: the modes
-    are built and signed when :meth:`columns` is called, but for the few
-    columns of a tight run.  On the bands, each mode's ``v^T K v`` and ``v^T
-    M v`` are its pencil eigenvalue and ``1``; should the sums disagree with
-    them by more than the patch tolerance, the bands are not the assembly
-    of ``op.kv`` under ``op.quadrature``, and the forms are taken on the
-    bands of every built column instead (:meth:`_band_forms`).  The
-    spectrum keeps the numerator and the denominator, ``v^T K v`` and ``v^T
-    M v``, in column order, with copies of the bands of ``K`` and ``M`` (O(n
-    p)); on a tight run they are the forms of its localized columns on the
-    bands.  So :meth:`quadratic_forms` of those bands builds no column; a
-    band changed after the solve no longer matches its copy.
+    Each mode's quadrature forms are summed over one block
+    (:meth:`_block_forms`), and the solve builds no column but those of its
+    tight runs: the modes are built and signed when :meth:`columns` is
+    called.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
@@ -462,7 +476,9 @@ class _BlochSpectrum(Spectrum):
         lam, Y = _pencil_eigh(KA, MA)
         lam_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
         lam_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
+        super().__init__(None, None, op.kv, op.dof_indices)
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
+        self._size = op.layout.block_size
         self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
         theta = np.arange(1, n_blocks) * math.pi / n_blocks
         scale = math.sqrt(2.0 / n_blocks)
@@ -474,33 +490,20 @@ class _BlochSpectrum(Spectrum):
         self._interface = scale * np.sin((b[:-1] + 0.5) * theta)
         self._bands = np.hstack([Qe @ Z_even[0], Qo @ Z_odd[0]]) / math.sqrt(n_blocks)
 
-        vKv, vMv = self._block_forms(op)
-        # on the bands, each mode's forms are its pencil eigenvalue and 1: the
-        # sums, from op.kv and op.quadrature, describe the same pencil only
-        # while the bands are that assembly, not, say, scaled before the solve
         lam = np.concatenate([lam.ravel(), lam_even[0], lam_odd[0]])
-        tol = _PATCH_TOL + op.layout.n_elements * np.finfo(float).eps
-        if not (np.abs(vMv - 1.0).max() <= tol
-                and np.abs(vKv / vMv - lam).max() <= tol * lam.max()):
-            vKv, vMv = self._band_forms(op)
-        w = vKv / vMv
-        self._modes = np.argsort(w, kind="stable")
-        self.eigenvalues, vKv, vMv = w[self._modes], vKv[self._modes], vMv[self._modes]
-        self._runs = list(_localized_runs(self.eigenvalues,
-                                          lambda a, b: self._build(self._modes[a:b]), op.M))
-        if self._runs:
-            Ks, Ms = op.K.to_sparse(), op.M.to_sparse()
-        for lo, hi, W in self._runs:
-            W *= _signs(W)
-            # the localized columns replace the run's modes, and so do their
-            # forms, on the bands
-            vKv[lo:hi], vMv[lo:hi] = _quadratic_forms(Ks, W), _quadratic_forms(Ms, W)
-        # copies: a band changed in place after the solve must not match
-        self._kept = ((op.K.band.copy(), vKv), (op.M.band.copy(), vMv))
+        self.eigenvalues, self._modes, forms, self._runs = _settle(
+            op, lam, self._block_forms(op.quadrature), self._build)
+        self._keep(op.quadrature, forms)
 
-    def _block_forms(self, op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-        """``(v^T K v, v^T M v)`` of every mode, in mode order, as sums over
-        the quadrature points of one block.
+    def _point_forms(self, rule: QuadratureSpec) -> np.ndarray:
+        forms = self._block_forms(rule)[:, self._modes]
+        for lo, hi, W in self._runs:
+            forms[:, lo:hi] = _mesh_forms(self._kv, self._dofs, rule, W)
+        return forms
+
+    def _block_forms(self, rule: QuadratureSpec) -> np.ndarray:
+        """:meth:`forms` of every mode, in mode order, as sums over the
+        quadrature points of one block.
 
         On block ``b``, a wave mode of wavenumber ``theta`` is ``sin(phi_b) A
         + cos(phi_b) B`` with ``phi_b = theta (b - 1/2)``, times the pattern
@@ -510,37 +513,12 @@ class _BlochSpectrum(Spectrum):
         ``sin(phi_b) cos(phi_b)`` is zero, so ``int v'^2 = int_block (A'^2 +
         B'^2)``, and the same for ``v^2``.  A band mode's sums are ``n_b``
         times one block's.  Every block repeats the first one's ``B + p``
-        functions, so those are evaluated there, at the operator's rule, in
-        one basis call.
-
-        Each sum adds terms of one sign (under a rule of positive weights),
-        element by element and then by :func:`_sum_rows`, so the lowest
-        eigenvalues are right to a few roundings.  O(B q (p + 1)) per mode
-        for ``q`` points per element; the modes go in chunks whose point
-        values hold about ``_BLOCK_ENTRIES`` entries per field."""
-        kv, p, size = op.kv, op.kv.p, op.layout.block_size
-        rule = op.quadrature.reference_rule(p)
-        spans = kv.spans()[:size]
-        nodes, weights = map_rule_to_element(rule, kv.knots[spans], kv.knots[spans + 1])
-        first, N, dN = span_basis_rows(kv, np.repeat(spans, rule.nodes.size), nodes.ravel(),
-                                       derivs=True)
-        points = first.size
-        cols = (first[:, None] + np.arange(p + 1)).ravel()
-        indptr = np.arange(0, cols.size + 1, p + 1)
-        rows = [scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, size + p))
-                for X in (dN, N)]
-        forms = np.empty((2, self._n))
-        chunk = max(1, _BLOCK_ENTRIES // (2 * points))
-        for lo in range(0, self._n, chunk):
-            modes = np.arange(lo, min(lo + chunk, self._n))
-            C = self._block_coefficients(modes).reshape(size + p, -1)
-            for out, R in zip(forms, rows):
-                # each element's sum of field A, then of field B, one row each
-                terms = np.einsum("eqc,eq->ec", np.square(R @ C).reshape(weights.shape + (-1,)),
-                                  weights)
-                out[modes] = _sum_rows(terms.reshape(2 * size, -1))
+        functions, so the sums run there (:func:`_quadrature_forms`), in
+        O(B q (p + 1)) per mode."""
+        forms = _quadrature_forms(self._kv, rule, self._size, self._block_coefficients,
+                                  self._n, fields=2)
         forms[:, self._Y.shape[1]:] *= self._n_blocks
-        return forms[0], forms[1]
+        return forms
 
     def _block_coefficients(self, modes: np.ndarray) -> np.ndarray:
         """The coefficients of the fields ``A`` and ``B`` of ``modes`` (as
@@ -562,17 +540,6 @@ class _BlochSpectrum(Spectrum):
         C[-1, 1] = np.sin(half) * X
         C[0, 1] = -C[-1, 1]
         return C
-
-    def _band_forms(self, op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-        """``(v^T K v, v^T M v)`` of every mode, in mode order, on the stored
-        bands, a block of built columns at a time: O(n^2)."""
-        Ks, Ms = op.K.to_sparse(), op.M.to_sparse()
-        forms = np.empty((2, self._n))
-        width = max(1, _BLOCK_ENTRIES // self._n)
-        for lo in range(0, self._n, width):
-            V = self._build(np.arange(lo, min(lo + width, self._n)))
-            forms[:, lo:lo + V.shape[1]] = _quadratic_forms(Ks, V), _quadratic_forms(Ms, V)
-        return forms[0], forms[1]
 
     def _local(self, modes: np.ndarray) -> np.ndarray:
         """The local vectors of :meth:`factors` of ``modes``, indices into the
@@ -676,6 +643,57 @@ class _BlochSpectrum(Spectrum):
             if a < hi and b > lo:
                 V[:, max(a, lo) - lo:min(b, hi) - lo] = W[:, max(a, lo) - a:min(b, hi) - a]
         return V
+
+
+def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
+                      fields: int = 1) -> np.ndarray:
+    """The sums of ``w_q v'(x_q)^2`` and of ``w_q v(x_q)^2`` (two rows) of
+    ``n`` modes over the points and weights of ``rule`` on the first ``n_el``
+    elements of ``kv``, each mode's sums added over its ``fields`` fields.
+
+    ``coefficients(modes)`` gives the coefficients of the fields of
+    ``modes`` on the basis functions that meet those elements, from the
+    first: ``(functions, fields, modes.size)``.  The basis is evaluated at
+    every point in one call.  Each sum adds terms of one sign (under a rule
+    of positive weights), element by element and then by :func:`_sum_rows`,
+    so it is right to a few roundings.  O(n_el q (p + 1)) per mode and field
+    for ``q`` points per element; the modes go in chunks whose point values
+    hold about ``_BLOCK_ENTRIES`` entries per form."""
+    p, reference = kv.p, rule.reference_rule(kv.p)
+    spans = kv.spans()[:n_el]
+    nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
+    first, N, dN = span_basis_rows(kv, np.repeat(spans, reference.nodes.size), nodes.ravel(),
+                                   derivs=True)
+    points, width = first.size, first[-1] + p + 1
+    cols = (first[:, None] + np.arange(p + 1)).ravel()
+    indptr = np.arange(0, cols.size + 1, p + 1)
+    rows = [scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, width))
+            for X in (dN, N)]
+    forms = np.empty((2, n))
+    chunk = max(1, _BLOCK_ENTRIES // (fields * points))
+    for lo in range(0, n, chunk):
+        modes = np.arange(lo, min(lo + chunk, n))
+        C = coefficients(modes).reshape(width, -1)
+        # each element's sum of each field, one row each, both forms side by side
+        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(R @ C).reshape(
+            weights.shape + (-1,)), weights).reshape(fields * n_el, -1) for R in rows])
+        forms[:, modes] = _sum_rows(terms).reshape(2, -1)
+    return forms
+
+
+def _mesh_forms(kv, dofs: np.ndarray, rule: QuadratureSpec, V: np.ndarray) -> np.ndarray:
+    """:func:`_quadrature_forms` of the columns of ``V``, whose rows are the
+    coefficients of the basis functions ``dofs`` of ``kv``, over every
+    element: the whole mesh as one block, under the pattern ``1``."""
+    if kv is None:
+        raise ValueError("a spectrum without a mesh has no quadrature forms")
+
+    def coefficients(modes):
+        C = np.zeros((kv.n, 1, modes.size))
+        C[dofs, 0] = V[:, modes]
+        return C
+
+    return _quadrature_forms(kv, rule, kv.spans().size, coefficients, V.shape[1])
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:
@@ -825,8 +843,10 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
 
     A few steps of inverse iteration at the shift
     ``sigma = estimate (1 - 1e-8)``, with one sparse LU factorization of
-    ``K - sigma M``, give the eigenvector ``v``; the result is
-    ``v^T K v / v^T M v`` from the stored bands.  The shifted matrix is
+    ``K - sigma M``, give the eigenvector ``v``; the result is its quotient
+    ``v^T K v / v^T M v`` of the quadrature forms at the points of
+    ``op.quadrature`` over the whole mesh (see :func:`solve_gevp`), free of
+    the cancellation of a quotient on the stored bands.  The shifted matrix is
     formed on the bands, so it is exactly symmetric, and its sparse rows
     are handed to the factorization as its columns.  The quotient's error
     is quadratic in the eigenvector's, so it is free of the absolute
@@ -854,5 +874,5 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
         if not (np.isfinite(scale) and scale > 0.0):
             raise NumericalError(f"inverse iteration at {sigma:.17g} broke down")
         x = y / scale
-    V = x[:, None]
-    return float(op.K.quadratic_forms(V)[0] / _quadratic_forms(Ms, V)[0])
+    vKv, vMv = _mesh_forms(op.kv, op.dof_indices, op.quadrature, x[:, None])
+    return float(vKv[0] / vMv[0])

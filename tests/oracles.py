@@ -21,8 +21,9 @@ Reference routes for claims the CLI computes another way:
   element phases against the block phases, the whole mesh on the dense route;
 - :func:`whole_mesh_quotient` sums ``w_q v'^2`` and ``w_q v^2`` of built
   eigenvector columns over the quadrature points of every element, with
-  scipy's B-spline evaluator, where ``solve_gevp`` forms each mode's sums
-  over one block from its Bloch factors;
+  scipy's B-spline evaluator, where ``Spectrum.forms`` sums each mode over
+  one block from its Bloch factors, or over the whole mesh with the
+  library's own evaluator on the dense route;
 - :func:`extended_block_quotients` forms one block's quotients of given
   coefficients in extended precision, with the scalar Cox-de Boor basis,
   where ``solve_gevp`` sums them in float64 from one basis call;
@@ -49,9 +50,14 @@ Reference routes for claims the CLI computes another way:
 - :func:`reference_viridis` colors one heatmap cell at a time with Python
   scalars, where ``svgplot.heatmap`` colors the whole grid in one array
   expression;
-- :func:`reference_polish_eigenvalue` factors the shifted pencil formed as
-  a sparse difference and converted to CSC, where ``polish_eigenvalue``
-  forms it on the bands and hands its sparse rows over as columns.
+- :func:`reference_sparse` converts a band to CSR with scipy's diagonal
+  constructor, where ``SymmetricBandedMatrix.to_sparse`` indexes the band;
+- :func:`reference_polish_vector` factors the shifted pencil formed as a
+  sparse difference and converted to CSC, where ``polish_eigenvalue`` forms
+  it on the bands and hands its sparse rows over as columns, and
+  :func:`reference_polish_eigenvalue` takes that vector's quotient on the
+  stored bands, where ``polish_eigenvalue`` takes it at the quadrature
+  points.
 """
 
 import math
@@ -325,12 +331,13 @@ def dense_eigenpairs(op) -> tuple[np.ndarray, np.ndarray]:
     return scipy.linalg.eigh(op.K.to_dense(), op.M.to_dense())
 
 
-def whole_mesh_quotient(op, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def whole_mesh_quotient(op, V: np.ndarray, rule=None) -> tuple[np.ndarray, np.ndarray]:
     """``(v^T K v, v^T M v)`` of every column ``v`` of ``V`` (on the reduced
     dofs of ``op``): the sums of ``w_q v'(x_q)^2`` and of ``w_q v(x_q)^2``
-    over the quadrature points of every element of the mesh, under the rule
-    ``op`` was assembled with, a block of columns at a time.  Their ratio is
-    the column's Rayleigh quotient.
+    over the quadrature points of every element of the mesh, under the
+    ``QuadratureSpec`` ``rule`` (by default the rule ``op`` was assembled
+    with), a block of columns at a time.  Their ratio is the column's
+    Rayleigh quotient.
 
     The fields come from scipy's B-spline evaluator on the whole knot
     vector, and the sums accumulate in extended precision.  scipy evaluates
@@ -338,7 +345,7 @@ def whole_mesh_quotient(op, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     separator: a point at an element's right end takes its values from the
     mirror image of the spline, ``x -> 1 - x``, at the image's left end."""
     kv, p = op.kv, op.kv.p
-    rule = op.quadrature.reference_rule(p)
+    rule = (rule or op.quadrature).reference_rule(p)
     t, spans = kv.knots, kv.spans()
     a, b = t[spans][:, None], t[spans + 1][:, None]
     xs = (0.5 * (a * (1.0 - rule.nodes) + b * (1.0 + rule.nodes))).ravel()  # ends exact
@@ -391,23 +398,18 @@ def extended_block_quotients(op, C: np.ndarray) -> np.ndarray:
 
 
 class QuadratureFormsSpectrum(Spectrum):
-    """``spectrum`` held as one array, whose quadratic forms of the bands of
-    each operator of ``ops`` are the :func:`whole_mesh_quotient` sums of its
+    """``spectrum`` held as one array, on the mesh of ``op``, whose forms
+    under every rule are the :func:`whole_mesh_quotient` sums of its
     columns: a budget of it is the reference for a budget of ``spectrum``,
-    which reads the sums its solve kept, one block's, where a dense spectrum
-    forms them on the bands.  ``extra`` pairs further bands with their forms,
-    for a band changed after its assembly."""
+    whose forms the library sums over one block on the block-Fourier route
+    and with its own basis evaluator on the dense route."""
 
-    def __init__(self, spectrum, ops, extra=()):
-        super().__init__(spectrum.eigenvalues, spectrum.eigenvectors)
-        self.forms = list(extra)
-        for op in ops:
-            vKv, vMv = whole_mesh_quotient(op, self._vectors)
-            self.forms += [(op.K.band, vKv), (op.M.band, vMv)]
+    def __init__(self, spectrum, op):
+        super().__init__(spectrum.eigenvalues, spectrum.eigenvectors, op.kv, op.dof_indices)
+        self._op = op
 
-    def quadratic_forms(self, matrices, lo=0):
-        return np.array([next(f for band, f in self.forms if np.array_equal(A.band, band))[lo:]
-                         for A in matrices])
+    def forms(self, rule):
+        return np.array(whole_mesh_quotient(self._op, self._vectors, rule))
 
 
 def kron_2d_operators(op):
@@ -695,10 +697,19 @@ def reference_viridis(t: float) -> str:
     return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
-def reference_polish_eigenvalue(op, estimate: float) -> float:
-    """``polish_eigenvalue`` with ``K - sigma M`` formed as the difference of
-    the two sparse matrices and converted to CSC, and each quadratic form
-    taken from a sparse matrix of its own."""
+def reference_sparse(A) -> scipy.sparse.csr_matrix:
+    """The CSR form of the banded matrix ``A`` from scipy's diagonal
+    constructor, one diagonal of the band at a time."""
+    u = A.bandwidth
+    w = min(u, A.n - 1)
+    offsets = range(-w, w + 1)
+    return scipy.sparse.diags([A.band[u - abs(k), abs(k):] for k in offsets], offsets,
+                              shape=(A.n, A.n), format="csr")
+
+
+def reference_polish_vector(op, estimate: float) -> np.ndarray:
+    """The eigenvector of ``polish_eigenvalue``, from ``K - sigma M`` formed
+    as the difference of the two sparse matrices and converted to CSC."""
     sigma = estimate * (1.0 - _POLISH_SHIFT)
     Ms = op.M.to_sparse()
     lu = scipy.sparse.linalg.splu((op.K.to_sparse() - sigma * Ms).tocsc(),
@@ -707,5 +718,11 @@ def reference_polish_eigenvalue(op, estimate: float) -> float:
     for _ in range(_POLISH_STEPS):
         y = lu.solve(Ms @ x)
         x = y / np.abs(y).max()
-    V = x[:, None]
-    return float(op.K.quadratic_forms(V)[0] / op.M.quadratic_forms(V)[0])
+    return x
+
+
+def reference_polish_eigenvalue(op, estimate: float) -> float:
+    """The Rayleigh quotient of :func:`reference_polish_vector` on the stored
+    bands, each form a product with a sparse matrix of its own."""
+    x = reference_polish_vector(op, estimate)
+    return float((x @ (op.K.to_sparse() @ x)) / (x @ (op.M.to_sparse() @ x)))

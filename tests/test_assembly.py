@@ -11,7 +11,8 @@ from splinespectra.assembly import (
 from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
-from oracles import direct_2d_operators, eliminate_2d_dirichlet, kron_2d_operators
+from oracles import (direct_2d_operators, eliminate_2d_dirichlet, kron_2d_operators,
+                     reference_sparse)
 
 
 def row_sums(mat):
@@ -167,6 +168,11 @@ def test_band_restriction_matches_dense_slice():
     for m in mats:
         assert np.array_equal(m.to_sparse().toarray(), m.to_dense())
         assert np.allclose(row_sums(m), m.to_dense().sum(axis=1), atol=1e-14)
+        # the same CSR arrays as scipy's diagonal constructor, zeros dropped,
+        # so that sparse products and factorizations keep their bits
+        got, want = m.to_sparse(), reference_sparse(m)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_dof_indices_track_eliminated_boundary():

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splinespectra import analysis, cli, eigensolve, quadrature
-from splinespectra.assembly import assemble_layout
 from splinespectra.cli import main
 from splinespectra.quadrature import gauss_rule, lobatto_rule
 from splinespectra.splines import BlockLayout
@@ -141,8 +140,9 @@ def test_values_only_jobs_form_no_eigenvectors(tmp_path, monkeypatch, line):
 @pytest.mark.parametrize("quadrature", ["gauss", "lobatto"])
 def test_spectrum_does_not_depend_on_the_solve_kept_forms(tmp_path, monkeypatch, quadrature):
     """The budget takes v^T M v and v^T K v of the solve's pencil from the
-    solve: one block's sums at the quadrature points.  Its CSV is that of a
-    run whose spectrum, held as one array, takes the whole-mesh sums of the
+    forms the solve kept, one block's sums at the quadrature points, and
+    forms those of the Gauss rule the same way.  Its CSV is that of a run
+    whose spectrum, held as one array, takes the whole-mesh sums of the
     oracle instead, to round-off: the eigenvalue columns bit for bit, the
     rest within 5e-13 (those that read the pair products take them from the
     columns there, not from the Bloch factors)."""
@@ -157,13 +157,14 @@ def test_spectrum_does_not_depend_on_the_solve_kept_forms(tmp_path, monkeypatch,
         return comments, dict(zip(header, zip(*(row.split(",") for row in rows))))
 
     def kept(op, spectrum):
-        assert isinstance(spectrum, eigensolve._BlochSpectrum) and spectrum._kept
+        assert isinstance(spectrum, eigensolve._BlochSpectrum)
+        assert list(spectrum._forms) == [op.quadrature]
         return spectrum
 
     solve = cli.solve_gevp
     comments, got = run("kept", kept)
     oracle_comments, expected = run("oracle", lambda op, spectrum: QuadratureFormsSpectrum(
-        spectrum, [assemble_layout(op.layout), op]))
+        spectrum, op))
     assert comments == oracle_comments and got.keys() == expected.keys()
     for name, cells in got.items():
         if name in ("j", "j_over_N0", "lambda_exact", "lambda_h", "ev_rel"):

@@ -26,8 +26,9 @@ from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
 from oracles import (OracleDivergenceError, QuadratureFormsSpectrum, dense_eigenpairs,
-                     extended_block_quotients, kron_2d_operators, oracle_check,
-                     reference_polish_eigenvalue, whole_mesh_quotient)
+                     extended_block_quotients, kron_2d_operators, linear_fem_eigenvalue,
+                     oracle_check, reference_polish_eigenvalue, reference_polish_vector,
+                     whole_mesh_quotient)
 
 
 def banded_diag(values):
@@ -167,12 +168,30 @@ def test_polish_reaches_the_nearest_eigenvalue():
         "iga-lobatto", "riga-lobatto", "iga-p1"])
 def test_polish_matches_the_sparse_difference_bit_for_bit(layout, quadrature):
     # the shift formed on the bands, its CSR arrays handed over as CSC,
-    # factors the same matrix as the sparse difference converted to CSC
+    # factors the same matrix as the sparse difference converted to CSC: the
+    # same vector, bit for bit, whose quotient at the quadrature points is
+    # returned.  Its quotient on the bands agrees to n eps lambda_max
     op = assemble_layout(layout, quadrature)
     lam = solve_eigenvalues(op)
     for k in {1, 2, lam.size // 2, lam.size - 1}:
         estimate = lam[k] * (1 + 1e-9)
-        assert polish_eigenvalue(op, estimate) == reference_polish_eigenvalue(op, estimate)
+        x = reference_polish_vector(op, estimate)
+        vKv, vMv = eigensolve._mesh_forms(op.kv, op.dof_indices, op.quadrature, x[:, None])
+        got = polish_eigenvalue(op, estimate)
+        assert got == vKv[0] / vMv[0]
+        assert abs(got - reference_polish_eigenvalue(op, estimate)) \
+            <= op.n_dofs * np.finfo(float).eps * lam[-1]
+
+
+@pytest.mark.parametrize("n_elements", [100, 400, 800, 1600])
+def test_polish_is_right_to_a_few_roundings_on_linear_elements(n_elements):
+    # linear elements have closed-form eigenvalues: the polished leading
+    # mode is within 4.1 eps of them up to 1600 elements, where the quotient
+    # on the stored bands was up to 8.0e-12 off (relative)
+    op = assemble_layout(BlockLayout.fea(n_elements, 1))
+    exact = linear_fem_eigenvalue(1, op.layout.h)
+    got = polish_eigenvalue(op, solve_eigenvalues(op, lowest=1)[0])
+    assert abs(got - exact) <= 8 * np.finfo(float).eps * exact
 
 
 def test_polish_rejects_a_singular_shift():
@@ -235,6 +254,13 @@ def refuse_dense(*args, **kwargs):
 def bare(op):
     """The pencil of ``op`` without its layout: always the dense route."""
     return SimpleNamespace(K=op.K, M=op.M, n_dofs=op.n_dofs)
+
+
+def dense_route(op):
+    """``solve_gevp`` of ``op`` by the dense route, whatever its layout."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eigensolve, "_uniform_patch", lambda op: None)
+        return solve_gevp(op)
 
 
 def clusters(w, gap):
@@ -362,15 +388,15 @@ def test_unresolved_cluster_gets_the_localized_basis():
 
 
 # The factored spectrum's budget takes its pair products (u_j, v_j) from the
-# Bloch factors, and v^T K v and v^T M v of its solve's pencil from the sums
-# its solve kept, one block's at the quadrature points.  The reference holds
-# the same spectrum as one array, with the pair products of its columns and
-# the whole-mesh sums of whole_mesh_quotient.  The pair products differ by at
-# most 5.3e-14 on riga(2000, 2, 100) and 7.8e-15 on 123 layouts of up to 12
-# blocks of up to 12 elements, p = 1 .. 5; the forms by at most 2.3e-14
-# relative on layouts of up to 8 blocks of up to 12 elements, p = 1 .. 5,
-# under Gauss, Lobatto and blended rules (knot rounding differs from block to
-# block).  The eigenvalue terms are the same bit for bit.
+# Bloch factors, and v^T K v and v^T M v from its forms, one block's sums at
+# the quadrature points.  The reference holds the same spectrum as one array,
+# with the pair products of its columns and the whole-mesh sums of
+# whole_mesh_quotient.  The pair products differ by at most 5.3e-14 on
+# riga(2000, 2, 100) and 7.8e-15 on 123 layouts of up to 12 blocks of up to
+# 12 elements, p = 1 .. 5; the forms by at most 2.3e-14 relative on layouts
+# of up to 8 blocks of up to 12 elements, p = 1 .. 5, under Gauss, Lobatto
+# and blended rules (knot rounding differs from block to block).  The
+# eigenvalue terms are the same bit for bit.
 _EIGENVALUE_TERMS = ("j", "j_over_n0", "lambda_exact", "lambda_h", "ev_rel")
 _BUDGET_ATOL = 5e-13
 
@@ -384,26 +410,16 @@ def assert_budgets_agree(got, expected):
             np.testing.assert_allclose(a, b, rtol=0, atol=_BUDGET_ATOL, err_msg=field.name)
 
 
-# a budget that reads no kept form takes every form from built columns: the
-# same spectrum held as one array gives the same bits, but for the terms of
-# the pair products, from the Bloch factors here and from the columns there
-_PAIR_PRODUCT_TERMS = ("ef_l2_sq", "ef_energy_rel_sq", "pythagoras_residual")
-
-
-def assert_budgets_share_bits(got, expected):
-    for field in dataclasses.fields(got):
-        a, b = getattr(got, field.name), getattr(expected, field.name)
-        if field.name in _PAIR_PRODUCT_TERMS:
-            np.testing.assert_allclose(a, b, rtol=0, atol=_BUDGET_ATOL, err_msg=field.name)
-        else:
-            np.testing.assert_array_equal(a, b, err_msg=field.name)
-
-
-def reference_budget(spectrum, op, extra=()):
+def reference_budget(spectrum, op):
     """The budget of ``spectrum`` on ``op`` from the same spectrum held as one
-    array, its forms the whole-mesh sums of the Gauss and the ``op`` pencils."""
-    ops = [assemble_layout(op.layout), op]
-    return analysis.error_budget(QuadratureFormsSpectrum(spectrum, ops, extra), op)
+    array, its forms the whole-mesh sums of the oracle under every rule."""
+    return analysis.error_budget(QuadratureFormsSpectrum(spectrum, op), op)
+
+
+def materialized(spectrum, op):
+    """``spectrum`` held as one array on the mesh of ``op``: a dense spectrum."""
+    return eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors, op.kv,
+                               op.dof_indices)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -432,9 +448,7 @@ def test_factored_eigenvectors_match_the_materialized_and_dense_spectra(p, block
                                       getattr(expected, field.name), err_msg=field.name)
 
     # against the dense eigh route: the budget of every mode resolved by both
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eigensolve, "_uniform_patch", lambda op: None)
-        dense = solve_gevp(op)
+    dense = dense_route(op)
     lam_max = dense.eigenvalues[-1]
     assert np.max(np.abs(spectrum.eigenvalues - dense.eigenvalues)) <= 1e-12 * lam_max
     resolved = np.concatenate([run for run in clusters(dense.eigenvalues, 1e-6 * lam_max)
@@ -451,64 +465,65 @@ _BLENDED = QuadratureSpec("blended", tau=0.5)
 _RULES = [QuadratureSpec("gauss"), QuadratureSpec("lobatto"), _BLENDED]
 
 
-@pytest.mark.parametrize("solved_on, budgeted_on, reads_kept", [
-    (QuadratureSpec("lobatto"), QuadratureSpec("gauss"), False),
-    (QuadratureSpec("gauss"), QuadratureSpec("lobatto"), True),
-    (_BLENDED, QuadratureSpec("gauss"), False),
-    (QuadratureSpec("gauss"), _BLENDED, True),
-    (_BLENDED, _BLENDED, True),
+@pytest.mark.parametrize("solved_on, budgeted_on", [
+    (QuadratureSpec("lobatto"), QuadratureSpec("gauss")),
+    (QuadratureSpec("gauss"), QuadratureSpec("lobatto")),
+    (_BLENDED, QuadratureSpec("gauss")),
+    (QuadratureSpec("gauss"), _BLENDED),
+    (_BLENDED, _BLENDED),
 ], ids=["lobatto-gauss", "gauss-lobatto", "blended-gauss", "gauss-blended",
         "blended-blended"])
-def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on, reads_kept):
-    # the budget reads only the spectrum's eigenpairs, whichever pencil they
-    # came from: the factored spectrum's kept forms serve only the pencil it
-    # was solved on, and every other form is formed on the bands.  A Gauss
-    # budget reads the Gauss pencil alone, so a spectrum solved on another
-    # one serves it no kept form
+def test_budget_of_a_spectrum_solved_on_another_pencil(solved_on, budgeted_on):
+    # the budget reads only the spectrum's eigenpairs and their forms under
+    # the rules it names, whichever pencil they were solved on: one block's
+    # sums here, the whole mesh's for the same spectrum held as one array,
+    # with the library's evaluator or the oracle's
     layout = BlockLayout.riga(60, 2, 10)
     spectrum = solve_gevp(assemble_layout(layout, solved_on))
     assert isinstance(spectrum, eigensolve._BlochSpectrum)
     op = assemble_layout(layout, budgeted_on)
     budget = analysis.error_budget(spectrum, op)
     assert_budgets_agree(budget, reference_budget(spectrum, op))
-    if not reads_kept:
-        materialized = eigensolve.Spectrum(spectrum.eigenvalues, spectrum.eigenvectors)
-        assert_budgets_share_bits(budget, analysis.error_budget(materialized, op))
+    assert_budgets_agree(budget, analysis.error_budget(materialized(spectrum, op), op))
 
 
 @pytest.mark.parametrize("matrix", ["K", "M"])
 def test_budget_of_a_pencil_changed_after_the_solve(matrix):
-    # the kept forms are tied to copies of the bands they were formed on: a
-    # band scaled in place after the solve no longer matches, and is formed
-    op = assemble_layout(BlockLayout.riga(60, 2, 10))
-    spectrum = solve_gevp(op)
-    reference = QuadratureFormsSpectrum(spectrum, [op])
-    band, forms = next((b, f) for b, f in reference.forms if b is getattr(op, matrix).band)
+    # the forms are sums at the quadrature points of the spectrum's mesh: a
+    # band scaled in place after the solve changes no term of the budget,
+    # even under a rule the solve formed no forms of
+    layout = BlockLayout.riga(60, 2, 10)
+    spectrum = solve_gevp(assemble_layout(layout))
+    op = assemble_layout(layout, QuadratureSpec("lobatto"))
+    expected = reference_budget(spectrum, op)
     getattr(op, matrix).band *= 2.0
-    expected = analysis.error_budget(
-        QuadratureFormsSpectrum(spectrum, [], [(band, 2.0 * forms), *reference.forms]), op)
     assert_budgets_agree(analysis.error_budget(spectrum, op), expected)
+
+
+def record_builds(monkeypatch):
+    """Record the width of every block of columns a Bloch spectrum builds."""
+    builds = []
+    build = eigensolve._BlochSpectrum._build
+    monkeypatch.setattr(eigensolve._BlochSpectrum, "_build",
+                        lambda self, modes: builds.append(modes.size) or build(self, modes))
+    return builds
 
 
 @pytest.mark.parametrize("matrix", ["K", "M"])
 def test_bands_scaled_before_the_solve_are_the_pencil_solved(monkeypatch, matrix):
-    # the quotients come from op.kv and op.quadrature, the eigenvectors from
-    # the bands: bands that are no longer that assembly are the pencil, and
-    # the forms are taken on them, as the dense route takes its pencil
+    # the forms come from op.kv and op.quadrature, the eigenvectors from the
+    # bands: bands that are no longer that assembly fail the solve's check,
+    # and both routes keep the eigenvalues of the pencil they solved.  The
+    # Bloch route builds no column for it
     op = assemble_layout(BlockLayout.riga(60, 2, 10))
     getattr(op, matrix).band *= 3.0
-    spectrum = solve_gevp(op)
-    assert isinstance(spectrum, eigensolve._BlochSpectrum)
-    with monkeypatch.context() as patch:
-        patch.setattr(eigensolve, "_uniform_patch", lambda op: None)
-        dense = solve_gevp(op)
-    n, lam_max = spectrum.n_modes, dense.eigenvalues[-1]
-    eps = np.finfo(float).eps
-    np.testing.assert_allclose(spectrum.eigenvalues, dense.eigenvalues, rtol=0,
-                               atol=n * eps * lam_max)
-    vKv, vMv = spectrum.quadratic_forms([op.K, op.M])
-    np.testing.assert_allclose(vMv, 1.0, rtol=0, atol=n * eps)
-    np.testing.assert_allclose(vKv, spectrum.eigenvalues, rtol=0, atol=n * eps * lam_max)
+    expected = dense_eigenpairs(op)[0]
+    builds = record_builds(monkeypatch)
+    spectra = [solve_gevp(op), dense_route(op)]
+    assert isinstance(spectra[0], eigensolve._BlochSpectrum) and builds == []
+    tol = op.n_dofs * np.finfo(float).eps * expected[-1]
+    for spectrum in spectra:
+        np.testing.assert_allclose(spectrum.eigenvalues, expected, rtol=0, atol=tol)
 
 
 @pytest.mark.parametrize("layout", [
@@ -540,58 +555,101 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
         assert not local[1:, :, band].any()
 
 
+def tight_columns(lam):
+    """Columns of the runs of ``lam`` (ascending) with gaps of at most ``n eps
+    lambda_max``, which the solve localizes."""
+    tight = np.zeros(lam.size, dtype=bool)
+    close = np.diff(lam) <= lam.size * np.finfo(float).eps * np.abs(lam).max()
+    tight[1:] |= close
+    tight[:-1] |= close
+    return tight
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(p=st.integers(1, 5), block=st.integers(1, 12), n_blocks=st.integers(2, 8),
-       rule=st.sampled_from(_RULES))
-@example(p=1, block=1, n_blocks=2, rule=_RULES[0])  # one dof
-@example(p=5, block=12, n_blocks=2, rule=_RULES[1])
-@example(p=2, block=64, n_blocks=3, rule=_RULES[0])  # a tight run of two outliers
-@example(p=2, block=100, n_blocks=20, rule=_RULES[0])  # a tight run of 19
-def test_one_block_quotients_match_the_whole_mesh_oracle(p, block, n_blocks, rule):
-    # every mode's eigenvalue and kept forms, summed over one block's
-    # quadrature points, against the sums over every element of the built
-    # columns.  A knot rounds by up to eps / 2, so an element's length by up
-    # to n_e eps (relative) and a quotient by up to 2 n_e eps: at most 38 eps
-    # apart on layouts of up to 96 elements, 331 eps on riga(2000, 2, 100).
-    # The eigenvalues of a tight run are those of its modes, within n eps
-    # lambda_max of its localized columns' quotients
-    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block), rule)
-    spectrum = solve_gevp(op)
-    assert isinstance(spectrum, eigensolve._BlochSpectrum)
-    vKv, vMv = whole_mesh_quotient(op, spectrum.eigenvectors)
-    lam, eps = spectrum.eigenvalues, np.finfo(float).eps
-    rtol = (16 + 2 * op.layout.n_elements) * eps
-    tight = np.zeros(lam.size, dtype=bool)
-    for lo, hi, _ in spectrum._runs:
-        tight[lo:hi] = True
-    error = np.abs(lam - vKv / vMv) - np.where(tight, lam.size * eps * lam[-1], 0.0)
-    assert np.all(error <= rtol * lam)
-    kept = spectrum.quadratic_forms([op.K, op.M])
-    np.testing.assert_allclose(kept, [vKv, vMv], rtol=rtol, atol=0)
+       rule=st.sampled_from(_RULES), extra=st.just(0), bc=st.just("dirichlet"))
+@example(p=1, block=1, n_blocks=2, rule=_RULES[0], extra=0, bc="dirichlet")  # one dof
+@example(p=5, block=12, n_blocks=2, rule=_RULES[1], extra=0, bc="dirichlet")
+# a tight run of two outliers
+@example(p=2, block=64, n_blocks=3, rule=_RULES[0], extra=0, bc="dirichlet")
+# a tight run of 19
+@example(p=2, block=100, n_blocks=20, rule=_RULES[0], extra=0, bc="dirichlet")
+# the dense route alone: one block (IGA), a ragged last block, Neumann
+@example(p=3, block=64, n_blocks=1, rule=_RULES[2], extra=0, bc="dirichlet")
+@example(p=2, block=9, n_blocks=6, rule=_RULES[1], extra=4, bc="dirichlet")
+@example(p=4, block=10, n_blocks=4, rule=_RULES[0], extra=0, bc="neumann")
+def test_one_block_quotients_match_the_whole_mesh_oracle(p, block, n_blocks, rule, extra, bc):
+    # every mode's eigenvalue, and its forms under every rule, against the
+    # sums over every element of the built columns: on the block-Fourier
+    # route, summed over one block's quadrature points, and on the dense
+    # route, over the whole mesh with the library's basis evaluator.  A knot
+    # rounds by up to eps / 2, so an element's length by up to n_e eps
+    # (relative) and a quotient by up to 2 n_e eps; on the top modes the p +
+    # 1 terms of v(x_q) cancel, in the oracle too.  At most 0.76 of (16 p +
+    # 2 n_e) eps apart, on riga(24, 5, 12) under Gauss points (97 eps), over
+    # every layout of 2, 5 and 8 blocks of up to 12 elements, p = 1 .. 5,
+    # each rule solved on and formed under, and both routes; 331 eps on
+    # riga(2000, 2, 100).  The eigenvalues of a tight run are those of its
+    # modes, within n eps lambda_max of its localized columns' quotients.
+    # The Neumann constant mode's quotient is the round-off of v', eps^2
+    # lambda_max
+    op = assemble_layout(BlockLayout.riga(block * n_blocks + extra, p, block, bc), rule)
+    spectra = [solve_gevp(op)]
+    uniform = n_blocks > 1 and not extra and bc == "dirichlet"
+    assert isinstance(spectra[0], eigensolve._BlochSpectrum) == uniform
+    if uniform and op.n_dofs <= eigensolve.DENSE_LIMIT // 10:
+        spectra.append(dense_route(op))
+    eps = np.finfo(float).eps
+    rtol = (16 * p + 2 * op.layout.n_elements) * eps
+    for spectrum in spectra:
+        lam, V = spectrum.eigenvalues, spectrum.eigenvectors
+        vKv, vMv = whole_mesh_quotient(op, V)
+        slack = np.where(tight_columns(lam), lam.size * eps, eps * eps) * lam[-1]
+        assert np.all(np.abs(lam - vKv / vMv) - slack <= rtol * np.abs(lam))
+        # the forms under the solve's rule first, formed by the solve
+        for other in [rule] + [r for r in _RULES if r != rule] * (op.n_dofs <= 600):
+            for got, want, atol in zip(spectrum.forms(other), whole_mesh_quotient(op, V, other),
+                                       (eps * eps * lam[-1], 0.0)):
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=atol,
+                                           err_msg=other.label())
 
 
 # The lowest Gauss ev_rel of every mode of riga(2000, 2, 100), riga(400, 3,
 # 50), riga(600, 4, 60) and riga(300, 5, 30), and of the 40 layouts below:
 # -3.6e-16 (1.6 eps, on riga(300, 5, 30)); quotients on the stored bands gave
-# -7.3e-14 on riga(600, 4, 60) and -2.1e-13 on riga(300, 5, 30).  The error
-# is the rounding of lambda itself and of the quotient's sums: a few units in
-# the last place.
+# -7.3e-14 on riga(600, 4, 60) and -2.1e-13 on riga(300, 5, 30).  On the
+# dense route: -3.6e-16 (1.6 eps, on riga(300, 4, 70) with a ragged last
+# block), where the eigenvalues of scipy's eigh read as low as -3.1e-12 on
+# riga(500, 3, 60) under Neumann conditions and -2.5e-12 on iga(300, 5).
+# The error is the rounding of lambda itself and of the quotient's sums: a
+# few units in the last place.
 _EV_REL_ALLOWANCE = 8 * np.finfo(float).eps
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
-@given(p=st.integers(1, 5), block=st.integers(1, 60), n_blocks=st.integers(2, 20))
-@example(p=2, block=100, n_blocks=20)
-@example(p=3, block=50, n_blocks=8)
-@example(p=4, block=60, n_blocks=10)
-@example(p=5, block=30, n_blocks=10)
-def test_gauss_eigenvalues_never_fall_below_the_exact_ones(p, block, n_blocks):
+@given(p=st.integers(1, 5), block=st.integers(1, 60), n_blocks=st.integers(2, 20),
+       extra=st.just(0), bc=st.just("dirichlet"))
+@example(p=2, block=100, n_blocks=20, extra=0, bc="dirichlet")
+@example(p=3, block=50, n_blocks=8, extra=0, bc="dirichlet")
+@example(p=4, block=60, n_blocks=10, extra=0, bc="dirichlet")
+@example(p=5, block=30, n_blocks=10, extra=0, bc="dirichlet")
+# the dense route: one block (IGA), a ragged last block, Neumann conditions
+@example(p=3, block=600, n_blocks=1, extra=0, bc="dirichlet")
+@example(p=5, block=300, n_blocks=1, extra=0, bc="dirichlet")
+@example(p=2, block=99, n_blocks=5, extra=95, bc="dirichlet")
+@example(p=4, block=70, n_blocks=4, extra=20, bc="dirichlet")
+@example(p=2, block=400, n_blocks=1, extra=0, bc="neumann")
+@example(p=3, block=60, n_blocks=8, extra=20, bc="neumann")
+def test_gauss_eigenvalues_never_fall_below_the_exact_ones(p, block, n_blocks, extra, bc):
     # Gauss p + 1 points integrate the pencil exactly, so by the min-max
-    # principle every discrete eigenvalue lies above the exact one
-    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    # principle every discrete eigenvalue lies above the exact one; under
+    # Neumann conditions, above the constant mode
+    op = assemble_layout(BlockLayout.riga(block * n_blocks + extra, p, block, bc))
     spectrum = solve_gevp(op)
-    assert isinstance(spectrum, eigensolve._BlochSpectrum)
-    assert analysis.eigenvalue_errors(spectrum, op).min() >= -_EV_REL_ALLOWANCE
+    uniform = n_blocks > 1 and not extra and bc == "dirichlet"
+    assert isinstance(spectrum, eigensolve._BlochSpectrum) == uniform
+    ev_rel = analysis.eigenvalue_errors(spectrum, op)[int(bc == "neumann"):]
+    assert ev_rel.min() >= -_EV_REL_ALLOWANCE
 
 
 @pytest.mark.parametrize("layout, built", [
@@ -599,10 +657,7 @@ def test_gauss_eigenvalues_never_fall_below_the_exact_ones(p, block, n_blocks):
     (BlockLayout.riga(192, 2, 64), 2),  # a tight run of two outliers
 ], ids=["no-run", "tight"])
 def test_the_solve_builds_only_the_columns_of_tight_runs(monkeypatch, layout, built):
-    builds = []
-    build = eigensolve._BlochSpectrum._build
-    monkeypatch.setattr(eigensolve._BlochSpectrum, "_build",
-                        lambda self, modes: builds.append(modes.size) or build(self, modes))
+    builds = record_builds(monkeypatch)
     spectrum = solve_gevp(assemble_layout(layout))
     assert builds == ([built] if built else [])
     assert [b - a for a, b, _ in spectrum._runs] == builds
@@ -610,13 +665,14 @@ def test_the_solve_builds_only_the_columns_of_tight_runs(monkeypatch, layout, bu
 
 def test_kept_forms_follow_the_sort_of_the_quotients():
     # the quotient pass walks the modes wavenumber by wavenumber, an order
-    # the sort of the quotients permutes throughout: each kept form is still
-    # that of its column
+    # the sort of the quotients permutes throughout: each form the solve
+    # kept is still that of its column
     op = assemble_layout(BlockLayout.riga(60, 3, 10))
     spectrum = solve_gevp(op)
     assert np.all(np.diff(spectrum.eigenvalues) > 0)
     assert np.mean(spectrum._modes != np.arange(spectrum.n_modes)) > 0.5
-    np.testing.assert_allclose(spectrum.quadratic_forms([op.K, op.M]),
+    assert op.quadrature in spectrum._forms
+    np.testing.assert_allclose(spectrum.forms(op.quadrature),
                                whole_mesh_quotient(op, spectrum.eigenvectors),
                                rtol=1e-13, atol=0)
 
@@ -647,29 +703,28 @@ def test_row_sums_are_right_to_one_rounding(rows):
 
 
 def _count_builds(monkeypatch, spectrum):
-    """Record the column ranges ``spectrum`` builds, and the width of every
-    quadratic form formed, from here on."""
-    ranges, widths = [], []
-    columns, forms = spectrum.columns, eigensolve._quadratic_forms
+    """Record the column ranges ``spectrum`` builds, and the element count and
+    mode count of every sum of quadrature forms, from here on."""
+    ranges, sums = [], []
+    columns, forms = spectrum.columns, eigensolve._quadrature_forms
     monkeypatch.setattr(spectrum, "columns",
                         lambda lo, hi: ranges.append((lo, hi)) or columns(lo, hi))
-    monkeypatch.setattr(eigensolve, "_quadratic_forms",
-                        lambda A, V: widths.append(V.shape[1]) or forms(A, V))
-    return ranges, widths
+    monkeypatch.setattr(eigensolve, "_quadrature_forms",
+                        lambda kv, rule, n_el, coefficients, n, fields=1:
+                        sums.append((n_el, n)) or forms(kv, rule, n_el, coefficients, n, fields))
+    return ranges, sums
 
 
 def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
-    # under the reference rule the solve's v^T K v and v^T M v serve the
-    # budget: it builds no column and forms nothing
+    # under the reference rule the forms the solve kept serve the budget: it
+    # builds no column and forms nothing
     op = assemble_layout(BlockLayout.riga(200, 2, 20))
     spectrum = solve_gevp(op)
     expected = reference_budget(spectrum, op)
-    builds = []
-    build = spectrum._build
-    monkeypatch.setattr(spectrum, "_build", lambda *a: builds.append(a) or build(*a))
-    ranges, widths = _count_builds(monkeypatch, spectrum)
+    builds = record_builds(monkeypatch)
+    ranges, sums = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
-    assert builds == [] and ranges == [] and widths == []
+    assert builds == [] and ranges == [] and sums == []
     assert_budgets_agree(budget, expected)
 
 
@@ -683,24 +738,34 @@ def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
     assert [(a, b) for a, b, _ in spectrum._runs] == [(n - 2, n)]
     expected = reference_budget(spectrum, op)
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", 5 * n)  # blocks of 5 columns
-    ranges, widths = _count_builds(monkeypatch, spectrum)
+    ranges, sums = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
     assert ranges == [(n - 2, n)]
-    assert widths == []
+    assert sums == []
     assert_budgets_agree(budget, expected)
 
 
-def test_lobatto_budget_forms_two_quadratic_forms_per_column(monkeypatch):
-    # the exact pencil is formed on every column; v^T K v on the solve's own
-    # Lobatto pencil comes from the solve
-    op = assemble_layout(BlockLayout.riga(200, 2, 20), QuadratureSpec("lobatto"))
-    spectrum = solve_gevp(op)
-    expected = reference_budget(spectrum, op)
-    ranges, widths = _count_builds(monkeypatch, spectrum)
-    budget = analysis.error_budget(spectrum, op)
-    assert ranges == spectrum.blocks()
-    assert sum(widths) == 2 * spectrum.n_modes
-    assert_budgets_agree(budget, expected)
+@pytest.mark.parametrize("rule", _RULES, ids=lambda rule: rule.kind)
+def test_the_budget_builds_no_column_outside_tight_runs(monkeypatch, rule):
+    # under any rule the budget's forms are one block's sums, and those of a
+    # tight run's localized columns, which the spectrum holds, are summed
+    # over the whole mesh: only a tight run's columns are read, for their
+    # pair products
+    for layout in (BlockLayout.riga(200, 2, 20), BlockLayout.riga(192, 2, 64)):
+        op = assemble_layout(layout, rule)
+        spectrum = solve_gevp(op)
+        runs = [(a, b) for a, b, _ in spectrum._runs]
+        expected = reference_budget(spectrum, op)
+        with monkeypatch.context() as patch:
+            builds = record_builds(patch)
+            ranges, sums = _count_builds(patch, spectrum)
+            budget = analysis.error_budget(spectrum, op)
+        assert ranges == runs and sum(builds) == sum(b - a for a, b in runs)
+        # the Gauss forms of a solve under another rule: one block, then the runs
+        block = [(layout.block_size, spectrum.n_modes)]
+        assert sums == ([] if rule == _RULES[0] else block + [(layout.n_elements, b - a)
+                                                             for a, b in runs])
+        assert_budgets_agree(budget, expected)
 
 
 # ---------------------------------------------------------------------------
