@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse
 
 from .assembly import DiscreteOperator, NumericalError, assemble_layout
-from .eigensolve import Spectrum, _band_eigenvalues, polish_eigenvalue, solve_eigenvalues
+from .eigensolve import Spectrum, _band_eigenvalues, _certify_lowest, polish_eigenvalue
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
 from .splines import BlockLayout, span_basis_rows
 
@@ -698,16 +698,28 @@ def leading_mode_error(layout: BlockLayout,
     """Relative eigenvalue error of the first non-constant mode (exact ``pi^2``).
 
     Under Neumann conditions the constant mode comes first, so the measured
-    mode is the second one of the spectrum.  A values-only solve for the
-    lowest modes up to this one locates it (bisection on the bands, or the
-    block-Fourier values of a layout of repeated blocks), and
-    :func:`~splinespectra.eigensolve.polish_eigenvalue` returns its Rayleigh
-    quotient, free of the solve's absolute round-off.
+    mode is the second one of the spectrum.  No eigensolve locates it:
+    :func:`~splinespectra.eigensolve.polish_eigenvalue` runs inverse
+    iteration at its exact eigenvalue, on the bands, and returns the
+    Rayleigh quotient at the quadrature points, free of a solve's absolute
+    round-off; one banded Cholesky factorization then certifies that the
+    quotient is the lowest eigenvalue (above the constant mode), by
+    Sylvester's law of inertia.  O(n p^2) per mesh, whatever its size or
+    layout.
+
+    Raises
+    ------
+    NumericalError
+        If the factorization or the certificate fails.
     """
     op = assemble_layout(layout, quadrature)
     js, lam = exact_spectrum(op.n_dofs, layout.bc)
     first = int(np.searchsorted(js, 1))
-    lam_h = polish_eigenvalue(op, solve_eigenvalues(op, lowest=first + 1)[first])
+    # the shift pi^2 (1 - 1e-8) lies |ev_rel| + 1e-8 of pi^2 from the mode and
+    # about 3 pi^2 from the next one (the constant is projected out), so each
+    # step of the iteration shrinks the other modes by about (|ev_rel| + 1e-8) / 3
+    lam_h = polish_eigenvalue(op, lam[first])
+    _certify_lowest(op, lam_h)
     return float(_relative_errors(lam_h, lam[first]))
 
 
@@ -716,11 +728,12 @@ def convergence_study(layouts, quadrature: QuadratureSpec | None = None):
 
     ``layouts`` is one mesh per size, at least three distinct sizes.  The
     slope is the least-squares fit of ``log |error|`` against ``log h``.
-    Each error comes from :func:`leading_mode_error`, whose Rayleigh
-    quotient is free of the solve's absolute round-off (about
-    ``n eps lambda_max``).  The quotient has round-off of its own: errors
-    within a decade of the noise floor ``1e-13`` are at that level and are
-    excluded from the fit, but all measured values are still returned.
+    Each error comes from :func:`leading_mode_error`, in O(n p^2) per mesh
+    with no eigensolve and no dense limit, whose Rayleigh quotient is free
+    of a solve's absolute round-off (about ``n eps lambda_max``).  The
+    quotient has round-off of its own: errors within a decade of the noise
+    floor ``1e-13`` are at that level and are excluded from the fit, but all
+    measured values are still returned.
     """
     layouts = list(layouts)
     hs = np.array([layout.h for layout in layouts])

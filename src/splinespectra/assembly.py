@@ -94,6 +94,17 @@ class SymmetricBandedMatrix:
         indptr = np.concatenate([[0], np.cumsum(np.bincount(i[nonzero], minlength=n))])
         return scipy.sparse.csr_matrix((values[nonzero], j[nonzero], indptr), (n, n))
 
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product ``A x`` with a vector, one stored diagonal at a time:
+        O(n u)."""
+        u, n = self.bandwidth, self.n
+        y = self.band[u] * x
+        for d in range(1, min(u, n - 1) + 1):
+            diag = self.band[u - d, d:]
+            y[:-d] += diag * x[d:]
+            y[d:] += diag * x[:-d]
+        return y
+
     def restricted(self, keep: np.ndarray) -> "SymmetricBandedMatrix":
         """Submatrix on a contiguous index range: kept dofs, a bubble block or a patch window."""
         keep = np.asarray(keep)

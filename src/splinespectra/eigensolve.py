@@ -58,7 +58,10 @@ one per kind of result:
     tridiagonal form, then a root-free QL sweep for all values or bisection
     for the lowest ``k``): O(n^2 p) time and O(n p) memory, against O(n^3)
     time and two n x n copies for the dense route.  With all values it
-    returns the same bits as LAPACK ``dsbgvd``.
+    returns the same bits as LAPACK ``dsbgvd``.  The reduction of the
+    generalized pencil to standard form chases bulges in O(n^2) whatever
+    ``k``, so no CLI path asks for the lowest ``k``: ``converge`` polishes
+    its mode at the mode's exact eigenvalue instead.
 
 Every eigensolver is backward stable, so its eigenvalues are accurate to
 about ``n eps lambda_max`` in absolute terms, not relative to themselves; on
@@ -67,7 +70,11 @@ and so does the cancellation of quotients formed on the stored bands.  The
 quotients at the quadrature points are free of both on every mode: their
 error is quadratic in the eigenvectors', and their sums add terms of one
 sign (under a rule of positive weights).  :func:`polish_eigenvalue` takes
-the same quotient for one chosen mode of any pencil.
+the same quotient for the one mode nearest an estimate, from inverse
+iteration with one LU factorization on the bands (LAPACK ``dgbtrf``): O(n
+p^2) for a pencil of any size, and no eigensolve when the estimate is the
+mode's exact eigenvalue.  One banded Cholesky factorization then certifies
+such a mode as the lowest (:func:`_certify_lowest`).
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 from .quadrature import QuadratureSpec, map_rule_to_element
@@ -100,11 +106,19 @@ _BLOCK_ENTRIES = 1 << 16
 _PATCH_TOL = 1e-12
 # entries this close (relative) to a column's largest magnitude tie for its sign
 _SIGN_TIE = 1e-12
-# relative offset of the inverse-iteration shift below the estimate, and the
-# step count: each step shrinks the other modes' share by about the ratio of
-# the offset to the relative gap between neighbouring eigenvalues
+# relative offset of the inverse-iteration shift below the estimate, so that
+# the shift is never exactly an eigenvalue.  Each step shrinks the other
+# modes' share by the ratio of the wanted mode's distance from the shift to
+# the next one's.  The steps stop once one moves the iterate (scaled to a
+# largest entry of 1) by at most _POLISH_TOL, which leaves the quotient, whose
+# error is quadratic in the iterate's, right to a rounding; the round-off of
+# the iterate itself stays below that up to a million linear elements
 _POLISH_SHIFT = 1e-8
-_POLISH_STEPS = 3
+_POLISH_TOL = 1e-8
+_POLISH_MAX_STEPS = 50
+# the penalty on v(1/2)^2, in units of the eigenvalue, that lifts the Neumann
+# constant mode above the shift of _certify_lowest
+_CERTIFY_PENALTY = 16.0
 
 
 class Spectrum:
@@ -161,11 +175,15 @@ class Spectrum:
         cancellation of band products on smooth columns.
 
         Each rule's forms are formed once and kept, read-only; the solve
-        keeps those of the rule it solved under.  Here each column is summed
-        over the whole mesh, as one block: O(n_e q (p + 1)) per column for
-        ``q`` points per element."""
-        if rule not in self._forms:
-            self._keep(rule, self._point_forms(rule))
+        keeps those of the rule it solved under.  Rules that resolve to the
+        same points on the mesh (kind, point count and ``tau``), such as the
+        default and an explicit ``p + 1`` Gauss points, share them.  Here
+        each column is summed over the whole mesh, as one block: O(n_e q (p
+        + 1)) per column for ``q`` points per element."""
+        for kept, forms in self._forms.items():  # kept forms imply a mesh
+            if kept.resolved(self._kv.p) == rule.resolved(self._kv.p):
+                return forms
+        self._keep(rule, self._point_forms(rule))
         return self._forms[rule]
 
     def _point_forms(self, rule: QuadratureSpec) -> np.ndarray:
@@ -781,7 +799,8 @@ def solve_eigenvalues(op: DiscreteOperator, lowest: int | None = None) -> np.nda
     one patch (as in :func:`solve_gevp`) gets every eigenvalue from its
     per-wavenumber and bubble pencils, whatever its size.  Any other pencil
     is solved by LAPACK ``dsbgvx`` on the stored upper bands of ``op.K`` and
-    ``op.M``, by bisection when ``lowest`` is given.  The values agree with
+    ``op.M``, by bisection when ``lowest`` is given, which is still O(n^2):
+    no CLI path asks for ``lowest``.  The values agree with
     ``solve_gevp(op).eigenvalues`` to round-off, a few ``1e-14 lambda_max``.
 
     Raises
@@ -841,18 +860,21 @@ def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix,
 def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     """The eigenvalue nearest ``estimate``, as the Rayleigh quotient of its mode.
 
-    A few steps of inverse iteration at the shift
-    ``sigma = estimate (1 - 1e-8)``, with one sparse LU factorization of
-    ``K - sigma M``, give the eigenvector ``v``; the result is its quotient
-    ``v^T K v / v^T M v`` of the quadrature forms at the points of
-    ``op.quadrature`` over the whole mesh (see :func:`solve_gevp`), free of
-    the cancellation of a quotient on the stored bands.  The shifted matrix is
-    formed on the bands, so it is exactly symmetric, and its sparse rows
-    are handed to the factorization as its columns.  The quotient's error
-    is quadratic in the eigenvector's, so it is free of the absolute
-    round-off ``n eps lambda_max`` that a full solve leaves on every
-    eigenvalue.  The start is a fixed random vector, not the constant
-    vector, which under Neumann conditions is the zero mode itself.
+    Inverse iteration at the shift ``sigma = estimate (1 - 1e-8)`` gives the
+    eigenvector ``v``: ``K - sigma M`` is factored once on the bands, by
+    LAPACK ``dgbtrf`` on the general band of :func:`_general_band`, and each
+    step is one banded solve (``dgbtrs``) and one banded product by ``M``,
+    O(n p) after the O(n p^2) factorization.  The steps stop once the iterate
+    settles (see ``_POLISH_TOL``; at most ``_POLISH_MAX_STEPS``), after a
+    few steps unless the estimate is far from its eigenvalue.  The result is the quotient ``v^T K v / v^T M
+    v`` of the quadrature forms at the points of ``op.quadrature`` over the
+    whole mesh (see :func:`solve_gevp`), free of the cancellation of a
+    quotient on the stored bands.  Its error is quadratic in the
+    eigenvector's, so it is free of the absolute round-off ``n eps
+    lambda_max`` that a full solve leaves on every eigenvalue.  The start is
+    a fixed random vector.  Under Neumann conditions the constant vector is
+    the zero mode: it is projected out of every iterate, ``M``-orthogonally,
+    so the result is the nearest eigenvalue above it.
 
     Raises
     ------
@@ -860,19 +882,93 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
         If ``K - sigma M`` is singular or the iteration breaks down.
     """
     sigma = estimate * (1.0 - _POLISH_SHIFT)
-    Ms = op.M.to_sparse()
-    A = SymmetricBandedMatrix(op.K.band - sigma * op.M.band).to_sparse()
-    try:
-        # A^T is A: the transpose of its CSR rows is a CSC view, no copy
-        lu = scipy.sparse.linalg.splu(A.T, permc_spec="NATURAL")
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise NumericalError(f"shifted factorization at {sigma:.17g} failed: {exc}") from exc
+    u = op.K.bandwidth
+    lu, pivots, info = scipy.linalg.lapack.dgbtrf(
+        _general_band(op.K.band - sigma * op.M.band), u, u, overwrite_ab=True)
+    if info != 0:
+        raise NumericalError(f"shifted factorization at {sigma:.17g} failed: "
+                             f"exactly singular (LAPACK dgbtrf info {info})")
+    # M 1 / 1^T M 1 under Neumann conditions, whose constant vector is the
+    # zero mode: y - (m^T y) 1 is y's part M-orthogonal to the constant
+    m = None
+    if getattr(op, "bc", None) == "neumann":
+        m = op.M @ np.ones(op.n_dofs)
+        m /= m.sum()
     x = np.random.default_rng(0).standard_normal(op.n_dofs)
-    for _ in range(_POLISH_STEPS):
-        y = lu.solve(Ms @ x)
+    for _ in range(_POLISH_MAX_STEPS):
+        y = scipy.linalg.lapack.dgbtrs(lu, u, u, op.M @ x, pivots)[0]
+        if m is not None:
+            y -= m @ y
         scale = np.abs(y).max()
         if not (np.isfinite(scale) and scale > 0.0):
             raise NumericalError(f"inverse iteration at {sigma:.17g} broke down")
-        x = y / scale
+        y /= scale
+        # the sign of the iterate flips at each step when sigma lies above
+        # the eigenvalue
+        change = min(np.abs(y - x).max(), np.abs(y + x).max())
+        x = y
+        if change <= _POLISH_TOL:
+            break
     vKv, vMv = _mesh_forms(op.kv, op.dof_indices, op.quadrature, x[:, None])
     return float(vKv[0] / vMv[0])
+
+
+def _general_band(band: np.ndarray) -> np.ndarray:
+    """The LAPACK general band (``dgbtrf``) of the symmetric matrix whose
+    upper band is ``band``, with ``u`` sub- and ``u`` superdiagonals and ``u``
+    more rows for the fill of pivoting: ``ab[2 u + i - j, j]`` holds entry
+    ``(i, j)``."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    ab = np.zeros((3 * u + 1, n))
+    ab[u:2 * u + 1] = band
+    for d in range(1, min(u, n - 1) + 1):
+        ab[2 * u + d, :-d] = band[u - d, d:]
+    return ab
+
+
+def _certify_lowest(op: DiscreteOperator, rho: float) -> None:
+    """Check that ``rho`` is the lowest eigenvalue of the pencil, above the
+    constant mode under Neumann conditions, by one banded Cholesky
+    factorization.
+
+    By Sylvester's law of inertia, ``A = K - sigma M`` is positive definite,
+    and its Cholesky factorization succeeds, exactly when no eigenvalue
+    lies at or below ``sigma``.  At ``sigma = rho / 2`` round-off cannot
+    cross the margin of half the eigenvalue; a higher mode fails, since the
+    mode below it lies near ``rho / 4`` or lower.
+
+    Under Neumann conditions the constant mode lies below ``sigma``, so the
+    check adds the penalty ``16 rho v(1/2)^2`` to the form of ``A``: a
+    rank-one term on the ``p + 1`` functions that meet ``x = 1/2``, inside
+    the band.  A positive rank-one term moves each eigenvalue at most up to
+    the next one, so the penalized pencil's lowest eigenvalue lies at or
+    below the first non-constant one, and success still proves that the
+    latter lies above ``sigma``.  The penalty lifts the constant (whose
+    value at ``1/2`` is 1) to ``16 rho``, and the lowest non-constant mode,
+    odd about the middle, nearly vanishes there: the penalized lowest
+    eigenvalue read at least 0.95 of it on every layout of up to 24
+    elements and degree up to 5.  (A banded compression to the constant's
+    ``M``-orthogonal complement needs a basis of differences, which turns
+    ``K`` into a fourth difference whose Cholesky pivots lose their margin
+    to round-off: at iga(32000, 1) the 27,061st failed.)
+
+    Raises
+    ------
+    NumericalError
+        If the factorization fails: some eigenvalue (other than the
+        constant one) lies at or below ``rho / 2``, so ``rho`` is not the
+        lowest.
+    """
+    sigma = 0.5 * rho
+    A = SymmetricBandedMatrix(op.K.band - sigma * op.M.band)
+    if getattr(op, "bc", None) == "neumann":
+        kv = op.kv  # no function is eliminated: dof a is basis function a
+        span = np.searchsorted(kv.knots, [0.5], side="right") - 1
+        first, N = span_basis_rows(kv, span, np.array([0.5]))
+        A.add_symmetric_block(first, _CERTIFY_PENALTY * rho * N[:, :, None] * N[:, None, :])
+    try:
+        scipy.linalg.cholesky_banded(A.band, lower=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"the polished eigenvalue {rho:.17g} is not the lowest: an eigenvalue "
+            f"lies at or below {sigma:.17g} (banded Cholesky: {exc})") from exc

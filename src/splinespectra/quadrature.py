@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import eval_legendre, roots_jacobi
@@ -143,6 +143,12 @@ class QuadratureSpec:
         # default p + 1 points integrates both mass and stiffness exactly
         # with Gauss and keeps Gauss/Lobatto node counts matched in blends
         return p + 1 if self.points_per_element is None else self.points_per_element
+
+    def resolved(self, p: int) -> "QuadratureSpec":
+        """The same rule with its point count for degree ``p`` spelled out:
+        two specs give the same points exactly when their resolutions are
+        equal."""
+        return replace(self, points_per_element=self.n_points(p))
 
     def reference_rule(self, p: int) -> Rule:
         n = self.n_points(p)

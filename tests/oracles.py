@@ -53,11 +53,15 @@ Reference routes for claims the CLI computes another way:
 - :func:`reference_sparse` converts a band to CSR with scipy's diagonal
   constructor, where ``SymmetricBandedMatrix.to_sparse`` indexes the band;
 - :func:`reference_polish_vector` factors the shifted pencil formed as a
-  sparse difference and converted to CSC, where ``polish_eigenvalue`` forms
-  it on the bands and hands its sparse rows over as columns, and
-  :func:`reference_polish_eigenvalue` takes that vector's quotient on the
-  stored bands, where ``polish_eigenvalue`` takes it at the quadrature
-  points.
+  sparse difference and converted to CSC (SuperLU), where
+  ``polish_eigenvalue`` factors its general band with LAPACK ``dgbtrf``,
+  and :func:`reference_polish_eigenvalue` takes that vector's quotient on
+  the stored bands, where ``polish_eigenvalue`` takes it at the quadrature
+  points;
+- :func:`reference_leading_mode_error` locates the leading mode by a
+  values-only solve and polishes it by sparse LU, where
+  ``leading_mode_error`` iterates at the mode's exact eigenvalue on the
+  bands.
 """
 
 import math
@@ -72,7 +76,7 @@ import scipy.sparse.linalg
 
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
-from splinespectra.eigensolve import _POLISH_SHIFT, _POLISH_STEPS, Spectrum
+from splinespectra.eigensolve import _POLISH_SHIFT, Spectrum, solve_eigenvalues
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
@@ -84,6 +88,9 @@ _ORACLE_TOL = 1e-9
 # grid values (points x modes) per column block of grid_pair_inner
 _GRID_BLOCK_ENTRIES = 1 << 20
 _ORACLE_MAX_ITER = 200
+# steps of the sparse-LU inverse iteration, at a shift within 1e-8 of its
+# eigenvalue: each shrinks the other modes' share by about 1e-8 / 3
+_REFERENCE_POLISH_STEPS = 3
 
 
 def scipy_basis_value(kv: KnotVector, i: int, x: float) -> float:
@@ -708,14 +715,16 @@ def reference_sparse(A) -> scipy.sparse.csr_matrix:
 
 
 def reference_polish_vector(op, estimate: float) -> np.ndarray:
-    """The eigenvector of ``polish_eigenvalue``, from ``K - sigma M`` formed
-    as the difference of the two sparse matrices and converted to CSC."""
+    """The eigenvector ``polish_eigenvalue`` finds, from three steps of
+    inverse iteration with one sparse LU factorization of ``K - sigma M``,
+    formed as the difference of the two sparse matrices and converted to
+    CSC."""
     sigma = estimate * (1.0 - _POLISH_SHIFT)
     Ms = op.M.to_sparse()
     lu = scipy.sparse.linalg.splu((op.K.to_sparse() - sigma * Ms).tocsc(),
                                   permc_spec="NATURAL")
     x = np.random.default_rng(0).standard_normal(op.n_dofs)
-    for _ in range(_POLISH_STEPS):
+    for _ in range(_REFERENCE_POLISH_STEPS):
         y = lu.solve(Ms @ x)
         x = y / np.abs(y).max()
     return x
@@ -726,3 +735,18 @@ def reference_polish_eigenvalue(op, estimate: float) -> float:
     bands, each form a product with a sparse matrix of its own."""
     x = reference_polish_vector(op, estimate)
     return float((x @ (op.K.to_sparse() @ x)) / (x @ (op.M.to_sparse() @ x)))
+
+
+def reference_leading_mode_error(layout, quadrature=None) -> float:
+    """``leading_mode_error`` by a located mode: the values-only solve of
+    ``solve_eigenvalues`` for the lowest modes up to the first non-constant
+    one (bisection on the bands, or the block-Fourier values), then
+    :func:`reference_polish_vector` at that value, and the vector's quotient
+    from :func:`whole_mesh_quotient`, where ``leading_mode_error`` iterates
+    on the bands at the exact eigenvalue ``pi^2`` and sums its quotient in
+    float64."""
+    op = assemble_layout(layout, quadrature)
+    first = 0 if layout.bc == "dirichlet" else 1
+    x = reference_polish_vector(op, solve_eigenvalues(op, lowest=first + 1)[first])
+    vKv, vMv = whole_mesh_quotient(op, x[:, None])
+    return float((vKv[0] / vMv[0] - math.pi ** 2) / math.pi ** 2)

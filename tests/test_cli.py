@@ -122,6 +122,34 @@ def test_converge_solves_the_requested_layout(tmp_path, flags, make):
     assert got != [analysis.leading_mode_error(BlockLayout.iga(n, 2)) for n in sizes]
 
 
+def test_converge_runs_past_the_dense_wall(tmp_path):
+    # each mesh is polished and certified on its bands, with no eigensolve:
+    # 25,000 to 100,000 linear elements converge at order 2
+    out = tmp_path / "conv.csv"
+    assert main(["converge", "--p", "1", "--elements", "25000,50000,100000",
+                 "--assert-slope", "2", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out)
+    errs = np.array([float(r.split(",")[2]) for r in rows])
+    assert np.all(np.isfinite(errs)) and np.all(errs > 0)
+    h = np.array([1 / 25000, 1 / 50000, 1 / 100000])
+    # the leading term of the closed form, to the quotient's round-off
+    # (up to 9e-15 here)
+    np.testing.assert_allclose(errs, (math.pi * h) ** 2 / 12, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_converge_exits_3_when_the_mode_fails_its_certificate(monkeypatch, tmp_path, bc,
+                                                               capsys):
+    # a polish that lands on the second mode: an eigenvalue lies below half
+    # of its quotient, so the certificate refuses it
+    polish = analysis.polish_eigenvalue
+    monkeypatch.setattr(analysis, "polish_eigenvalue",
+                        lambda op, estimate: polish(op, 4 * estimate))
+    assert main(["converge", "--p", "2", "--elements", "10,20,40", "--bc", bc,
+                 "--out", str(tmp_path / "conv.csv")]) == 3
+    assert "is not the lowest" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", [
     "converge --p 2 --elements 10,20,40 --bc neumann",
     "stopbands --method riga --p 3 --block 4 --elements 16",
@@ -342,7 +370,6 @@ def test_config_errors_exit_2(args):
     "stopbands --method riga --block 3 --bc neumann --elements 12",
     "spectrum --elements 7000 --p 1",                    # eigensolve size limit
     "stopbands --method riga --p 2 --elements 6001 --block 7",  # same limit, ragged values
-    "converge --p 1 --elements 10,20,7000",
     "spectrum2d --method fea --p 7 --elements 32",       # 2D dof cap
     "spectrum --method fea --p 1 --elements 1 --bc neumann",  # N0 = 0
     "spectrum --method iga --p 1 --elements 1 --bc neumann",
@@ -396,6 +423,16 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     # only find_optimal_tau needs it, and no subcommand calls that
     src = Path(__file__).resolve().parents[1] / "src"
     code = "import sys, splinespectra.cli; sys.exit('scipy.optimize' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
+    # the polish factors on the bands: no subcommand needs a sparse solver,
+    # whose import costs every CLI run about 18 ms and 2 MB
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, splinespectra.cli; sys.exit('scipy.sparse.linalg' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
