@@ -241,9 +241,9 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
     Mode ``js[c]`` takes ``counts[c]`` subdivisions per element, and the
     caller's dict ``evaluators`` caches :func:`_load_moments`.  The factors
     go in blocks whose tables hold about ``_BLOCK_ENTRIES`` entries each,
-    the column blocks on one block.  A tight run's columns have no Bloch
-    factors: each run takes this route as a dense spectrum of its built
-    columns, in one column block."""
+    the column blocks on one block.  A tight run's localized columns take
+    the same route: their factors are those of their part that meets their
+    exact mode."""
     n_e, dirichlet = op.layout.n_elements, op.bc == "dirichlet"
     first = spectrum.n_modes - js.size
     local, pattern, _ = spectrum.factors(first, first)  # no column: the shapes alone
@@ -256,7 +256,7 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
     out = np.empty(js.size)
     # one block's factors are views of the columns: take the column blocks
     for lo, hi in spectrum.blocks(first, parts * max(height, n_b) if n_b > 1 else None):
-        local, pattern, tight = spectrum.factors(lo, hi)
+        local, pattern, _ = spectrum.factors(lo, hi)
         rows = slice(lo - first, hi - first)
         jc, cc, uv = js[rows], counts[rows], out[rows]
         if n_b > 1:  # Re L and Im L, from Re S and Im S
@@ -266,8 +266,6 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
         # the counts never decrease with j, so each group is a run of columns
         values, starts = np.unique(cc, return_index=True)
         for s, a, z in zip(values, starts, [*starts[1:], jc.size]):
-            if tight[a:z].all():  # taken below
-                continue
             key = (int(s), window, len(local), height)
             if key not in evaluators:
                 evaluators[key] = _load_moments(op, *key)
@@ -275,10 +273,6 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
             uv[a:z] = F[0] if n_b == 1 else F[0] + sign * F[1]
         # the Neumann constant mode is 1, not sqrt(2) cos(0)
         uv *= np.where(jc == 0, 1.0, math.sqrt(2.0))
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
-        for a, z in zip(edges[::2], edges[1::2]):
-            run = Spectrum(spectrum.eigenvalues[lo + a:lo + z], spectrum.columns(lo + a, lo + z))
-            uv[a:z] = _pair_products(run, op, jc[a:z], cc[a:z], evaluators)
     return out
 
 
@@ -359,19 +353,20 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     was solved under were formed by the solve, and any other rule's take
     one sum over the quadrature points per column, over one block of
     ``B`` elements on the block-Fourier route
-    (:func:`~splinespectra.eigensolve.solve_gevp`), over the whole mesh for a
-    dense spectrum and for the columns of a tight run.  No column is built
-    for them.  The pair inner products take one route
-    (:func:`_pair_products`), with no grid-by-modes array: each column's
-    load moments over a window of ``n_el`` elements and a sum of its block
-    pattern against ``n_b`` block phases, O(m (n_el (p + 1) q + n_b)) for
-    ``q`` points per element.  A dense spectrum is one block, the whole
-    mesh; a factored spectrum of ``n_b`` repeated blocks of ``B`` elements
-    reads ``B + 1`` elements however many there are, but for the columns
-    of its tight runs, which it builds.  The tables are built once per
-    subdivision count and window.  Memory is a block of columns and a few
-    temporaries of at most ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n
-    array and no dense operator is formed.
+    (:func:`~splinespectra.eigensolve.solve_gevp`), and over the whole mesh
+    for a dense spectrum; the localized columns of a tight run of ``r``
+    take theirs from their modes' in O(r^2).  No column is built for them.
+    The pair inner products take one route (:func:`_pair_products`), with
+    no grid-by-modes array: each column's load moments over a window of
+    ``n_el`` elements and a sum of its block pattern against ``n_b`` block
+    phases, O(m (n_el (p + 1) q + n_b)) for ``q`` points per element.  A
+    dense spectrum is one block, the whole mesh; a factored spectrum of
+    ``n_b`` repeated blocks of ``B`` elements reads ``B + 1`` elements
+    however many there are, tight runs included, and builds no column.  The
+    tables are built once per subdivision count and window.  Memory is a
+    block of columns and a few temporaries of at most
+    ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n array and no dense
+    operator is formed.
     """
     p = op.kv.p
     n0 = op.layout.n_elements + p - 2

@@ -43,9 +43,16 @@ one per kind of result:
   lambda_max`` cannot be resolved by either route, so its vectors are an
   arbitrary basis of the run's subspace; they are replaced by the
   subspace's localized (SCDM) basis, which is the same whichever route
-  found the subspace, and whose forms are summed over the whole mesh.  Each
-  column is signed so that its leading entry is positive: on the
-  block-Fourier route, when it is built.
+  found the subspace (but for a pick between rows of equal norm), an
+  orthogonal combination ``V G`` of the run's vectors
+  (:func:`_localized_runs`).  The dense route builds these columns and sums
+  their forms over the whole mesh.  The block-Fourier route keeps ``G``
+  alone: its rows come from the factors, and the forms and pair products
+  of a localized column from those of its modes, since modes of different
+  Bloch classes do not meet at the quadrature points
+  (:meth:`_BlochSpectrum._localize_forms`).  It builds no column for a
+  tight run either.  Each column is signed so that its leading entry is
+  positive: on the block-Fourier route, when it is built.
 - :func:`solve_eigenvalues` computes eigenvalues and no eigenvector, the
   lowest ``k`` or all of them, by one of two routes picked as above:
 
@@ -86,7 +93,6 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.cython_lapack
 import scipy.linalg.lapack
-import scipy.sparse
 
 from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 from .quadrature import QuadratureSpec, map_rule_to_element
@@ -258,11 +264,14 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     w, V = _dense_eigenpairs(op)
     kv, dofs = getattr(op, "kv", None), getattr(op, "dof_indices", None)
     forms = None if kv is None else _mesh_forms(kv, dofs, op.quadrature, V)
-    w, order, forms, runs = _settle(op, w, forms, lambda modes: V[:, modes])
+    w, order, forms, runs = _settle(op, w, forms,
+                                    lambda modes: lambda rows: V[np.ix_(rows, modes)])
     moved = np.flatnonzero(order != np.arange(w.size))
     V[:, moved] = V[:, order[moved]]
-    for lo, hi, W in runs:
-        V[:, lo:hi] = W
+    for lo, hi, G in runs:
+        V[:, lo:hi] = V[:, lo:hi] @ G
+        if forms is not None:
+            forms[:, lo:hi] = _mesh_forms(kv, dofs, op.quadrature, V[:, lo:hi])
     spectrum = Spectrum(w, V, kv, dofs)
     for lo, hi in spectrum.blocks():
         V[:, lo:hi] *= _signs(V[:, lo:hi])
@@ -271,18 +280,20 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     return spectrum
 
 
-def _settle(op, lam: np.ndarray, forms: np.ndarray | None, columns):
+def _settle(op, lam: np.ndarray, forms: np.ndarray | None, rows):
     """The steps both routes of :func:`solve_gevp` take after their
     eigenpairs: ``(eigenvalues, order, forms, runs)`` from the pencil
-    eigenvalues ``lam`` of the modes, their forms under ``op.quadrature``
-    (``None`` without a mesh) and their unsigned eigenvectors
-    ``columns(modes)``.  On the stored bands a mode's forms are its pencil
-    eigenvalue and ``1``; where all match within ``_PATCH_TOL + (n_elements
-    + n) eps`` (times ``lambda_max`` for the eigenvalues), in O(n), the
-    eigenvalues are the quotients, else those of the pencil the eigenvectors
-    solve.  ``order`` sorts them, stably; ``runs`` are the signed
-    :func:`_localized_runs` of the sorted ones, whose forms replace theirs
-    in the sorted ``forms``, summed over the whole mesh."""
+    eigenvalues ``lam`` of the modes and their forms under ``op.quadrature``
+    (``None`` without a mesh).  On the stored bands a mode's forms are its
+    pencil eigenvalue and ``1``; where all match within ``_PATCH_TOL +
+    (n_elements + n) eps`` (times ``lambda_max`` for the eigenvalues), in
+    O(n), the eigenvalues are the quotients, else those of the pencil the
+    eigenvectors solve.  ``order`` sorts them, stably, and ``forms`` follow
+    it.  ``runs`` are the ``(lo, hi, G)`` of the :func:`_localized_runs` of
+    the sorted eigenvalues, from ``rows(modes)``, a function of row indices
+    that gives those rows of the modes' unsigned eigenvectors: the localized
+    columns of run ``lo .. hi - 1`` are its sorted columns times ``G``.  The
+    caller replaces the run's forms, still those of its modes."""
     if forms is not None:
         vKv, vMv = forms
         tol = _PATCH_TOL + (op.layout.n_elements + lam.size) * np.finfo(float).eps
@@ -291,14 +302,9 @@ def _settle(op, lam: np.ndarray, forms: np.ndarray | None, columns):
             lam = vKv / vMv
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
-    runs = list(_localized_runs(lam, lambda a, b: columns(order[a:b]), op.M))
-    for lo, hi, W in runs:
-        W *= _signs(W)
-    if forms is not None:
-        forms = forms[:, order]
-        for lo, hi, W in runs:
-            forms[:, lo:hi] = _mesh_forms(op.kv, op.dof_indices, op.quadrature, W)
-    return lam, order, forms, runs
+    runs = [(lo, hi, G) for lo, hi, _, G in _localized_runs(
+        lam, lambda a, b: rows(order[a:b]))]
+    return lam, order, None if forms is None else forms[:, order], runs
 
 
 def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -441,17 +447,27 @@ def _folded_pencils(n_blocks: int, K_patch: tuple, M_patch: tuple,
     return folded(K_patch), folded(M_patch), Qe, Qo
 
 
+def _wave_chunks(n_blocks: int, K_patch: tuple, M_patch: tuple):
+    """``(ks, KA, MA, Qe, Qo)``: the folded pencils of :func:`_folded_pencils`
+    at the wavenumbers ``ks``, over chunks of consecutive ``k = 1 .. n_b -
+    1`` of about ``_BLOCK_ENTRIES`` entries per stacked array, so that no
+    stack of all ``n_b - 1`` pencils, their factors or their products is
+    ever held."""
+    chunk = max(1, _BLOCK_ENTRIES // (K_patch[0].shape[0] + 1) ** 2)
+    for k in range(1, n_blocks, chunk):
+        ks = np.arange(k, min(k + chunk, n_blocks))
+        yield ks, *_folded_pencils(n_blocks, K_patch, M_patch, ks)
+
+
 def _bloch_eigenvalues(n_blocks: int, K_patch: tuple, M_patch: tuple) -> np.ndarray:
     """Every eigenvalue of a pencil of :func:`_uniform_patch`, ascending: those
     of the per-wavenumber pencils of :func:`_folded_pencils` and of the even
     and odd bubble pencils, the stopping bands.  O(n_b m^3) time.  The
-    wavenumbers go in chunks of about ``_BLOCK_ENTRIES`` entries per stacked
-    array, so memory is that bound plus the ``n`` values; no n x n array."""
-    chunk = max(1, _BLOCK_ENTRIES // (K_patch[0].shape[0] + 1) ** 2)
+    wavenumbers go in the chunks of :func:`_wave_chunks`, so memory is
+    ``_BLOCK_ENTRIES`` per temporary plus the ``n`` values; no n x n
+    array."""
     values = []
-    for k in range(1, n_blocks, chunk):
-        KA, MA, Qe, _ = _folded_pencils(n_blocks, K_patch, M_patch,
-                                        np.arange(k, min(k + chunk, n_blocks)))
+    for _, KA, MA, Qe, _ in _wave_chunks(n_blocks, K_patch, M_patch):
         values.append(_pencil_eigh(KA, MA, vectors=False).ravel())
     m, me = Qe.shape
     for bubbles in (slice(0, me), slice(me, m)):
@@ -471,9 +487,11 @@ class _BlochSpectrum(Spectrum):
     the orthonormal DST-I, DST-II and DCT-II, so the built vectors are
     ``M``-orthonormal.  The factors are the per-wavenumber amplitudes ``Y``,
     the bubble vectors, and tables of the block patterns at each
-    wavenumber: O(n_b m^2) memory.  Besides them the spectrum keeps the mode
-    of each column and the localized columns of each tight run (see
-    :func:`_localized_runs`): O(n) besides the runs' columns.
+    wavenumber: O(n_b m^2) memory.  The pencils are solved in the chunks of
+    :func:`_wave_chunks`.  Besides the factors the spectrum keeps the mode
+    of each column and, for each tight run (see :func:`_localized_runs`),
+    the ``r x r`` matrix ``G`` that combines the run's modes into its
+    localized columns: O(n + r^2).
 
     :meth:`factors` hands out the factors of any block of columns: for each
     of three parts, a local vector over one block's bubbles and right
@@ -482,22 +500,32 @@ class _BlochSpectrum(Spectrum):
     the blocks by the patterns, in O(m + n_b) per column.
 
     Each mode's quadrature forms are summed over one block
-    (:meth:`_block_forms`), and the solve builds no column but those of its
-    tight runs: the modes are built and signed when :meth:`columns` is
-    called.
+    (:meth:`_block_forms`), and those of a tight run's localized columns
+    follow from its modes' (:meth:`_localize_forms`), so neither the solve
+    nor the forms build a column: the modes are built and signed when
+    :meth:`columns` is called.
     """
 
     def __init__(self, op: DiscreteOperator, n_blocks: int, K_patch: tuple,
                  M_patch: tuple):
-        KA, MA, Qe, Qo = _folded_pencils(n_blocks, K_patch, M_patch)
-        m, me = Qe.shape
-        lam, Y = _pencil_eigh(KA, MA)
+        m = K_patch[0].shape[0]
+        period = m + 1
+        n_wave = (n_blocks - 1) * period
+        lam = np.empty(n_wave + m)
+        self._Y = np.empty((period, n_wave))  # column (k - 1) (m + 1) + t
+        for ks, KA, MA, Qe, Qo in _wave_chunks(n_blocks, K_patch, M_patch):
+            cols = slice((ks[0] - 1) * period, ks[-1] * period)
+            w, Y = _pencil_eigh(KA, MA)
+            lam[cols] = w.ravel()
+            self._Y[:, cols] = Y.transpose(1, 0, 2).reshape(period, -1)
+        me = Qe.shape[1]
+        # the bubble pencils are the same at every wavenumber
         lam_even, Z_even = _pencil_eigh(KA[:1, :me, :me], MA[:1, :me, :me])
         lam_odd, Z_odd = _pencil_eigh(KA[:1, me:m, me:m], MA[:1, me:m, me:m])
+        lam[n_wave:] = np.concatenate([lam_even[0], lam_odd[0]])
         super().__init__(None, None, op.kv, op.dof_indices)
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
         self._size = op.layout.block_size
-        self._Y = Y.transpose(1, 0, 2).reshape(m + 1, -1)  # column k * (m + 1) + t
         theta = np.arange(1, n_blocks) * math.pi / n_blocks
         scale = math.sqrt(2.0 / n_blocks)
         b = np.arange(n_blocks)[:, None] + 0.5
@@ -508,15 +536,14 @@ class _BlochSpectrum(Spectrum):
         self._interface = scale * np.sin((b[:-1] + 0.5) * theta)
         self._bands = np.hstack([Qe @ Z_even[0], Qo @ Z_odd[0]]) / math.sqrt(n_blocks)
 
-        lam = np.concatenate([lam.ravel(), lam_even[0], lam_odd[0]])
         self.eigenvalues, self._modes, forms, self._runs = _settle(
-            op, lam, self._block_forms(op.quadrature), self._build)
+            op, lam, self._block_forms(op.quadrature), self._rows)
+        self._localize_forms(forms, op.quadrature)
         self._keep(op.quadrature, forms)
 
     def _point_forms(self, rule: QuadratureSpec) -> np.ndarray:
         forms = self._block_forms(rule)[:, self._modes]
-        for lo, hi, W in self._runs:
-            forms[:, lo:hi] = _mesh_forms(self._kv, self._dofs, rule, W)
+        self._localize_forms(forms, rule)
         return forms
 
     def _block_forms(self, rule: QuadratureSpec) -> np.ndarray:
@@ -537,6 +564,41 @@ class _BlochSpectrum(Spectrum):
                                   self._n, fields=2)
         forms[:, self._Y.shape[1]:] *= self._n_blocks
         return forms
+
+    def _localize_forms(self, forms: np.ndarray, rule: QuadratureSpec) -> None:
+        """Replace, in the sorted ``forms`` under ``rule``, those of each tight
+        run's modes by those of its localized columns, in O(r^2) per run.
+
+        Extended oddly to ``[-1, 1]`` and periodically beyond, a mode is a
+        sum of Bloch waves of the ``2 n_b``-block lattice of one class ``q``
+        up to sign (:meth:`_classes`): ``k`` for a wave mode, ``0`` for an
+        odd band mode and ``n_b`` for an even one.  The blocks and the rule
+        are mirror-symmetric, so the sums over the quadrature points of
+        products of two modes of different classes vanish: the point Gram of
+        the run's modes is block-diagonal by class.  A localized column
+        ``sum_c G[c, j] v_c`` then has the forms ``sum_c G[c, j]^2
+        forms(v_c)`` over the classes with one mode in the run, and, for a
+        class with more, the one-block forms of the class's combination."""
+        for lo, hi, G in self._runs:
+            modes = self._modes[lo:hi]
+            q = self._classes(modes)
+            single = np.bincount(q, minlength=self._n_blocks + 1)[q] == 1
+            out = forms[:, lo:hi][:, single] @ np.square(G[single])
+            for c in np.unique(q[~single]):
+                mine = q == c
+                C = np.tensordot(self._block_coefficients(modes[mine]), G[mine], axes=1)
+                combined = _quadrature_forms(self._kv, rule, self._size,
+                                             lambda cols: C[:, :, cols], hi - lo, fields=2)
+                out += combined * (self._n_blocks if c in (0, self._n_blocks) else 1)
+            forms[:, lo:hi] = out
+
+    def _classes(self, modes: np.ndarray) -> np.ndarray:
+        """The Bloch class ``q`` of each mode, ``0 .. n_b``: ``k`` for a wave
+        mode of wavenumber ``k pi / n_b``, ``n_b`` for an even band mode
+        (pattern ``(-1)^b``) and ``0`` for an odd one (pattern ``1``)."""
+        m, n_wave = self._m, self._Y.shape[1]
+        return np.where(modes < n_wave, modes // (m + 1) + 1,
+                        np.where(modes - n_wave < (m + 1) // 2, self._n_blocks, 0))
 
     def _block_coefficients(self, modes: np.ndarray) -> np.ndarray:
         """The coefficients of the fields ``A`` and ``B`` of ``modes`` (as
@@ -579,6 +641,34 @@ class _BlochSpectrum(Spectrum):
         local[:, :, band] = 0.0
         local[0, :m, band] = self._bands[:, modes[band] - n_wave].T
         return local
+
+    def _patterns(self, modes: np.ndarray) -> np.ndarray:
+        """The block patterns of :meth:`factors` of ``modes``, indexed as in
+        :meth:`_local`."""
+        n_blocks, m = self._n_blocks, self._m
+        n_wave = self._Y.shape[1]
+        band = modes >= n_wave
+        k = np.where(band, 0, modes) // (m + 1)
+        pattern = np.zeros((3, n_blocks, modes.size))
+        pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]
+        pattern[2, :-1] = self._interface[:, k]
+        alternating = (-1.0) ** np.arange(n_blocks)[:, None]
+        pattern[0][:, band] = np.where(modes[band] - n_wave < (m + 1) // 2, alternating, 1.0)
+        return pattern
+
+    def _rows(self, modes: np.ndarray):
+        """A function of row indices that gives those rows of the unsigned
+        columns of ``modes`` from the factors, with the bits of
+        :meth:`_build`: row ``f`` of block ``b`` is ``sum_i pattern[i, b]
+        local[i, f]``, O(w) per row."""
+        local, pattern = self._local(modes), self._patterns(modes)
+
+        def rows(index: np.ndarray) -> np.ndarray:
+            b, f = np.divmod(index, self._m + 1)
+            return (pattern[0, b] * local[0, f] + pattern[1, b] * local[1, f]
+                    + pattern[2, b] * local[2, f])
+
+        return rows
 
     def _build(self, modes: np.ndarray) -> np.ndarray:
         """The columns of ``modes``, indices into the wave modes (``k * (m + 1)
@@ -632,34 +722,50 @@ class _BlochSpectrum(Spectrum):
         are found on the built columns, so the factors do not carry them:
         the one caller, the error budget, takes ``|(u_j, v_j)|``.
 
-        ``tight[c]`` marks the columns of a tight run: they are localized
-        combinations of modes (see :func:`_localized_runs`), with no factors
-        of this form, so read them with :meth:`columns`.  Their entries in
-        ``local`` and ``pattern`` are those of the modes they replace.
-        """
-        n_blocks, m = self._n_blocks, self._m
-        modes = self._modes[lo:hi]
-        n_wave = self._Y.shape[1]
-        band = modes >= n_wave
-        k = np.where(band, 0, modes) // (m + 1)
-        pattern = np.zeros((3, n_blocks, modes.size))
-        pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]
-        pattern[2, :-1] = self._interface[:, k]
-        alternating = (-1.0) ** np.arange(n_blocks)[:, None]
-        pattern[0][:, band] = np.where(modes[band] - n_wave < (m + 1) // 2, alternating, 1.0)
+        ``tight[c]`` marks the columns of a tight run.  A localized column
+        ``sum_c G[c, j] v_c`` has no factors of this form, so read it with
+        :meth:`columns`; its factors here are those of the part that meets
+        its exact mode ``u = sin(pi (j + 1) x)`` (column ``j``, from 0).
+        ``u`` is a Bloch wave of class ``q = +-(j + 1) mod 2 n_b`` (see
+        :meth:`_localize_forms`), and the integral of a mode of another
+        class against it vanishes, so ``(u, w)`` is that of the run's modes
+        of class ``q`` alone, which share their pattern: the local vector is
+        ``sum G[c, j] local_c`` over them, zero if there are none."""
+        n_b = self._n_blocks
+        modes = self._modes[lo:hi].copy()
         tight = np.zeros(modes.size, dtype=bool)
-        for a, b, _ in self._runs:
-            tight[max(a - lo, 0):max(b - lo, 0)] = True
-        return self._local(modes), pattern, tight
+        combined = []
+        for a, b, G in self._runs:
+            s, e = max(a, lo), min(b, hi)
+            if s >= e:
+                continue
+            run = self._modes[a:b]
+            q = (np.arange(s, e) + 1) % (2 * n_b)  # the exact modes s + 1 .. e
+            match = self._classes(run)[:, None] == np.minimum(q, 2 * n_b - q)
+            tight[s - lo:e - lo] = True
+            modes[s - lo:e - lo] = np.where(match.any(axis=0), run[match.argmax(axis=0)],
+                                            modes[s - lo:e - lo])
+            combined.append((slice(s - lo, e - lo), run, np.where(match, G[:, s - a:e - a], 0.0)))
+        local = self._local(modes)
+        for cols, run, weights in combined:
+            local[:, :, cols] = self._local(run) @ weights
+        return local, self._patterns(modes), tight
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
-        :func:`solve_gevp` describes, built from the factors: O(n) per column."""
+        :func:`solve_gevp` describes, built from the factors: O(n) per column,
+        and O(n r) per column of a tight run of ``r``, whose modes' columns
+        are built a block at a time and combined by its ``G``."""
         V = self._build(self._modes[lo:hi])
+        for a, b, G in self._runs:
+            s, e = max(a, lo), min(b, hi)
+            if s < e:
+                run, W = self._modes[a:b], V[:, s - lo:e - lo]
+                W[:] = 0.0
+                width = max(1, _BLOCK_ENTRIES // self._n)
+                for c in range(0, run.size, width):
+                    W += self._build(run[c:c + width]) @ G[c:c + width, s - a:e - a]
         V *= _signs(V)
-        for a, b, W in self._runs:
-            if a < hi and b > lo:
-                V[:, max(a, lo) - lo:min(b, hi) - lo] = W[:, max(a, lo) - a:min(b, hi) - a]
         return V
 
 
@@ -672,30 +778,41 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     ``coefficients(modes)`` gives the coefficients of the fields of
     ``modes`` on the basis functions that meet those elements, from the
     first: ``(functions, fields, modes.size)``.  The basis is evaluated at
-    every point in one call.  Each sum adds terms of one sign (under a rule
-    of positive weights), element by element and then by :func:`_sum_rows`,
-    so it is right to a few roundings.  O(n_el q (p + 1)) per mode and field
-    for ``q`` points per element; the modes go in chunks whose point values
-    hold about ``_BLOCK_ENTRIES`` entries per form."""
+    every point in one call, and each point's value gathers the coefficients
+    of its ``p + 1`` functions and adds their terms in order, in two buffers
+    reused for every chunk.  Each sum adds terms of one sign (under a rule
+    of positive weights), element by element and then by
+    :func:`_sum_rows`, so it is right to a few roundings.  O(n_el q (p + 1))
+    per mode and field for ``q`` points per element; the modes go in chunks
+    whose point values hold about ``_BLOCK_ENTRIES`` entries per form."""
     p, reference = kv.p, rule.reference_rule(kv.p)
     spans = kv.spans()[:n_el]
     nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
     first, N, dN = span_basis_rows(kv, np.repeat(spans, reference.nodes.size), nodes.ravel(),
                                    derivs=True)
     points, width = first.size, first[-1] + p + 1
-    cols = (first[:, None] + np.arange(p + 1)).ravel()
-    indptr = np.arange(0, cols.size + 1, p + 1)
-    rows = [scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, width))
-            for X in (dN, N)]
     forms = np.empty((2, n))
     chunk = max(1, _BLOCK_ENTRIES // (fields * points))
+    # the values at the points and one term of them, reused for every chunk
+    buffers = np.empty((2, points * fields * min(chunk, n)))
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
         C = coefficients(modes).reshape(width, -1)
-        # each element's sum of each field, one row each, both forms side by side
-        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(R @ C).reshape(
-            weights.shape + (-1,)), weights).reshape(fields * n_el, -1) for R in rows])
-        forms[:, modes] = _sum_rows(terms).reshape(2, -1)
+        values, term = (b[:points * C.shape[1]].reshape(points, -1) for b in buffers)
+        terms = []
+        for X in (dN, N):
+            # each point's sum over its p + 1 functions, in order
+            np.take(C, first, axis=0, out=values)
+            values *= X[:, :1]
+            for a in range(1, p + 1):
+                np.take(C, first + a, axis=0, out=term)
+                term *= X[:, a:a + 1]
+                values += term
+            # each element's sum of each field, one row each
+            terms.append(np.einsum("eqc,eq->ec", np.square(values, out=values).reshape(
+                weights.shape + (-1,)), weights).reshape(fields * n_el, -1))
+        # both forms side by side
+        forms[:, modes] = _sum_rows(np.hstack(terms)).reshape(2, -1)
     return forms
 
 
@@ -740,30 +857,55 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return x[0] + err
 
 
-def _localized_runs(w: np.ndarray, columns, M: SymmetricBandedMatrix):
-    """``(lo, hi, W)`` for every run ``lo .. hi - 1`` of eigenvalues ``w``
-    (ascending) with gaps of at most ``n eps lambda_max``: ``W`` is the
-    localized basis of the run's subspace, spanned by ``columns(lo, hi)``.
+def _localized_runs(w: np.ndarray, rows):
+    """``(lo, hi, picked, G)`` for every run ``lo .. hi - 1`` of eigenvalues
+    ``w`` (ascending) with gaps of at most ``n eps lambda_max``, whose
+    ``M``-orthonormal eigenvector columns ``V_c`` have the rows
+    ``rows(lo, hi)(index)``: the localized basis of the run's subspace is
+    ``V_c G``.
 
     No solver resolves such a run, so its vectors are any basis of its
     subspace.  The localized one (SCDM, Damle, Lin & Ying 2015) depends on
     the subspace alone: a pivoted QR factorization of ``V_c^T`` picks one row
-    per vector, ``V_c V_c[rows]^T`` spans the subspace with columns peaked
-    at those rows, and a Loewdin step ``W (W^T M W)^(-1/2)`` makes them
-    ``M``-orthonormal.  Columns are ordered by their row.
+    per vector, ``V_c V_c[picked]^T`` spans the subspace with columns peaked
+    at those rows, and a Loewdin step makes them ``M``-orthonormal.  Since
+    ``V_c^T M V_c = I``, the step needs only the ``r x r`` Gram ``S =
+    V_c[picked] V_c[picked]^T``: ``G = V_c[picked]^T S^(-1/2)``, an
+    orthogonal matrix.  Columns are ordered by their row.
+
+    The factorization runs on the rows of norm at least half the largest,
+    the norms taken a block of rows at a time.  A row's residual never
+    exceeds its norm, and the pivots' residuals ``|R_ss|`` do not increase,
+    so when every ``|R_ss|`` of the ``r`` steps is at least half the largest
+    norm no other row could have won a step: the pivots are those of the
+    factorization over every row, but where two rows tie, as the mirror
+    images about a separator of a mode of p >= 3 do, and round-off picks
+    one.  When the check fails, every row is factored.  The rows of large
+    norm lie near the separators, so this is O(n r) for the norms and
+    O(r^3) for the rest, against O(n r^2) over every row.
     """
     n = w.size
     if n < 2:
         return
     tight = np.diff(w) <= n * np.finfo(float).eps * np.abs(w).max()
     edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
-    Ms = M.to_sparse() if edges.size else None
     for lo, hi in zip(edges[::2], edges[1::2] + 1):
-        Vc = columns(lo, hi)
-        rows = np.sort(scipy.linalg.qr(Vc.T, mode="r", pivoting=True)[1][:hi - lo])
-        W = Vc @ Vc[rows].T
-        g, U = np.linalg.eigh(W.T @ (Ms @ W))
-        yield lo, hi, W @ ((U / np.sqrt(g)) @ U.T)
+        r, take = hi - lo, rows(lo, hi)
+        width = max(1, _BLOCK_ENTRIES // r)
+        size = np.concatenate([np.linalg.norm(take(np.arange(a, min(a + width, n))), axis=1)
+                               for a in range(0, n, width)])
+        index = np.flatnonzero(size >= 0.5 * size.max())
+        if index.size >= r:
+            V = take(index)
+            R, pivots = scipy.linalg.qr(V.T, mode="r", pivoting=True)
+        if index.size < r or np.abs(np.diagonal(R)).min() < 0.5 * size.max():
+            index = np.arange(n)
+            V = take(index)
+            pivots = scipy.linalg.qr(V.T, mode="r", pivoting=True)[1]
+        chosen = np.sort(pivots[:r])
+        V = V[chosen]
+        g, U = np.linalg.eigh(V @ V.T)
+        yield lo, hi, index[chosen], V.T @ ((U / np.sqrt(g)) @ U.T)
 
 
 def _bind_dsbgvx():

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import eval_legendre, roots_jacobi
 
 __all__ = [
     "Rule",
@@ -29,6 +28,9 @@ __all__ = [
 ]
 
 MAX_POINTS = 32
+# Newton steps after the eigenvalues, which are right to a few units in the
+# last place: each step squares the error
+_NEWTON_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,46 @@ def gauss_rule(n_points: int) -> Rule:
 def lobatto_rule(n_points: int) -> Rule:
     """Gauss-Lobatto rule with endpoint nodes, exact to degree ``2 n - 3``.
 
-    Interior nodes are the roots of ``P'_{n-1}`` (a Jacobi(1, 1) polynomial);
-    weights follow the classical formula ``2 / (n (n-1) P_{n-1}(x)^2)``.
+    Interior nodes are the roots of ``P'_{n-1}``, a Jacobi(1, 1) polynomial:
+    the eigenvalues of its Jacobi matrix (Golub-Welsch), polished by Newton
+    steps on ``P'_{n-1}``.  Weights follow the classical formula ``2 / (n (n
+    - 1) P_{n-1}(x)^2)``, with ``P_{n-1}`` from the three-term recurrence,
+    which is exact at the nodes ``0`` and ``+-1``.
     """
     if not 2 <= n_points <= MAX_POINTS:
         raise ValueError(f"unsupported Lobatto order {n_points}")
     n = n_points
-    if n == 2:
-        interior = np.empty(0)
-    else:
-        interior, _ = roots_jacobi(n - 2, 1.0, 1.0)
-    nodes = np.concatenate([[-1.0], interior, [1.0]])
-    weights = 2.0 / (n * (n - 1) * eval_legendre(n - 1, nodes) ** 2)
+    nodes = np.concatenate([[-1.0], _jacobi_roots(n - 2), [1.0]])
+    nodes = 0.5 * (nodes - nodes[::-1])  # exactly symmetric about 0
+    weights = 2.0 / (n * (n - 1) * _legendre(n - 1, nodes)[0] ** 2)
     return _symmetrized(nodes, weights)
+
+
+def _jacobi_roots(degree: int) -> np.ndarray:
+    """The roots of the Jacobi(1, 1) polynomial of ``degree``, which are those
+    of ``P'_{degree + 1}``, ascending: the eigenvalues of the symmetric
+    tridiagonal matrix of its monic recurrence (zero diagonal), then Newton
+    steps on ``P'_{degree + 1}``, whose derivative follows from the Legendre
+    equation."""
+    k = np.arange(1, degree)
+    off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1)) if degree else np.empty(0)
+    n = degree + 1
+    for _ in range(_NEWTON_STEPS):
+        P, lower = _legendre(n, x)
+        slope = n * (lower - x * P) / (1.0 - x ** 2)
+        curve = (2.0 * x * slope - n * (n + 1) * P) / (1.0 - x ** 2)
+        x = x - slope / curve
+    return x
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(P_n(x), P_{n-1}(x))`` by the three-term recurrence ``(j + 1)
+    P_{j+1} = (2 j + 1) x P_j - j P_{j-1}``, for ``n >= 1``."""
+    lower, P = np.ones_like(x), np.array(x, dtype=float)
+    for j in range(1, n):
+        lower, P = P, ((2 * j + 1) * x * P - j * lower) / (j + 1)
+    return P, lower
 
 
 def blended_rule(n_points: int, tau: float) -> Rule:

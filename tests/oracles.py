@@ -52,6 +52,13 @@ Reference routes for claims the CLI computes another way:
   expression;
 - :func:`reference_sparse` converts a band to CSR with scipy's diagonal
   constructor, where ``SymmetricBandedMatrix.to_sparse`` indexes the band;
+- :func:`reference_quadrature_forms` takes the point values of the
+  quadrature forms from products with two CSR matrices, where
+  ``_quadrature_forms`` gathers each element's coefficients;
+- :func:`reference_localized_runs` localizes each tight run from its built
+  columns, by a pivoted QR over every row and a Loewdin step on the sparse
+  mass matrix, where ``_localized_runs`` factors the rows of large norm from
+  the Bloch factors and takes the Gram of the picked rows;
 - :func:`reference_polish_vector` factors the shifted pencil formed as a
   sparse difference and converted to CSC (SuperLU), where
   ``polish_eigenvalue`` factors its general band with LAPACK ``dgbtrf``,
@@ -76,7 +83,8 @@ import scipy.sparse.linalg
 
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
-from splinespectra.eigensolve import _POLISH_SHIFT, Spectrum, solve_eigenvalues
+from splinespectra.eigensolve import (_BLOCK_ENTRIES, _POLISH_SHIFT, Spectrum, _sum_rows,
+                                      solve_eigenvalues)
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
@@ -750,3 +758,53 @@ def reference_leading_mode_error(layout, quadrature=None) -> float:
     x = reference_polish_vector(op, solve_eigenvalues(op, lowest=first + 1)[first])
     vKv, vMv = whole_mesh_quotient(op, x[:, None])
     return float((vKv[0] / vMv[0] - math.pi ** 2) / math.pi ** 2)
+
+
+def reference_localized_runs(w: np.ndarray, columns, M):
+    """``(lo, hi, rows, W)`` for every run ``lo .. hi - 1`` of eigenvalues
+    ``w`` (ascending) with gaps of at most ``n eps lambda_max``, from the
+    run's built columns ``columns(lo, hi)``: the pivoted QR factorization of
+    ``V_c^T`` over every row picks the rows, ``W = V_c V_c[rows]^T`` and a
+    Loewdin step ``W (W^T M W)^(-1/2)``, with ``W^T M W`` formed on the sparse
+    mass matrix, makes its columns ``M``-orthonormal.  Where
+    ``eigensolve._localized_runs`` factors only the rows of large norm and
+    takes the Gram of the picked rows, using ``V_c^T M V_c = I``."""
+    n = w.size
+    if n < 2:
+        return
+    tight = np.diff(w) <= n * np.finfo(float).eps * np.abs(w).max()
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], tight.view(np.int8), [0]])))
+    for lo, hi in zip(edges[::2], edges[1::2] + 1):
+        Vc = columns(lo, hi)
+        rows = np.sort(scipy.linalg.qr(Vc.T, mode="r", pivoting=True)[1][:hi - lo])
+        W = Vc @ Vc[rows].T
+        g, U = np.linalg.eigh(W.T @ (reference_sparse(M) @ W))
+        yield lo, hi, rows, W @ ((U / np.sqrt(g)) @ U.T)
+
+
+def reference_quadrature_forms(kv, rule, n_el: int, coefficients, n: int,
+                               fields: int = 1) -> np.ndarray:
+    """``eigensolve._quadrature_forms`` with the point values of each chunk
+    from the products of two CSR matrices, the basis values and their
+    slopes, with the coefficients, where the library gathers each element's
+    coefficients and adds the ``p + 1`` terms of each point in the order of
+    the CSR products."""
+    p, reference = kv.p, rule.reference_rule(kv.p)
+    spans = kv.spans()[:n_el]
+    nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
+    first, N, dN = span_basis_rows(kv, np.repeat(spans, reference.nodes.size), nodes.ravel(),
+                                   derivs=True)
+    points, width = first.size, first[-1] + p + 1
+    cols = (first[:, None] + np.arange(p + 1)).ravel()
+    indptr = np.arange(0, cols.size + 1, p + 1)
+    rows = [scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, width))
+            for X in (dN, N)]
+    forms = np.empty((2, n))
+    chunk = max(1, _BLOCK_ENTRIES // (fields * points))
+    for lo in range(0, n, chunk):
+        modes = np.arange(lo, min(lo + chunk, n))
+        C = coefficients(modes).reshape(width, -1)
+        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(R @ C).reshape(
+            weights.shape + (-1,)), weights).reshape(fields * n_el, -1) for R in rows])
+        forms[:, modes] = _sum_rows(terms).reshape(2, -1)
+    return forms

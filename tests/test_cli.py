@@ -438,6 +438,16 @@ def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
     assert run.returncode == 0, run.stderr
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the Lobatto rules come from numpy: scipy.special costs every CLI run
+    # about 3.6 MB and 20-50 ms to import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, splinespectra.cli; sys.exit('scipy.special' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+
+
 def test_python_dash_m_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -662,14 +672,14 @@ def test_values_sweep_builds_one_parser_and_each_rule_once(tmp_path, monkeypatch
     _clear_caches()
     parsers, roots = [], collections.Counter()
     init = argparse.ArgumentParser.__init__
-    leggauss, roots_jacobi = np.polynomial.legendre.leggauss, quadrature.roots_jacobi
+    leggauss, jacobi_roots = np.polynomial.legendre.leggauss, quadrature._jacobi_roots
     monkeypatch.setattr(argparse.ArgumentParser, "__init__",
                         lambda self, *a, **kw: parsers.append(kw.get("prog"))
                         or init(self, *a, **kw))
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda n: roots.update([("gauss", n)]) or leggauss(n))
-    monkeypatch.setattr(quadrature, "roots_jacobi",
-                        lambda n, a, b: roots.update([("jacobi", n)]) or roots_jacobi(n, a, b))
+    monkeypatch.setattr(quadrature, "_jacobi_roots",
+                        lambda n: roots.update([("jacobi", n)]) or jacobi_roots(n))
     jobs = WORKLOADS["values-sweep"]
     for k, line in enumerate(jobs):
         assert main(job_argv(line, str(tmp_path / f"job{k}"))) == 0

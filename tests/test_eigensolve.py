@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,9 +27,10 @@ from splinespectra.quadrature import QuadratureSpec
 from splinespectra.splines import BlockLayout
 
 from oracles import (OracleDivergenceError, QuadratureFormsSpectrum, dense_eigenpairs,
-                     extended_block_quotients, kron_2d_operators, linear_fem_eigenvalue,
-                     oracle_check, reference_leading_mode_error,
-                     reference_polish_eigenvalue, whole_mesh_quotient)
+                     extended_block_quotients, grid_pair_inner, kron_2d_operators,
+                     linear_fem_eigenvalue, oracle_check, reference_leading_mode_error,
+                     reference_localized_runs, reference_polish_eigenvalue,
+                     reference_quadrature_forms, whole_mesh_quotient)
 
 
 def banded_diag(values):
@@ -370,8 +372,18 @@ def assert_matches_dense_oracle(op):
             v, u = V[:, run[0]], U[:, run[0]] * np.sign(cross[0, 0])
             assert np.max(np.abs(u - v)) <= 1e-7 * np.max(np.abs(v))
         else:  # sine of the largest principal angle between the subspaces
+            # of M-orthonormal bases: the Bloch columns, localized or not,
+            # are M-orthonormal to about n_elements eps, since the bands
+            # repeat only to that, and a norm 1 - 1.4e-14 alone reads 1.7e-7
+            cross = m_orthonormal(U[:, run], M).T @ M @ m_orthonormal(V[:, run], M)
             cos_min = np.linalg.svd(cross, compute_uv=False).min()
             assert math.sqrt(max(0.0, 1.0 - cos_min ** 2)) <= 1e-7
+
+
+def m_orthonormal(X, M):
+    """The columns of ``X`` made ``M``-orthonormal, spanning the same space."""
+    L = np.linalg.cholesky(X.T @ M @ X)
+    return scipy.linalg.solve_triangular(L, X.T, lower=True).T
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -623,16 +635,17 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
     m, me = Qe.shape
     n = spectrum.n_modes
     for lo, hi in [(0, n), (n // 3, n - 1), (n - 2, n)]:
-        local, _, _ = spectrum.factors(lo, hi)
+        # a tight run's factors are those of its part that meets the exact mode
+        local, _, tight = spectrum.factors(lo, hi)
         modes = spectrum._modes[lo:hi]
         band = modes >= spectrum._Y.shape[1]
         Y = spectrum._Y[:, np.where(band, 0, modes)]
         expected = np.zeros_like(local)
         expected[0, :m], expected[1, :m], expected[2, m] = Qe @ Y[:me], Qo @ Y[me:m], Y[m]
-        wave = ~band
+        wave = ~band & ~tight
         bits = [a[:, :, wave].view(np.int64) for a in (local, expected)]
         assert np.array_equal(*bits)  # zeros keep their signs too
-        assert not local[1:, :, band].any()
+        assert not local[1:, :, band & ~tight].any()
 
 
 def tight_columns(lam):
@@ -737,10 +750,40 @@ def test_gauss_eigenvalues_never_fall_below_the_exact_ones(p, block, n_blocks, e
     (BlockLayout.riga(192, 2, 64), 2),  # a tight run of two outliers
 ], ids=["no-run", "tight"])
 def test_the_solve_builds_only_the_columns_of_tight_runs(monkeypatch, layout, built):
+    # a tight run's pivots, its localized basis and its forms all come from
+    # the factors: no column is built, the run's no more than the others
     builds = record_builds(monkeypatch)
     spectrum = solve_gevp(assemble_layout(layout))
-    assert builds == ([built] if built else [])
-    assert [b - a for a, b, _ in spectrum._runs] == builds
+    assert builds == []
+    assert [b - a for a, b, _ in spectrum._runs] == ([built] if built else [])
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(60, 2, 10), BlockLayout.riga(90, 3, 7), BlockLayout.iga(40, 5),
+    BlockLayout.riga(30, 4, 10, "neumann"), BlockLayout.fea(20, 1),
+], ids=["riga-p2", "riga-ragged", "iga-p5", "neumann-p4", "fea-p1"])
+@pytest.mark.parametrize("rule", _RULES, ids=lambda rule: rule.kind)
+def test_quadrature_forms_keep_the_bits_of_the_csr_products(layout, rule):
+    # the gathered terms of each point are added in the order of the CSR
+    # products they replace, whose bits the Gauss outputs of the CLI keep:
+    # one column (the polished mode), a dense spectrum's columns over the
+    # whole mesh, and a Bloch spectrum's two fields over one block
+    op = assemble_layout(layout, rule)
+    spectrum = solve_gevp(op)
+    kv, dofs = op.kv, op.dof_indices
+    for V in (spectrum.eigenvectors[:, :1], spectrum.eigenvectors):
+        def coefficients(modes, V=V):
+            C = np.zeros((kv.n, 1, modes.size))
+            C[dofs, 0] = V[:, modes]
+            return C
+        got = eigensolve._quadrature_forms(kv, rule, kv.spans().size, coefficients, V.shape[1])
+        want = reference_quadrature_forms(kv, rule, kv.spans().size, coefficients, V.shape[1])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if isinstance(spectrum, eigensolve._BlochSpectrum):
+        args = (kv, rule, layout.block_size, spectrum._block_coefficients, spectrum._n)
+        got = eigensolve._quadrature_forms(*args, fields=2)
+        assert np.array_equal(got.view(np.int64),
+                              reference_quadrature_forms(*args, fields=2).view(np.int64))
 
 
 def test_kept_forms_follow_the_sort_of_the_quotients():
@@ -824,8 +867,9 @@ def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
 
 def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
     # the localized columns of a tight run replaced their modes, and the solve
-    # kept their forms: only the run's own columns are read again, for their
-    # pair products, and nothing is formed
+    # kept their forms; their pair products come from the factors of their
+    # parts that meet their exact modes: no column is read, and nothing is
+    # formed
     op = assemble_layout(BlockLayout.riga(192, 2, 64))  # modes 193 and 194 tie
     spectrum = solve_gevp(op)
     n = spectrum.n_modes
@@ -834,7 +878,7 @@ def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", 5 * n)  # blocks of 5 columns
     ranges, sums = _count_builds(monkeypatch, spectrum)
     budget = analysis.error_budget(spectrum, op)
-    assert ranges == [(n - 2, n)]
+    assert ranges == []
     assert sums == []
     assert_budgets_agree(budget, expected)
 
@@ -842,24 +886,239 @@ def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
 @pytest.mark.parametrize("rule", _RULES, ids=lambda rule: rule.kind)
 def test_the_budget_builds_no_column_outside_tight_runs(monkeypatch, rule):
     # under any rule the budget's forms are one block's sums, and those of a
-    # tight run's localized columns, which the spectrum holds, are summed
-    # over the whole mesh: only a tight run's columns are read, for their
-    # pair products
+    # tight run's localized columns follow from its modes' by their classes:
+    # no column is read, a tight run's no more than the others
     for layout in (BlockLayout.riga(200, 2, 20), BlockLayout.riga(192, 2, 64)):
         op = assemble_layout(layout, rule)
         spectrum = solve_gevp(op)
-        runs = [(a, b) for a, b, _ in spectrum._runs]
         expected = reference_budget(spectrum, op)
         with monkeypatch.context() as patch:
             builds = record_builds(patch)
             ranges, sums = _count_builds(patch, spectrum)
             budget = analysis.error_budget(spectrum, op)
-        assert ranges == runs and sum(builds) == sum(b - a for a, b in runs)
-        # the Gauss forms of a solve under another rule: one block, then the runs
+        assert ranges == [] and builds == []
+        # the Gauss forms of a solve under another rule: one block
         block = [(layout.block_size, spectrum.n_modes)]
-        assert sums == ([] if rule == _RULES[0] else block + [(layout.n_elements, b - a)
-                                                             for a, b in runs])
+        assert sums == ([] if rule == _RULES[0] else block)
         assert_budgets_agree(budget, expected)
+
+
+# ---------------------------------------------------------------------------
+# tight runs from their Bloch factors
+# ---------------------------------------------------------------------------
+
+
+
+def built_runs(spectrum, op):
+    """:func:`reference_localized_runs` of ``spectrum``: the pivoted QR over
+    every row of the built columns and a Loewdin step on the stored mass."""
+    return list(reference_localized_runs(
+        spectrum.eigenvalues, lambda a, b: spectrum._build(spectrum._modes[a:b]), op.M))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=12)
+@given(p=st.integers(2, 5), block=st.integers(64, 100), n_blocks=st.integers(2, 6))
+@example(p=2, block=64, n_blocks=3)    # a run of two wave modes
+@example(p=3, block=100, n_blocks=3)   # an odd band mode in a run
+@example(p=4, block=60, n_blocks=10)   # band modes and runs of part of a branch
+@example(p=3, block=80, n_blocks=4)    # a pick between two rows of equal norm
+@example(p=2, block=100, n_blocks=20)  # the run of 19 of spectrum-riga
+def test_tight_runs_from_the_factors_match_the_built_columns(p, block, n_blocks):
+    # the pivots from the rows of large norm are those of the QR over every
+    # row, and the localized columns agree within n eps (their Loewdin step
+    # uses V^T M V = I, the reference the stored mass, which the Bloch
+    # columns meet to about n_elements eps).  Two rows of equal norm, the
+    # mirror images about a separator of a mode of p >= 3, tie: the two
+    # factorizations round differently, and each may pick either, so where
+    # the picks differ each row picked by one alone ties in norm with one
+    # picked by the other alone, and the columns span the run.  Their forms
+    # under every rule, summed from the modes' by classes, agree within
+    # 1e-12 with the whole mesh's sums of the built columns; and the budget,
+    # whose pair products take the run's columns from their factors, agrees
+    # with that of the same spectrum held as one array within 5e-13 times
+    # lambda_h / lambda, the scale of its form terms.  The whole mesh's sums
+    # place a point near x to eps x, a part in about n_elements eps of an
+    # element: on a column peaked at one separator that does not average
+    # out, and the products of two modes of different classes sum to up to
+    # 9e-14 of a square there, not to zero.  Measured: forms within 6.1e-13
+    # (riga(2000, 2, 100)), the budget within 2.1e-12 where lambda_h /
+    # lambda is 9.3 (riga(600, 4, 60))
+    op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block))
+    spectrum = solve_gevp(op)
+    assert isinstance(spectrum, eigensolve._BlochSpectrum)
+    assume(spectrum._runs)
+    eps = np.finfo(float).eps
+    M = op.M.to_dense()
+    reference = built_runs(spectrum, op)
+    ours = list(eigensolve._localized_runs(
+        spectrum.eigenvalues, lambda a, b: spectrum._rows(spectrum._modes[a:b])))
+    assert [(lo, hi) for lo, hi, _, _ in ours] == [(lo, hi) for lo, hi, _, _ in reference]
+    assert [(lo, hi) for lo, hi, _ in spectrum._runs] == [(lo, hi) for lo, hi, _, _ in ours]
+    for (lo, hi, picked, G), (_, _, rows, W), (_, _, kept) in zip(ours, reference,
+                                                                   spectrum._runs):
+        np.testing.assert_array_equal(G, kept)
+        got = spectrum.columns(lo, hi)
+        if np.array_equal(picked, rows):
+            W = W * eigensolve._signs(W)
+            assert np.abs(got - W).max() <= op.n_dofs * eps * np.abs(W).max()
+        else:
+            size = np.linalg.norm(spectrum._build(spectrum._modes[lo:hi]), axis=1)
+            mine, theirs = np.setdiff1d(picked, rows), np.setdiff1d(rows, picked)
+            assert np.abs(size[mine][:, None] / size[theirs] - 1.0).min(axis=1).max() <= 1e-12
+            assert np.abs(got - W @ (W.T @ M @ got)).max() <= 1e-12 * np.abs(got).max()
+        for rule in _RULES:
+            want = np.array(whole_mesh_quotient(op, got, rule))
+            np.testing.assert_allclose(spectrum.forms(rule)[:, lo:hi], want, rtol=1e-12,
+                                       atol=0, err_msg=rule.label())
+    got, expected = analysis.error_budget(spectrum, op), reference_budget(spectrum, op)
+    scale = np.maximum(1.0, expected.lambda_h / expected.lambda_exact)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if field.name in _EIGENVALUE_TERMS:
+            np.testing.assert_array_equal(a, b, err_msg=field.name)
+        else:
+            assert np.all(np.abs(a - b) <= _BUDGET_ATOL * scale), field.name
+
+
+@pytest.mark.parametrize("parallel", [1, 10], ids=["too-few", "unsettled"])
+def test_localized_runs_factor_every_row_when_the_rows_of_large_norm_do_not_settle(parallel):
+    # rows of large norm along one direction: one is fewer than the run's
+    # three vectors, and of ten the second pivot's residual is far below half
+    # the largest norm.  Either way every row is factored, as the route over
+    # built columns does
+    n, r = 2000, 3
+    A = 0.01 * np.random.default_rng(parallel).standard_normal((n, r))
+    A[:parallel, 0] += 10.0
+    V = np.linalg.qr(A)[0]
+    w = np.concatenate([np.arange(1.0, n - r + 1), np.full(r, float(n))])
+    calls = []
+    ours = list(eigensolve._localized_runs(
+        w, lambda a, b: lambda rows: calls.append(rows.size) or V[rows]))
+    reference = list(reference_localized_runs(w, lambda a, b: V, banded_diag(np.ones(n))))
+    assert calls[0] == n and calls[-1] == n  # the norms, then every row
+    (lo, hi, picked, G), (_, _, rows, W) = *ours, *reference
+    assert (lo, hi) == (n - r, n)
+    np.testing.assert_array_equal(picked, rows)
+    np.testing.assert_allclose(V @ G, W, rtol=0, atol=1e-13)
+
+
+def pair_table(op, V):
+    """``(u_j, v_c)`` of every exact mode ``j = 1 .. n`` with every column of
+    ``V``, one row per column, by the oracle's grid route."""
+    js = np.arange(1, op.n_dofs + 1)
+    out = np.empty((V.shape[1], js.size))
+    for s in np.unique(analysis._required_subdivisions(js, op.layout.h)):
+        cols = analysis._required_subdivisions(js, op.layout.h) == s
+        for c in range(V.shape[1]):
+            out[c, cols] = grid_pair_inner(op, np.repeat(V[:, c:c + 1], cols.sum(), axis=1),
+                                           js[cols], s)
+    return out
+
+
+@pytest.mark.parametrize("layout", [BlockLayout.riga(300, 3, 100), BlockLayout.riga(600, 4, 60)],
+                         ids=["p3", "p4"])
+def test_a_mode_meets_only_the_exact_modes_of_its_class(layout):
+    # extended oddly to [-1, 1], a mode is a Bloch wave of the 2 n_b-block
+    # lattice of class q (k for a wave mode, 0 for an odd band mode, n_b for
+    # an even one) and u_j one of class j mod 2 n_b: (u_j, v_c) vanishes
+    # unless q = +-j.  Measured up to 1.0e-14 on the modes of these runs,
+    # which include band modes, against up to 0.22 and 0.068 where the
+    # classes meet
+    op = assemble_layout(layout)
+    spectrum = solve_gevp(op)
+    n_b = spectrum._n_blocks
+    modes = np.concatenate([spectrum._modes[a:b] for a, b, _ in spectrum._runs])
+    classes = spectrum._classes(modes)
+    assert {0, n_b} & set(classes.tolist())
+    table = pair_table(op, spectrum._build(modes))
+    q = np.arange(1, op.n_dofs + 1) % (2 * n_b)
+    meets = classes[:, None] == np.minimum(q, 2 * n_b - q)
+    assert np.abs(table[~meets]).max() <= 2e-14
+    assert np.abs(table[meets]).max(initial=0.0) > 0.05
+
+
+@pytest.mark.parametrize("rule", _RULES, ids=lambda rule: rule.kind)
+def test_the_point_gram_of_a_run_is_block_diagonal_by_class(rule):
+    # under a mirror-symmetric rule the sums over the quadrature points of
+    # the products of two modes of different classes vanish: measured up to
+    # 7.5e-14 of the diagonal on the runs of riga(600, 4, 60)
+    op = assemble_layout(BlockLayout.riga(600, 4, 60), rule)
+    spectrum = solve_gevp(op)
+    for lo, hi, _ in spectrum._runs:
+        modes = spectrum._modes[lo:hi]
+        V = spectrum._build(modes)
+        pairs = [(a, b) for a in range(hi - lo) for b in range(a + 1, hi - lo)]
+        plus = whole_mesh_quotient(op, np.stack([V[:, a] + V[:, b] for a, b in pairs], 1), rule)
+        minus = whole_mesh_quotient(op, np.stack([V[:, a] - V[:, b] for a, b in pairs], 1), rule)
+        diagonal = whole_mesh_quotient(op, V, rule)
+        classes = spectrum._classes(modes)
+        for form in range(2):
+            cross = (plus[form] - minus[form]) / 4.0
+            assert np.abs(cross).max() <= 1e-13 * diagonal[form].max()
+            assert all(classes[a] != classes[b] for a, b in pairs)
+
+
+def test_a_run_of_many_modes_per_class_takes_its_cross_terms(monkeypatch):
+    # no solved run has two modes of one class, but the forms and the pair
+    # products of any combination V G of modes follow from their factors:
+    # here every mode of riga(60, 2, 10), 11 per wavenumber and 5 per band
+    # class, under a random orthogonal G
+    op = assemble_layout(BlockLayout.riga(60, 2, 10), QuadratureSpec("lobatto"))
+    spectrum = solve_gevp(op)
+    n = spectrum.n_modes
+    G = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))[0]
+    spectrum._runs = [(0, n, G)]
+    spectrum._forms.clear()
+    V = spectrum.columns(0, n)
+    W = spectrum._build(spectrum._modes) @ G
+    np.testing.assert_allclose(W * eigensolve._signs(W), V, rtol=0, atol=1e-13)
+    for rule in _RULES:
+        np.testing.assert_allclose(spectrum.forms(rule), whole_mesh_quotient(op, V, rule),
+                                   rtol=1e-12, atol=0, err_msg=rule.label())
+    js = np.arange(1, n + 1)
+    subdivisions = analysis._required_subdivisions(js, op.layout.h)
+    got = analysis._pair_products(spectrum, op, js, subdivisions, {})
+    expected = np.empty(n)
+    for s in np.unique(subdivisions):
+        cols = subdivisions == s
+        expected[cols] = grid_pair_inner(op, V[:, cols], js[cols], s)
+    assert np.abs(np.abs(got) - np.abs(expected)).max() <= 1e-13
+
+
+def traced_peak(stage):
+    """``(result, peak)``: the result of ``stage()`` and the peak of the
+    memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return stage(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_factored_solve_and_budget_of_a_run_stay_on_the_factors(monkeypatch):
+    # riga(8000, 2, 100) has a tight run of 79 separator outliers: neither the
+    # solve nor the budget builds a column, sums forms over the whole mesh
+    # or takes load moments of the whole mesh, and each holds at most 16 MB
+    # of traced memory: 10.7 and 8.7 MB, where the route over built columns
+    # and the stacks of every per-wavenumber pencil peaked at 43.8 and 21.1
+    builds, whole = record_builds(monkeypatch), []
+    mesh_forms, load_moments = eigensolve._mesh_forms, analysis._load_moments
+
+    def moments(op, subdivisions, n_el, *rest):
+        if n_el >= op.layout.n_elements:
+            whole.append("moments")
+        return load_moments(op, subdivisions, n_el, *rest)
+
+    monkeypatch.setattr(eigensolve, "_mesh_forms",
+                        lambda *args: whole.append("forms") or mesh_forms(*args))
+    monkeypatch.setattr(analysis, "_load_moments", moments)
+    op = assemble_layout(BlockLayout.riga(8000, 2, 100))
+    spectrum, solve_peak = traced_peak(lambda: solve_gevp(op))
+    budget, budget_peak = traced_peak(lambda: analysis.error_budget(spectrum, op))
+    assert [b - a for a, b, _ in spectrum._runs] == [79]
+    assert builds == [] and whole == []
+    assert solve_peak < 16 * 2 ** 20 and budget_peak < 16 * 2 ** 20
+    assert np.abs(budget.pythagoras_residual).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------
