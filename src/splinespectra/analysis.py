@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
+import numpy.fft  # imported here, not inside a job
 
 from .assembly import DiscreteOperator, NumericalError, assemble_layout
 from .eigensolve import Spectrum, _band_eigenvalues, _certify_lowest, polish_eigenvalue
@@ -90,16 +90,15 @@ def _relative_errors(discrete, exact) -> np.ndarray:
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matrix:
-    """Sparse matrix mapping reduced coefficients to field values at ``xs``.
+def _sample_basis(op: DiscreteOperator, xs: np.ndarray):
+    """``(points, dofs, N)``: the indices of the points ``xs`` inside the
+    domain, the reduced dof of each of their ``p + 1`` functions (``n_dofs``
+    for a function removed by boundary conditions) and their values.
 
     A non-empty span ``[a, b)`` owns the points in it, and the last span also
-    owns the right end of the domain; points outside the domain get zero rows.
-    """
+    owns the right end of the domain."""
     kv = op.kv
-    p = kv.p
-    xs = np.asarray(xs, dtype=float)
-    reduced = np.full(kv.n, -1, dtype=int)
+    reduced = np.full(kv.n, op.n_dofs)
     reduced[op.dof_indices] = np.arange(op.n_dofs)
     spans = kv.spans()
     lefts, rights = kv.knots[spans], kv.knots[spans + 1]
@@ -107,10 +106,47 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray) -> scipy.sparse.csr_matr
     inside = (owner >= 0) & ((xs < rights[owner]) | (xs == rights[-1]))
     points = np.flatnonzero(inside)
     first, N = span_basis_rows(kv, spans[owner[points]], xs[points])
-    cols = reduced[first[:, None] + np.arange(p + 1)]
-    rows = np.broadcast_to(points[:, None], cols.shape)
-    kept = cols >= 0
-    return scipy.sparse.csr_matrix((N[kept], (rows[kept], cols[kept])),
+    return points, reduced[first[:, None] + np.arange(kv.p + 1)], N
+
+
+def sample_fields(op: DiscreteOperator, xs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The fields of the columns of ``V`` (coefficients of the reduced dofs)
+    at the points ``xs``: one row per point, one column per field; points
+    outside the domain read zero.
+
+    Each point's value gathers the coefficients of its ``p + 1`` functions
+    and adds their terms to zero in order, the bits of the product
+    ``sample_matrix(op, xs) @ V``; a function removed by boundary conditions
+    adds the zero of a padded row.  O(p) passes over the ``(points, columns)``
+    values, and no sparse matrix."""
+    xs = np.asarray(xs, dtype=float)
+    points, dofs, N = _sample_basis(op, xs)
+    padded = np.zeros((op.n_dofs + 1, V.shape[1]))
+    padded[:-1] = V
+    values, term = np.zeros((2, points.size, V.shape[1]))
+    for a in range(dofs.shape[1]):
+        np.take(padded, dofs[:, a], axis=0, out=term)
+        term *= N[:, a:a + 1]
+        values += term
+    out = np.zeros((xs.size, V.shape[1]))
+    out[points] = values
+    return out
+
+
+def sample_matrix(op: DiscreteOperator, xs: np.ndarray):
+    """The sparse matrix (a ``scipy.sparse.csr_matrix``) mapping reduced
+    coefficients to field values at ``xs``, zero rows outside the domain.
+
+    No CLI path calls it (:func:`sample_fields` gathers the same products),
+    so scipy is imported here, not with the package.  The benchmark's trace
+    keys its sampling spans to this name."""
+    import scipy.sparse
+
+    xs = np.asarray(xs, dtype=float)
+    points, dofs, N = _sample_basis(op, xs)
+    rows = np.broadcast_to(points[:, None], dofs.shape)
+    kept = dofs < op.n_dofs
+    return scipy.sparse.csr_matrix((N[kept], (rows[kept], dofs[kept])),
                                    shape=(xs.size, op.n_dofs))
 
 
@@ -541,7 +577,15 @@ def coefficient_flatness(v: np.ndarray) -> float:
     peak = mags.max()
     if peak == 0.0:
         return 1.0
-    return float(peak / max(np.median(mags), np.finfo(float).eps * peak))
+    return float(peak / max(_median(mags), np.finfo(float).eps * peak))
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of the finite values ``x``, bit for bit, without the
+    ``numpy.ma`` import that ``np.median`` makes on its first call: the mean
+    of the one or two middle values."""
+    mid = np.partition(x, [(x.size - 1) // 2, x.size // 2])
+    return (mid[(x.size - 1) // 2] + mid[x.size // 2]) / 2
 
 
 @dataclass
@@ -586,7 +630,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
     n = spectrum.n_modes
     ev = eigenvalue_errors(spectrum, op)
     decile = ev[-max(n // 10, 1):]
-    med = float(np.median(np.abs(decile)))
+    med = float(_median(np.abs(decile)))
     layout = op.layout
     predicted = count_outliers(layout.p, layout.n_separators, layout.bc,
                                layout.separator_continuity)
@@ -595,7 +639,7 @@ def outlier_report(spectrum: Spectrum, op: DiscreteOperator) -> OutlierReport:
 
     # one sampling for all outlier modes; contiguous rows keep results bitwise
     V = spectrum.columns(n - predicted, n)
-    fields = np.ascontiguousarray((sample_matrix(op, _sample_grid(op)) @ V).T)
+    fields = np.ascontiguousarray(sample_fields(op, _sample_grid(op), V).T)
     magnitudes = _frequency_content(fields, op.bc)
     tail = ev[n - predicted:]
     return OutlierReport(
@@ -732,11 +776,11 @@ def convergence_study(layouts, quadrature: QuadratureSpec | None = None):
     """
     layouts = list(layouts)
     hs = np.array([layout.h for layout in layouts])
-    if np.unique(hs).size < 3:
+    if len(set(hs.tolist())) < 3:
         raise ValueError("need at least three distinct mesh sizes for a slope fit")
     errs = np.array([leading_mode_error(layout, quadrature) for layout in layouts])
     keep = np.abs(errs) >= 10.0 * _NOISE_FLOOR
-    if np.unique(hs[keep]).size < 2:
+    if len(set(hs[keep].tolist())) < 2:
         raise NumericalError("errors below the round-off floor on nearly all meshes")
     slope = float(np.polyfit(np.log(hs[keep]), np.log(np.abs(errs[keep])), 1)[0])
     return hs, errs, slope

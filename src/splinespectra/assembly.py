@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
+from ._lapack import lapack
 from .quadrature import QuadratureSpec, Rule, map_rule_to_element
 from .splines import BlockLayout, KnotVector, make_block_knots, span_basis_rows
 
@@ -80,8 +79,12 @@ class SymmetricBandedMatrix:
             out[idx + d, idx] = diag
         return out
 
-    def to_sparse(self) -> scipy.sparse.csr_matrix:
-        """CSR form: each row's nonzero band entries, in column order."""
+    def to_sparse(self):
+        """CSR form (a ``scipy.sparse.csr_matrix``): each row's nonzero band
+        entries, in column order.  No CLI path calls it, so scipy is imported
+        here, not with the package; the benchmark's trace binds it by name."""
+        import scipy.sparse
+
         u, n = self.bandwidth, self.n
         # a band wider than the matrix (one element of high degree) stores
         # diagonals that lie wholly outside it
@@ -122,9 +125,8 @@ class SymmetricBandedMatrix:
         A rank-deficient matrix (too few quadrature points) can factor with
         round-off pivots, so success of the factorization alone is not enough.
         """
-        try:
-            factor = scipy.linalg.cholesky_banded(self.band, lower=False)
-        except scipy.linalg.LinAlgError:
+        factor, info = lapack.dpbtrf(self.band)
+        if info:
             return False
         return bool((factor[-1] ** 2).min() >= 1e-12 * self.band[-1].max())
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import locale  # noqa: F401  argparse's gettext imports it on first use: here, not in a job
 import sys
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat

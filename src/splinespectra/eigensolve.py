@@ -20,8 +20,8 @@ one per kind of result:
     apply.  Its modes' quadrature forms are summed over one block, which
     stands for every block: the Bloch dispersion of condensed
     macro-elements (Hughes, Reali & Sangalli 2008);
-  - a dense :func:`scipy.linalg.eigh` (a triangular factorization of ``M``
-    reduces the pencil to a standard symmetric problem) for every other
+  - a dense LAPACK ``dsygvd`` (a triangular factorization of ``M`` reduces
+    the pencil to a standard symmetric problem) for every other
     pencil: ragged layouts, one block (IGA), Neumann conditions, smoother
     separators, and pencils without a layout.  It holds the n x n
     eigenvector array, so it refuses more than ``DENSE_LIMIT`` dofs, and
@@ -53,8 +53,8 @@ one per kind of result:
   (:meth:`_BlochSpectrum._localize_forms`).  It builds no column for a
   tight run either.  Each column is signed so that its leading entry is
   positive: on the block-Fourier route, when it is built.
-- :func:`solve_eigenvalues` computes eigenvalues and no eigenvector, the
-  lowest ``k`` or all of them, by one of two routes picked as above:
+- :func:`solve_eigenvalues` computes every eigenvalue and no eigenvector,
+  by one of two routes picked as above:
 
   - on a layout of repeated blocks, the eigenvalues of the same
     per-wavenumber pencils and of the bubble pencil, from batched Cholesky
@@ -62,13 +62,11 @@ one per kind of result:
     no n x n array, so ``DENSE_LIMIT`` does not apply to it;
   - on every other pencil, LAPACK ``dsbgvx`` straight from the stored upper
     bands (split Cholesky factorization of ``M``, band reduction to
-    tridiagonal form, then a root-free QL sweep for all values or bisection
-    for the lowest ``k``): O(n^2 p) time and O(n p) memory, against O(n^3)
-    time and two n x n copies for the dense route.  With all values it
-    returns the same bits as LAPACK ``dsbgvd``.  The reduction of the
-    generalized pencil to standard form chases bulges in O(n^2) whatever
-    ``k``, so no CLI path asks for the lowest ``k``: ``converge`` polishes
-    its mode at the mode's exact eigenvalue instead.
+    tridiagonal form, then a root-free QL sweep): O(n^2 p) time and O(n p)
+    memory, against O(n^3) time and two n x n copies for the dense route,
+    and the same bits as LAPACK ``dsbgvd``.  The reduction chases bulges in
+    O(n^2) however few values are wanted, so ``converge`` polishes its mode
+    at the mode's exact eigenvalue instead of solving for it.
 
 Every eigensolver is backward stable, so its eigenvalues are accurate to
 about ``n eps lambda_max`` in absolute terms, not relative to themselves; on
@@ -82,18 +80,22 @@ iteration with one LU factorization on the bands (LAPACK ``dgbtrf``): O(n
 p^2) for a pencil of any size, and no eigensolve when the estimate is the
 mode's exact eigenvalue.  One banded Cholesky factorization then certifies
 such a mode as the lowest (:func:`_certify_lowest`).
+
+The LAPACK routines (``dsygvd``, ``dtrtri`` in :func:`_pencil_eigh`,
+``dgeqp3`` in :func:`_localized_runs`, ``dsbgvx``, ``dgbtrf``, ``dgbtrs`` and
+``dpbtrf``) are bound through ctypes to the LAPACK numpy has already loaded
+(``_lapack``), so the package imports no scipy module: scipy's import was
+most of a CLI run's start-up.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.cython_lapack
-import scipy.linalg.lapack
+import numpy.random  # the polish start: imported here, not inside a job
 
+from ._lapack import lapack
 from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 from .quadrature import QuadratureSpec, map_rule_to_element
 from .splines import span_basis_rows
@@ -244,7 +246,7 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     mirror-symmetric) is solved by its per-wavenumber pencils, whatever its
     size, its eigenvectors factored and built a block of columns at a time.
     Any other pencil, including one without a ``layout``, takes a dense
-    :func:`scipy.linalg.eigh`.  Either way (:func:`_settle`), the
+    LAPACK ``dsygvd``.  Either way (:func:`_settle`), the
     eigenvalues are the quotients of the quadrature forms at the points of
     ``op.quadrature``, each run of eigenvalues closer than ``n eps
     lambda_max`` gets its localized basis, and each column is signed so
@@ -308,14 +310,24 @@ def _settle(op, lam: np.ndarray, forms: np.ndarray | None, rows):
 
 
 def _dense_eigenpairs(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    K = op.K.to_dense()
-    M = op.M.to_dense()
-    try:
-        # K and M are fresh and exactly symmetric: their transposes are
-        # Fortran-ordered views that LAPACK may overwrite without a copy
-        return scipy.linalg.eigh(K.T, M.T, overwrite_a=True, overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded at assembly
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
+    """Every eigenpair of the pencil, by LAPACK ``dsygvd`` on its dense
+    matrices: the eigenvalues and the Fortran-ordered eigenvector array."""
+    # K and M are fresh and exactly symmetric: their transposes are
+    # Fortran-ordered views that LAPACK overwrites without a copy
+    V, M = op.K.to_dense().T, op.M.to_dense().T
+    w, info = lapack.dsygvd(V, M)
+    n = w.size
+    if info > n:  # pragma: no cover - guarded at assembly
+        raise NumericalError(
+            f"generalized eigensolve failed: The leading minor of order {info - n} of B is "
+            "not positive definite. The factorization of B could not be completed and no "
+            "eigenvalues or eigenvectors were computed.")
+    if info:  # pragma: no cover
+        raise NumericalError(
+            "generalized eigensolve failed: The algorithm failed to compute an eigenvalue "
+            f"while working on the submatrix lying in rows and columns {info}/{n + 1} "
+            f"through mod({info},{n + 1}).")
+    return w, V
 
 
 def _uniform_patch(op) -> tuple | None:
@@ -390,15 +402,14 @@ def _pencil_eigh(A: np.ndarray, B: np.ndarray, vectors: bool = True):
     positive definite, in one batched call; vectors are ``B``-orthonormal.
     With ``vectors=False``, the eigenvalues alone.  Each Cholesky factor
     is inverted by LAPACK ``dtrtri``, one call per pencil: a triangular
-    inverse, a quarter of the work of a general one."""
+    inverse, a quarter of the work of a general one.  The stack's arguments
+    are converted once, so a call costs no more than scipy's wrapper of the
+    routine."""
     try:
         L = np.linalg.cholesky(B)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"patch mass matrix not positive definite: {exc}") from exc
-    Linv = np.empty_like(L)
-    for k, factor in enumerate(L if L.size else ()):  # LAPACK refuses an empty pencil
-        # a Cholesky factor has a positive diagonal: never singular
-        Linv[k] = scipy.linalg.lapack.dtrtri(factor, lower=1)[0]
+    Linv = lapack.dtrtri(L)
     C = Linv @ A @ Linv.mT
     if not vectors:
         return np.linalg.eigvalsh(C)
@@ -582,9 +593,10 @@ class _BlochSpectrum(Spectrum):
         for lo, hi, G in self._runs:
             modes = self._modes[lo:hi]
             q = self._classes(modes)
-            single = np.bincount(q, minlength=self._n_blocks + 1)[q] == 1
+            counts = np.bincount(q, minlength=self._n_blocks + 1)
+            single = counts[q] == 1
             out = forms[:, lo:hi][:, single] @ np.square(G[single])
-            for c in np.unique(q[~single]):
+            for c in np.flatnonzero(counts > 1):
                 mine = q == c
                 C = np.tensordot(self._block_coefficients(modes[mine]), G[mine], axes=1)
                 combined = _quadrature_forms(self._kv, rule, self._size,
@@ -866,9 +878,10 @@ def _localized_runs(w: np.ndarray, rows):
 
     No solver resolves such a run, so its vectors are any basis of its
     subspace.  The localized one (SCDM, Damle, Lin & Ying 2015) depends on
-    the subspace alone: a pivoted QR factorization of ``V_c^T`` picks one row
-    per vector, ``V_c V_c[picked]^T`` spans the subspace with columns peaked
-    at those rows, and a Loewdin step makes them ``M``-orthonormal.  Since
+    the subspace alone: a pivoted QR factorization of ``V_c^T`` (LAPACK
+    ``dgeqp3``) picks one row per vector, ``V_c V_c[picked]^T`` spans the
+    subspace with columns peaked at those rows, and a Loewdin step makes
+    them ``M``-orthonormal.  Since
     ``V_c^T M V_c = I``, the step needs only the ``r x r`` Gram ``S =
     V_c[picked] V_c[picked]^T``: ``G = V_c[picked]^T S^(-1/2)``, an
     orthogonal matrix.  Columns are ordered by their row.
@@ -897,106 +910,56 @@ def _localized_runs(w: np.ndarray, rows):
         index = np.flatnonzero(size >= 0.5 * size.max())
         if index.size >= r:
             V = take(index)
-            R, pivots = scipy.linalg.qr(V.T, mode="r", pivoting=True)
+            R, pivots = lapack.dgeqp3(V.T)
         if index.size < r or np.abs(np.diagonal(R)).min() < 0.5 * size.max():
             index = np.arange(n)
             V = take(index)
-            pivots = scipy.linalg.qr(V.T, mode="r", pivoting=True)[1]
+            pivots = lapack.dgeqp3(V.T)[1]
         chosen = np.sort(pivots[:r])
         V = V[chosen]
         g, U = np.linalg.eigh(V @ V.T)
         yield lo, hi, index[chosen], V.T @ ((U / np.sqrt(g)) @ U.T)
 
 
-def _bind_dsbgvx():
-    """LAPACK ``dsbgvx`` from scipy's own LAPACK, which ``scipy.linalg.lapack``
-    does not wrap; ``cython_lapack`` exports it as a C function pointer."""
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsbgvx"]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    char, int_, double = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), \
-        ctypes.POINTER(ctypes.c_double)
-    farray = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
-    iarray = np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS,WRITEABLE")
-    # jobz, range, uplo, n, ka, kb, ab, ldab, bb, ldbb, q, ldq, vl, vu, il, iu,
-    # abstol, m, w, z, ldz, work, iwork, ifail, info
-    proto = ctypes.CFUNCTYPE(None, char, char, char, int_, int_, int_, farray, int_,
-                             farray, int_, farray, int_, double, double, int_, int_,
-                             double, int_, farray, farray, int_, farray, iarray, iarray,
-                             int_)
-    return proto(address)
-
-
-_dsbgvx = _bind_dsbgvx()
-
-
-def solve_eigenvalues(op: DiscreteOperator, lowest: int | None = None) -> np.ndarray:
-    """The ``lowest`` smallest eigenvalues of the 1D pencil ``K u = lambda M u``
-    (all of them by default), ascending.
+def solve_eigenvalues(op: DiscreteOperator) -> np.ndarray:
+    """Every eigenvalue of the 1D pencil ``K u = lambda M u``, ascending.
 
     Forms no eigenvector and no n x n array.  A layout whose blocks all repeat
     one patch (as in :func:`solve_gevp`) gets every eigenvalue from its
     per-wavenumber and bubble pencils, whatever its size.  Any other pencil
     is solved by LAPACK ``dsbgvx`` on the stored upper bands of ``op.K`` and
-    ``op.M``, by bisection when ``lowest`` is given, which is still O(n^2):
-    no CLI path asks for ``lowest``.  The values agree with
-    ``solve_gevp(op).eigenvalues`` to round-off, a few ``1e-14 lambda_max``.
+    ``op.M``.  The values agree with ``solve_gevp(op).eigenvalues`` to
+    round-off, a few ``1e-14 lambda_max``.
 
     Raises
     ------
     ValueError
-        If ``lowest`` is not in ``1 .. n_dofs``; or, off the repeated-patch
-        route, if the dimension exceeds ``DENSE_LIMIT`` (the same limit as
-        :func:`solve_gevp`) or a band holds an infinity or NaN.
+        Off the repeated-patch route, if the dimension exceeds
+        ``DENSE_LIMIT`` (the same limit as :func:`solve_gevp`) or a band
+        holds an infinity or NaN.
     NumericalError
         If a mass matrix is not positive definite, or LAPACK reports that
         the tridiagonal solve did not converge.
     """
-    n = op.n_dofs
-    if lowest is not None and not 1 <= lowest <= n:
-        raise ValueError(f"lowest must be between 1 and {n}, got {lowest}")
     patch = _uniform_patch(op)
     if patch is not None:
-        return _bloch_eigenvalues(*patch)[:lowest]
-    _check_size(n)  # before the bands are read
-    return _band_eigenvalues(op.K, op.M, lowest)
+        return _bloch_eigenvalues(*patch)
+    _check_size(op.n_dofs)  # before the bands are read
+    return _band_eigenvalues(op.K, op.M)
 
 
-def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix,
-                      lowest: int | None = None) -> np.ndarray:
-    """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``, of any size."""
-    n = K.n
+def _band_eigenvalues(K: SymmetricBandedMatrix, M: SymmetricBandedMatrix) -> np.ndarray:
+    """:func:`solve_eigenvalues` of the banded pencil ``(K, M)``, of any size:
+    ``dsbgvx`` takes the same tridiagonal QL sweep as ``dsbgvd``."""
     if not (np.isfinite(K.band).all() and np.isfinite(M.band).all()):
         raise ValueError("array must not contain infs or NaNs")
-    ka, kb = K.bandwidth, M.bandwidth
     # dsbgvx overwrites both bands: hand it Fortran-ordered copies
-    ab = np.array(K.band, order="F")
-    bb = np.array(M.band, order="F")
-    w = np.empty(n, order="F")
-    unused = np.empty(1, order="F")  # q and z: not referenced without eigenvectors
-    work = np.empty(7 * n, order="F")
-    iwork = np.empty(5 * n, dtype=np.intc)
-    ifail = np.empty(n, dtype=np.intc)
-    found, info = ctypes.c_int(0), ctypes.c_int(0)
-
-    def ref(value: int):
-        return ctypes.byref(ctypes.c_int(value))
-
-    zero = ctypes.byref(ctypes.c_double(0.0))  # vl, vu (unused) and abstol (default)
-    # all values take the same tridiagonal QL sweep as dsbgvd; the lowest ones, bisection
-    _dsbgvx(b"N", b"A" if lowest is None else b"I", b"U", ref(n), ref(ka), ref(kb),
-            ab, ref(ka + 1), bb, ref(kb + 1), unused, ref(1), zero, zero,
-            ref(1), ref(n if lowest is None else lowest), zero, ctypes.byref(found),
-            w, unused, ref(1), work, iwork, ifail, ctypes.byref(info))
-    if info.value != 0:
-        cause = ("mass matrix not positive definite" if info.value > n
-                 else "no convergence" if info.value > 0 else "bad argument")
-        raise NumericalError(
-            f"banded eigensolve failed: {cause} (LAPACK dsbgvx info {info.value})")
-    return w[:found.value]
+    w, info = lapack.dsbgvx(np.array(K.band, order="F"), np.array(M.band, order="F"))
+    if info != 0:
+        cause = ("mass matrix not positive definite" if info > K.n
+                 else "no convergence" if info > 0 else "bad argument")
+        raise NumericalError(f"banded eigensolve failed: {cause} (LAPACK dsbgvx info {info})")
+    return w
 
 
 def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
@@ -1025,8 +988,8 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     """
     sigma = estimate * (1.0 - _POLISH_SHIFT)
     u = op.K.bandwidth
-    lu, pivots, info = scipy.linalg.lapack.dgbtrf(
-        _general_band(op.K.band - sigma * op.M.band), u, u, overwrite_ab=True)
+    lu = _general_band(op.K.band - sigma * op.M.band)
+    pivots, info = lapack.dgbtrf(lu, u, u)
     if info != 0:
         raise NumericalError(f"shifted factorization at {sigma:.17g} failed: "
                              f"exactly singular (LAPACK dgbtrf info {info})")
@@ -1036,9 +999,10 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     if getattr(op, "bc", None) == "neumann":
         m = op.M @ np.ones(op.n_dofs)
         m /= m.sum()
+    solve = lapack.dgbtrs(lu, u, u, pivots)
     x = np.random.default_rng(0).standard_normal(op.n_dofs)
     for _ in range(_POLISH_MAX_STEPS):
-        y = scipy.linalg.lapack.dgbtrs(lu, u, u, op.M @ x, pivots)[0]
+        y = solve(op.M @ x)
         if m is not None:
             y -= m @ y
         scale = np.abs(y).max()
@@ -1059,9 +1023,9 @@ def _general_band(band: np.ndarray) -> np.ndarray:
     """The LAPACK general band (``dgbtrf``) of the symmetric matrix whose
     upper band is ``band``, with ``u`` sub- and ``u`` superdiagonals and ``u``
     more rows for the fill of pivoting: ``ab[2 u + i - j, j]`` holds entry
-    ``(i, j)``."""
+    ``(i, j)``.  Fortran-ordered, as LAPACK takes it."""
     u, n = band.shape[0] - 1, band.shape[1]
-    ab = np.zeros((3 * u + 1, n))
+    ab = np.zeros((3 * u + 1, n), order="F")
     ab[u:2 * u + 1] = band
     for d in range(1, min(u, n - 1) + 1):
         ab[2 * u + d, :-d] = band[u - d, d:]
@@ -1108,9 +1072,9 @@ def _certify_lowest(op: DiscreteOperator, rho: float) -> None:
         span = np.searchsorted(kv.knots, [0.5], side="right") - 1
         first, N = span_basis_rows(kv, span, np.array([0.5]))
         A.add_symmetric_block(first, _CERTIFY_PENALTY * rho * N[:, :, None] * N[:, None, :])
-    try:
-        scipy.linalg.cholesky_banded(A.band, lower=False)
-    except scipy.linalg.LinAlgError as exc:
+    info = lapack.dpbtrf(A.band)[1]
+    if info:
         raise NumericalError(
             f"the polished eigenvalue {rho:.17g} is not the lowest: an eigenvalue "
-            f"lies at or below {sigma:.17g} (banded Cholesky: {exc})") from exc
+            f"lies at or below {sigma:.17g} (banded Cholesky: {info}-th leading minor "
+            "not positive definite)")

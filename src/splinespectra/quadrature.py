@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.polynomial.legendre  # gauss_rule's: imported here, not inside a job
 
 __all__ = [
     "Rule",

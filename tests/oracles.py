@@ -66,7 +66,7 @@ Reference routes for claims the CLI computes another way:
   the stored bands, where ``polish_eigenvalue`` takes it at the quadrature
   points;
 - :func:`reference_leading_mode_error` locates the leading mode by a
-  values-only solve and polishes it by sparse LU, where
+  dense solve for that one eigenvalue and polishes it by sparse LU, where
   ``leading_mode_error`` iterates at the mode's exact eigenvalue on the
   bands.
 """
@@ -83,8 +83,7 @@ import scipy.sparse.linalg
 
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
-from splinespectra.eigensolve import (_BLOCK_ENTRIES, _POLISH_SHIFT, Spectrum, _sum_rows,
-                                      solve_eigenvalues)
+from splinespectra.eigensolve import _BLOCK_ENTRIES, _POLISH_SHIFT, Spectrum, _sum_rows
 from splinespectra.quadrature import gauss_rule, map_rule_to_element
 from splinespectra.splines import KnotVector, make_block_knots, span_basis_rows
 
@@ -746,16 +745,17 @@ def reference_polish_eigenvalue(op, estimate: float) -> float:
 
 
 def reference_leading_mode_error(layout, quadrature=None) -> float:
-    """``leading_mode_error`` by a located mode: the values-only solve of
-    ``solve_eigenvalues`` for the lowest modes up to the first non-constant
-    one (bisection on the bands, or the block-Fourier values), then
+    """``leading_mode_error`` by a located mode: the first non-constant
+    eigenvalue from a dense ``scipy.linalg.eigh`` of that one mode, then
     :func:`reference_polish_vector` at that value, and the vector's quotient
     from :func:`whole_mesh_quotient`, where ``leading_mode_error`` iterates
     on the bands at the exact eigenvalue ``pi^2`` and sums its quotient in
     float64."""
     op = assemble_layout(layout, quadrature)
     first = 0 if layout.bc == "dirichlet" else 1
-    x = reference_polish_vector(op, solve_eigenvalues(op, lowest=first + 1)[first])
+    located = scipy.linalg.eigh(op.K.to_dense(), op.M.to_dense(), eigvals_only=True,
+                                subset_by_index=[first, first])[0]
+    x = reference_polish_vector(op, located)
     vKv, vMv = whole_mesh_quotient(op, x[:, None])
     return float((vKv[0] / vMv[0] - math.pi ** 2) / math.pi ** 2)
 

@@ -68,6 +68,8 @@ def test_exact_modes():
     BlockLayout(9, 5, 4, 1, bc="neumann"),
 ], ids=["riga", "fea", "iga-neumann", "riga-c2", "riga-c1-neumann"])
 def test_sample_matrix_matches_design_matrix(layout):
+    # the sparse sampling matrix against scipy's design matrix, and the
+    # gather of sample_fields against its products, bit for bit
     op = assemble_layout(layout)
     # every distinct knot (0 and 1 among them) and its two float neighbours
     knots = np.unique(op.kv.knots)
@@ -90,6 +92,12 @@ def test_sample_matrix_matches_design_matrix(layout):
             assert not row.any()
     assert analysis.sample_matrix(op, outside).nnz == 0
     assert analysis.sample_matrix(op, []).shape == (0, op.n_dofs)
+    V = rng.standard_normal((op.n_dofs, 5))
+    assert np.array_equal(analysis.sample_fields(op, xs, V), analysis.sample_matrix(op, xs) @ V)
+    assert np.array_equal(analysis.sample_fields(op, xs, np.asfortranarray(V[:, :1])),
+                          analysis.sample_matrix(op, xs) @ V[:, :1])
+    assert np.array_equal(analysis.sample_fields(op, xs, np.eye(op.n_dofs)), S)
+    assert analysis.sample_fields(op, [], V).shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +240,16 @@ def test_budget_independent_of_block_width(monkeypatch):
 
 
 def test_budget_samples_no_grid(monkeypatch):
-    """The pair inner products sum element load moments: the budget builds
-    no sampling matrix."""
+    """The pair inner products sum element load moments: the budget samples
+    no field on a grid."""
     calls = []
-    real = analysis.sample_matrix
+    real = analysis.sample_fields
 
-    def counting(op, xs):
+    def counting(op, xs, V):
         calls.append(len(xs))
-        return real(op, xs)
+        return real(op, xs, V)
 
-    monkeypatch.setattr(analysis, "sample_matrix", counting)
+    monkeypatch.setattr(analysis, "sample_fields", counting)
     op = assemble_layout(BlockLayout.riga(200, 2, 20))
     budget = error_budget(solve_gevp(op), op)
     assert calls == []
@@ -612,13 +620,13 @@ def test_outlier_report_counts_the_flagged_run_like_a_loop(layout):
 def test_outlier_report_samples_once(fig9_setup, monkeypatch):
     op, spec = fig9_setup
     calls = []
-    real = analysis.sample_matrix
+    real = analysis.sample_fields
 
-    def counting(op, xs):
+    def counting(op, xs, V):
         calls.append(len(xs))
-        return real(op, xs)
+        return real(op, xs, V)
 
-    monkeypatch.setattr(analysis, "sample_matrix", counting)
+    monkeypatch.setattr(analysis, "sample_fields", counting)
     report = outlier_report(spec, op)
     assert len(calls) == 1
     # the shared sampling reproduces the standalone per-mode results exactly

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -253,13 +254,13 @@ def test_stopbands_csv(tmp_path, monkeypatch):
 
 def test_outliers_csv(tmp_path, monkeypatch):
     calls = []
-    real = analysis.sample_matrix
+    real = analysis.sample_fields
 
-    def counting(op, xs):
+    def counting(op, xs, V):
         calls.append(len(xs))
-        return real(op, xs)
+        return real(op, xs, V)
 
-    monkeypatch.setattr(analysis, "sample_matrix", counting)
+    monkeypatch.setattr(analysis, "sample_fields", counting)
     out = tmp_path / "outliers.csv"
     rc = main(["outliers", "--method", "riga", "--p", "2", "--elements", "192",
                "--block", "64", "--out", str(out)])
@@ -446,6 +447,40 @@ def test_cli_import_leaves_scipy_special_unloaded():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert run.returncode == 0, run.stderr
+
+
+# one small job of each subcommand, on both eigensolve routes and every rule
+GUARD_JOBS = [
+    "spectrum --method riga --p 2 --block 10 --elements 40",
+    "spectrum --method iga --p 3 --elements 12 --bc neumann --quadrature lobatto",
+    "outliers --method riga --p 3 --block 10 --elements 30",
+    "converge --p 2 --elements 10,20,40 --quadrature blended --tau 0.5",
+    "stopbands --method riga --p 2 --block 5 --elements 20",
+    "spectrum2d --method riga --p 2 --block 4 --elements 8",
+]
+
+
+def test_cli_runs_without_scipy_and_imports_nothing_inside_a_job(tmp_path):
+    # the seven LAPACK routines come from numpy's own LAPACK, and every
+    # module a job reaches is imported with the CLI: scipy's import was
+    # most of the start-up, and a module imported inside a job is timed
+    # with the job
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, json, splinespectra.cli as cli\n"
+        "out = {'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}\n"
+        "for i, line in enumerate(json.loads(sys.argv[1])):\n"
+        "    before = set(sys.modules)\n"
+        "    code = cli.main(line.split() + ['--out', sys.argv[2] + f'/job{i}.csv'])\n"
+        "    out[line] = [code, sorted(set(sys.modules) - before)]\n"
+        "print(json.dumps(out))\n")
+    run = subprocess.run([sys.executable, "-c", code, json.dumps(GUARD_JOBS), str(tmp_path)],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout.splitlines()[-1])
+    assert out.pop("scipy") == []
+    assert out == {line: [0, []] for line in GUARD_JOBS}
 
 
 def test_python_dash_m_entry_point():

@@ -204,7 +204,7 @@ def test_polish_is_right_to_a_few_roundings_on_linear_elements(n_elements):
     # bands was up to 8.0e-12 off (relative)
     op = assemble_layout(BlockLayout.fea(n_elements, 1))
     exact = linear_fem_eigenvalue(1, op.layout.h)
-    got = polish_eigenvalue(op, solve_eigenvalues(op, lowest=1)[0])
+    got = polish_eigenvalue(op, solve_eigenvalues(op)[0])
     assert abs(got - exact) <= 8 * np.finfo(float).eps * exact
 
 
@@ -330,7 +330,7 @@ class DenseSolveCalled(AssertionError):
 
 
 def refuse_dense(*args, **kwargs):
-    raise DenseSolveCalled("dense eigh called")
+    raise DenseSolveCalled("dense eigensolve called")
 
 
 def bare(op):
@@ -399,7 +399,7 @@ def test_block_fourier_route_matches_dense_oracle(method, p, block, n_blocks, ru
     op = assemble_layout(BlockLayout.riga(block * n_blocks, p, block),
                          QuadratureSpec(rule))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        patch.setattr(eigensolve, "_dense_eigenpairs", refuse_dense)
         solve_gevp(op)  # never reaches the dense route
     assert_matches_dense_oracle(op)
 
@@ -414,7 +414,7 @@ def test_block_fourier_route_matches_dense_oracle(method, p, block, n_blocks, ru
 def test_other_layouts_take_the_dense_route(monkeypatch, layout):
     op = assemble_layout(layout)
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        patch.setattr(eigensolve, "_dense_eigenpairs", refuse_dense)
         with pytest.raises(DenseSolveCalled):
             solve_gevp(op)
     assert_matches_dense_oracle(op)
@@ -423,7 +423,7 @@ def test_other_layouts_take_the_dense_route(monkeypatch, layout):
 def test_bare_pencil_of_repeated_blocks_takes_the_dense_route(monkeypatch):
     op = assemble_layout(BlockLayout.riga(40, 3, 8))
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        patch.setattr(eigensolve, "_dense_eigenpairs", refuse_dense)
         solve_gevp(op)
         with pytest.raises(DenseSolveCalled):
             solve_gevp(bare(op))
@@ -435,7 +435,7 @@ def test_bands_that_do_not_repeat_take_the_dense_route(monkeypatch):
     op = assemble_layout(BlockLayout.riga(40, 2, 8))
     op.M.band[-1, 20] *= 1.0 + 1e-9  # one block's mass no longer matches
     with monkeypatch.context() as patch:
-        patch.setattr(scipy.linalg, "eigh", refuse_dense)
+        patch.setattr(eigensolve, "_dense_eigenpairs", refuse_dense)
         with pytest.raises(DenseSolveCalled):
             solve_gevp(op)
     assert_matches_dense_oracle(op)
@@ -459,7 +459,7 @@ def test_low_modes_of_a_long_uniform_layout_are_accurate(monkeypatch):
     # -4.0e-12, -9.4e-13 and 3.9e-13, and the small pencils' own eigenvalues
     # lose the low modes to cancellation
     op = assemble_layout(BlockLayout.riga(2000, 2, 100))
-    monkeypatch.setattr(scipy.linalg, "eigh", refuse_dense)
+    monkeypatch.setattr(eigensolve, "_dense_eigenpairs", refuse_dense)
     lam = solve_gevp(op).eigenvalues[:3]
     j = np.arange(1, 4)
     exact = (j * math.pi) ** 2
@@ -1141,40 +1141,6 @@ def test_block_fourier_values_match_the_banded_solve(p, block, n_blocks):
     assert np.array_equal(solve_eigenvalues(op), lam)  # the route solve_eigenvalues takes
 
 
-def assert_lowest_match_full(op, k):
-    full = solve_eigenvalues(op)
-    lowest = solve_eigenvalues(op, lowest=k)
-    assert lowest.shape == (k,)
-    assert np.max(np.abs(lowest - full[:k])) <= 1e-13 * full[-1]
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(n_elements=st.integers(1, 60), p=st.integers(1, 5), data=st.data(),
-       bc=st.sampled_from(["dirichlet", "neumann"]))
-def test_lowest_values_match_the_full_solve(n_elements, p, data, bc):
-    block = data.draw(st.integers(1, n_elements))
-    continuity = data.draw(st.integers(0, p - 1))
-    layout = BlockLayout(n_elements, p, block, continuity, bc)
-    assume(layout.n_dofs >= 1)
-    assert_lowest_match_full(assemble_layout(layout), data.draw(st.integers(1, layout.n_dofs)))
-
-
-@pytest.mark.parametrize("layout, k", [
-    (BlockLayout.riga(40, 2, 10), 7),            # repeated blocks
-    (BlockLayout.riga(40, 2, 7), 1),             # ragged
-    (BlockLayout.iga(40, 3, bc="neumann"), 43),  # every mode
-])
-def test_lowest_values_on_each_route(layout, k):
-    assert_lowest_match_full(assemble_layout(layout), k)
-
-
-def test_lowest_must_be_a_mode_count():
-    op = assemble_layout(BlockLayout.iga(10, 2))
-    for k in (0, op.n_dofs + 1):
-        with pytest.raises(ValueError, match="lowest must be between 1 and"):
-            solve_eigenvalues(op, lowest=k)
-
-
 def test_only_the_block_fourier_values_pass_the_size_limit(monkeypatch):
     # the block-Fourier route of both solvers forms no n x n array, so the
     # limit binds only the dense and banded routes
@@ -1218,13 +1184,13 @@ def test_column_blocks_cover_the_range(n, lo, entries):
 
 
 def record_band_solves(monkeypatch):
-    """Record ``(size, lowest)`` of every banded solve, global or per block."""
+    """Record the size of every banded solve, global or per block."""
     calls = []
     real = eigensolve._band_eigenvalues
 
-    def recording(K, M, lowest=None):
-        calls.append((K.n, lowest))
-        return real(K, M, lowest)
+    def recording(K, M):
+        calls.append(K.n)
+        return real(K, M)
 
     monkeypatch.setattr(eigensolve, "_band_eigenvalues", recording)
     monkeypatch.setattr(analysis, "_band_eigenvalues", recording)
@@ -1249,4 +1215,4 @@ def test_stopbands_makes_no_full_range_global_solve(monkeypatch, tmp_path):
     cfg = cli.ExperimentConfig(method="riga", p=2, elements=800, block=10)
     assert cli.cmd_stopbands(cfg, str(tmp_path / "bands.csv")) == 0
     assert calls  # the bubble pencil of a block
-    assert all(n < layout.n_dofs for n, _ in calls)
+    assert all(n < layout.n_dofs for n in calls)

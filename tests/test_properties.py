@@ -15,6 +15,7 @@ from splinespectra.analysis import (
     eigenvalue_errors_2d,
     error_budget,
     partition_dofs,
+    sample_fields,
     sample_matrix,
 )
 from splinespectra.assembly import _assemble_pair, assemble_layout
@@ -155,7 +156,9 @@ def test_sampling_matches_pointwise_evaluation_exactly(layout, xs):
     assume(layout.n_dofs >= 1)
     op = assemble_layout(layout)
     xs = np.concatenate([xs, np.unique(op.kv.knots)])
-    assert np.array_equal(sample_matrix(op, xs).toarray(), reference_sampling(op, xs))
+    want = reference_sampling(op, xs)
+    assert np.array_equal(sample_matrix(op, xs).toarray(), want)
+    assert np.array_equal(sample_fields(op, xs, np.eye(op.n_dofs)), want)
 
 
 @SETTINGS
