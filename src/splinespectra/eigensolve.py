@@ -73,19 +73,24 @@ about ``n eps lambda_max`` in absolute terms, not relative to themselves; on
 fine meshes that noise swamps the discretization error of the lowest modes,
 and so does the cancellation of quotients formed on the stored bands.  The
 quotients at the quadrature points are free of both on every mode: their
-error is quadratic in the eigenvectors', and their sums add terms of one
-sign (under a rule of positive weights).  :func:`polish_eigenvalue` takes
-the same quotient for the one mode nearest an estimate, from inverse
+error is quadratic in the eigenvectors', their slopes come from differences
+of neighbouring coefficients rather than from sums that cancel, and their
+sums add terms of one sign (under a rule of positive weights).
+:func:`polish_eigenvalue` takes the same quotient for the one mode nearest
+an estimate, from inverse
 iteration with one LU factorization on the bands (LAPACK ``dgbtrf``): O(n
 p^2) for a pencil of any size, and no eigensolve when the estimate is the
-mode's exact eigenvalue.  One banded Cholesky factorization then certifies
+mode's exact eigenvalue.  The quotient is the same to a rounding or two
+from any start, so the iteration starts from a fixed deterministic vector,
+not a random one.  One banded Cholesky factorization then certifies
 such a mode as the lowest (:func:`_certify_lowest`).
 
 The LAPACK routines (``dsygvd``, ``dtrtri`` in :func:`_pencil_eigh`,
 ``dgeqp3`` in :func:`_localized_runs`, ``dsbgvx``, ``dgbtrf``, ``dgbtrs`` and
 ``dpbtrf``) are bound through ctypes to the LAPACK numpy has already loaded
 (``_lapack``), so the package imports no scipy module: scipy's import was
-most of a CLI run's start-up.
+most of a CLI run's start-up.  Nor does it import ``numpy.random`` (6 MB
+resident), since the polish starts from a deterministic vector.
 """
 
 from __future__ import annotations
@@ -93,7 +98,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import numpy.random  # the polish start: imported here, not inside a job
 
 from ._lapack import lapack
 from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
@@ -112,8 +116,12 @@ _BLOCK_ENTRIES = 1 << 16
 # tolerance plus the solver's n eps (see _settle): on the dense route at most
 # 0.001 of it, up to riga(5900, 2, 99) and iga(5990, 2), under each rule
 _PATCH_TOL = 1e-12
-# entries this close (relative) to a column's largest magnitude tie for its sign
-_SIGN_TIE = 1e-12
+# entries this close (relative) to a column's largest magnitude tie for its
+# sign.  It must exceed the mirror asymmetry of the dense route's mirror-odd
+# modes, or round-off picks their sign: up to 4.4e-11 on riga(60, 2, 10)
+# (5.7e-12 under Gauss) and 2.4e-10 on riga(300, 3, 30), counting the modes
+# odd to 1e-9, against 4e-15 on the block-Fourier route
+_SIGN_TIE = 1e-9
 # relative offset of the inverse-iteration shift below the estimate, so that
 # the shift is never exactly an eigenvalue.  Each step shrinks the other
 # modes' share by the ratio of the wanted mode's distance from the shift to
@@ -219,9 +227,10 @@ class Spectrum:
 def _signs(V: np.ndarray) -> np.ndarray:
     """``+1`` or ``-1`` per column of ``V``, the sign of its leading entry.
 
-    The leading entry is the first one within ``1 - 1e-12`` of the column's
-    largest magnitude, so that a mirror-antisymmetric mode, whose two largest
-    entries are equal and opposite, is signed by position, not by round-off.
+    The leading entry is the first one within ``1 - _SIGN_TIE`` of the
+    column's largest magnitude, so that a mirror-antisymmetric mode, whose
+    two largest entries are equal and opposite, is signed by position, not
+    by round-off.
     """
     mag = np.abs(V)
     lead = (mag >= (1.0 - _SIGN_TIE) * mag.max(axis=0)).argmax(axis=0)
@@ -250,7 +259,7 @@ def solve_gevp(op: DiscreteOperator) -> Spectrum:
     eigenvalues are the quotients of the quadrature forms at the points of
     ``op.quadrature``, each run of eigenvalues closer than ``n eps
     lambda_max`` gets its localized basis, and each column is signed so
-    that its leading entry, the first within ``1e-12`` (relative) of its
+    that its leading entry, the first within ``1e-9`` (relative) of its
     largest magnitude, is positive.
 
     Raises
@@ -791,40 +800,60 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     ``modes`` on the basis functions that meet those elements, from the
     first: ``(functions, fields, modes.size)``.  The basis is evaluated at
     every point in one call, and each point's value gathers the coefficients
-    of its ``p + 1`` functions and adds their terms in order, in two buffers
-    reused for every chunk.  Each sum adds terms of one sign (under a rule
-    of positive weights), element by element and then by
-    :func:`_sum_rows`, so it is right to a few roundings.  O(n_el q (p + 1))
-    per mode and field for ``q`` points per element; the modes go in chunks
-    whose point values hold about ``_BLOCK_ENTRIES`` entries per form."""
+    of its ``p + 1`` functions and adds their terms in order, in buffers
+    reused for every chunk.  The slopes of the basis functions sum to zero,
+    so the slope is taken as ``v'(x) = sum_a (c_a - c_{a-1}) G_a(x)``, ``a =
+    1 .. p``, with ``G_a = sum_{r >= a} N'_r``: the differences of
+    neighbouring coefficients carry no cancellation, where the plain sum
+    ``sum_r c_r N'_r`` of a smooth mode loses about ``log10(1 / h)`` digits
+    at each point, and with them the polished quotient's independence of
+    its start.  Each sum adds terms of one sign (under a rule of positive
+    weights), element by element and then by :func:`_sum_rows`, so it is
+    right to a few roundings.  O(n_el q (p + 1)) per mode and field for
+    ``q`` points per element; the modes go in chunks whose point values hold
+    about ``_BLOCK_ENTRIES`` entries per form."""
     p, reference = kv.p, rule.reference_rule(kv.p)
     spans = kv.spans()[:n_el]
     nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
     first, N, dN = span_basis_rows(kv, np.repeat(spans, reference.nodes.size), nodes.ravel(),
                                    derivs=True)
+    G = np.cumsum(dN[:, :0:-1], axis=1)[:, ::-1]  # G_1 .. G_p
     points, width = first.size, first[-1] + p + 1
     forms = np.empty((2, n))
     chunk = max(1, _BLOCK_ENTRIES // (fields * points))
-    # the values at the points and one term of them, reused for every chunk
-    buffers = np.empty((2, points * fields * min(chunk, n)))
+    # the values at the points and two gathers of them, reused for every chunk
+    buffers = np.empty((3, points * fields * min(chunk, n)))
+
+    def element_sums(values):
+        # each element's sum of w_q values^2 for each field, one row each
+        return np.einsum("eqc,eq->ec", np.square(values, out=values).reshape(
+            weights.shape + (-1,)), weights).reshape(fields * n_el, -1)
+
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
         C = coefficients(modes).reshape(width, -1)
-        values, term = (b[:points * C.shape[1]].reshape(points, -1) for b in buffers)
-        terms = []
-        for X in (dN, N):
-            # each point's sum over its p + 1 functions, in order
-            np.take(C, first, axis=0, out=values)
-            values *= X[:, :1]
-            for a in range(1, p + 1):
-                np.take(C, first + a, axis=0, out=term)
-                term *= X[:, a:a + 1]
-                values += term
-            # each element's sum of each field, one row each
-            terms.append(np.einsum("eqc,eq->ec", np.square(values, out=values).reshape(
-                weights.shape + (-1,)), weights).reshape(fields * n_el, -1))
+        values, prev, term = (b[:points * C.shape[1]].reshape(points, -1) for b in buffers)
+        # each point's slope from its p differences, in order: the two
+        # gathers swap roles, the newer coefficients kept for the next one
+        np.take(C, first, axis=0, out=prev)
+        for a in range(1, p + 1):
+            np.take(C, first + a, axis=0, out=term)
+            diff = values if a == 1 else prev
+            np.subtract(term, prev, out=diff)
+            diff *= G[:, a - 1:a]
+            if a > 1:
+                values += diff
+            prev, term = term, prev
+        slopes = element_sums(values)
+        # each point's value from its p + 1 terms, in order
+        np.take(C, first, axis=0, out=values)
+        values *= N[:, :1]
+        for a in range(1, p + 1):
+            np.take(C, first + a, axis=0, out=term)
+            term *= N[:, a:a + 1]
+            values += term
         # both forms side by side
-        forms[:, modes] = _sum_rows(np.hstack(terms)).reshape(2, -1)
+        forms[:, modes] = _sum_rows(np.hstack([slopes, element_sums(values)])).reshape(2, -1)
     return forms
 
 
@@ -976,8 +1005,10 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
     whole mesh (see :func:`solve_gevp`), free of the cancellation of a
     quotient on the stored bands.  Its error is quadratic in the
     eigenvector's, so it is free of the absolute round-off ``n eps
-    lambda_max`` that a full solve leaves on every eigenvalue.  The start is
-    a fixed random vector.  Under Neumann conditions the constant vector is
+    lambda_max`` that a full solve leaves on every eigenvalue, and since the
+    forms take the slope from differences of coefficients, it is the same
+    to a rounding or two whatever the start (:func:`_polish_start`, a
+    deterministic sequence).  Under Neumann conditions the constant vector is
     the zero mode: it is projected out of every iterate, ``M``-orthogonally,
     so the result is the nearest eigenvalue above it.
 
@@ -1000,7 +1031,7 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
         m = op.M @ np.ones(op.n_dofs)
         m /= m.sum()
     solve = lapack.dgbtrs(lu, u, u, pivots)
-    x = np.random.default_rng(0).standard_normal(op.n_dofs)
+    x = _polish_start(op.n_dofs)
     for _ in range(_POLISH_MAX_STEPS):
         y = solve(op.M @ x)
         if m is not None:
@@ -1017,6 +1048,14 @@ def polish_eigenvalue(op: DiscreteOperator, estimate: float) -> float:
             break
     vKv, vMv = _mesh_forms(op.kv, op.dof_indices, op.quadrature, x[:, None])
     return float(vKv[0] / vMv[0])
+
+
+def _polish_start(n: int) -> np.ndarray:
+    """The start of :func:`polish_eigenvalue`'s iteration: the golden-ratio
+    sequence ``frac(i (sqrt(5) - 1) / 2) - 1/2``, ``i = 0 .. n - 1``.  It is
+    spread evenly over ``[-1/2, 1/2)`` without a period, like a random
+    vector, and needs no random generator."""
+    return np.arange(n) * (0.5 * (math.sqrt(5.0) - 1.0)) % 1.0 - 0.5
 
 
 def _general_band(band: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ Lobatto, and values outside ``[0, 1]`` give non-convex blends.
 
 Gauss and Lobatto rules are computed once per point count and cached: a
 :class:`Rule` is frozen and its arrays are read-only, so every caller can
-share one.
+share one.  Both are computed here with numpy alone, the Gauss rule bit for
+bit as ``numpy.polynomial.legendre.leggauss`` computes it, so the package
+does not import ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import numpy.polynomial.legendre  # gauss_rule's: imported here, not inside a job
 
 __all__ = [
     "Rule",
@@ -61,11 +62,54 @@ def _symmetrized(nodes: np.ndarray, weights: np.ndarray) -> Rule:
 
 @functools.cache
 def gauss_rule(n_points: int) -> Rule:
-    """Gauss-Legendre rule, exact for polynomials of degree ``2 n - 1``."""
+    """Gauss-Legendre rule, exact for polynomials of degree ``2 n - 1``.
+
+    The nodes and weights are those of numpy's ``leggauss``, bit for bit,
+    from the same steps (:func:`_leggauss`), so the package needs no
+    ``numpy.polynomial``."""
     if not 1 <= n_points <= MAX_POINTS:
         raise ValueError(f"unsupported Gauss order {n_points}")
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
-    return _symmetrized(nodes, weights)
+    return _symmetrized(*_leggauss(n_points))
+
+
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's ``leggauss(n)``, step for step: the eigenvalues of the scaled
+    companion matrix of ``P_n``, one Newton step, and weights ``1 / (P_{n-1}
+    P_n')`` from the slopes before that step, scaled, symmetrized and
+    normalized to a sum of 2.  Any other route to the same rule differs in
+    the last bits, and moves every output by rounding."""
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    c = np.zeros(n + 1)  # P_n as a Legendre series
+    c[n] = 1.0
+    # the series of P_n', as legder gives it: 2 k + 1 at k = n - 1, n - 3, ..
+    k = np.arange(n)
+    slope = np.where((n - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0)
+    dy = _clenshaw(x, c)
+    df = _clenshaw(x, slope)
+    x = x - dy / df
+    fm = _clenshaw(x, c[1:])  # P_{n-1}
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series ``sum_k c_k P_k(x)`` by numpy's ``legval``
+    recurrence, term for term."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 @functools.cache

@@ -53,7 +53,8 @@ Reference routes for claims the CLI computes another way:
 - :func:`reference_sparse` converts a band to CSR with scipy's diagonal
   constructor, where ``SymmetricBandedMatrix.to_sparse`` indexes the band;
 - :func:`reference_quadrature_forms` takes the point values of the
-  quadrature forms from products with two CSR matrices, where
+  quadrature forms from products with CSR matrices, the slopes from a
+  first-difference matrix and then the sums of the basis slopes, where
   ``_quadrature_forms`` gathers each element's coefficients;
 - :func:`reference_localized_runs` localizes each tight run from its built
   columns, by a pivoted QR over every row and a Loewdin step on the sparse
@@ -785,26 +786,37 @@ def reference_localized_runs(w: np.ndarray, columns, M):
 def reference_quadrature_forms(kv, rule, n_el: int, coefficients, n: int,
                                fields: int = 1) -> np.ndarray:
     """``eigensolve._quadrature_forms`` with the point values of each chunk
-    from the products of two CSR matrices, the basis values and their
-    slopes, with the coefficients, where the library gathers each element's
-    coefficients and adds the ``p + 1`` terms of each point in the order of
-    the CSR products."""
+    from products of CSR matrices with the coefficients: the values from the
+    basis values, and the slopes from a first-difference matrix and then the
+    sums ``G_a = sum_{r >= a} N'_r`` of the basis slopes, where the library
+    gathers each element's coefficients and adds the terms of each point in
+    the order of these CSR products."""
     p, reference = kv.p, rule.reference_rule(kv.p)
     spans = kv.spans()[:n_el]
     nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
     first, N, dN = span_basis_rows(kv, np.repeat(spans, reference.nodes.size), nodes.ravel(),
                                    derivs=True)
     points, width = first.size, first[-1] + p + 1
-    cols = (first[:, None] + np.arange(p + 1)).ravel()
-    indptr = np.arange(0, cols.size + 1, p + 1)
-    rows = [scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, width))
-            for X in (dN, N)]
+    G = np.empty((points, p))
+    G[:, -1] = dN[:, p]
+    for a in range(p - 1, 0, -1):
+        G[:, a - 1] = G[:, a] + dN[:, a]
+
+    def rows(X, functions):
+        cols = (first[:, None] + np.arange(X.shape[1])).ravel()
+        indptr = np.arange(0, cols.size + 1, X.shape[1])
+        return scipy.sparse.csr_matrix((X.ravel(), cols, indptr), (points, functions))
+
+    # row a - 1 of the first differences is c_a - c_{a-1}
+    difference = scipy.sparse.diags([-1.0, 1.0], [0, 1], shape=(width - 1, width), format="csr")
+    slopes, values = rows(G, width - 1), rows(N, width)
     forms = np.empty((2, n))
     chunk = max(1, _BLOCK_ENTRIES // (fields * points))
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
         C = coefficients(modes).reshape(width, -1)
-        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(R @ C).reshape(
-            weights.shape + (-1,)), weights).reshape(fields * n_el, -1) for R in rows])
+        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(X).reshape(
+            weights.shape + (-1,)), weights).reshape(fields * n_el, -1)
+            for X in (slopes @ (difference @ C), values @ C)])
         forms[:, modes] = _sum_rows(terms).reshape(2, -1)
     return forms

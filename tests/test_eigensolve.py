@@ -9,7 +9,7 @@ import scipy.linalg
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splinespectra import analysis, cli, eigensolve
+from splinespectra import analysis, cli, eigensolve, quadrature
 from splinespectra.assembly import (
     NumericalError,
     SymmetricBandedMatrix,
@@ -283,6 +283,32 @@ def test_certificate_holds_on_a_fine_neumann_mesh():
     assert abs(analysis.leading_mode_error(layout) - want) <= 8 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("layout", [BlockLayout.fea(32000, 1),
+                                    BlockLayout.iga(32000, 1, bc="neumann")],
+                         ids=["dirichlet", "neumann"])
+def test_polish_is_right_to_two_roundings_on_a_fine_linear_mesh(layout):
+    # the slopes in difference form leave the polished quotient within two
+    # roundings of the closed form (1.6 and 0 eps here); the plain sum of
+    # slope terms cancelled about log10(1 / h) digits at each point and read
+    # 8.9 and 4.9 eps, and up to 30 and 45 eps over eight random starts
+    want = (linear_fem_eigenvalue(1, layout.h) - math.pi ** 2) / math.pi ** 2
+    assert abs(analysis.leading_mode_error(layout) - want) <= 2 * np.finfo(float).eps
+
+
+def test_polished_value_does_not_depend_on_the_start(monkeypatch):
+    # five starts, random and not, give one quotient to two roundings: 12
+    # eps apart over as many random starts with the plain sum of slopes
+    op = assemble_layout(BlockLayout.iga(20000, 2))
+    n = op.n_dofs
+    starts = [np.random.default_rng(seed).standard_normal(n) for seed in (0, 1, 2)]
+    starts += [np.linspace(-1.0, 1.0, n) ** 3 + 0.5, eigensolve._polish_start(n)]
+    values = []
+    for x in starts:
+        monkeypatch.setattr(eigensolve, "_polish_start", lambda n, x=x: x.copy())
+        values.append(polish_eigenvalue(op, math.pi ** 2))
+    assert max(values) - min(values) <= 2 * np.finfo(float).eps * min(values)
+
+
 def dense_oracle_check(op, eigenvalues, modes):
     return oracle_check(op.K.to_dense(), op.M.to_dense(), eigenvalues, modes)
 
@@ -450,6 +476,31 @@ def test_mirror_antisymmetric_modes_get_one_sign_from_both_routes():
     assert len(odd) > op.n_dofs // 3
     for k in odd:
         assert np.max(np.abs(V[:, k] - U[:, k])) <= 1e-7 * np.abs(U[:, k]).max()
+
+
+@pytest.mark.parametrize("move", ["gauss-nodes", "gauss-weights", "stiffness", "mass"])
+def test_a_one_ulp_move_leaves_every_sign(monkeypatch, move):
+    # the dense route's mirror-odd modes are odd only to a few 1e-11 here:
+    # with a sign tie of 1e-12, the weights moved up or a band moved by one
+    # unit in the last place flipped the sign of one of them
+    layout = BlockLayout.riga(60, 2, 10)
+    U = solve_gevp(bare(assemble_layout(layout))).eigenvectors
+    if move.startswith("gauss"):
+        rule = quadrature.gauss_rule(layout.p + 1)
+        nodes, weights = rule.nodes, rule.weights
+        if move == "gauss-nodes":
+            nodes = np.nextafter(nodes, 0.0)  # inwards, still symmetric
+        else:
+            weights = np.nextafter(weights, np.inf)
+        monkeypatch.setattr(quadrature, "gauss_rule",
+                            lambda n: quadrature.Rule(nodes, weights))
+    op = assemble_layout(layout)
+    if move == "stiffness":
+        op.K.band[:] = np.nextafter(op.K.band, np.inf)
+    elif move == "mass":
+        op.M.band[:] = np.nextafter(op.M.band, 0.0)
+    V = solve_gevp(bare(op)).eigenvectors
+    assert np.all(np.sum(U * V, axis=0) > 0.0)
 
 
 def test_low_modes_of_a_long_uniform_layout_are_accurate(monkeypatch):

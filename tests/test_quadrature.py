@@ -30,6 +30,18 @@ def test_gauss_examples():
     assert r.weights @ r.nodes ** 4 == pytest.approx(0.4, abs=1e-14)
 
 
+@pytest.mark.parametrize("n", range(1, 33))
+def test_gauss_rule_keeps_the_bits_of_leggauss(n):
+    # the package repeats numpy's steps rather than importing
+    # numpy.polynomial: a rule within one unit in the last place of these
+    # moves every output by rounding
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    r = gauss_rule(n)
+    assert np.array_equal(r.nodes.view(np.int64), (0.5 * (nodes - nodes[::-1])).view(np.int64))
+    assert np.array_equal(r.weights.view(np.int64),
+                          (0.5 * (weights + weights[::-1])).view(np.int64))
+
+
 def test_lobatto_examples():
     r = lobatto_rule(2)
     assert np.allclose(r.nodes, [-1, 1]) and np.allclose(r.weights, [1, 1])
