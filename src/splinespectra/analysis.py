@@ -32,7 +32,7 @@ import numpy.fft  # imported here, not inside a job
 from .assembly import DiscreteOperator, NumericalError, assemble_layout
 from .eigensolve import Spectrum, _band_eigenvalues, _certify_lowest, polish_eigenvalue
 from .quadrature import QuadratureSpec, gauss_rule, map_rule_to_element
-from .splines import BlockLayout, span_basis_rows
+from .splines import BlockLayout, _point_sums, span_basis_rows
 
 __all__ = [
     "ErrorBudget",
@@ -91,22 +91,20 @@ def _relative_errors(discrete, exact) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _sample_basis(op: DiscreteOperator, xs: np.ndarray):
-    """``(points, dofs, N)``: the indices of the points ``xs`` inside the
-    domain, the reduced dof of each of their ``p + 1`` functions (``n_dofs``
-    for a function removed by boundary conditions) and their values.
+    """``(points, first, N)``: the indices of the points ``xs`` inside the
+    domain, the index in ``op.kv`` (before boundary conditions) of the first
+    of each one's ``p + 1`` active functions, and their values.
 
     A non-empty span ``[a, b)`` owns the points in it, and the last span also
     owns the right end of the domain."""
     kv = op.kv
-    reduced = np.full(kv.n, op.n_dofs)
-    reduced[op.dof_indices] = np.arange(op.n_dofs)
     spans = kv.spans()
     lefts, rights = kv.knots[spans], kv.knots[spans + 1]
     owner = np.searchsorted(lefts, xs, side="right") - 1
     inside = (owner >= 0) & ((xs < rights[owner]) | (xs == rights[-1]))
     points = np.flatnonzero(inside)
     first, N = span_basis_rows(kv, spans[owner[points]], xs[points])
-    return points, reduced[first[:, None] + np.arange(kv.p + 1)], N
+    return points, first, N
 
 
 def sample_fields(op: DiscreteOperator, xs: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -114,20 +112,18 @@ def sample_fields(op: DiscreteOperator, xs: np.ndarray, V: np.ndarray) -> np.nda
     at the points ``xs``: one row per point, one column per field; points
     outside the domain read zero.
 
-    Each point's value gathers the coefficients of its ``p + 1`` functions
-    and adds their terms to zero in order, the bits of the product
-    ``sample_matrix(op, xs) @ V``; a function removed by boundary conditions
-    adds the zero of a padded row.  O(p) passes over the ``(points, columns)``
-    values, and no sparse matrix."""
+    Each point's value is the sum of its ``p + 1`` terms in order
+    (:func:`~splinespectra.splines._point_sums`) over the coefficients of
+    every basis function, zero on those removed by boundary conditions, and
+    a zero sum reads ``+0``: the bits of the product ``sample_matrix(op, xs)
+    @ V``, whose sums start from zero.  O(p) passes over the ``(points,
+    columns)`` values, and no sparse matrix."""
     xs = np.asarray(xs, dtype=float)
-    points, dofs, N = _sample_basis(op, xs)
-    padded = np.zeros((op.n_dofs + 1, V.shape[1]))
-    padded[:-1] = V
-    values, term = np.zeros((2, points.size, V.shape[1]))
-    for a in range(dofs.shape[1]):
-        np.take(padded, dofs[:, a], axis=0, out=term)
-        term *= N[:, a:a + 1]
-        values += term
+    points, first, N = _sample_basis(op, xs)
+    C = np.zeros((op.kv.n, V.shape[1]))
+    C[op.dof_indices] = V
+    values = _point_sums(C, first, N, *np.empty((2, points.size, V.shape[1])))
+    values += 0.0  # -0 + 0 is +0
     out = np.zeros((xs.size, V.shape[1]))
     out[points] = values
     return out
@@ -143,9 +139,12 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray):
     import scipy.sparse
 
     xs = np.asarray(xs, dtype=float)
-    points, dofs, N = _sample_basis(op, xs)
+    points, first, N = _sample_basis(op, xs)
+    reduced = np.full(op.kv.n, -1)
+    reduced[op.dof_indices] = np.arange(op.n_dofs)
+    dofs = reduced[first[:, None] + np.arange(N.shape[1])]
     rows = np.broadcast_to(points[:, None], dofs.shape)
-    kept = dofs < op.n_dofs
+    kept = dofs >= 0
     return scipy.sparse.csr_matrix((N[kept], (rows[kept], dofs[kept])),
                                    shape=(xs.size, op.n_dofs))
 
@@ -256,9 +255,9 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
     """The pair inner products ``(u_j, v_j)`` of the exact modes ``js``
     (consecutive wavenumbers) with the last ``len(js)`` columns of
     ``spectrum``, up to the columns' signs, from their factors ``(local,
-    pattern, tight)``
-    (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on block ``b = 1
-    .. n_b``, column ``c`` is ``sum_i pattern[i, b - 1, c] local[i, :, c]``.
+    pattern)`` (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on
+    block ``b = 1 .. n_b``, column ``c`` is ``sum_i pattern[i, b - 1, c]
+    local[i, :, c]``.
 
     Block ``b`` is the first shifted by ``(b - 1) / n_b``, so ``(u_j, v) =
     sqrt(2) Im sum_i S_i F_i`` (``Re`` under Neumann conditions; ``1`` in
@@ -282,7 +281,7 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
     exact mode."""
     n_e, dirichlet = op.layout.n_elements, op.bc == "dirichlet"
     first = spectrum.n_modes - js.size
-    local, pattern, _ = spectrum.factors(first, first)  # no column: the shapes alone
+    local, pattern = spectrum.factors(first, first)  # no column: the shapes alone
     parts, height, n_b = *local.shape[:2], pattern.shape[1]
     window = min(n_e // n_b + 1, n_e)
     angle = np.arange(2 * n_b) * (math.pi / n_b)
@@ -292,7 +291,7 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
     out = np.empty(js.size)
     # one block's factors are views of the columns: take the column blocks
     for lo, hi in spectrum.blocks(first, parts * max(height, n_b) if n_b > 1 else None):
-        local, pattern, _ = spectrum.factors(lo, hi)
+        local, pattern = spectrum.factors(lo, hi)
         rows = slice(lo - first, hi - first)
         jc, cc, uv = js[rows], counts[rows], out[rows]
         if n_b > 1:  # Re L and Im L, from Re S and Im S

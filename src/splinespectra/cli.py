@@ -66,6 +66,8 @@ class ExperimentConfig:
         if self.method == "iga" and self.block is not None \
                 and self.block != self.elements:
             raise ConfigError("iga takes no block size (no separators)")
+        if self.method == "iga" and self.continuity != 0:
+            raise ConfigError("iga takes no separator continuity (no separators)")
         if self.method == "riga" and self.block is None:
             raise ConfigError("riga requires --block")
         if self.dim == 2 and self.elements > MAX_ELEMENTS_2D:

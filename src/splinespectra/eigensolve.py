@@ -102,7 +102,7 @@ import numpy as np
 from ._lapack import lapack
 from .assembly import DiscreteOperator, NumericalError, SymmetricBandedMatrix
 from .quadrature import QuadratureSpec, map_rule_to_element
-from .splines import span_basis_rows
+from .splines import _point_sums, span_basis_rows
 
 __all__ = ["Spectrum", "solve_gevp", "solve_eigenvalues", "polish_eigenvalue"]
 
@@ -174,14 +174,13 @@ class Spectrum:
         :func:`solve_gevp` describes: here a view of the dense array."""
         return self._vectors[:, lo:hi]
 
-    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factors ``(local, pattern, tight)`` of columns ``lo .. hi - 1``,
-        as :meth:`_BlochSpectrum.factors` describes them, unsigned: they give
+    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """The factors ``(local, pattern)`` of columns ``lo .. hi - 1``, as
+        :meth:`_BlochSpectrum.factors` describes them, unsigned: they give
         each column up to its sign.  Here one block, the whole mesh, with the
-        columns themselves as local vectors under the pattern ``1``, and no
-        tight run."""
-        w = hi - lo
-        return self.columns(lo, hi)[None], np.ones((1, 1, w)), np.zeros(w, dtype=bool)
+        columns themselves, a tight run's localized ones included, as local
+        vectors under the pattern ``1``."""
+        return self.columns(lo, hi)[None], np.ones((1, 1, hi - lo))
 
     def forms(self, rule: QuadratureSpec) -> np.ndarray:
         """``(v^T K v, v^T M v)`` of every column, one row each: the sums of
@@ -652,7 +651,7 @@ class _BlochSpectrum(Spectrum):
         band = modes >= n_wave
         Y = self._Y[:, np.where(band, 0, modes)]  # band columns are set below
         local = np.zeros((3, m + 1, modes.size))
-        # bubble rows i and m - 1 - i are mirror images, as in _build
+        # bubble rows i and m - 1 - i are mirror images
         even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
         local[0, :mo], local[0, m - mo:m] = even, even[::-1]
         local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
@@ -679,9 +678,11 @@ class _BlochSpectrum(Spectrum):
 
     def _rows(self, modes: np.ndarray):
         """A function of row indices that gives those rows of the unsigned
-        columns of ``modes`` from the factors, with the bits of
-        :meth:`_build`: row ``f`` of block ``b`` is ``sum_i pattern[i, b]
-        local[i, f]``, O(w) per row."""
+        columns of ``modes`` (as :meth:`_local` takes them) from the factors:
+        row ``f`` of block ``b`` is ``sum_i pattern[i, b] local[i, f]``, the
+        parts added in order, O(w) per row.  It builds every column
+        (:meth:`columns`) and the rows that the SCDM step of
+        :func:`_localized_runs` reads."""
         local, pattern = self._local(modes), self._patterns(modes)
 
         def rows(index: np.ndarray) -> np.ndarray:
@@ -691,43 +692,9 @@ class _BlochSpectrum(Spectrum):
 
         return rows
 
-    def _build(self, modes: np.ndarray) -> np.ndarray:
-        """The columns of ``modes``, indices into the wave modes (``k * (m + 1)
-        + t``, flattened) followed by the even and the odd band modes,
-        unsigned.
-
-        Every column is first built as a wave mode, by slices alone; the few
-        band columns are then overwritten."""
-        n_blocks, m = self._n_blocks, self._m
-        period, me, mo = m + 1, (m + 1) // 2, m // 2
-        n_wave = self._Y.shape[1]
-        band = np.flatnonzero(modes >= n_wave)
-        c = modes.copy()
-        c[band] = 0
-        k, Y = c // period, self._Y[:, c]
-        even, odd = self._even[:, k], self._odd[:, k]
-        R = np.empty((n_blocks, period, modes.size))  # block, bubble or interface, mode
-        half = math.sqrt(0.5)
-        # bubble rows i and m - 1 - i are mirror images
-        sym = even[:, None] * (half * Y[:mo])
-        anti = odd[:, None] * (half * Y[me:me + mo])
-        np.add(sym, anti, out=R[:, :mo])
-        np.subtract(sym, anti, out=R[:, m - mo:m][:, ::-1])
-        if m % 2:
-            R[:, mo] = even * Y[mo]
-        R[:-1, m] = self._interface[:, k] * Y[m]
-        R[-1, m] = 0.0
-        if band.size:
-            c = modes[band] - n_wave
-            sign = np.where((np.arange(n_blocks)[:, None] % 2 == 1) & (c < me), -1.0, 1.0)
-            B = np.zeros((n_blocks, period, band.size))
-            B[:, :m] = sign[:, None] * self._bands[:, c]
-            R[:, :, band] = B
-        return R.reshape(n_blocks * period, modes.size)[:self._n]
-
-    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """The Bloch factors of columns ``lo .. hi - 1``, unsigned: ``(local,
-        pattern, tight)``.
+        pattern)``.
 
         On block ``b = 1 .. n_b``, column ``c`` is, up to its sign, the sum
         over three parts ``i`` of the number ``pattern[i, b - 1, c]`` times
@@ -743,10 +710,10 @@ class _BlochSpectrum(Spectrum):
         are found on the built columns, so the factors do not carry them:
         the one caller, the error budget, takes ``|(u_j, v_j)|``.
 
-        ``tight[c]`` marks the columns of a tight run.  A localized column
-        ``sum_c G[c, j] v_c`` has no factors of this form, so read it with
-        :meth:`columns`; its factors here are those of the part that meets
-        its exact mode ``u = sin(pi (j + 1) x)`` (column ``j``, from 0).
+        The localized column ``sum_c G[c, j] v_c`` of a tight run (found in
+        the spectrum's ``_runs``) has no factors of this form, so read it
+        with :meth:`columns`; its factors here are those of the part that
+        meets its exact mode ``u = sin(pi (j + 1) x)`` (column ``j``, from 0).
         ``u`` is a Bloch wave of class ``q = +-(j + 1) mod 2 n_b`` (see
         :meth:`_localize_forms`), and the integral of a mode of another
         class against it vanishes, so ``(u, w)`` is that of the run's modes
@@ -754,7 +721,6 @@ class _BlochSpectrum(Spectrum):
         ``sum G[c, j] local_c`` over them, zero if there are none."""
         n_b = self._n_blocks
         modes = self._modes[lo:hi].copy()
-        tight = np.zeros(modes.size, dtype=bool)
         combined = []
         for a, b, G in self._runs:
             s, e = max(a, lo), min(b, hi)
@@ -763,21 +729,22 @@ class _BlochSpectrum(Spectrum):
             run = self._modes[a:b]
             q = (np.arange(s, e) + 1) % (2 * n_b)  # the exact modes s + 1 .. e
             match = self._classes(run)[:, None] == np.minimum(q, 2 * n_b - q)
-            tight[s - lo:e - lo] = True
             modes[s - lo:e - lo] = np.where(match.any(axis=0), run[match.argmax(axis=0)],
                                             modes[s - lo:e - lo])
             combined.append((slice(s - lo, e - lo), run, np.where(match, G[:, s - a:e - a], 0.0)))
         local = self._local(modes)
         for cols, run, weights in combined:
             local[:, :, cols] = self._local(run) @ weights
-        return local, self._patterns(modes), tight
+        return local, self._patterns(modes)
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
-        :func:`solve_gevp` describes, built from the factors: O(n) per column,
-        and O(n r) per column of a tight run of ``r``, whose modes' columns
-        are built a block at a time and combined by its ``G``."""
-        V = self._build(self._modes[lo:hi])
+        :func:`solve_gevp` describes, every row from the factors
+        (:meth:`_rows`): O(n) per column, and O(n r) per column of a tight run
+        of ``r``, whose modes' columns are built a block at a time and
+        combined by its ``G``."""
+        every = np.arange(self._n)
+        V = self._rows(self._modes[lo:hi])(every)
         for a, b, G in self._runs:
             s, e = max(a, lo), min(b, hi)
             if s < e:
@@ -785,7 +752,7 @@ class _BlochSpectrum(Spectrum):
                 W[:] = 0.0
                 width = max(1, _BLOCK_ENTRIES // self._n)
                 for c in range(0, run.size, width):
-                    W += self._build(run[c:c + width]) @ G[c:c + width, s - a:e - a]
+                    W += self._rows(run[c:c + width])(every) @ G[c:c + width, s - a:e - a]
         V *= _signs(V)
         return V
 
@@ -799,19 +766,20 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     ``coefficients(modes)`` gives the coefficients of the fields of
     ``modes`` on the basis functions that meet those elements, from the
     first: ``(functions, fields, modes.size)``.  The basis is evaluated at
-    every point in one call, and each point's value gathers the coefficients
-    of its ``p + 1`` functions and adds their terms in order, in buffers
-    reused for every chunk.  The slopes of the basis functions sum to zero,
-    so the slope is taken as ``v'(x) = sum_a (c_a - c_{a-1}) G_a(x)``, ``a =
-    1 .. p``, with ``G_a = sum_{r >= a} N'_r``: the differences of
-    neighbouring coefficients carry no cancellation, where the plain sum
-    ``sum_r c_r N'_r`` of a smooth mode loses about ``log10(1 / h)`` digits
-    at each point, and with them the polished quotient's independence of
-    its start.  Each sum adds terms of one sign (under a rule of positive
-    weights), element by element and then by :func:`_sum_rows`, so it is
-    right to a few roundings.  O(n_el q (p + 1)) per mode and field for
-    ``q`` points per element; the modes go in chunks whose point values hold
-    about ``_BLOCK_ENTRIES`` entries per form."""
+    every point in one call, and each point's value is the sum of its ``p +
+    1`` terms in order (:func:`~splinespectra.splines._point_sums`), in
+    buffers reused for every chunk.  The slopes of the basis functions sum
+    to zero, so the slope is the same sum over the ``p`` differences of
+    neighbouring coefficients, ``v'(x) = sum_a (c_a - c_{a-1}) G_a(x)``, ``a
+    = 1 .. p``, with ``G_a = sum_{r >= a} N'_r``: the differences carry no
+    cancellation, where the plain sum ``sum_r c_r N'_r`` of a smooth mode
+    loses about ``log10(1 / h)`` digits at each point, and with them the
+    polished quotient's independence of its start.  Each sum adds terms of
+    one sign (under a rule of positive weights), element by element and
+    then by :func:`_sum_rows`, so it is right to a few roundings.  O(n_el q
+    (p + 1)) per mode and field for ``q`` points per element; the modes go
+    in chunks whose point values hold about ``_BLOCK_ENTRIES`` entries per
+    form."""
     p, reference = kv.p, rule.reference_rule(kv.p)
     spans = kv.spans()[:n_el]
     nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
@@ -821,8 +789,8 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     points, width = first.size, first[-1] + p + 1
     forms = np.empty((2, n))
     chunk = max(1, _BLOCK_ENTRIES // (fields * points))
-    # the values at the points and two gathers of them, reused for every chunk
-    buffers = np.empty((3, points * fields * min(chunk, n)))
+    # the values at the points and a gather of them, reused for every chunk
+    buffers = np.empty((2, points * fields * min(chunk, n)))
 
     def element_sums(values):
         # each element's sum of w_q values^2 for each field, one row each
@@ -832,28 +800,12 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
         C = coefficients(modes).reshape(width, -1)
-        values, prev, term = (b[:points * C.shape[1]].reshape(points, -1) for b in buffers)
-        # each point's slope from its p differences, in order: the two
-        # gathers swap roles, the newer coefficients kept for the next one
-        np.take(C, first, axis=0, out=prev)
-        for a in range(1, p + 1):
-            np.take(C, first + a, axis=0, out=term)
-            diff = values if a == 1 else prev
-            np.subtract(term, prev, out=diff)
-            diff *= G[:, a - 1:a]
-            if a > 1:
-                values += diff
-            prev, term = term, prev
-        slopes = element_sums(values)
-        # each point's value from its p + 1 terms, in order
-        np.take(C, first, axis=0, out=values)
-        values *= N[:, :1]
-        for a in range(1, p + 1):
-            np.take(C, first + a, axis=0, out=term)
-            term *= N[:, a:a + 1]
-            values += term
-        # both forms side by side
-        forms[:, modes] = _sum_rows(np.hstack([slopes, element_sums(values)])).reshape(2, -1)
+        values, term = (b[:points * C.shape[1]].reshape(points, -1) for b in buffers)
+        # each point's slope from its p differences, then its value from its
+        # p + 1 terms; both forms side by side
+        slopes = element_sums(_point_sums(np.diff(C, axis=0), first, G, values, term))
+        squares = element_sums(_point_sums(C, first, N, values, term))
+        forms[:, modes] = _sum_rows(np.hstack([slopes, squares])).reshape(2, -1)
     return forms
 
 

@@ -14,7 +14,9 @@ recursion for the ``p + 1`` functions active on a non-empty knot span.  It
 takes one span index per point, so a whole grid (every quadrature point of a
 mesh, every sample point) is evaluated in one call.  On a non-empty span the
 value recursion never divides by zero; the derivative formula drops terms
-over zero-length knot intervals (the ``0/0 := 0`` convention).
+over zero-length knot intervals (the ``0/0 := 0`` convention).  A field's
+value (or slope) at each point, from its coefficients and such rows, is
+one gather of the point's functions, :func:`_point_sums`.
 The parametric domain is fixed to ``[0, 1]`` and doubles as the physical
 domain (identity geometry map).
 """
@@ -228,6 +230,21 @@ def span_basis_rows(kv: KnotVector, span, xs: np.ndarray,
     dN[:, 1:] += _ratio(p, t[i + p] - t[i])[..., 1:] * lower
     dN[:, :p] -= _ratio(p, t[i + p + 1] - t[i + 1])[..., :p] * lower
     return first, N, dN
+
+
+def _point_sums(C: np.ndarray, first: np.ndarray, B: np.ndarray, out: np.ndarray,
+                term: np.ndarray) -> np.ndarray:
+    """``out[x] = sum_a C[first[x] + a] B[x, a]`` for each point ``x``, a row
+    of ``C`` per function and a column per field: the terms added in order,
+    from ``a = 0``, with ``term`` (shaped as ``out``) holding each gather.
+    Returns ``out``."""
+    np.take(C, first, axis=0, out=out)
+    out *= B[:, :1]
+    for a in range(1, B.shape[1]):
+        np.take(C, first + a, axis=0, out=term)
+        term *= B[:, a:a + 1]
+        out += term
+    return out
 
 
 def _ratio(p: int, den: np.ndarray) -> np.ndarray:

@@ -357,6 +357,7 @@ def test_config_file_overrides_flags(tmp_path):
     ["spectrum", "--quadrature", "blended", "--elements", "10"],
     ["spectrum", "--method", "riga", "--p", "2", "--elements", "10",
      "--block", "4", "--continuity", "5"],
+    ["spectrum", "--continuity", "5", "--elements", "10"],  # iga ran, echoed continuity=5
 ])
 def test_config_errors_exit_2(args):
     assert main(args) == 2

@@ -646,9 +646,9 @@ def test_budget_of_a_pencil_changed_after_the_solve(matrix):
 def record_builds(monkeypatch):
     """Record the width of every block of columns a Bloch spectrum builds."""
     builds = []
-    build = eigensolve._BlochSpectrum._build
-    monkeypatch.setattr(eigensolve._BlochSpectrum, "_build",
-                        lambda self, modes: builds.append(modes.size) or build(self, modes))
+    columns = eigensolve._BlochSpectrum.columns
+    monkeypatch.setattr(eigensolve._BlochSpectrum, "columns",
+                        lambda self, lo, hi: builds.append(hi - lo) or columns(self, lo, hi))
     return builds
 
 
@@ -687,7 +687,11 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
     n = spectrum.n_modes
     for lo, hi in [(0, n), (n // 3, n - 1), (n - 2, n)]:
         # a tight run's factors are those of its part that meets the exact mode
-        local, _, tight = spectrum.factors(lo, hi)
+        local, _ = spectrum.factors(lo, hi)
+        tight = np.zeros(n, dtype=bool)
+        for a, b, _ in spectrum._runs:
+            tight[a:b] = True
+        tight = tight[lo:hi]
         modes = spectrum._modes[lo:hi]
         band = modes >= spectrum._Y.shape[1]
         Y = spectrum._Y[:, np.where(band, 0, modes)]
@@ -963,8 +967,9 @@ def test_the_budget_builds_no_column_outside_tight_runs(monkeypatch, rule):
 def built_runs(spectrum, op):
     """:func:`reference_localized_runs` of ``spectrum``: the pivoted QR over
     every row of the built columns and a Loewdin step on the stored mass."""
+    every = np.arange(spectrum._n)
     return list(reference_localized_runs(
-        spectrum.eigenvalues, lambda a, b: spectrum._build(spectrum._modes[a:b]), op.M))
+        spectrum.eigenvalues, lambda a, b: spectrum._rows(spectrum._modes[a:b])(every), op.M))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=12)
@@ -1013,7 +1018,8 @@ def test_tight_runs_from_the_factors_match_the_built_columns(p, block, n_blocks)
             W = W * eigensolve._signs(W)
             assert np.abs(got - W).max() <= op.n_dofs * eps * np.abs(W).max()
         else:
-            size = np.linalg.norm(spectrum._build(spectrum._modes[lo:hi]), axis=1)
+            V = spectrum._rows(spectrum._modes[lo:hi])(np.arange(spectrum._n))
+            size = np.linalg.norm(V, axis=1)
             mine, theirs = np.setdiff1d(picked, rows), np.setdiff1d(rows, picked)
             assert np.abs(size[mine][:, None] / size[theirs] - 1.0).min(axis=1).max() <= 1e-12
             assert np.abs(got - W @ (W.T @ M @ got)).max() <= 1e-12 * np.abs(got).max()
@@ -1081,7 +1087,7 @@ def test_a_mode_meets_only_the_exact_modes_of_its_class(layout):
     modes = np.concatenate([spectrum._modes[a:b] for a, b, _ in spectrum._runs])
     classes = spectrum._classes(modes)
     assert {0, n_b} & set(classes.tolist())
-    table = pair_table(op, spectrum._build(modes))
+    table = pair_table(op, spectrum._rows(modes)(np.arange(spectrum._n)))
     q = np.arange(1, op.n_dofs + 1) % (2 * n_b)
     meets = classes[:, None] == np.minimum(q, 2 * n_b - q)
     assert np.abs(table[~meets]).max() <= 2e-14
@@ -1097,7 +1103,7 @@ def test_the_point_gram_of_a_run_is_block_diagonal_by_class(rule):
     spectrum = solve_gevp(op)
     for lo, hi, _ in spectrum._runs:
         modes = spectrum._modes[lo:hi]
-        V = spectrum._build(modes)
+        V = spectrum._rows(modes)(np.arange(spectrum._n))
         pairs = [(a, b) for a in range(hi - lo) for b in range(a + 1, hi - lo)]
         plus = whole_mesh_quotient(op, np.stack([V[:, a] + V[:, b] for a, b in pairs], 1), rule)
         minus = whole_mesh_quotient(op, np.stack([V[:, a] - V[:, b] for a, b in pairs], 1), rule)
@@ -1121,7 +1127,7 @@ def test_a_run_of_many_modes_per_class_takes_its_cross_terms(monkeypatch):
     spectrum._runs = [(0, n, G)]
     spectrum._forms.clear()
     V = spectrum.columns(0, n)
-    W = spectrum._build(spectrum._modes) @ G
+    W = spectrum._rows(spectrum._modes)(np.arange(spectrum._n)) @ G
     np.testing.assert_allclose(W * eigensolve._signs(W), V, rtol=0, atol=1e-13)
     for rule in _RULES:
         np.testing.assert_allclose(spectrum.forms(rule), whole_mesh_quotient(op, V, rule),
@@ -1217,6 +1223,33 @@ def test_block_fourier_values_do_not_depend_on_the_chunk(monkeypatch, layout, en
     whole = _bloch_eigenvalues(*patch)
     monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
     assert np.array_equal(_bloch_eigenvalues(*patch), whole)
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(100, 2, 10), BlockLayout.riga(600, 3, 20), BlockLayout.fea(300, 3),
+    BlockLayout.riga(240, 5, 30), BlockLayout.riga(192, 2, 64),  # a tight run of two
+    BlockLayout.riga(2000, 2, 100), BlockLayout.riga(600, 4, 60), BlockLayout.fea(2, 1),
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}")
+@pytest.mark.parametrize("rule", [*_RULES[:2], QuadratureSpec("blended", tau=0.3)],
+                         ids=lambda rule: rule.kind)
+def test_block_fourier_forms_do_not_depend_on_the_chunk(monkeypatch, layout, rule):
+    # the point gathers reuse their buffers for every chunk of modes, the
+    # last one narrower: one mode per chunk (entries 1), a few, and a ragged
+    # last chunk give the eigenvalues and the forms of the default chunks
+    op = assemble_layout(layout, rule)
+
+    def solve():
+        spectrum = solve_gevp(op)
+        assert isinstance(spectrum, eigensolve._BlochSpectrum)
+        return [spectrum.eigenvalues, *(spectrum.forms(r) for r in (rule, *_RULES[:2]))]
+
+    whole = solve()
+    for entries in (1, 200, 5000):
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
+            got = solve()
+        for a, b in zip(got, whole):
+            assert np.array_equal(a, b), entries
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
