@@ -149,12 +149,12 @@ def sample_matrix(op: DiscreteOperator, xs: np.ndarray):
                                    shape=(xs.size, op.n_dofs))
 
 
-def _load_moments(op: DiscreteOperator, subdivisions: int, n_el: int, parts: int,
-                  height: int):
+def _load_moments(op: DiscreteOperator, subdivisions: int, n_el: int, parts: int):
     """The load moments ``F(j) = int exp(i j pi x) v(x) dx`` over the first
     ``n_el`` elements, as a function ``moments(local, js, imag)`` of
-    ``parts`` fields per column: ``local`` is ``parts x height x len(js)``,
-    coefficients of the reduced dofs ``0 .. height - 1``, and column ``c``
+    ``parts`` fields per column: ``local`` is ``parts x functions x
+    len(js)``, coefficients of the basis functions of ``op.kv`` from the
+    first, at least those that meet the ``n_el`` elements, and column ``c``
     meets exact mode ``js[c]``, consecutive wavenumbers.  It returns one row
     per part, ``Im F`` where ``imag[i]`` holds and ``Re F`` elsewhere.
 
@@ -168,17 +168,16 @@ def _load_moments(op: DiscreteOperator, subdivisions: int, n_el: int, parts: int
     Every element of the uniform mesh carries the same local offsets ``t``
     and weights ``w``, so with ``a_e = e h``, ``F = sum_e exp(i j pi a_e)
     sum_a v[r(e, a)] (C[e, a, j] + i S[e, a, j])``.  ``r(e, a)`` is the
-    reduced index of the element's ``a``-th function; the functions removed
-    by boundary conditions, and those past ``height``, count as zero.
-    ``C = (w N) @ cos(j pi t)`` and ``S = (w N) @ sin(j pi t)`` are one
-    matrix product each.  The element phases come from one table of ``k pi
-    / n_e``, ``k = 0 .. 2 n_e - 1``, at ``k = j e mod 2 n_e``: exact range
-    reduction, and no transcendental per element and mode.  Columns go in
-    pieces of sizes one apart, so that each temporary holds at most
-    ``_PAIR_BLOCK_ENTRIES`` values and no piece is one column wide unless
-    the limit or ``js`` is.  The rows of ``w N`` and of the gathered
-    coefficients run function by function, each over every element, so the
-    sum over an element's functions goes over whole rows."""
+    index of the element's ``a``-th basis function.  ``C = (w N) @ cos(j pi
+    t)`` and ``S = (w N) @ sin(j pi t)`` are one matrix product each.  The
+    element phases come from one table of ``k pi / n_e``, ``k = 0 .. 2 n_e
+    - 1``, at ``k = j e mod 2 n_e``: exact range reduction, and no
+    transcendental per element and mode.  Columns go in pieces of sizes one
+    apart, so that each temporary holds at most ``_PAIR_BLOCK_ENTRIES``
+    values and no piece is one column wide unless the limit or ``js`` is.
+    The rows of ``w N`` and of the gathered coefficients run function by
+    function, each over every element, so the sum over an element's
+    functions goes over whole rows."""
     kv = op.kv
     p, n_e = kv.p, op.layout.n_elements
     spans = kv.spans()[:n_el]
@@ -186,16 +185,11 @@ def _load_moments(op: DiscreteOperator, subdivisions: int, n_el: int, parts: int
     t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
     _, N = span_basis_rows(kv, np.repeat(spans, t.size),
                            (kv.knots[spans][:, None] + t).ravel())
-    reduced = np.full(kv.n, -1, dtype=int)
-    reduced[op.dof_indices] = np.arange(op.n_dofs)
-    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)].T
-    kept = (rows >= 0) & (rows < height)
+    rows = ((spans - p)[:, None] + np.arange(p + 1)).T.ravel()
     # weighted basis values, one row per (function, element): the sums over
-    # the functions run element-wise over whole rows; the functions that
-    # count as zero get zero rows, so any row of the coefficients serves them
+    # the functions run element-wise over whole rows
     wN = (N.reshape(n_el, t.size, p + 1) * w[:, None]).transpose(2, 0, 1)
-    wN = (wN * kept[..., None]).reshape((p + 1) * n_el, t.size)
-    rows = np.where(kept, rows, 0).ravel()
+    wN = wN.reshape((p + 1) * n_el, t.size)
 
     e, n_rows = np.arange(n_el), wN.shape[0]
     width = max(1, min(op.n_dofs, _PAIR_BLOCK_ENTRIES // (parts * n_rows)))
@@ -254,54 +248,58 @@ def _pair_products(spectrum: Spectrum, op: DiscreteOperator, js: np.ndarray,
                    counts: np.ndarray, evaluators: dict) -> np.ndarray:
     """The pair inner products ``(u_j, v_j)`` of the exact modes ``js``
     (consecutive wavenumbers) with the last ``len(js)`` columns of
-    ``spectrum``, up to the columns' signs, from their factors ``(local,
-    pattern)`` (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on
-    block ``b = 1 .. n_b``, column ``c`` is ``sum_i pattern[i, b - 1, c]
-    local[i, :, c]``.
+    ``spectrum``, up to the columns' signs, from their factors
+    ``(coefficients, pattern)``
+    (:meth:`~splinespectra.eigensolve.Spectrum.factors`): on the basis
+    functions of block ``b = 1 .. n_b``, column ``c`` is ``sum_i pattern[i,
+    b - 1, c] coefficients[:, i, c]``.
 
     Block ``b`` is the first shifted by ``(b - 1) / n_b``, so ``(u_j, v) =
     sqrt(2) Im sum_i S_i F_i`` (``Re`` under Neumann conditions; ``1`` in
     place of ``sqrt(2)`` for the constant mode ``j = 0``).  ``F_i`` are the
-    load moments of the local vectors (:func:`_load_moments`) over the first
-    block's elements and the next block's first, where its right interface
-    function ends: ``min(n_e // n_b + 1, n_e)`` elements.  ``S_i = sum_b
-    pattern[i, b] exp(i j pi (b - 1) / n_b)``, from a table of ``k pi /
-    n_b`` at ``k = j (b - 1) mod 2 n_b``.  ``F`` is linear, so the sum is
-    ``F(L)`` of the one complex local vector ``L = sum_i S_i local[i]``,
-    whose real and imaginary parts take one load moment each.  A dense
-    spectrum is one block: the window is the whole mesh, ``S = 1`` and ``L``
-    the column itself.  O(n_el (p + 1) q + n_b) per column, for ``n_el``
-    elements in the window and ``q`` points per element.
+    load moments of the fields (:func:`_load_moments`) over the first
+    block's ``n_e // n_b`` elements, which every function of the closed
+    block meets, and ``S_i = sum_b pattern[i, b] exp(i j pi (b - 1) /
+    n_b)``, from a table of ``k pi / n_b`` at ``k = j (b - 1) mod 2 n_b``:
+    the two patterns ``sin(phi_b)`` and ``cos(phi_b)`` of a wave mode, one
+    of a band mode.  ``F`` is linear, so the sum is ``F(L)`` of the one
+    complex field ``L = sum_i S_i coefficients[:, i]``, whose real and
+    imaginary parts take one load moment each.  A dense spectrum is one
+    block: the window is the whole mesh, ``S = 1`` and ``L`` the column
+    itself.  O(n_el (p + 1) q + n_b) per column, for ``n_el`` elements in
+    the window and ``q`` points per element.
 
     Mode ``js[c]`` takes ``counts[c]`` subdivisions per element, and the
     caller's dict ``evaluators`` caches :func:`_load_moments`.  The factors
     go in blocks whose tables hold about ``_BLOCK_ENTRIES`` entries each,
     the column blocks on one block.  A tight run's localized columns take
-    the same route: their factors are those of their part that meets their
-    exact mode."""
+    the same route: their factors are those of their modes' class that meets
+    their exact mode."""
     n_e, dirichlet = op.layout.n_elements, op.bc == "dirichlet"
     first = spectrum.n_modes - js.size
-    local, pattern = spectrum.factors(first, first)  # no column: the shapes alone
-    parts, height, n_b = *local.shape[:2], pattern.shape[1]
-    window = min(n_e // n_b + 1, n_e)
+    C, pattern = spectrum.factors(first, first)  # no column: the shapes alone
+    height, parts, n_b = *C.shape[:2], pattern.shape[1]
+    window = n_e // n_b
     angle = np.arange(2 * n_b) * (math.pi / n_b)
     cos_b, sin_b = np.cos(angle), np.sin(angle)
     # Im F(L) = Im F(Re L) + Re F(Im L); Re F(L) = Re F(Re L) - Im F(Im L)
     imag, sign = (dirichlet, not dirichlet), 1.0 if dirichlet else -1.0
     out = np.empty(js.size)
-    # one block's factors are views of the columns: take the column blocks
+    # a dense spectrum's factors are its columns: take the column blocks
     for lo, hi in spectrum.blocks(first, parts * max(height, n_b) if n_b > 1 else None):
-        local, pattern = spectrum.factors(lo, hi)
+        C, pattern = spectrum.factors(lo, hi)
         rows = slice(lo - first, hi - first)
         jc, cc, uv = js[rows], counts[rows], out[rows]
         if n_b > 1:  # Re L and Im L, from Re S and Im S
             k = np.multiply.outer(np.arange(n_b), jc) % (2 * n_b)
             S = np.stack([np.einsum("ibc,bc->ic", pattern, c[k]) for c in (cos_b, sin_b)])
-            local = (S.transpose(2, 0, 1) @ local.transpose(2, 0, 1)).transpose(1, 2, 0)
+            local = (S.transpose(2, 0, 1) @ C.transpose(2, 1, 0)).transpose(1, 2, 0)
+        else:
+            local = C.transpose(1, 0, 2)
         # the counts never decrease with j, so each group is a run of columns
         values, starts = np.unique(cc, return_index=True)
         for s, a, z in zip(values, starts, [*starts[1:], jc.size]):
-            key = (int(s), window, len(local), height)
+            key = (int(s), window, len(local))
             if key not in evaluators:
                 evaluators[key] = _load_moments(op, *key)
             F = evaluators[key](local[:, :, a:z], jc[a:z], imag)
@@ -396,8 +394,9 @@ def error_budget(spectrum: Spectrum, op: DiscreteOperator) -> ErrorBudget:
     ``n_el`` elements and a sum of its block pattern against ``n_b`` block
     phases, O(m (n_el (p + 1) q + n_b)) for ``q`` points per element.  A
     dense spectrum is one block, the whole mesh; a factored spectrum of
-    ``n_b`` repeated blocks of ``B`` elements reads ``B + 1`` elements
-    however many there are, tight runs included, and builds no column.  The
+    ``n_b`` repeated blocks of ``B`` elements reads one block's ``B``
+    elements however many there are, tight runs included, and builds no
+    column.  The
     tables are built once per subdivision count and window.  Memory is a
     block of columns and a few temporaries of at most
     ``_PAIR_BLOCK_ENTRIES`` doubles each; no n x n array and no dense

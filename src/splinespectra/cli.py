@@ -18,8 +18,9 @@ import argparse
 import functools
 import locale  # noqa: F401  argparse's gettext imports it on first use: here, not in a job
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -97,10 +98,14 @@ class ExperimentConfig:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="")
+    _write_chunks(path, [text])
+
+
+def _write_chunks(path: str | None, chunks) -> None:
+    """Write the strings of ``chunks`` in order, each once it is made, to the
+    file ``path`` or, without one, to stdout."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as f:
+        f.writelines(chunks)
 
 
 def _cells(column) -> list[str]:
@@ -119,21 +124,19 @@ def _cells(column) -> list[str]:
             for v in values]
 
 
-class _Cells(list):
-    """A column of cells :func:`_cells` formatted already, which :func:`_csv`
-    writes as they are: a column that repeats a few values can format each
-    of them once."""
-
-
 def _csv(columns: dict, config: ExperimentConfig,
          comments: list[str] | None = None) -> str:
     """The CSV text of equally long ``columns``, headed by their keys in order,
     after the ``# config:`` line and any further ``comments`` lines.  Each
-    column goes through :func:`_cells`, but a :class:`_Cells` one."""
-    lines = [f"# config: {config.echo()}", *(comments or []), ",".join(columns)]
-    cells = [c if isinstance(c, _Cells) else _cells(c) for c in columns.values()]
-    lines += map(",".join, zip(*cells, strict=True))
-    return "\n".join(lines) + "\n"
+    column goes through :func:`_cells`."""
+    head = [f"# config: {config.echo()}", *(comments or []), ",".join(columns)]
+    return "\n".join(head) + "\n" + _lines(map(_cells, columns.values()))
+
+
+def _lines(cells) -> str:
+    """The CSV lines of equally long columns of cells, each ended by ``\\n``."""
+    rows = [*map(",".join, zip(*cells, strict=True))]
+    return "\n".join([*rows, ""]) if rows else ""
 
 
 def _stack_svgs(svgs: list[str]) -> str:
@@ -232,17 +235,14 @@ def cmd_outliers(cfg: ExperimentConfig, out: str | None) -> int:
     # bin k is frequency k / 2; the table stops at the dof count
     freqs = 0.5 * np.arange(r.magnitudes.shape[1])
     freqs = freqs[freqs <= op.n_dofs]
-    # each mode and each frequency is formatted once, then repeated
-    freq_text = _csv({
-        "mode": _Cells(chain.from_iterable(repeat(cell, freqs.size) for cell in _cells(r.mode))),
-        "frequency": _Cells(_cells(freqs) * r.mode.size),
-        "magnitude": r.magnitudes[:, :freqs.size].ravel(),
-    }, cfg)
-    if out is None:
-        sys.stdout.write(freq_text)
-    else:
-        path = Path(out)
-        _write_text(str(path.with_suffix(".freq" + path.suffix)), freq_text)
+    # the header, then one mode's rows at a time, each frequency formatted once
+    frequencies = _cells(freqs)
+    chunks = chain([_csv({"mode": [], "frequency": [], "magnitude": []}, cfg)],
+                   (_lines([[mode] * freqs.size, frequencies, _cells(row)])
+                    for mode, row in zip(_cells(r.mode), r.magnitudes[:, :freqs.size])))
+    if out is not None:
+        out = str(Path(out).with_suffix(".freq" + Path(out).suffix))
+    _write_chunks(out, chunks)
     return 0
 
 

@@ -36,10 +36,10 @@ one per kind of result:
   spectrum keeps those forms and sums any other rule's on request
   (:meth:`Spectrum.forms`).  Callers read eigenvectors a block of columns
   at a time (:meth:`Spectrum.columns` over :meth:`Spectrum.blocks`), or as
-  unsigned Bloch factors (:meth:`Spectrum.factors`): one block's local
-  vectors and their block patterns, from which the error budget integrates
-  a column over one block.  Eigenvectors are normalized against the
-  assembled mass matrix.  A run of eigenvalues with gaps of at most ``n eps
+  unsigned Bloch factors (:meth:`Spectrum.factors`): two fields on one
+  closed block and their block patterns, from which the error budget
+  integrates a column over one block.  Eigenvectors are normalized against
+  the assembled mass matrix.  A run of eigenvalues with gaps of at most ``n eps
   lambda_max`` cannot be resolved by either route, so its vectors are an
   arbitrary basis of the run's subspace; they are replaced by the
   subspace's localized (SCDM) basis, which is the same whichever route
@@ -175,12 +175,13 @@ class Spectrum:
         return self._vectors[:, lo:hi]
 
     def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The factors ``(local, pattern)`` of columns ``lo .. hi - 1``, as
-        :meth:`_BlochSpectrum.factors` describes them, unsigned: they give
-        each column up to its sign.  Here one block, the whole mesh, with the
-        columns themselves, a tight run's localized ones included, as local
-        vectors under the pattern ``1``."""
-        return self.columns(lo, hi)[None], np.ones((1, 1, hi - lo))
+        """The factors ``(coefficients, pattern)`` of columns ``lo .. hi - 1``,
+        as :meth:`_BlochSpectrum.factors` describes them, unsigned: they give
+        each column up to its sign.  Here one block, the whole mesh: the
+        columns themselves, a tight run's localized ones included, scattered
+        onto every basis function of ``kv`` (zero on those removed by
+        boundary conditions) as one field under the pattern ``1``."""
+        return _scattered(self._kv, self._dofs, self.columns(lo, hi)), np.ones((1, 1, hi - lo))
 
     def forms(self, rule: QuadratureSpec) -> np.ndarray:
         """``(v^T K v, v^T M v)`` of every column, one row each: the sums of
@@ -215,12 +216,17 @@ class Spectrum:
         column).  No block is one column wide unless the range is: the error
         budget's load moments sum such a block in another order (see
         :func:`~splinespectra.analysis._load_moments`)."""
-        hi = self.n_modes
-        if hi <= lo:
+        if self.n_modes <= lo:
             return []
         width = max(2, _BLOCK_ENTRIES // (self.n_modes if entries is None else entries))
-        edges = [*range(lo, max(hi - 1, lo + 1), width), hi]
-        return list(zip(edges[:-1], edges[1:]))
+        return _bounds(lo, self.n_modes, width)
+
+
+def _bounds(lo: int, hi: int, width: int) -> list[tuple[int, int]]:
+    """Bounds ``(a, b)`` of ranges of ``width`` covering ``lo .. hi - 1``, the
+    last up to ``2 width - 1`` wide: none is one wide unless ``hi - lo`` is."""
+    edges = [*range(lo, max(hi - 1, lo + 1), width), hi]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _signs(V: np.ndarray) -> np.ndarray:
@@ -512,11 +518,11 @@ class _BlochSpectrum(Spectrum):
     the ``r x r`` matrix ``G`` that combines the run's modes into its
     localized columns: O(n + r^2).
 
-    :meth:`factors` hands out the factors of any block of columns: for each
-    of three parts, a local vector over one block's bubbles and right
-    interface and its block pattern, the part's factor in each block.  A
-    caller can then integrate a column over the first block and sum over
-    the blocks by the patterns, in O(m + n_b) per column.
+    :meth:`factors` hands out the factors of any block of columns: two
+    fields on the first block's basis functions, from its left interface to
+    its right one, and their block patterns.  A caller can then integrate a
+    column over the first block and sum over the blocks by the patterns, in
+    O(m + n_b) per column.
 
     Each mode's quadrature forms are summed over one block
     (:meth:`_block_forms`), and those of a tight run's localized columns
@@ -545,14 +551,9 @@ class _BlochSpectrum(Spectrum):
         super().__init__(None, None, op.kv, op.dof_indices)
         self._n, self._n_blocks, self._m = op.n_dofs, n_blocks, m
         self._size = op.layout.block_size
-        theta = np.arange(1, n_blocks) * math.pi / n_blocks
-        scale = math.sqrt(2.0 / n_blocks)
-        b = np.arange(n_blocks)[:, None] + 0.5
-        # block patterns, one column per wavenumber: even bubbles, odd
-        # bubbles and the interfaces of blocks 1 .. n_b - 1
-        self._even = scale * np.sin(b * theta)
-        self._odd = scale * np.cos(b * theta)
-        self._interface = scale * np.sin((b[:-1] + 0.5) * theta)
+        # the patterns of the fields A and B, one column per wavenumber
+        phi = (np.arange(n_blocks)[:, None] + 0.5) * (np.arange(1, n_blocks) * math.pi / n_blocks)
+        self._phases = math.sqrt(2.0 / n_blocks) * np.stack([np.sin(phi), np.cos(phi)])
         self._bands = np.hstack([Qe @ Z_even[0], Qo @ Z_odd[0]]) / math.sqrt(n_blocks)
 
         self.eigenvalues, self._modes, forms, self._runs = _settle(
@@ -621,104 +622,91 @@ class _BlochSpectrum(Spectrum):
                         np.where(modes - n_wave < (m + 1) // 2, self._n_blocks, 0))
 
     def _block_coefficients(self, modes: np.ndarray) -> np.ndarray:
-        """The coefficients of the fields ``A`` and ``B`` of ``modes`` (as
-        :meth:`_local` takes them) on the first block's left interface, its
-        ``m`` bubbles and its right interface: ``(m + 2, 2, modes.size)``.
+        """The coefficients of the fields ``A`` and ``B`` of ``modes`` (indices
+        into the wave modes, ``k * (m + 1) + t``, then the even and the odd
+        band modes) on the first block's left interface, its ``m`` bubbles and
+        its right interface: ``(m + 2, 2, modes.size)``.
 
         ``A`` has the coefficients ``[c X, Qe y_e, c X]`` and ``B`` has ``[-s
         X, Qo y_o, s X]``, with ``c = cos(theta / 2)``, ``s = sin(theta /
         2)`` and ``X`` the interface amplitude: ``sin(theta b)`` and
-        ``sin(theta (b - 1))`` are ``c sin(phi_b) +- s cos(phi_b)``.  A band
-        mode is ``A`` alone, with no interface amplitude."""
-        m = self._m
-        local = self._local(modes)
-        half = (modes // (m + 1) + 1) * (0.5 * math.pi / self._n_blocks)
-        X = local[2, m]
-        C = np.empty((m + 2, 2, modes.size))  # function, field A or B, mode
-        C[1:-1] = local[:2, :m].transpose(1, 0, 2)
-        C[0, 0] = C[-1, 0] = np.cos(half) * X
-        C[-1, 1] = np.sin(half) * X
-        C[0, 1] = -C[-1, 1]
-        return C
-
-    def _local(self, modes: np.ndarray) -> np.ndarray:
-        """The local vectors of :meth:`factors` of ``modes``, indices into the
-        wave modes (``k * (m + 1) + t``, flattened) followed by the even and
-        the odd band modes."""
+        ``sin(theta (b - 1))`` are ``c sin(phi_b) +- s cos(phi_b)``.  The
+        mirror combinations are unfolded by slices, one product per entry.  A
+        band mode is ``A`` alone, with no interface amplitude."""
         m = self._m
         me, mo = (m + 1) // 2, m // 2
         n_wave = self._Y.shape[1]
         band = modes >= n_wave
         Y = self._Y[:, np.where(band, 0, modes)]  # band columns are set below
-        local = np.zeros((3, m + 1, modes.size))
+        C = np.empty((m + 2, 2, modes.size))  # function, field A or B, mode
+        A, B = C[:, 0], C[:, 1]
         # bubble rows i and m - 1 - i are mirror images
         even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
-        local[0, :mo], local[0, m - mo:m] = even, even[::-1]
-        local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
+        A[1:mo + 1], A[m - mo + 1:m + 1] = even, even[::-1]
+        B[1:mo + 1], B[m - mo + 1:m + 1] = odd, -odd[::-1]
         if m % 2:
-            local[0, mo] = Y[mo]
-        local[2, m] = Y[m]
-        local[:, :, band] = 0.0
-        local[0, :m, band] = self._bands[:, modes[band] - n_wave].T
-        return local
+            A[mo + 1], B[mo + 1] = Y[mo], 0.0
+        half = (modes // (m + 1) + 1) * (0.5 * math.pi / self._n_blocks)
+        A[0] = A[-1] = np.cos(half) * Y[m]
+        B[-1] = np.sin(half) * Y[m]
+        B[0] = -B[-1]
+        C[:, :, band] = 0.0
+        C[1:-1, 0, band] = self._bands[:, modes[band] - n_wave]
+        return C
 
     def _patterns(self, modes: np.ndarray) -> np.ndarray:
         """The block patterns of :meth:`factors` of ``modes``, indexed as in
-        :meth:`_local`."""
-        n_blocks, m = self._n_blocks, self._m
-        n_wave = self._Y.shape[1]
+        :meth:`_block_coefficients`: ``(2, n_b, modes.size)``."""
+        m, n_wave = self._m, self._Y.shape[1]
         band = modes >= n_wave
-        k = np.where(band, 0, modes) // (m + 1)
-        pattern = np.zeros((3, n_blocks, modes.size))
-        pattern[0], pattern[1] = self._even[:, k], self._odd[:, k]
-        pattern[2, :-1] = self._interface[:, k]
-        alternating = (-1.0) ** np.arange(n_blocks)[:, None]
+        pattern = self._phases[:, :, np.where(band, 0, modes) // (m + 1)]
+        alternating = (-1.0) ** np.arange(self._n_blocks)[:, None]
         pattern[0][:, band] = np.where(modes[band] - n_wave < (m + 1) // 2, alternating, 1.0)
+        pattern[1][:, band] = 0.0
         return pattern
 
     def _rows(self, modes: np.ndarray):
         """A function of row indices that gives those rows of the unsigned
-        columns of ``modes`` (as :meth:`_local` takes them) from the factors:
-        row ``f`` of block ``b`` is ``sum_i pattern[i, b] local[i, f]``, the
-        parts added in order, O(w) per row.  It builds every column
+        columns of ``modes`` (as :meth:`_block_coefficients` takes them) from
+        the factors: row ``f`` of block ``b``, the block's bubble ``f`` or,
+        for ``f = m``, its right interface, is ``pattern[0, b] A[f + 1] +
+        pattern[1, b] B[f + 1]``, O(w) per row.  It builds every column
         (:meth:`columns`) and the rows that the SCDM step of
         :func:`_localized_runs` reads."""
-        local, pattern = self._local(modes), self._patterns(modes)
+        C, pattern = self._block_coefficients(modes), self._patterns(modes)
 
         def rows(index: np.ndarray) -> np.ndarray:
             b, f = np.divmod(index, self._m + 1)
-            return (pattern[0, b] * local[0, f] + pattern[1, b] * local[1, f]
-                    + pattern[2, b] * local[2, f])
+            return pattern[0, b] * C[f + 1, 0] + pattern[1, b] * C[f + 1, 1]
 
         return rows
 
     def factors(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """The Bloch factors of columns ``lo .. hi - 1``, unsigned: ``(local,
-        pattern)``.
+        """The Bloch factors ``(coefficients, pattern)`` of columns ``lo .. hi -
+        1``, unsigned: ``(m + 2, 2, hi - lo)`` and ``(2, n_b, hi - lo)``.
 
-        On block ``b = 1 .. n_b``, column ``c`` is, up to its sign, the sum
-        over three parts ``i`` of the number ``pattern[i, b - 1, c]`` times
-        the local vector ``local[i, :, c]``, whose entries are the
-        coefficients of the block's ``m`` bubbles and of its right interface.
-        A wave mode of wavenumber ``theta`` has its even bubbles ``Qe y_e``
-        under the pattern ``sin(theta (b - 1/2))``, its odd bubbles ``Qo
-        y_o`` under ``cos(theta (b - 1/2))``, and its interface amplitude
-        under ``sin(theta b)``, zero at the eliminated last interface.  A
-        band mode has its bubble vector under ``(-1)^(b - 1)`` (even) or
-        ``1`` (odd) in the first part, and zero local vectors in the other
-        two.  O(m + n_b) memory per column.  The signs of :meth:`columns`
-        are found on the built columns, so the factors do not carry them:
-        the one caller, the error budget, takes ``|(u_j, v_j)|``.
+        On the basis functions of block ``b = 1 .. n_b``, from its left
+        interface to its right one, column ``c`` is, up to its sign,
+        ``pattern[0, b - 1, c] A + pattern[1, b - 1, c] B`` with the fields
+        ``A, B = coefficients[:, :, c].T`` (:meth:`_block_coefficients`).  A
+        wave mode of wavenumber ``theta`` has the patterns ``sqrt(2 / n_b)``
+        times ``sin(phi_b)`` and ``cos(phi_b)``, ``phi_b = theta (b -
+        1/2)``; a band mode has ``A`` alone, under ``(-1)^(b - 1)`` (even) or
+        ``1`` (odd).  Neighbouring blocks agree on their interface, and the
+        eliminated ones (block 1's left, block ``n_b``'s right) vanish, to
+        round-off.  O(m + n_b) memory per column.  The factors do not carry
+        the signs of :meth:`columns`, found on the built columns: the one
+        caller, the error budget, takes ``|(u_j, v_j)|``.
 
         The localized column ``sum_c G[c, j] v_c`` of a tight run (found in
         the spectrum's ``_runs``) has no factors of this form, so read it
-        with :meth:`columns`; its factors here are those of the part that
-        meets its exact mode ``u = sin(pi (j + 1) x)`` (column ``j``, from 0).
-        ``u`` is a Bloch wave of class ``q = +-(j + 1) mod 2 n_b`` (see
-        :meth:`_localize_forms`), and the integral of a mode of another
+        with :meth:`columns`; its factors here are those of its modes' class
+        that meets its exact mode ``u = sin(pi (j + 1) x)`` (column ``j``,
+        from 0).  ``u`` is a Bloch wave of class ``q = +-(j + 1) mod 2 n_b``
+        (see :meth:`_localize_forms`), and the integral of a mode of another
         class against it vanishes, so ``(u, w)`` is that of the run's modes
-        of class ``q`` alone, which share their pattern: the local vector is
-        ``sum G[c, j] local_c`` over them, zero if there are none."""
+        of class ``q`` alone, which share their pattern: the coefficients are
+        ``sum G[c, j] coefficients_c`` over them, zero if there are none."""
         n_b = self._n_blocks
         modes = self._modes[lo:hi].copy()
         combined = []
@@ -732,27 +720,31 @@ class _BlochSpectrum(Spectrum):
             modes[s - lo:e - lo] = np.where(match.any(axis=0), run[match.argmax(axis=0)],
                                             modes[s - lo:e - lo])
             combined.append((slice(s - lo, e - lo), run, np.where(match, G[:, s - a:e - a], 0.0)))
-        local = self._local(modes)
+        C = self._block_coefficients(modes)
         for cols, run, weights in combined:
-            local[:, :, cols] = self._local(run) @ weights
-        return local, self._patterns(modes)
+            C[:, :, cols] = self._block_coefficients(run) @ weights
+        return C, self._patterns(modes)
 
     def columns(self, lo: int, hi: int) -> np.ndarray:
         """Eigenvector columns ``lo .. hi - 1``, mass-normalized and signed as
-        :func:`solve_gevp` describes, every row from the factors
-        (:meth:`_rows`): O(n) per column, and O(n r) per column of a tight run
-        of ``r``, whose modes' columns are built a block at a time and
-        combined by its ``G``."""
-        every = np.arange(self._n)
-        V = self._rows(self._modes[lo:hi])(every)
+        :func:`solve_gevp` describes, from the factors (:meth:`_rows`) a block
+        of about ``_BLOCK_ENTRIES`` entries of rows at a time: O(n) per
+        column, and O(n r) per column of a tight run of ``r``, each row its
+        modes' row times ``G`` in one product, whatever the block size."""
+        V = np.empty((self._n, hi - lo))
+        parts = [(slice(None), self._rows(self._modes[lo:hi]), None)]
         for a, b, G in self._runs:
             s, e = max(a, lo), min(b, hi)
             if s < e:
-                run, W = self._modes[a:b], V[:, s - lo:e - lo]
-                W[:] = 0.0
-                width = max(1, _BLOCK_ENTRIES // self._n)
-                for c in range(0, run.size, width):
-                    W += self._rows(run[c:c + width])(every) @ G[c:c + width, s - a:e - a]
+                parts.append((slice(s - lo, e - lo), self._rows(self._modes[a:b]),
+                              G[:, s - a:e - a]))
+        for cols, rows, G in parts:
+            width = max(1, hi - lo if G is None else G.shape[0])
+            # einsum adds each entry's terms in order whatever the block's
+            # shape, where dgemm rounds edge blocks of rows otherwise
+            for x, y in _bounds(0, self._n, max(2, _BLOCK_ENTRIES // width)):
+                block = rows(np.arange(x, y))
+                V[x:y, cols] = block if G is None else np.einsum("rk,kc->rc", block, G)
         V *= _signs(V)
         return V
 
@@ -793,9 +785,13 @@ def _quadrature_forms(kv, rule: QuadratureSpec, n_el: int, coefficients, n: int,
     buffers = np.empty((2, points * fields * min(chunk, n)))
 
     def element_sums(values):
-        # each element's sum of w_q values^2 for each field, one row each
-        return np.einsum("eqc,eq->ec", np.square(values, out=values).reshape(
-            weights.shape + (-1,)), weights).reshape(fields * n_el, -1)
+        # each element's sum of w_q values^2 for each field, one row each.
+        # einsum adds an element's points in order over two or more columns
+        # but not over one, the polish's width: one column is added by hand
+        squares = np.square(values, out=values).reshape(weights.shape + (-1,))
+        if squares.shape[2] > 1:
+            return np.einsum("eqc,eq->ec", squares, weights).reshape(fields * n_el, -1)
+        return sum(weights[:, q, None] * squares[:, q] for q in range(weights.shape[1]))
 
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
@@ -815,13 +811,16 @@ def _mesh_forms(kv, dofs: np.ndarray, rule: QuadratureSpec, V: np.ndarray) -> np
     element: the whole mesh as one block, under the pattern ``1``."""
     if kv is None:
         raise ValueError("a spectrum without a mesh has no quadrature forms")
+    return _quadrature_forms(kv, rule, kv.spans().size,
+                             lambda modes: _scattered(kv, dofs, V[:, modes]), V.shape[1])
 
-    def coefficients(modes):
-        C = np.zeros((kv.n, 1, modes.size))
-        C[dofs, 0] = V[:, modes]
-        return C
 
-    return _quadrature_forms(kv, rule, kv.spans().size, coefficients, V.shape[1])
+def _scattered(kv, dofs: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The columns of ``V``, coefficients of the basis functions ``dofs``, as
+    one field on every basis function of ``kv``: ``(kv.n, 1, columns)``."""
+    C = np.zeros((kv.n, 1, V.shape[1]))
+    C[dofs, 0] = V
+    return C
 
 
 def _sum_rows(x: np.ndarray) -> np.ndarray:

@@ -82,6 +82,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from splinespectra import analysis, cli
 from splinespectra.analysis import detect_stopping_bands, partition_dofs, sample_matrix
 from splinespectra.assembly import NumericalError, assemble_layout
 from splinespectra.eigensolve import _BLOCK_ENTRIES, _POLISH_SHIFT, Spectrum, _sum_rows
@@ -790,7 +791,8 @@ def reference_quadrature_forms(kv, rule, n_el: int, coefficients, n: int,
     basis values, and the slopes from a first-difference matrix and then the
     sums ``G_a = sum_{r >= a} N'_r`` of the basis slopes, where the library
     gathers each element's coefficients and adds the terms of each point in
-    the order of these CSR products."""
+    the order of these CSR products.  Each element's points are added in
+    order, one at a time."""
     p, reference = kv.p, rule.reference_rule(kv.p)
     spans = kv.spans()[:n_el]
     nodes, weights = map_rule_to_element(reference, kv.knots[spans], kv.knots[spans + 1])
@@ -815,8 +817,156 @@ def reference_quadrature_forms(kv, rule, n_el: int, coefficients, n: int,
     for lo in range(0, n, chunk):
         modes = np.arange(lo, min(lo + chunk, n))
         C = coefficients(modes).reshape(width, -1)
-        terms = np.hstack([np.einsum("eqc,eq->ec", np.square(X).reshape(
-            weights.shape + (-1,)), weights).reshape(fields * n_el, -1)
-            for X in (slopes @ (difference @ C), values @ C)])
+        # each element's points added in order
+        squares = [np.square(X).reshape(weights.shape + (-1,))
+                   for X in (slopes @ (difference @ C), values @ C)]
+        terms = np.hstack([sum(weights[:, q, None] * X[:, q] for q in range(weights.shape[1]))
+                           .reshape(fields * n_el, -1) for X in squares])
         forms[:, modes] = _sum_rows(terms).reshape(2, -1)
     return forms
+
+
+def three_part_factors(spectrum, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Bloch factors ``(local, pattern)`` of columns ``lo .. hi - 1`` of
+    a block-Fourier spectrum in three parts, where ``Spectrum.factors`` gives
+    two fields on one closed block: the even bubbles ``Qe y_e`` under
+    ``sin(phi_b)``, the odd bubbles ``Qo y_o`` under ``cos(phi_b)`` and the
+    interface amplitude under ``sin(theta b)``, each local vector over one
+    block's ``m`` bubbles and right interface (``3 x (m + 1) x columns``).
+    A band mode's bubble vector is the first part; a tight run's localized
+    column takes the parts of its modes' class that meets its exact mode."""
+    m, n_b = spectrum._m, spectrum._n_blocks
+    me, mo = (m + 1) // 2, m // 2
+    n_wave = spectrum._Y.shape[1]
+    theta = np.arange(1, n_b) * math.pi / n_b
+    b = np.arange(n_b)[:, None] + 0.5
+    scale = math.sqrt(2.0 / n_b)
+    tables = [scale * np.sin(b * theta), scale * np.cos(b * theta),
+              scale * np.sin((b[:-1] + 0.5) * theta)]
+
+    def local_of(modes):
+        band = modes >= n_wave
+        Y = spectrum._Y[:, np.where(band, 0, modes)]
+        local = np.zeros((3, m + 1, modes.size))
+        even, odd = math.sqrt(0.5) * Y[:mo], math.sqrt(0.5) * Y[me:m]
+        local[0, :mo], local[0, m - mo:m] = even, even[::-1]
+        local[1, :mo], local[1, m - mo:m] = odd, -odd[::-1]
+        if m % 2:
+            local[0, mo] = Y[mo]
+        local[2, m] = Y[m]
+        local[:, :, band] = 0.0
+        local[0, :m, band] = spectrum._bands[:, modes[band] - n_wave].T
+        return local
+
+    modes = spectrum._modes[lo:hi].copy()
+    combined = []
+    for a, e_run, G in spectrum._runs:
+        s, e = max(a, lo), min(e_run, hi)
+        if s >= e:
+            continue
+        run = spectrum._modes[a:e_run]
+        q = (np.arange(s, e) + 1) % (2 * n_b)
+        match = spectrum._classes(run)[:, None] == np.minimum(q, 2 * n_b - q)
+        modes[s - lo:e - lo] = np.where(match.any(axis=0), run[match.argmax(axis=0)],
+                                        modes[s - lo:e - lo])
+        combined.append((slice(s - lo, e - lo), run, np.where(match, G[:, s - a:e - a], 0.0)))
+    local = local_of(modes)
+    for cols, run, weights in combined:
+        local[:, :, cols] = local_of(run) @ weights
+    band = modes >= n_wave
+    k = np.where(band, 0, modes) // (m + 1)
+    pattern = np.zeros((3, n_b, modes.size))
+    pattern[0], pattern[1] = tables[0][:, k], tables[1][:, k]
+    pattern[2, :-1] = tables[2][:, k]
+    alternating = (-1.0) ** np.arange(n_b)[:, None]
+    pattern[0][:, band] = np.where(modes[band] - n_wave < (m + 1) // 2, alternating, 1.0)
+    return local, pattern
+
+
+def _reduced_load_moments(op, subdivisions: int, n_el: int, parts: int, height: int):
+    """Load moments over the first ``n_el`` elements of ``parts`` local
+    vectors on the reduced dofs ``0 .. height - 1``, the functions removed
+    by boundary conditions and those past ``height`` counting as zero: the
+    element moments of ``analysis._load_moments``, in its order and pieces,
+    through a map to reduced dofs."""
+    kv = op.kv
+    p, n_e = kv.p, op.layout.n_elements
+    spans = kv.spans()[:n_el]
+    edges = np.linspace(0.0, op.layout.h, subdivisions + 1)
+    t, w = (a.ravel() for a in map_rule_to_element(gauss_rule(p + 2), edges[:-1], edges[1:]))
+    _, N = span_basis_rows(kv, np.repeat(spans, t.size), (kv.knots[spans][:, None] + t).ravel())
+    reduced = np.full(kv.n, -1, dtype=int)
+    reduced[op.dof_indices] = np.arange(op.n_dofs)
+    rows = reduced[(spans - p)[:, None] + np.arange(p + 1)].T
+    kept = (rows >= 0) & (rows < height)
+    wN = (N.reshape(n_el, t.size, p + 1) * w[:, None]).transpose(2, 0, 1)
+    wN = (wN * kept[..., None]).reshape((p + 1) * n_el, t.size)
+    rows = np.where(kept, rows, 0).ravel()
+    e, n_rows = np.arange(n_el), wN.shape[0]
+    width = max(1, min(op.n_dofs, analysis._PAIR_BLOCK_ENTRIES // (parts * n_rows)))
+    step = np.multiply.outer(e, np.arange(width)) % (2 * n_e)
+    angle = np.tile(np.arange(2 * n_e) * (math.pi / n_e), 2)
+    cos_e, sin_e = np.cos(angle), np.sin(angle)
+
+    def moments(local, js, imag):
+        out = np.empty((parts, js.size))
+        pieces = -(-js.size // width)
+        cuts = [js.size * i // pieces for i in range(pieces + 1)]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            cols, size = slice(lo, hi), hi - lo
+            jt = np.outer(t, js[cols] * math.pi)
+            C, S = wN @ np.cos(jt), wN @ np.sin(jt)
+            Vg = np.take(local[:, :, cols], rows, axis=1, mode="clip")
+            Vg, C, S = (a.reshape(-1, p + 1, n_el, size) for a in (Vg, C, S))
+            VC = np.einsum("iaej,aej->iej", Vg, C[0])
+            VS = np.einsum("iaej,aej->iej", Vg, S[0])
+            k = ((js[lo] * e) % (2 * n_e))[:, None] + step[:, :size]
+            cos_k, sin_k = cos_e[k], sin_e[k]
+            for i in range(parts):
+                on_c, on_s, sign = (sin_k, cos_k, 1.0) if imag[i] else (cos_k, sin_k, -1.0)
+                out[i, cols] = (np.einsum("ej,ej->j", on_c, VC[i])
+                                + sign * np.einsum("ej,ej->j", on_s, VS[i]))
+        return out
+
+    return moments
+
+
+def reference_three_part_pair_products(spectrum, op, js: np.ndarray,
+                                       counts: np.ndarray) -> np.ndarray:
+    """``analysis._pair_products`` of a block-Fourier spectrum from its
+    :func:`three_part_factors`, where the library reads two fields on one
+    closed block: the load moments of the three local vectors over the
+    first block and the next block's first element, where the block's right
+    interface function ends, against the block phases of each part."""
+    n_e = op.layout.n_elements
+    first = spectrum.n_modes - js.size
+    n_b, m = spectrum._n_blocks, spectrum._m
+    window, height = min(n_e // n_b + 1, n_e), m + 1
+    angle = np.arange(2 * n_b) * (math.pi / n_b)
+    cos_b, sin_b = np.cos(angle), np.sin(angle)
+    evaluators, out = {}, np.empty(js.size)
+    for lo, hi in spectrum.blocks(first, 3 * max(height, n_b)):
+        local, pattern = three_part_factors(spectrum, lo, hi)
+        rows = slice(lo - first, hi - first)
+        jc, cc, uv = js[rows], counts[rows], out[rows]
+        k = np.multiply.outer(np.arange(n_b), jc) % (2 * n_b)
+        S = np.stack([np.einsum("ibc,bc->ic", pattern, c[k]) for c in (cos_b, sin_b)])
+        local = (S.transpose(2, 0, 1) @ local.transpose(2, 0, 1)).transpose(1, 2, 0)
+        values, starts = np.unique(cc, return_index=True)
+        for s, a, z in zip(values, starts, [*starts[1:], jc.size]):
+            key = int(s)
+            if key not in evaluators:
+                evaluators[key] = _reduced_load_moments(op, key, window, 2, height)
+            F = evaluators[key](local[:, :, a:z], jc[a:z], (True, False))
+            uv[a:z] = F[0] + F[1]
+        uv *= math.sqrt(2.0)
+    return out
+
+
+def reference_csv_text(columns: dict, config, comments=None) -> str:
+    """The CSV text of equally long ``columns`` as one string: every line
+    joined and ended by ``\\n``, each column formatted by ``cli._cells``,
+    where ``cli.cmd_outliers`` writes its ``.freq.csv`` one mode at a time."""
+    lines = [f"# config: {config.echo()}", *(comments or []), ",".join(columns)]
+    lines += map(",".join, zip(*map(cli._cells, columns.values()), strict=True))
+    return "\n".join(lines) + "\n"

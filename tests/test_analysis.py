@@ -34,6 +34,7 @@ from oracles import (
     per_mode_two_wave_fit,
     reconstruct_stopping_mode,
     reference_sampling,
+    reference_three_part_pair_products,
 )
 
 
@@ -109,7 +110,8 @@ def pair_products(op, V, js, subdivisions):
     ``subdivisions`` pieces per element, by the error budget's one route: the
     columns as a dense spectrum, one block of the whole mesh."""
     counts = np.full(len(js), subdivisions)
-    return analysis._pair_products(Spectrum(np.zeros(len(js)), V), op, np.asarray(js), counts, {})
+    spectrum = Spectrum(np.zeros(len(js)), V, op.kv, op.dof_indices)
+    return analysis._pair_products(spectrum, op, np.asarray(js), counts, {})
 
 
 def pair_inner(op, j, v, subdivisions=None):
@@ -258,14 +260,14 @@ def test_budget_samples_no_grid(monkeypatch):
 
 def test_factored_budget_takes_column_pair_products_only_on_tight_runs(monkeypatch):
     """A factored spectrum's pair products come from its Bloch factors, over
-    one block and the next block's first element.  The localized columns of
+    one closed block.  The localized columns of
     a tight run take them from the factors of their parts that meet their
     exact modes: no load-moment evaluator of the whole mesh is built."""
     built, columns = [], []
     real = analysis._load_moments
 
-    def counting(op, subdivisions, n_el, parts, height):
-        moments = real(op, subdivisions, n_el, parts, height)
+    def counting(op, subdivisions, n_el, parts):
+        moments = real(op, subdivisions, n_el, parts)
         if n_el < op.layout.n_elements:
             return moments
         built.append(subdivisions)
@@ -285,6 +287,34 @@ def test_factored_budget_takes_column_pair_products_only_on_tight_runs(monkeypat
     budget = error_budget(solve_gevp(op), op)
     assert built == [] and columns == []
     assert np.all(np.abs(budget.pythagoras_residual) < 1e-12)
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(2000, 2, 100),  # a tight run of 19
+    BlockLayout.riga(400, 3, 50),    # a tight run of 7
+    BlockLayout.riga(600, 4, 60),    # band modes in its runs
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}")
+def test_closed_block_pair_products_match_the_three_part_factors(layout):
+    """The pair products from two fields on one closed block agree with
+    those from three parts over one block and the next block's first
+    element (each interface under ``sin(theta b)``) within 4 units in the
+    last place of each product, and within 4 eps absolute on the tight
+    runs' localized columns, whose products cancel: the interfaces, formed
+    by angle addition, and the window are the only changes.  Measured: 4
+    units of the product (riga(600, 4, 60)), 3 eps on the runs."""
+    op = assemble_layout(layout)
+    spectrum = solve_gevp(op)
+    js = exact_spectrum(spectrum.n_modes)[0]
+    counts = analysis._required_subdivisions(js, op.layout.h)
+    got = analysis._pair_products(spectrum, op, js, counts, {})
+    expected = reference_three_part_pair_products(spectrum, op, js, counts)
+    tight = np.zeros(js.size, dtype=bool)
+    for a, b, _ in spectrum._runs:
+        tight[a:b] = True
+    assert tight.any()
+    error = np.abs(got - expected)
+    assert np.all(error[~tight] <= 4 * np.spacing(np.abs(expected[~tight])))
+    assert np.all(error <= 4 * np.finfo(float).eps)
 
 
 def test_budget_memory_stays_near_the_eigenvectors():

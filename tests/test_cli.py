@@ -15,11 +15,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from splinespectra import analysis, cli, eigensolve, quadrature
+from splinespectra.assembly import assemble_layout
 from splinespectra.cli import main
+from splinespectra.eigensolve import solve_gevp
 from splinespectra.quadrature import gauss_rule, lobatto_rule
 from splinespectra.splines import BlockLayout
 
-from oracles import QuadratureFormsSpectrum, reference_cells
+from oracles import QuadratureFormsSpectrum, reference_cells, reference_csv_text
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -274,6 +276,35 @@ def test_outliers_csv(tmp_path, monkeypatch):
     _, fheader, frows = read_csv(freq)
     assert fheader == ["mode", "frequency", "magnitude"]
     assert {int(r.split(",")[0]) for r in frows} == {193, 194}
+
+
+@pytest.mark.parametrize("config", [
+    cli.ExperimentConfig(method="riga", p=2, elements=192, block=64),
+    cli.ExperimentConfig(method="fea", p=2, elements=30),
+], ids=["riga", "fea"])
+def test_frequency_table_is_the_whole_table_text(tmp_path, capsys, config):
+    """The ``.freq.csv``, written one mode at a time, and the same table on
+    stdout are byte for byte the text of the whole table formatted at once
+    (``oracles.reference_csv_text``): every mode's row of each bin up to the
+    dof count."""
+    op = assemble_layout(config.layout(), config.quadrature_spec())
+    report = analysis.outlier_report(solve_gevp(op), op)
+    freqs = 0.5 * np.arange(report.magnitudes.shape[1])
+    freqs = freqs[freqs <= op.n_dofs]
+    expected = reference_csv_text({
+        "mode": np.repeat(report.mode, freqs.size),
+        "frequency": np.tile(freqs, report.mode.size),
+        "magnitude": report.magnitudes[:, :freqs.size].ravel(),
+    }, config)
+    line = ["outliers", "--method", config.method, "--p", str(config.p),
+            "--elements", str(config.elements)]
+    line += [] if config.block is None else ["--block", str(config.block)]
+    out = tmp_path / "run.csv"
+    assert main(line + ["--out", str(out)]) == 0
+    assert out.with_suffix(".freq.csv").read_text() == expected
+    capsys.readouterr()
+    assert main(line) == 0
+    assert capsys.readouterr().out == out.read_text() + expected
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -618,9 +649,10 @@ def test_csv_columns_match_row_by_row_rule(columns, comments):
     "spectrum2d --method riga --p 2 --block 4 --elements 8",
 ], ids=lambda line: "-".join(line.split()[:3:2]))
 def test_cells_by_dtype_match_the_per_cell_rule(tmp_path, monkeypatch, line):
-    """Every column a subcommand writes is formatted, byte for byte, as the
-    per-cell rule formats it; a column handed over as cells already, each
-    distinct value formatted once, as the rule formats the values it reads."""
+    """Every column a subcommand hands to ``_csv`` is formatted, byte for
+    byte, as the per-cell rule formats it (the ``.freq.csv`` rows, written
+    one mode at a time, are held to the whole-table text by
+    ``test_frequency_table_is_the_whole_table_text``)."""
     tables = []
     real = cli._csv
 
@@ -633,12 +665,7 @@ def test_cells_by_dtype_match_the_per_cell_rule(tmp_path, monkeypatch, line):
     assert tables
     for columns in tables:
         for name, column in columns.items():
-            if isinstance(column, cli._Cells):
-                # each cell reads back as the value it was formatted from
-                values = [int(cell) if cell.isdigit() else float(cell) for cell in column]
-                assert column == reference_cells(values), name
-            else:
-                assert cli._cells(column) == reference_cells(column), name
+            assert cli._cells(column) == reference_cells(column), name
 
 
 def test_csv_refuses_columns_of_different_lengths():

@@ -677,17 +677,22 @@ def test_bands_scaled_before_the_solve_are_the_pencil_solved(monkeypatch, matrix
     BlockLayout.riga(4, 1, 1),     # no bubble
 ], ids=["m10", "m11", "tight", "p4", "m0"])
 def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
-    # the local bubble vectors are the mirror combinations Qe y_e and Qo y_o:
-    # each entry one nonzero term, so the slices give the products' bits
+    # the bubble coefficients of the fields A and B are the mirror
+    # combinations Qe y_e and Qo y_o: each entry one nonzero term, so the
+    # slices give the products' bits.  The interfaces of a wave mode of
+    # wavenumber theta are cos(theta / 2) X in A, and -sin(theta / 2) X
+    # (left) and sin(theta / 2) X (right) in B; a band mode is A alone,
+    # with no interface amplitude
     op = assemble_layout(layout)
     spectrum = solve_gevp(op)
     assert isinstance(spectrum, eigensolve._BlochSpectrum)
     _, _, Qe, Qo = eigensolve._folded_pencils(*_uniform_patch(op))
     m, me = Qe.shape
-    n = spectrum.n_modes
+    n, n_b = spectrum.n_modes, spectrum._n_blocks
     for lo, hi in [(0, n), (n // 3, n - 1), (n - 2, n)]:
-        # a tight run's factors are those of its part that meets the exact mode
-        local, _ = spectrum.factors(lo, hi)
+        # a tight run's factors are those of its class that meets the exact mode
+        C, _ = spectrum.factors(lo, hi)
+        assert C.shape == (m + 2, 2, hi - lo)
         tight = np.zeros(n, dtype=bool)
         for a, b, _ in spectrum._runs:
             tight[a:b] = True
@@ -695,12 +700,17 @@ def test_factors_by_mirror_slices_keep_the_bits_of_the_dense_products(layout):
         modes = spectrum._modes[lo:hi]
         band = modes >= spectrum._Y.shape[1]
         Y = spectrum._Y[:, np.where(band, 0, modes)]
-        expected = np.zeros_like(local)
-        expected[0, :m], expected[1, :m], expected[2, m] = Qe @ Y[:me], Qo @ Y[me:m], Y[m]
+        theta = (modes // (m + 1) + 1) * (math.pi / n_b)
+        expected = np.empty_like(C)
+        expected[1:-1, 0], expected[1:-1, 1] = Qe @ Y[:me], Qo @ Y[me:m]
+        expected[0, 0] = expected[-1, 0] = np.cos(theta / 2) * Y[m]
+        expected[-1, 1] = np.sin(theta / 2) * Y[m]
+        expected[0, 1] = -expected[-1, 1]
         wave = ~band & ~tight
-        bits = [a[:, :, wave].view(np.int64) for a in (local, expected)]
+        bits = [a[:, :, wave].view(np.int64) for a in (C, expected)]
         assert np.array_equal(*bits)  # zeros keep their signs too
-        assert not local[1:, :, band & ~tight].any()
+        assert not C[:, 1, band & ~tight].any()
+        assert not C[[0, -1], 0][:, band & ~tight].any()
 
 
 def tight_columns(lam):
@@ -918,6 +928,25 @@ def test_gauss_budget_takes_the_solve_quadratic_forms(monkeypatch):
     budget = analysis.error_budget(spectrum, op)
     assert builds == [] and ranges == [] and sums == []
     assert_budgets_agree(budget, expected)
+
+
+@pytest.mark.parametrize("layout", [
+    BlockLayout.riga(2000, 2, 100),  # a tight run of 19
+    BlockLayout.riga(400, 3, 50),    # a tight run of 7
+], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}")
+def test_tight_run_columns_do_not_depend_on_the_block_size(monkeypatch, layout):
+    # the columns are built a block of rows at a time, each row of a tight
+    # run one product of its modes' row with G over the whole run: every
+    # block size gives the same bits, signs of zeros included
+    spectrum = solve_gevp(assemble_layout(layout))
+    assert spectrum._runs
+    n = spectrum.n_modes
+    columns = []
+    for entries in (1, 200, 5000, 1 << 20):
+        monkeypatch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
+        columns.append(spectrum.columns(0, n).view(np.uint64))
+    for got in columns[1:]:
+        assert np.array_equal(got, columns[0])
 
 
 def test_gauss_budget_builds_only_the_blocks_of_a_tight_run(monkeypatch):
@@ -1229,21 +1258,34 @@ def test_block_fourier_values_do_not_depend_on_the_chunk(monkeypatch, layout, en
     BlockLayout.riga(100, 2, 10), BlockLayout.riga(600, 3, 20), BlockLayout.fea(300, 3),
     BlockLayout.riga(240, 5, 30), BlockLayout.riga(192, 2, 64),  # a tight run of two
     BlockLayout.riga(2000, 2, 100), BlockLayout.riga(600, 4, 60), BlockLayout.fea(2, 1),
+    BlockLayout.riga(90, 3, 7), BlockLayout.iga(40, 5),  # the dense route
 ], ids=lambda lay: f"{lay.n_elements}-{lay.p}-{lay.block_size}")
 @pytest.mark.parametrize("rule", [*_RULES[:2], QuadratureSpec("blended", tau=0.3)],
                          ids=lambda rule: rule.kind)
 def test_block_fourier_forms_do_not_depend_on_the_chunk(monkeypatch, layout, rule):
     # the point gathers reuse their buffers for every chunk of modes, the
     # last one narrower: one mode per chunk (entries 1), a few, and a ragged
-    # last chunk give the eigenvalues and the forms of the default chunks
+    # last chunk give the eigenvalues and the forms of the default chunks.
+    # Each element's points are added in one order at every width, so on
+    # the dense route, too, the forms of one column alone (the polish's
+    # width) are those of the whole array
     op = assemble_layout(layout, rule)
+    uniform = layout.n_elements % layout.block_size == 0 \
+        and layout.n_elements >= 2 * layout.block_size
 
     def solve():
         spectrum = solve_gevp(op)
-        assert isinstance(spectrum, eigensolve._BlochSpectrum)
+        assert isinstance(spectrum, eigensolve._BlochSpectrum) == uniform
         return [spectrum.eigenvalues, *(spectrum.forms(r) for r in (rule, *_RULES[:2]))]
 
     whole = solve()
+    if not uniform:
+        V = solve_gevp(op).eigenvectors
+        for r in (rule, *_RULES[:2]):
+            forms = eigensolve._mesh_forms(op.kv, op.dof_indices, r, V)
+            for j in range(V.shape[1]):
+                one = eigensolve._mesh_forms(op.kv, op.dof_indices, r, V[:, j:j + 1])
+                assert np.array_equal(one[:, 0], forms[:, j]), j
     for entries in (1, 200, 5000):
         with monkeypatch.context() as patch:
             patch.setattr(eigensolve, "_BLOCK_ENTRIES", entries)
